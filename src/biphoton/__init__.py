@@ -19,7 +19,6 @@ from .experiments import (
     CascadeGeometry,
     DarkDenominator,
     ScenarioResult,
-    angle_scan,
     cascade_coincidence,
     chsh_S,
     correlation_E,
@@ -30,7 +29,6 @@ from .experiments import (
     pdc_coincidence,
     same_channel_probability,
     same_channel_table,
-    scenario_point,
     split_probability,
 )
 from .fock import (
@@ -65,8 +63,6 @@ from .optics import (
     empty_field,
     frequency_component,
     hwp,
-    mirror,
-    phase_shift,
     polarizer,
     with_channel,
 )

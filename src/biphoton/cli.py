@@ -9,17 +9,20 @@ Subcommands:
 
 Tables have the columns param, value, closed_form, abs_error and are
 emitted as CSV (12 significant digits, newline line endings) or JSON.
-Exit codes: 0 success, 1 bad input, 2 a computed value disagrees with its
-closed form beyond tolerance.
+Exit codes: 0 success, 1 bad input (including usage errors and unreadable
+files), 2 a computed value disagrees with its closed form beyond tolerance
+or is not finite.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
+from .experiments import EXPERIMENTS
 from .scenario import ParseError, ScenarioSpec, ValidationError, evaluate, parse_scenario
 from .selfcheck import selfcheck_rows
 
@@ -75,7 +78,8 @@ def _run_spec(spec: ScenarioSpec, args: argparse.Namespace) -> int:
     table = [(param, result.value, result.closed_form) for param, result in evaluate(spec)]
     _emit(table, fmt, args.out)
     tolerance = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
-    mismatch = any(closed is not None and abs(value - closed) > tolerance for _, value, closed in table)
+    # Written as "not <=" so that a NaN value or closed form is a mismatch.
+    mismatch = any(closed is not None and not abs(value - closed) <= tolerance for _, value, closed in table)
     return EXIT_MISMATCH if mismatch else EXIT_OK
 
 
@@ -84,7 +88,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not path.exists():
         print(f"error: no such scenario file: {path}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    return _run_spec(parse_scenario(path.read_text()), args)
+    return _run_spec(parse_scenario(path.read_text(encoding="utf-8")), args)
 
 
 def _scan_args_to_text(args: argparse.Namespace) -> str:
@@ -110,7 +114,7 @@ def cmd_chsh(args: argparse.Namespace) -> int:
     lines = ["experiment chsh"]
     if args.state:
         lines.append(f"state {args.state}")
-    for name in ("a", "ap", "b", "bp"):
+    for name in EXPERIMENTS["chsh"].angles:
         value = getattr(args, name)
         if value is not None:
             lines.append(f"angle {name} {value}")
@@ -129,7 +133,7 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
     table = [(row.name, row.value, expected[row.name]) for row in rows]
     _emit(table, args.format or "csv", args.out)
     failed = any(
-        abs(row.value - expected[row.name]) > (args.tolerance if args.tolerance is not None else row.tolerance)
+        not abs(row.value - expected[row.name]) <= (args.tolerance if args.tolerance is not None else row.tolerance)
         for row in rows
     )
     return EXIT_MISMATCH if failed else EXIT_OK
@@ -143,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("csv", "json"), help="override the output format")
     common.add_argument("--out", metavar="PATH", help="write the table to a file instead of stdout")
-    common.add_argument("--tolerance", type=float, help="closed-form agreement tolerance")
+    common.add_argument("--tolerance", type=float, help="closed-form agreement tolerance (finite, >= 0)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -162,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_chsh = sub.add_parser("chsh", parents=[common], help="four-setting correlation sum")
     p_chsh.add_argument("--state")
-    for name in ("a", "ap", "b", "bp"):
+    for name in EXPERIMENTS["chsh"].angles:
         p_chsh.add_argument(f"--{name}", metavar="DEG")
     p_chsh.set_defaults(func=cmd_chsh)
 
@@ -177,10 +181,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+        if args.tolerance is not None and not (math.isfinite(args.tolerance) and args.tolerance >= 0.0):
+            parser.error(f"argument --tolerance: must be finite and >= 0, got {args.tolerance!r}")
+    except SystemExit as err:
+        # argparse exits 0 after --help and 2 on a usage error, which would read as a mismatch.
+        return EXIT_BAD_INPUT if err.code == 2 else err.code
     try:
         return args.func(args)
-    except (ParseError, ValidationError) as err:
+    except (ParseError, ValidationError, OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -91,6 +91,9 @@ class BeamProfile:
             raise ValueError(f"unknown beam kind {self.kind!r}; expected one of {BEAM_KINDS}")
         if self.kind == "gaussian" and (self.width is None or self.width <= 0):
             raise ValueError("gaussian beams need width > 0")
+        if self.kind == "gaussian" and not self.width * self.width > 0.0:
+            # value() divides by width^2.
+            raise ValueError(f"gaussian beam width {self.width!r} is too small: its square underflows to 0")
         if self.amplitude < 0:
             raise ValueError("beam amplitude must be >= 0")
 

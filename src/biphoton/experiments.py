@@ -34,17 +34,13 @@ from typing import Union
 
 from . import detection as det
 from . import optics as op
-from .fock import EPS_ZERO, FockKet, LinearForm, combination_forms, named_state, unit_form
+from .fock import _SQRT1_2, EPS_ZERO, FockKet, LinearForm, combination_forms, named_state, unit_form
 from .modes import BEAM_H, BEAM_V, H1, H2, V1, V2, W1H, W1V, W2H, W2V
-
-_SQRT1_2 = math.sqrt(0.5)
-
-EXPERIMENTS = ("fig1", "pdc", "fig2", "fig3", "cascade", "chsh", "same-channel")
 
 RATE_UNITS = "dimensionless rate (B = 1)"
 
-#: Analyzer settings that maximize the four-setting correlation sum.
-CANONICAL_CHSH_ANGLES = {"a": 0.0, "ap": math.pi / 4, "b": math.pi / 8, "bp": 3 * math.pi / 8}
+#: Upper bound on the number of points in one angle scan.
+MAX_SCAN_POINTS = 1_000_000
 
 #: Kinds whose coincidence law falls as sin^2 of the angle difference; the
 #: cascade kind follows the complementary cos^2 law.
@@ -295,13 +291,17 @@ def split_probability(kind: str) -> float:
     return total
 
 
+#: Closed-form outcome probabilities (both in 1, both in 2, one in each) of
+#: every state kind with a channel decomposition.
+SAME_CHANNEL_CLOSED_FORMS = {
+    "circular_pair": (0.25, 0.25, 0.5),
+    "psi_e": (0.0, 0.0, 1.0),
+    "psi_u": (0.25, 0.25, 0.5),
+}
+
+
 def same_channel_table(kind: str) -> list[ScenarioResult]:
     """Outcome probabilities {both in 1, both in 2, one in each}."""
-    closed = {
-        "circular_pair": (0.25, 0.25, 0.5),
-        "psi_u": (0.25, 0.25, 0.5),
-        "psi_e": (0.0, 0.0, 1.0),
-    }.get(kind)
     values = (
         same_channel_probability(kind, 1),
         same_channel_probability(kind, 2),
@@ -309,14 +309,8 @@ def same_channel_table(kind: str) -> list[ScenarioResult]:
     )
     names = ("both_ch1", "both_ch2", "split")
     return [
-        ScenarioResult(
-            observable=name,
-            params={},
-            value=value,
-            closed_form=None if closed is None else closed[i],
-            units="event probability",
-        )
-        for i, (name, value) in enumerate(zip(names, values))
+        ScenarioResult(observable=name, params={}, value=value, closed_form=closed, units="event probability")
+        for name, value, closed in zip(names, values, SAME_CHANNEL_CLOSED_FORMS[kind])
     ]
 
 
@@ -326,26 +320,25 @@ def same_channel_table(kind: str) -> list[ScenarioResult]:
 #: A coincidence law: either a named state kind or a callable (t1, t2) -> rate.
 CoincidenceLaw = Union[str, Callable[[float, float], float]]
 
-
-def _coincidence_value(law: CoincidenceLaw, theta1: float, theta2: float) -> float:
-    if callable(law):
-        return law(theta1, theta2)
-    if law == "circular_pair":
-        return fig1_coincidence(theta1, theta2).value
-    if law in ("psi_e", "psi_u"):
-        return pdc_coincidence(law, theta1, theta2).value
-    if law == "psi_u_prime":
-        return cascade_coincidence(CascadeGeometry(), theta1, theta2).value
-    raise ValueError(f"no coincidence scenario for state {law!r}")
+#: Two-channel coincidence scenario of each named state kind.
+COINCIDENCE_LAWS: dict[str, Callable[[float, float], float]] = {
+    "circular_pair": lambda t1, t2: fig1_coincidence(t1, t2).value,
+    "psi_e": lambda t1, t2: pdc_coincidence("psi_e", t1, t2).value,
+    "psi_u": lambda t1, t2: pdc_coincidence("psi_u", t1, t2).value,
+    "psi_u_prime": lambda t1, t2: cascade_coincidence(CascadeGeometry(), t1, t2).value,
+}
 
 
 def correlation_E(law: CoincidenceLaw, theta1: float, theta2: float) -> float:
     """Two-channel correlation coefficient estimated from four analyzer
     settings (each angle also rotated by pi/2)."""
+    rate = law if callable(law) else COINCIDENCE_LAWS.get(law)
+    if rate is None:
+        raise ValueError(f"no coincidence scenario for state {law!r}")
     t1p = theta1 + math.pi / 2
     t2p = theta2 + math.pi / 2
-    same = _coincidence_value(law, theta1, theta2) + _coincidence_value(law, t1p, t2p)
-    cross = _coincidence_value(law, theta1, t2p) + _coincidence_value(law, t1p, theta2)
+    same = rate(theta1, theta2) + rate(t1p, t2p)
+    cross = rate(theta1, t2p) + rate(t1p, theta2)
     total = same + cross
     if total <= EPS_ZERO:
         raise DarkDenominator(f"all four coincidence rates vanish for {law!r}")
@@ -378,78 +371,97 @@ def analytic_chsh_S(kind: str, a: float, ap: float, b: float, bp: float) -> floa
     )
 
 
-# --- generic dispatch and scans ------------------------------------------------------
+# --- experiment registry and scans ------------------------------------------------------
 
 
-def scenario_point(
-    experiment: str,
-    state: str,
-    angles: Mapping[str, float],
-    geometry: CascadeGeometry | None = None,
-    beams: Sequence[det.BeamProfile] | None = None,
-    grid: det.ScanGrid | None = None,
-) -> ScenarioResult:
-    """Evaluate one experiment at fixed angles (radians)."""
-    theta = dict(angles)
-    if experiment == "fig1":
-        return fig1_coincidence(theta.get("theta1", 0.0), theta.get("theta2", 0.0))
-    if experiment == "pdc":
-        return pdc_coincidence(state, theta.get("theta1", 0.0), theta.get("theta2", 0.0))
-    if experiment == "fig2":
-        return fig2_split_coincidence(state, theta.get("theta3", 0.0), theta.get("theta4", 0.0))
-    if experiment == "fig3":
-        return fig3_visibility(state, beams=beams, grid=grid)
-    if experiment == "cascade":
-        return cascade_coincidence(geometry or CascadeGeometry(), theta.get("theta1", 0.0), theta.get("theta2", 0.0))
-    if experiment == "chsh":
-        settings = {name: theta.get(name, default) for name, default in CANONICAL_CHSH_ANGLES.items()}
-        value = chsh_S(state, settings["a"], settings["ap"], settings["b"], settings["bp"])
-        closed = analytic_chsh_S(state, settings["a"], settings["ap"], settings["b"], settings["bp"])
-        return ScenarioResult(
+@dataclass(frozen=True)
+class Experiment:
+    """Everything the scenario layer knows about one named experiment.
+
+    run(state, angles, geometry, beams) evaluates one point, with every angle
+    of the experiment given in radians, and returns its result rows.
+    """
+
+    angles: dict[str, float]  # parameter name -> default, in degrees
+    states: tuple[str, ...]
+    default_state: str
+    run: Callable[[str, Mapping[str, float], CascadeGeometry, Sequence[det.BeamProfile]], list[ScenarioResult]]
+
+
+def _run_chsh(state: str, angles: Mapping[str, float], geometry: CascadeGeometry, beams) -> list[ScenarioResult]:
+    settings = {name: angles[name] for name in CANONICAL_CHSH_ANGLES}
+    return [
+        ScenarioResult(
             observable="abs_S",
             params=settings,
-            value=abs(value),
-            closed_form=abs(closed),
+            value=abs(chsh_S(state, **settings)),
+            closed_form=abs(analytic_chsh_S(state, **settings)),
             units="dimensionless",
         )
-    raise ValueError(f"unknown experiment {experiment!r}")
+    ]
 
 
-def scan_values(start: float, stop: float, step: float) -> list[float]:
-    """Inclusive arithmetic grid start, start + step, ..., stop."""
+EXPERIMENTS: dict[str, Experiment] = {
+    "fig1": Experiment(
+        {"theta1": 0.0, "theta2": 0.0},
+        ("circular_pair",),
+        "circular_pair",
+        lambda state, t, geometry, beams: [fig1_coincidence(t["theta1"], t["theta2"])],
+    ),
+    "pdc": Experiment(
+        {"theta1": 0.0, "theta2": 0.0},
+        ("psi_e", "psi_u"),
+        "psi_u",
+        lambda state, t, geometry, beams: [pdc_coincidence(state, t["theta1"], t["theta2"])],
+    ),
+    "fig2": Experiment(
+        {"theta3": 0.0, "theta4": 0.0},
+        ("psi_e", "psi_u"),
+        "psi_u",
+        lambda state, t, geometry, beams: [fig2_split_coincidence(state, t["theta3"], t["theta4"])],
+    ),
+    "fig3": Experiment(
+        {}, ("psi_e", "psi_u"), "psi_u", lambda state, t, geometry, beams: [fig3_visibility(state, beams)]
+    ),
+    "cascade": Experiment(
+        {"theta1": 0.0, "theta2": 0.0},
+        ("psi_u_prime",),
+        "psi_u_prime",
+        lambda state, t, geometry, beams: [cascade_coincidence(geometry, t["theta1"], t["theta2"])],
+    ),
+    "chsh": Experiment(
+        {"a": 0.0, "ap": 45.0, "b": 22.5, "bp": 67.5}, tuple(COINCIDENCE_LAWS), "circular_pair", _run_chsh
+    ),
+    "same-channel": Experiment(
+        {}, tuple(SAME_CHANNEL_CLOSED_FORMS), "psi_u", lambda state, t, geometry, beams: same_channel_table(state)
+    ),
+}
+
+#: Analyzer settings that maximize the four-setting correlation sum.
+CANONICAL_CHSH_ANGLES = {name: math.radians(deg) for name, deg in EXPERIMENTS["chsh"].angles.items()}
+
+
+def scan_count(start: float, stop: float, step: float) -> int:
+    """Number of points in the inclusive grid start, start + step, ..., stop,
+    computed without building the grid; at most MAX_SCAN_POINTS."""
     if not all(math.isfinite(v) for v in (start, stop, step)):
         raise ValueError("scan bounds and step must be finite")
     if step <= 0.0:
         raise ValueError("scan step must be > 0")
     if stop < start:
-        raise ValueError("scan range is empty (stop < start)")
-    values = []
-    k = 0
-    slack = 1e-9 * step
-    while start + k * step <= stop + slack:
-        values.append(start + k * step)
-        k += 1
-    return values
+        raise ValueError("scan range is empty (to < from)")
+    limit = stop + 1e-9 * step
+    # Floor estimate of the last index, corrected against the inclusive test.
+    last = int(min((stop - start) / step, MAX_SCAN_POINTS))
+    while last > 0 and start + last * step > limit:
+        last -= 1
+    while last < MAX_SCAN_POINTS and start + (last + 1) * step <= limit:
+        last += 1
+    if last >= MAX_SCAN_POINTS:
+        raise ValueError(f"scan has more than {MAX_SCAN_POINTS} points")
+    return last + 1
 
 
-def angle_scan(
-    experiment: str,
-    state: str,
-    scan_name: str,
-    values: Sequence[float],
-    fixed: Mapping[str, float] | None = None,
-    geometry: CascadeGeometry | None = None,
-) -> list[ScenarioResult]:
-    """Evaluate an experiment over a sequence of values of one angle.
-
-    Rows are ordered by grid index regardless of how they are computed.
-    """
-    if not values:
-        raise ValueError("scan grid is empty")
-    base = dict(fixed or {})
-    rows = []
-    for value in values:
-        angles = dict(base)
-        angles[scan_name] = value
-        rows.append(scenario_point(experiment, state, angles, geometry=geometry))
-    return rows
+def scan_values(start: float, stop: float, step: float) -> list[float]:
+    """Inclusive arithmetic grid start, start + step, ..., stop."""
+    return [start + k * step for k in range(scan_count(start, stop, step))]

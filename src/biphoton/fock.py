@@ -52,10 +52,6 @@ def occupation(counts: OccupationLike) -> Occupation:
     return tuple(sorted(((m, n) for m, n in merged.items() if n > 0), key=lambda p: p[0].sort_key()))
 
 
-def total_photons(occ: Occupation) -> int:
-    return sum(n for _, n in occ)
-
-
 def occ_count(occ: Occupation, mode: ModeId) -> int:
     for m, n in occ:
         if m == mode:

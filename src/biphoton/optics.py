@@ -10,15 +10,12 @@ detector operator for that arm.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import LinearForm, zero_form
-
-_SQRT1_2 = math.sqrt(0.5)
+from .fock import _SQRT1_2, LinearForm, zero_form
 
 #: 2x2 complex matrix acting on the (v, h) component pair.
 JonesMatrix = np.ndarray
@@ -89,14 +86,6 @@ def polarizer(field: ChannelField, theta: float) -> LinearForm:
     orthogonal component is discarded."""
     projected = field.v.scale(math.cos(theta)).plus(field.h.scale(math.sin(theta)))
     return projected.scale(field.phase)
-
-
-def phase_shift(field: ChannelField, phi: float) -> ChannelField:
-    return ChannelField(field.v, field.h, field.channel, field.phase * cmath.exp(1j * phi))
-
-
-def mirror(field: ChannelField) -> ChannelField:
-    return ChannelField(field.v, field.h, field.channel, -field.phase)
 
 
 def frequency_component(field: ChannelField, freq: str) -> ChannelField:

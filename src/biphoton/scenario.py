@@ -22,48 +22,9 @@ import math
 from dataclasses import dataclass, field
 
 from .detection import BeamProfile, default_beams
-from .experiments import (
-    CascadeGeometry,
-    EXPERIMENTS,
-    ScenarioResult,
-    same_channel_table,
-    scan_values,
-    scenario_point,
-)
+from .experiments import EXPERIMENTS, CascadeGeometry, ScenarioResult, scan_count, scan_values
 
 OUTPUT_FORMATS = ("csv", "json")
-
-ANGLE_NAMES = {
-    "fig1": ("theta1", "theta2"),
-    "pdc": ("theta1", "theta2"),
-    "fig2": ("theta3", "theta4"),
-    "fig3": (),
-    "cascade": ("theta1", "theta2"),
-    "chsh": ("a", "ap", "b", "bp"),
-    "same-channel": (),
-}
-
-STATE_CHOICES = {
-    "fig1": ("circular_pair",),
-    "pdc": ("psi_e", "psi_u"),
-    "fig2": ("psi_e", "psi_u"),
-    "fig3": ("psi_e", "psi_u"),
-    "cascade": ("psi_u_prime",),
-    "chsh": ("circular_pair", "psi_e", "psi_u", "psi_u_prime"),
-    "same-channel": ("circular_pair", "psi_e", "psi_u"),
-}
-
-DEFAULT_STATE = {
-    "fig1": "circular_pair",
-    "pdc": "psi_u",
-    "fig2": "psi_u",
-    "fig3": "psi_u",
-    "cascade": "psi_u_prime",
-    "chsh": "circular_pair",
-    "same-channel": "psi_u",
-}
-
-_CHSH_DEFAULTS_DEG = {"a": 0.0, "ap": 45.0, "b": 22.5, "bp": 67.5}
 
 
 class ParseError(ValueError):
@@ -95,12 +56,6 @@ class ScenarioSpec:
     beams: tuple[BeamProfile, BeamProfile] = field(default_factory=default_beams)
     geometry: CascadeGeometry = field(default_factory=CascadeGeometry)
     output: str = "csv"
-
-
-def default_angles_deg(experiment: str) -> dict[str, float]:
-    if experiment == "chsh":
-        return dict(_CHSH_DEFAULTS_DEG)
-    return {name: 0.0 for name in ANGLE_NAMES[experiment]}
 
 
 def _parse_float(token: str, line_no: int, what: str) -> float:
@@ -221,35 +176,33 @@ def parse_scenario(text: str) -> ScenarioSpec:
     if experiment is None:
         raise ValidationError("missing required 'experiment' directive")
     if experiment not in EXPERIMENTS:
-        raise ValidationError(f"unknown experiment {experiment!r}; expected one of {EXPERIMENTS}")
+        raise ValidationError(f"unknown experiment {experiment!r}; expected one of {tuple(EXPERIMENTS)}")
+    record = EXPERIMENTS[experiment]
 
     if state is None:
-        state = DEFAULT_STATE[experiment]
-    if state not in STATE_CHOICES[experiment]:
-        raise ValidationError(
-            f"state {state!r} is not valid for {experiment}; expected one of {STATE_CHOICES[experiment]}"
-        )
+        state = record.default_state
+    if state not in record.states:
+        raise ValidationError(f"state {state!r} is not valid for {experiment}; expected one of {record.states}")
 
-    legal_angles = ANGLE_NAMES[experiment]
     for name in angles:
-        if name not in legal_angles:
+        if name not in record.angles:
             raise ValidationError(f"angle {name!r} is not a parameter of {experiment}")
     if scan is not None:
-        if scan.name not in legal_angles:
+        if scan.name not in record.angles:
             raise ValidationError(f"scan variable {scan.name!r} is not a parameter of {experiment}")
         if scan.name in angles:
             raise ValidationError(f"angle {scan.name} is both fixed and scanned")
-        if scan.step <= 0.0:
-            raise ValidationError("scan step must be > 0")
-        if scan.stop < scan.start:
-            raise ValidationError("scan range is empty (to < from)")
+        try:
+            scan_count(scan.start, scan.stop, scan.step)
+        except ValueError as err:
+            raise ValidationError(str(err)) from None
 
     if saw_beam_line and experiment != "fig3":
         raise ValidationError("beam directives only apply to the fig3 experiment")
     if geometry is not None and experiment != "cascade":
         raise ValidationError("geometry only applies to the cascade experiment")
 
-    full_angles = default_angles_deg(experiment)
+    full_angles = dict(record.angles)
     full_angles.update(angles)
     if scan is not None:
         full_angles.pop(scan.name, None)
@@ -278,7 +231,7 @@ def _fmt_complex(value: complex) -> str:
 def format_scenario(spec: ScenarioSpec) -> str:
     """Canonical text for a spec; parse(format(spec)) == spec."""
     lines = [f"experiment {spec.experiment}", f"state {spec.state}"]
-    for name in ANGLE_NAMES[spec.experiment]:
+    for name in EXPERIMENTS[spec.experiment].angles:
         if name in spec.angles:
             lines.append(f"angle {name} {_fmt_number(spec.angles[name])}")
     if spec.scan is not None:
@@ -302,24 +255,14 @@ def format_scenario(spec: ScenarioSpec) -> str:
 def evaluate(spec: ScenarioSpec) -> list[tuple[object, ScenarioResult]]:
     """Run the scenario; rows are (param, result) with param the scanned
     angle in degrees, or the observable name for single-point runs."""
-    if spec.experiment == "same-channel":
-        return [(row.observable, row) for row in same_channel_table(spec.state)]
-
+    run = EXPERIMENTS[spec.experiment].run
     fixed_rad = {name: math.radians(deg) for name, deg in spec.angles.items()}
     if spec.scan is None:
-        result = scenario_point(
-            spec.experiment,
-            spec.state,
-            fixed_rad,
-            geometry=spec.geometry,
-            beams=spec.beams if spec.experiment == "fig3" else None,
-        )
-        return [(result.observable, result)]
+        return [(result.observable, result) for result in run(spec.state, fixed_rad, spec.geometry, spec.beams)]
 
     rows: list[tuple[object, ScenarioResult]] = []
     for degrees in scan_values(spec.scan.start, spec.scan.stop, spec.scan.step):
         angles = dict(fixed_rad)
         angles[spec.scan.name] = math.radians(degrees)
-        result = scenario_point(spec.experiment, spec.state, angles, geometry=spec.geometry)
-        rows.append((degrees, result))
+        rows.extend((degrees, result) for result in run(spec.state, angles, spec.geometry, spec.beams))
     return rows

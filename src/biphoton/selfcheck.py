@@ -16,6 +16,7 @@ import numpy as np
 
 from . import experiments as ex
 from .fock import (
+    _SQRT1_2,
     add,
     apply_form_dagger,
     form_commutator,
@@ -27,7 +28,6 @@ from .fock import (
     vacuum,
 )
 
-_SQRT1_2 = math.sqrt(0.5)
 _GRID_73 = np.linspace(0.0, math.pi, 73)
 
 
@@ -37,12 +37,6 @@ class CheckRow:
     value: float
     expected: float
     tolerance: float
-
-    def abs_error(self) -> float:
-        return abs(self.value - self.expected)
-
-    def passed(self, tolerance: float | None = None) -> bool:
-        return self.abs_error() <= (self.tolerance if tolerance is None else tolerance)
 
 
 def _sine_law_rows() -> list[CheckRow]:

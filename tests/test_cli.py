@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import biphoton
 from biphoton.cli import main
 
 FIG1_SCAN = "experiment fig1\nangle theta1 0\nscan theta2 0 180 5\n"
@@ -188,16 +191,84 @@ def test_selfcheck_json(capsys):
 
 def test_tolerance_flag_can_force_mismatch(tmp_path, capsys):
     path = write_spec(tmp_path, FIG1_SCAN)
-    code, _, _ = run_cli(capsys, "run", path, "--tolerance", "-1")
+    code, _, _ = run_cli(capsys, "run", path, "--tolerance", "0")
     assert code == 2
 
 
 def test_module_invocation_smoke():
+    # The child must import the same package as this process, also when the
+    # package is on sys.path only through pytest's own pythonpath setting.
+    src = str(Path(biphoton.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "biphoton", "chsh"],
         capture_output=True,
         text=True,
         check=False,
+        env=env,
     )
     assert proc.returncode == 0
     assert "abs_S" in proc.stdout
+
+
+# --- exit codes on bad input and non-finite results ---------------------------------
+
+
+def test_usage_error_exits_1(capsys):
+    code, _, err = run_cli(capsys, "scan")
+    assert code == 1
+    assert "required: --experiment" in err
+
+
+def test_help_still_exits_0(capsys):
+    code, out, _ = run_cli(capsys, "--help")
+    assert code == 0
+    assert out.startswith("usage: biphoton")
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+def test_tolerance_must_be_finite_and_non_negative(capsys, tolerance):
+    code, out, err = run_cli(capsys, "selfcheck", "--corrupt", "fig2_psi_e_max_rate", "--tolerance", tolerance)
+    assert code == 1
+    assert out == ""
+    assert "--tolerance" in err
+
+
+def test_non_finite_value_is_a_mismatch(capsys):
+    code, out, _ = run_cli(
+        capsys, "scan", "--experiment", "cascade", "--geometry", "1e200+0i", "1+0i", "1+0i", "1e200+0i"
+    )
+    assert code == 2
+    assert out.splitlines()[1] == "coincidence_rate,inf,inf,nan"
+
+
+def assert_one_line_error(err):
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+def test_out_directory_exits_1(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "chsh", "--out", str(tmp_path))
+    assert code == 1
+    assert_one_line_error(err)
+
+
+def test_unreadable_scenario_file_exits_1(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "run", str(tmp_path))
+    assert code == 1
+    assert_one_line_error(err)
+
+
+def test_non_utf8_scenario_file_exits_1(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"experiment fig1\n# caf\xe9\n")
+    code, _, err = run_cli(capsys, "run", str(path))
+    assert code == 1
+    assert_one_line_error(err)
+    assert "utf-8" in err
+
+
+def test_underflowing_gaussian_width_exits_1(capsys):
+    code, _, err = run_cli(capsys, "scan", "--experiment", "fig3", "--beam", "1", "gaussian", "0", "1e-300")
+    assert code == 1
+    assert_one_line_error(err)

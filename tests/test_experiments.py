@@ -9,6 +9,7 @@ import pytest
 
 from biphoton import detection as det
 from biphoton import experiments as ex
+from biphoton import scenario as sc
 
 SQRT2 = math.sqrt(2.0)
 
@@ -289,6 +290,17 @@ def test_scan_values_inclusive_endpoints():
     assert values[0] == 0.0 and values[-1] == pytest.approx(180.0)
 
 
+@pytest.mark.parametrize(
+    "start,stop,step", [(0.0, 1.0, 0.1), (0.0, 0.3, 0.1), (12.0, 180.0, 7.3), (-5.0, 5.0, 1.0 / 3.0)]
+)
+def test_scan_values_count_matches_inclusive_loop(start, stop, step):
+    expected = []
+    while start + len(expected) * step <= stop + 1e-9 * step:
+        expected.append(start + len(expected) * step)
+    assert ex.scan_values(start, stop, step) == expected
+    assert ex.scan_count(start, stop, step) == len(expected)
+
+
 def test_scan_values_validation():
     with pytest.raises(ValueError):
         ex.scan_values(0.0, 10.0, 0.0)
@@ -298,9 +310,13 @@ def test_scan_values_validation():
         ex.scan_values(0.0, float("inf"), 1.0)
 
 
+def run_experiment(experiment, state, angles):
+    return ex.EXPERIMENTS[experiment].run(state, angles, ex.CascadeGeometry(), det.default_beams())
+
+
 def test_angle_scan_fig1_rows():
     values = [k * math.pi / 36 for k in range(37)]
-    rows = ex.angle_scan("fig1", "circular_pair", "theta2", values, fixed={"theta1": 0.0})
+    rows = [run_experiment("fig1", "circular_pair", {"theta1": 0.0, "theta2": v})[0] for v in values]
     assert len(rows) == 37
     for value, row in zip(values, rows):
         assert row.params["theta2"] == value
@@ -309,24 +325,24 @@ def test_angle_scan_fig1_rows():
 
 
 def test_angle_scan_fig2_entangled_all_zero():
-    rows = ex.angle_scan("fig2", "psi_e", "theta3", [0.0, 0.5, 1.0], fixed={"theta4": 0.2})
+    rows = [run_experiment("fig2", "psi_e", {"theta3": v, "theta4": 0.2})[0] for v in (0.0, 0.5, 1.0)]
     assert all(row.value <= 1e-12 for row in rows)
 
 
 def test_angle_scan_empty_grid_rejected():
     with pytest.raises(ValueError):
-        ex.angle_scan("fig1", "circular_pair", "theta2", [])
+        sc.parse_scenario("experiment fig1\nscan theta2 10 0 5\n")
 
 
 def test_scenario_point_chsh_defaults_to_canonical_angles():
-    result = ex.scenario_point("chsh", "circular_pair", {})
+    [(_, result)] = sc.evaluate(sc.parse_scenario("experiment chsh\nstate circular_pair\n"))
     assert result.value == pytest.approx(2.0 * SQRT2, abs=1e-9)
     assert result.params == ex.CANONICAL_CHSH_ANGLES
 
 
 def test_scenario_point_unknown_experiment():
     with pytest.raises(ValueError, match="unknown experiment"):
-        ex.scenario_point("fig9", "psi_u", {})
+        sc.evaluate(sc.parse_scenario("experiment fig9\nstate psi_u\n"))
 
 
 def test_every_result_with_closed_form_is_within_tolerance():
@@ -339,7 +355,7 @@ def test_every_result_with_closed_form_is_within_tolerance():
         ex.cascade_coincidence(ex.CascadeGeometry(), 0.6, -0.1),
         ex.fig3_visibility("psi_u"),
         ex.fig3_visibility("psi_e"),
-        ex.scenario_point("chsh", "psi_u", {}),
+        *run_experiment("chsh", "psi_u", ex.CANONICAL_CHSH_ANGLES),
         *ex.same_channel_table("circular_pair"),
     ]
     for result in results:

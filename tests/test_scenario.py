@@ -8,7 +8,7 @@ import pytest
 
 from biphoton import scenario as sc
 from biphoton.detection import DEFAULT_TILT
-from biphoton.experiments import scenario_point
+from biphoton.experiments import MAX_SCAN_POINTS, fig1_coincidence, scan_count
 
 
 def test_parse_minimal_fig1_scan():
@@ -89,6 +89,23 @@ def test_validation_gaussian_width():
         sc.parse_scenario("experiment fig3\nbeam 1 gaussian 15.0 -1.0\n")
 
 
+def test_validation_gaussian_width_square_underflow():
+    with pytest.raises(sc.ValidationError, match="width"):
+        sc.parse_scenario("experiment fig3\nbeam 1 gaussian 0 1e-300\n")
+
+
+def test_validation_scan_point_cap():
+    # Validated arithmetically: the 1.8e11-point grid is never built.
+    with pytest.raises(sc.ValidationError, match="more than"):
+        sc.parse_scenario("experiment fig1\nscan theta2 0 180 1e-9\n")
+    with pytest.raises(sc.ValidationError, match="more than"):
+        sc.parse_scenario("experiment fig1\nscan theta2 -1e308 1e308 1e-300\n")
+    spec = sc.parse_scenario(f"experiment fig1\nscan theta2 0 {MAX_SCAN_POINTS - 1} 1\n")
+    assert scan_count(spec.scan.start, spec.scan.stop, spec.scan.step) == MAX_SCAN_POINTS
+    with pytest.raises(sc.ValidationError, match="more than"):
+        sc.parse_scenario(f"experiment fig1\nscan theta2 0 {MAX_SCAN_POINTS} 1\n")
+
+
 def test_validation_beam_outside_fig3():
     with pytest.raises(sc.ValidationError, match="fig3"):
         sc.parse_scenario("experiment fig1\nbeam 1 plane_wave 15.0\n")
@@ -157,9 +174,7 @@ def test_degree_radian_hygiene():
     spec = sc.parse_scenario("experiment fig1\nangle theta1 12\nscan theta2 0 180 5\n")
     rows = sc.evaluate(spec)
     for degrees, result in rows:
-        direct = scenario_point(
-            "fig1", "circular_pair", {"theta1": math.radians(12.0), "theta2": math.radians(degrees)}
-        )
+        direct = fig1_coincidence(math.radians(12.0), math.radians(degrees))
         assert result.value == pytest.approx(direct.value, abs=1e-12)
 
 
