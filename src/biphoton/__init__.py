@@ -36,17 +36,13 @@ from .fock import (
     LinearForm,
     ZeroState,
     add,
-    annihilate,
     apply_form,
     apply_form_dagger,
-    basis_ket,
     combination_forms,
-    create,
     form_commutator,
     inner,
     named_state,
     norm2,
-    normal_ordered_expectation,
     normalize,
     occupation,
     pair_factor_forms,

@@ -22,7 +22,7 @@ import math
 import sys
 from pathlib import Path
 
-from .experiments import EXPERIMENTS
+from .experiments import EXPERIMENTS, DarkDenominator
 from .scenario import ParseError, ScenarioSpec, ValidationError, evaluate, parse_scenario
 from .selfcheck import selfcheck_rows
 
@@ -191,9 +191,13 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BAD_INPUT if err.code == 2 else err.code
     try:
         return args.func(args)
-    except (ParseError, ValidationError, OSError, UnicodeDecodeError) as err:
+    except (ParseError, ValidationError, DarkDenominator, OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except OverflowError:
+        # A rate too large to square is a non-finite result, like an inf value.
+        print("error: a computed value overflows the float range", file=sys.stderr)
+        return EXIT_MISMATCH
 
 
 def entrypoint() -> None:

@@ -54,7 +54,7 @@ def same_channel_double_rate(ket: FockKet, channel_field: ChannelField) -> float
     """Ordered sum over both polarization components (p, p') of the channel of
     <Lp^dag Lp'^dag Lp' Lp>; for a unit-norm two-photon ket the probability of
     both photons ending up in this channel is half this value."""
-    components = [channel_field.v.scale(channel_field.phase), channel_field.h.scale(channel_field.phase)]
+    components = [channel_field.v, channel_field.h]
     total = 0.0
     for first in components:
         once = apply_form(ket, first)

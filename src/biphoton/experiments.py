@@ -37,14 +37,8 @@ from . import optics as op
 from .fock import _SQRT1_2, EPS_ZERO, FockKet, LinearForm, combination_forms, named_state, unit_form
 from .modes import BEAM_H, BEAM_V, H1, H2, V1, V2, W1H, W1V, W2H, W2V
 
-RATE_UNITS = "dimensionless rate (B = 1)"
-
 #: Upper bound on the number of points in one angle scan.
 MAX_SCAN_POINTS = 1_000_000
-
-#: Kinds whose coincidence law falls as sin^2 of the angle difference; the
-#: cascade kind follows the complementary cos^2 law.
-_SINE_LAW_KINDS = ("circular_pair", "psi_e", "psi_u")
 
 
 class DarkDenominator(ValueError):
@@ -60,7 +54,6 @@ class ScenarioResult:
     params: dict[str, float]
     value: float
     closed_form: float | None = None
-    units: str = RATE_UNITS
 
     def abs_error(self) -> float | None:
         if self.closed_form is None:
@@ -133,14 +126,53 @@ def cascade_channel_fields(geom: CascadeGeometry) -> tuple[op.ChannelField, op.C
     return ch1, ch2
 
 
-def _source_and_fields(kind: str) -> tuple[FockKet, op.ChannelField, op.ChannelField]:
-    if kind == "circular_pair":
-        ch1, ch2 = fig1_channel_fields()
-        return named_state("circular_pair"), ch1, ch2
-    if kind in ("psi_e", "psi_u"):
-        ch1, ch2 = pdc_channel_fields(kind)
-        return named_state(kind), ch1, ch2
-    raise ValueError(f"no channel decomposition for state {kind!r}")
+@dataclass(frozen=True, eq=False)
+class Source:
+    """A two-photon state seen through two analyzer arms.
+
+    The coincidence rate at analyzer angles (t1, t2) is the normally ordered
+    <L1^dag L2^dag L2 L1> of the two polarizer operators (Glauber's G2), with
+    closed form peak * law(t1 - t2) ** 2, law being math.sin or math.cos.
+    """
+
+    ket: FockKet
+    arm1: op.ChannelField
+    arm2: op.ChannelField
+    peak: float
+    law: Callable[[float], float]
+
+
+def source(experiment: str, kind: str, geometry: CascadeGeometry = CascadeGeometry()) -> Source:
+    """Build the state and both analyzer arms of the fig1, pdc, fig2 or cascade
+    coincidence measurement once; the geometry only enters the cascade.
+
+    fig1 and pdc analyze the two channels of the pair (the state kind picks
+    the channel fields), fig2 splits channel 2 once more and analyzes its two
+    halves, and the cascade puts a color filter (w1 in channel 1, w2 in
+    channel 2) in front of each analyzer.
+    """
+    ket = named_state(kind)
+    if experiment == "cascade":
+        ch1, ch2 = cascade_channel_fields(geometry)
+        arm1, arm2 = op.frequency_component(ch1, "w1"), op.frequency_component(ch2, "w2")
+        return Source(ket, arm1, arm2, 0.5 * abs(geometry.g11 * geometry.g22) ** 2, math.cos)
+    ch1, ch2 = fig1_channel_fields() if kind == "circular_pair" else pdc_channel_fields(kind)
+    if experiment == "fig2":
+        ch3, leftover = op.beamsplitter_5050(ch2, op.empty_field(3))
+        return Source(ket, ch3, op.with_channel(leftover, 4), 0.0 if kind == "psi_e" else 0.0625, math.cos)
+    if experiment in ("fig1", "pdc"):
+        return Source(ket, ch1, ch2, 0.5 if kind == "psi_e" else 0.25, math.sin)
+    raise ValueError(f"no two-arm coincidence source for experiment {experiment!r}")
+
+
+def coincidence(src: Source, t1: float, t2: float, names: tuple[str, str] = ("theta1", "theta2")) -> ScenarioResult:
+    """Coincidence rate of the two analyzers at angles t1, t2 (named by names)."""
+    return ScenarioResult(
+        observable="coincidence_rate",
+        params={names[0]: t1, names[1]: t2},
+        value=det.coincidence_rate(src.ket, op.polarizer(src.arm1, t1), op.polarizer(src.arm2, t2)),
+        closed_form=src.peak * src.law(t1 - t2) ** 2,
+    )
 
 
 # --- single-point scenarios -----------------------------------------------------
@@ -148,15 +180,7 @@ def _source_and_fields(kind: str) -> tuple[FockKet, op.ChannelField, op.ChannelF
 
 def fig1_coincidence(theta1: float, theta2: float) -> ScenarioResult:
     """Coincidence rate of the two analyzers on the split circular pair."""
-    ket = named_state("circular_pair")
-    ch1, ch2 = fig1_channel_fields()
-    value = det.coincidence_rate(ket, op.polarizer(ch1, theta1), op.polarizer(ch2, theta2))
-    return ScenarioResult(
-        observable="coincidence_rate",
-        params={"theta1": theta1, "theta2": theta2},
-        value=value,
-        closed_form=0.25 * math.sin(theta1 - theta2) ** 2,
-    )
+    return coincidence(source("fig1", "circular_pair"), theta1, theta2)
 
 
 def fig1_conditional_check(theta1: float, normalized: bool = False) -> float:
@@ -175,31 +199,13 @@ def fig1_conditional_check(theta1: float, normalized: bool = False) -> float:
 
 def pdc_coincidence(kind: str, theta1: float, theta2: float) -> ScenarioResult:
     """Two-channel coincidence for the entangled or un-entangled pair."""
-    ket, ch1, ch2 = _source_and_fields(kind)
-    value = det.coincidence_rate(ket, op.polarizer(ch1, theta1), op.polarizer(ch2, theta2))
-    peak = 0.5 if kind == "psi_e" else 0.25
-    return ScenarioResult(
-        observable="coincidence_rate",
-        params={"theta1": theta1, "theta2": theta2},
-        value=value,
-        closed_form=peak * math.sin(theta1 - theta2) ** 2,
-    )
+    return coincidence(source("pdc", kind), theta1, theta2)
 
 
 def fig2_split_coincidence(kind: str, theta3: float, theta4: float) -> ScenarioResult:
     """Coincidence between the two halves of channel 2 after one more
     balanced split; identically zero for the entangled pair."""
-    ket, _, ch2 = _source_and_fields(kind)
-    ch3, leftover = op.beamsplitter_5050(ch2, op.empty_field(3))
-    ch4 = op.with_channel(leftover, 4)
-    value = det.coincidence_rate(ket, op.polarizer(ch3, theta3), op.polarizer(ch4, theta4))
-    closed = 0.0 if kind == "psi_e" else math.cos(theta3 - theta4) ** 2 / 16.0
-    return ScenarioResult(
-        observable="coincidence_rate",
-        params={"theta3": theta3, "theta4": theta4},
-        value=value,
-        closed_form=closed,
-    )
+    return coincidence(source("fig2", kind), theta3, theta4, ("theta3", "theta4"))
 
 
 def _fig3_closed_form(kind: str, beams: Sequence[det.BeamProfile], default_grid: bool) -> float | None:
@@ -255,18 +261,7 @@ def cascade_coincidence(geom: CascadeGeometry, theta1: float, theta2: float) -> 
     """Frequency-selective coincidence on the two-color cascade pair: the
     channel-1 detector accepts only the first color, the channel-2 detector
     only the second."""
-    ket = named_state("psi_u_prime")
-    ch1, ch2 = cascade_channel_fields(geom)
-    first = op.polarizer(op.frequency_component(ch1, "w1"), theta1)
-    second = op.polarizer(op.frequency_component(ch2, "w2"), theta2)
-    value = det.coincidence_rate(ket, first, second)
-    prefactor = 0.5 * abs(geom.g11 * geom.g22) ** 2
-    return ScenarioResult(
-        observable="coincidence_rate",
-        params={"theta1": theta1, "theta2": theta2},
-        value=value,
-        closed_form=prefactor * math.cos(theta1 - theta2) ** 2,
-    )
+    return coincidence(source("cascade", "psi_u_prime", geom), theta1, theta2)
 
 
 # --- channel statistics -----------------------------------------------------------
@@ -276,18 +271,17 @@ def same_channel_probability(kind: str, channel: int) -> float:
     """Probability that both photons of the pair leave through one channel."""
     if channel not in (1, 2):
         raise ValueError("channel must be 1 or 2")
-    ket, ch1, ch2 = _source_and_fields(kind)
-    chosen = ch1 if channel == 1 else ch2
-    return det.same_channel_double_rate(ket, chosen) / 2.0
+    src = source("pdc", kind)
+    return det.same_channel_double_rate(src.ket, src.arm1 if channel == 1 else src.arm2) / 2.0
 
 
 def split_probability(kind: str) -> float:
     """Probability of one photon in each channel, summed over polarizations."""
-    ket, ch1, ch2 = _source_and_fields(kind)
+    src = source("pdc", kind)
     total = 0.0
-    for first in (ch1.v.scale(ch1.phase), ch1.h.scale(ch1.phase)):
-        for second in (ch2.v.scale(ch2.phase), ch2.h.scale(ch2.phase)):
-            total += det.coincidence_rate(ket, first, second)
+    for first in (src.arm1.v, src.arm1.h):
+        for second in (src.arm2.v, src.arm2.h):
+            total += det.coincidence_rate(src.ket, first, second)
     return total
 
 
@@ -309,7 +303,7 @@ def same_channel_table(kind: str) -> list[ScenarioResult]:
     )
     names = ("both_ch1", "both_ch2", "split")
     return [
-        ScenarioResult(observable=name, params={}, value=value, closed_form=closed, units="event probability")
+        ScenarioResult(observable=name, params={}, value=value, closed_form=closed)
         for name, value, closed in zip(names, values, SAME_CHANNEL_CLOSED_FORMS[kind])
     ]
 
@@ -320,45 +314,50 @@ def same_channel_table(kind: str) -> list[ScenarioResult]:
 #: A coincidence law: either a named state kind or a callable (t1, t2) -> rate.
 CoincidenceLaw = Union[str, Callable[[float, float], float]]
 
-#: Two-channel coincidence scenario of each named state kind.
-COINCIDENCE_LAWS: dict[str, Callable[[float, float], float]] = {
-    "circular_pair": lambda t1, t2: fig1_coincidence(t1, t2).value,
-    "psi_e": lambda t1, t2: pdc_coincidence("psi_e", t1, t2).value,
-    "psi_u": lambda t1, t2: pdc_coincidence("psi_u", t1, t2).value,
-    "psi_u_prime": lambda t1, t2: cascade_coincidence(CascadeGeometry(), t1, t2).value,
-}
+#: Two-channel coincidence experiment of each named state kind.
+PAIR_EXPERIMENT = {"circular_pair": "fig1", "psi_e": "pdc", "psi_u": "pdc", "psi_u_prime": "cascade"}
+
+
+def _coincidence_law(law: CoincidenceLaw) -> Callable[[float, float], float]:
+    """The rate (t1, t2) -> coincidence of a law, building a named state's
+    source once."""
+    if callable(law):
+        return law
+    if law not in PAIR_EXPERIMENT:
+        raise ValueError(f"no coincidence scenario for state {law!r}")
+    src = source(PAIR_EXPERIMENT[law], law)
+    return lambda t1, t2: coincidence(src, t1, t2).value
 
 
 def correlation_E(law: CoincidenceLaw, theta1: float, theta2: float) -> float:
     """Two-channel correlation coefficient estimated from four analyzer
     settings (each angle also rotated by pi/2)."""
-    rate = law if callable(law) else COINCIDENCE_LAWS.get(law)
-    if rate is None:
-        raise ValueError(f"no coincidence scenario for state {law!r}")
+    rate = _coincidence_law(law)
     t1p = theta1 + math.pi / 2
     t2p = theta2 + math.pi / 2
     same = rate(theta1, theta2) + rate(t1p, t2p)
     cross = rate(theta1, t2p) + rate(t1p, theta2)
     total = same + cross
     if total <= EPS_ZERO:
-        raise DarkDenominator(f"all four coincidence rates vanish for {law!r}")
+        raise DarkDenominator("all four coincidence rates vanish at these analyzer angles")
     return (same - cross) / total
 
 
 def chsh_S(law: CoincidenceLaw, a: float, ap: float, b: float, bp: float) -> float:
     """Four-setting correlation sum E(a,b) - E(a,b') + E(a',b) + E(a',b')."""
+    rate = _coincidence_law(law)
     return (
-        correlation_E(law, a, b)
-        - correlation_E(law, a, bp)
-        + correlation_E(law, ap, b)
-        + correlation_E(law, ap, bp)
+        correlation_E(rate, a, b)
+        - correlation_E(rate, a, bp)
+        + correlation_E(rate, ap, b)
+        + correlation_E(rate, ap, bp)
     )
 
 
 def analytic_correlation_E(kind: str, theta1: float, theta2: float) -> float:
     """Closed form of correlation_E: -cos 2(t1-t2) for the sin^2-law states,
     +cos 2(t1-t2) for the cascade."""
-    sign = -1.0 if kind in _SINE_LAW_KINDS else 1.0
+    sign = 1.0 if kind == "psi_u_prime" else -1.0
     return sign * math.cos(2.0 * (theta1 - theta2))
 
 
@@ -373,67 +372,62 @@ def analytic_chsh_S(kind: str, a: float, ap: float, b: float, bp: float) -> floa
 
 # --- experiment registry and scans ------------------------------------------------------
 
+#: One scan point: every angle of the experiment, in radians -> result rows.
+Point = Callable[[Mapping[str, float]], list[ScenarioResult]]
+
 
 @dataclass(frozen=True)
 class Experiment:
     """Everything the scenario layer knows about one named experiment.
 
-    run(state, angles, geometry, beams) evaluates one point, with every angle
-    of the experiment given in radians, and returns its result rows.
+    prepare(state, geometry, beams) builds the scenario once and returns the
+    function that evaluates one point of it.
     """
 
     angles: dict[str, float]  # parameter name -> default, in degrees
     states: tuple[str, ...]
     default_state: str
-    run: Callable[[str, Mapping[str, float], CascadeGeometry, Sequence[det.BeamProfile]], list[ScenarioResult]]
+    prepare: Callable[[str, CascadeGeometry, Sequence[det.BeamProfile]], Point]
 
 
-def _run_chsh(state: str, angles: Mapping[str, float], geometry: CascadeGeometry, beams) -> list[ScenarioResult]:
-    settings = {name: angles[name] for name in CANONICAL_CHSH_ANGLES}
-    return [
-        ScenarioResult(
-            observable="abs_S",
-            params=settings,
-            value=abs(chsh_S(state, **settings)),
-            closed_form=abs(analytic_chsh_S(state, **settings)),
-            units="dimensionless",
-        )
-    ]
+def _pair_experiment(experiment: str, names: tuple[str, str], states: tuple[str, ...], default: str) -> Experiment:
+    def prepare(state: str, geometry: CascadeGeometry, beams) -> Point:
+        src = source(experiment, state, geometry)
+        return lambda angles: [coincidence(src, angles[names[0]], angles[names[1]], names)]
+
+    return Experiment(dict.fromkeys(names, 0.0), states, default, prepare)
+
+
+def _prepare_chsh(state: str, geometry: CascadeGeometry, beams) -> Point:
+    rate = _coincidence_law(state)
+
+    def point(angles: Mapping[str, float]) -> list[ScenarioResult]:
+        settings = {name: angles[name] for name in CANONICAL_CHSH_ANGLES}
+        return [
+            ScenarioResult(
+                observable="abs_S",
+                params=settings,
+                value=abs(chsh_S(rate, **settings)),
+                closed_form=abs(analytic_chsh_S(state, **settings)),
+            )
+        ]
+
+    return point
 
 
 EXPERIMENTS: dict[str, Experiment] = {
-    "fig1": Experiment(
-        {"theta1": 0.0, "theta2": 0.0},
-        ("circular_pair",),
-        "circular_pair",
-        lambda state, t, geometry, beams: [fig1_coincidence(t["theta1"], t["theta2"])],
-    ),
-    "pdc": Experiment(
-        {"theta1": 0.0, "theta2": 0.0},
-        ("psi_e", "psi_u"),
-        "psi_u",
-        lambda state, t, geometry, beams: [pdc_coincidence(state, t["theta1"], t["theta2"])],
-    ),
-    "fig2": Experiment(
-        {"theta3": 0.0, "theta4": 0.0},
-        ("psi_e", "psi_u"),
-        "psi_u",
-        lambda state, t, geometry, beams: [fig2_split_coincidence(state, t["theta3"], t["theta4"])],
-    ),
+    "fig1": _pair_experiment("fig1", ("theta1", "theta2"), ("circular_pair",), "circular_pair"),
+    "pdc": _pair_experiment("pdc", ("theta1", "theta2"), ("psi_e", "psi_u"), "psi_u"),
+    "fig2": _pair_experiment("fig2", ("theta3", "theta4"), ("psi_e", "psi_u"), "psi_u"),
     "fig3": Experiment(
-        {}, ("psi_e", "psi_u"), "psi_u", lambda state, t, geometry, beams: [fig3_visibility(state, beams)]
+        {}, ("psi_e", "psi_u"), "psi_u", lambda state, geometry, beams: lambda _: [fig3_visibility(state, beams)]
     ),
-    "cascade": Experiment(
-        {"theta1": 0.0, "theta2": 0.0},
-        ("psi_u_prime",),
-        "psi_u_prime",
-        lambda state, t, geometry, beams: [cascade_coincidence(geometry, t["theta1"], t["theta2"])],
-    ),
+    "cascade": _pair_experiment("cascade", ("theta1", "theta2"), ("psi_u_prime",), "psi_u_prime"),
     "chsh": Experiment(
-        {"a": 0.0, "ap": 45.0, "b": 22.5, "bp": 67.5}, tuple(COINCIDENCE_LAWS), "circular_pair", _run_chsh
+        {"a": 0.0, "ap": 45.0, "b": 22.5, "bp": 67.5}, tuple(PAIR_EXPERIMENT), "circular_pair", _prepare_chsh
     ),
     "same-channel": Experiment(
-        {}, tuple(SAME_CHANNEL_CLOSED_FORMS), "psi_u", lambda state, t, geometry, beams: same_channel_table(state)
+        {}, tuple(SAME_CHANNEL_CLOSED_FORMS), "psi_u", lambda state, geometry, beams: lambda _: same_channel_table(state)
     ),
 }
 

@@ -83,9 +83,6 @@ class FockKet:
     def items(self):
         return self._amp.items()
 
-    def support(self) -> tuple[Occupation, ...]:
-        return tuple(sorted(self._amp, key=lambda occ: tuple(p[0].sort_key() for p in occ)))
-
     def amplitude(self, occ: OccupationLike) -> complex:
         return self._amp.get(occupation(occ), 0j)
 
@@ -113,9 +110,6 @@ class LinearForm:
 
     def items(self):
         return self._coeffs.items()
-
-    def modes(self) -> tuple[ModeId, ...]:
-        return tuple(sorted(self._coeffs, key=ModeId.sort_key))
 
     def coeff(self, mode: ModeId) -> complex:
         return self._coeffs.get(mode, 0j)
@@ -153,32 +147,6 @@ def zero_form() -> LinearForm:
 
 def vacuum() -> FockKet:
     return FockKet({(): 1.0})
-
-
-def basis_ket(counts: OccupationLike, amplitude: complex = 1.0) -> FockKet:
-    """Single occupation-number basis ket with the given amplitude."""
-    return FockKet({occupation(counts): amplitude})
-
-
-def create(ket: FockKet, mode: ModeId) -> FockKet:
-    """Apply the creation operator of one mode (ladder factor sqrt(n+1))."""
-    out: dict[Occupation, complex] = {}
-    for occ, a in ket.items():
-        n = occ_count(occ, mode)
-        key = _occ_with(occ, mode, n + 1)
-        out[key] = out.get(key, 0j) + a * math.sqrt(n + 1)
-    return FockKet(out)
-
-
-def annihilate(ket: FockKet, mode: ModeId) -> FockKet:
-    """Apply the annihilation operator of one mode (ladder factor sqrt(n))."""
-    out: dict[Occupation, complex] = {}
-    for occ, a in ket.items():
-        n = occ_count(occ, mode)
-        if n:
-            key = _occ_with(occ, mode, n - 1)
-            out[key] = out.get(key, 0j) + a * math.sqrt(n)
-    return FockKet(out)
 
 
 def apply_form(ket: FockKet, form: LinearForm) -> FockKet:
@@ -236,15 +204,6 @@ def add(a: FockKet, b: FockKet, alpha: complex = 1.0, beta: complex = 1.0) -> Fo
     for occ, amp in b.items():
         out[occ] = out.get(occ, 0j) + beta * amp
     return FockKet(out)
-
-
-def normal_ordered_expectation(ket: FockKet, forms: Iterable[LinearForm]) -> float:
-    """<L1^dag ... Lk^dag Lk ... L1> on ket: squared norm after applying
-    every form.  Annihilators commute, so the order of forms is irrelevant."""
-    cur = ket
-    for form in forms:
-        cur = apply_form(cur, form)
-    return norm2(cur)
 
 
 def form_commutator(f: LinearForm, g: LinearForm) -> complex:

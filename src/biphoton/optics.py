@@ -2,10 +2,9 @@
 
 A ChannelField is the positive-frequency field of one beam line, written in
 the Heisenberg picture as a pair of annihilator combinations (vertical and
-horizontal component) times a unit propagation phase.  Wave plates mix the
-two components with a 2x2 Jones matrix, a balanced splitter mixes two fields,
-and an analyzer projects a field onto one transmission axis, yielding the
-detector operator for that arm.
+horizontal component).  Wave plates mix the two components with a 2x2 Jones
+matrix, a balanced splitter mixes two fields, and an analyzer projects a
+field onto one transmission axis, yielding the detector operator for that arm.
 """
 
 from __future__ import annotations
@@ -23,16 +22,11 @@ JonesMatrix = np.ndarray
 
 @dataclass(frozen=True, eq=False)
 class ChannelField:
-    """Positive-frequency field of one channel: phase * (v e_v + h e_h)."""
+    """Positive-frequency field of one channel: v e_v + h e_h."""
 
     v: LinearForm
     h: LinearForm
     channel: int
-    phase: complex = 1.0 + 0j
-
-    def __post_init__(self) -> None:
-        if abs(abs(self.phase) - 1.0) > 1e-12:
-            raise ValueError(f"propagation phase must be unimodular, got |{self.phase}|")
 
 
 def empty_field(channel: int) -> ChannelField:
@@ -42,7 +36,7 @@ def empty_field(channel: int) -> ChannelField:
 
 def with_channel(field: ChannelField, channel: int) -> ChannelField:
     """Same field relabeled to another beam line."""
-    return ChannelField(field.v, field.h, channel, field.phase)
+    return ChannelField(field.v, field.h, channel)
 
 
 def hwp(axis_angle: float) -> JonesMatrix:
@@ -56,24 +50,23 @@ def hwp(axis_angle: float) -> JonesMatrix:
 
 
 def apply_jones(field: ChannelField, matrix: JonesMatrix) -> ChannelField:
-    """Mix the (v, h) components linearly; channel tag and phase unchanged."""
+    """Mix the (v, h) components linearly; channel tag unchanged."""
     v = field.v.scale(matrix[0, 0]).plus(field.h.scale(matrix[0, 1]))
     h = field.v.scale(matrix[1, 0]).plus(field.h.scale(matrix[1, 1]))
-    return ChannelField(v, h, field.channel, field.phase)
+    return ChannelField(v, h, field.channel)
 
 
 def beamsplitter_5050(a: ChannelField, b: ChannelField) -> tuple[ChannelField, ChannelField]:
     """Balanced splitter: component-wise ((a+b)/sqrt2, (a-b)/sqrt2).
 
     The sum port leaves along the second input's beam line, the difference
-    port along the first input's.  Propagation phases are folded into the
-    output coefficients, so both outputs carry phase 1.
+    port along the first input's.
     """
     if a.channel == b.channel:
         raise ValueError("beamsplitter inputs must carry distinct channel tags")
 
     def mix(x: LinearForm, y: LinearForm, sign: float) -> LinearForm:
-        return x.scale(a.phase * _SQRT1_2).plus(y.scale(sign * b.phase * _SQRT1_2))
+        return x.scale(_SQRT1_2).plus(y.scale(sign * _SQRT1_2))
 
     out_sum = ChannelField(mix(a.v, b.v, 1.0), mix(a.h, b.h, 1.0), b.channel)
     out_diff = ChannelField(mix(a.v, b.v, -1.0), mix(a.h, b.h, -1.0), a.channel)
@@ -82,10 +75,8 @@ def beamsplitter_5050(a: ChannelField, b: ChannelField) -> tuple[ChannelField, C
 
 def polarizer(field: ChannelField, theta: float) -> LinearForm:
     """Absorbing analyzer at angle theta: the transmitted detector operator
-    cos(theta) * v + sin(theta) * h, including the propagation phase.  The
-    orthogonal component is discarded."""
-    projected = field.v.scale(math.cos(theta)).plus(field.h.scale(math.sin(theta)))
-    return projected.scale(field.phase)
+    cos(theta) * v + sin(theta) * h.  The orthogonal component is discarded."""
+    return field.v.scale(math.cos(theta)).plus(field.h.scale(math.sin(theta)))
 
 
 def frequency_component(field: ChannelField, freq: str) -> ChannelField:
@@ -95,4 +86,4 @@ def frequency_component(field: ChannelField, freq: str) -> ChannelField:
     def pick(form: LinearForm) -> LinearForm:
         return LinearForm({m: c for m, c in form.items() if m.freq == freq})
 
-    return ChannelField(pick(field.v), pick(field.h), field.channel, field.phase)
+    return ChannelField(pick(field.v), pick(field.h), field.channel)

@@ -254,15 +254,16 @@ def format_scenario(spec: ScenarioSpec) -> str:
 
 def evaluate(spec: ScenarioSpec) -> list[tuple[object, ScenarioResult]]:
     """Run the scenario; rows are (param, result) with param the scanned
-    angle in degrees, or the observable name for single-point runs."""
-    run = EXPERIMENTS[spec.experiment].run
+    angle in degrees, or the observable name for single-point runs.  The
+    source and its field chain are built once, not per scan point."""
+    point = EXPERIMENTS[spec.experiment].prepare(spec.state, spec.geometry, spec.beams)
     fixed_rad = {name: math.radians(deg) for name, deg in spec.angles.items()}
     if spec.scan is None:
-        return [(result.observable, result) for result in run(spec.state, fixed_rad, spec.geometry, spec.beams)]
+        return [(result.observable, result) for result in point(fixed_rad)]
 
     rows: list[tuple[object, ScenarioResult]] = []
     for degrees in scan_values(spec.scan.start, spec.scan.stop, spec.scan.step):
         angles = dict(fixed_rad)
         angles[spec.scan.name] = math.radians(degrees)
-        rows.extend((degrees, result) for result in run(spec.state, angles, spec.geometry, spec.beams))
+        rows.extend((degrees, result) for result in point(angles))
     return rows

@@ -272,3 +272,19 @@ def test_underflowing_gaussian_width_exits_1(capsys):
     code, _, err = run_cli(capsys, "scan", "--experiment", "fig3", "--beam", "1", "gaussian", "0", "1e-300")
     assert code == 1
     assert_one_line_error(err)
+
+
+def test_overflowing_rate_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys, "scan", "--experiment", "cascade", "--geometry", "1+0i", "1+0i", "1+0i", "1e155+1e155i"
+    )
+    assert code == 2
+    assert out == ""
+    assert_one_line_error(err)
+
+
+def test_chsh_all_dark_settings_exit_1(capsys):
+    code, out, err = run_cli(capsys, "chsh", "--state", "psi_u", "--a", "1e308", "--b", "1e308")
+    assert code == 1
+    assert out == ""
+    assert_one_line_error(err)

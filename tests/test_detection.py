@@ -54,7 +54,7 @@ def test_singles_rate_vacuum_is_zero():
 
 
 def test_singles_rate_single_photon_unit_form():
-    ket = fk.basis_ket({V1: 1})
+    ket = fk.FockKet({fk.occupation({V1: 1}): 1.0})
     assert det.singles_rate(ket, fk.unit_form(V1)) == pytest.approx(1.0)
 
 

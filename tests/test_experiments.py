@@ -311,7 +311,7 @@ def test_scan_values_validation():
 
 
 def run_experiment(experiment, state, angles):
-    return ex.EXPERIMENTS[experiment].run(state, angles, ex.CascadeGeometry(), det.default_beams())
+    return ex.EXPERIMENTS[experiment].prepare(state, ex.CascadeGeometry(), det.default_beams())(angles)
 
 
 def test_angle_scan_fig1_rows():

@@ -17,8 +17,8 @@ SQRT1_2 = math.sqrt(0.5)
 def circular_pair_by_ladder() -> fk.FockKet:
     """0.5 * (bv^dag bv^dag + bh^dag bh^dag) |0> built one rung at a time."""
     vac = fk.vacuum()
-    double_v = fk.create(fk.create(vac, BEAM_V), BEAM_V)
-    double_h = fk.create(fk.create(vac, BEAM_H), BEAM_H)
+    double_v = fk.apply_form_dagger(fk.apply_form_dagger(vac, fk.unit_form(BEAM_V)), fk.unit_form(BEAM_V))
+    double_h = fk.apply_form_dagger(fk.apply_form_dagger(vac, fk.unit_form(BEAM_H)), fk.unit_form(BEAM_H))
     return fk.add(double_v, double_h, 0.5, 0.5)
 
 
@@ -40,40 +40,40 @@ def test_vacuum_is_unit_norm():
 
 
 def test_annihilate_vacuum_is_zero_ket():
-    assert len(fk.annihilate(fk.vacuum(), BEAM_V)) == 0
+    assert len(fk.apply_form(fk.vacuum(), fk.unit_form(BEAM_V))) == 0
 
 
 def test_create_on_vacuum_single_photon():
-    ket = fk.create(fk.vacuum(), BEAM_V)
+    ket = fk.apply_form_dagger(fk.vacuum(), fk.unit_form(BEAM_V))
     assert ket.amplitude({BEAM_V: 1}) == pytest.approx(1.0)
     assert len(ket) == 1
 
 
 def test_double_create_ladder_factor():
-    ket = fk.create(fk.create(fk.vacuum(), BEAM_V), BEAM_V)
+    once = fk.apply_form_dagger(fk.vacuum(), fk.unit_form(BEAM_V))
+    ket = fk.apply_form_dagger(once, fk.unit_form(BEAM_V))
     assert ket.amplitude({BEAM_V: 2}) == pytest.approx(math.sqrt(2.0), abs=1e-15)
 
 
 def test_double_create_norm_matches_factorial_oracle():
-    ket = fk.create(fk.create(fk.vacuum(), BEAM_V), BEAM_V)
+    once = fk.apply_form_dagger(fk.vacuum(), fk.unit_form(BEAM_V))
+    ket = fk.apply_form_dagger(once, fk.unit_form(BEAM_V))
     ref = oracle.o_create(oracle.o_create(oracle.o_vacuum(), BEAM_V), BEAM_V)
     assert fk.norm2(ket) == pytest.approx(2.0, abs=1e-14)
     assert fk.norm2(ket) == pytest.approx(oracle.o_norm2(ref), abs=1e-14)
 
 
 def test_create_on_zero_ket_stays_zero():
-    zero = fk.FockKet()
-    assert len(fk.create(zero, BEAM_V)) == 0
-    assert len(fk.apply_form_dagger(zero, fk.unit_form(BEAM_V))) == 0
+    assert len(fk.apply_form_dagger(fk.FockKet(), fk.unit_form(BEAM_V))) == 0
 
 
 def test_annihilate_inverts_single_create():
-    ket = fk.annihilate(fk.create(fk.vacuum(), BEAM_V), BEAM_V)
+    ket = fk.apply_form(fk.apply_form_dagger(fk.vacuum(), fk.unit_form(BEAM_V)), fk.unit_form(BEAM_V))
     assert fk.max_amplitude_diff(ket, fk.vacuum()) < 1e-15
 
 
 def test_annihilate_circular_pair_leaves_unit_norm():
-    ket = fk.annihilate(circular_pair_by_ladder(), BEAM_V)
+    ket = fk.apply_form(circular_pair_by_ladder(), fk.unit_form(BEAM_V))
     assert fk.norm2(ket) == pytest.approx(1.0, abs=1e-14)
 
 
@@ -81,7 +81,7 @@ def test_factorial_law_up_to_six():
     for n in range(7):
         ket = fk.vacuum()
         for _ in range(n):
-            ket = fk.create(ket, BEAM_H)
+            ket = fk.apply_form_dagger(ket, fk.unit_form(BEAM_H))
         assert fk.norm2(ket) == pytest.approx(math.factorial(n), rel=1e-13)
 
 
@@ -144,8 +144,8 @@ def test_inner_vacuum():
 
 
 def test_inner_orthogonal_basis_kets():
-    a = fk.basis_ket({V1: 1})
-    b = fk.basis_ket({H1: 1})
+    a = fk.FockKet({fk.occupation({V1: 1}): 1.0})
+    b = fk.FockKet({fk.occupation({H1: 1}): 1.0})
     assert fk.inner(a, b) == 0
 
 
@@ -192,21 +192,21 @@ def test_tiny_amplitudes_are_pruned():
 
 @pytest.mark.parametrize("t1,t2", [(0.0, 1.0), (0.3, -0.2), (1.2, 0.4), (2.0, 2.0)])
 def test_two_analyzer_expectation_field_scaled(t1, t2):
-    forms = [analyzer_form(t1, SQRT1_2), swapped_analyzer_form(t2, SQRT1_2)]
-    rate = fk.normal_ordered_expectation(fk.named_state("circular_pair"), forms)
+    once = fk.apply_form(fk.named_state("circular_pair"), analyzer_form(t1, SQRT1_2))
+    rate = fk.norm2(fk.apply_form(once, swapped_analyzer_form(t2, SQRT1_2)))
     assert rate == pytest.approx(0.25 * math.sin(t1 - t2) ** 2, abs=1e-14)
 
 
 def test_two_analyzer_expectation_bare():
     t1, t2 = 0.9, 0.1
-    forms = [analyzer_form(t1), swapped_analyzer_form(t2)]
-    rate = fk.normal_ordered_expectation(fk.named_state("circular_pair"), forms)
+    once = fk.apply_form(fk.named_state("circular_pair"), analyzer_form(t1))
+    rate = fk.norm2(fk.apply_form(once, swapped_analyzer_form(t2)))
     assert rate == pytest.approx(math.sin(t1 - t2) ** 2, abs=1e-14)
 
 
 def test_expectation_vanishes_at_equal_angles():
-    forms = [analyzer_form(0.6, SQRT1_2), swapped_analyzer_form(0.6, SQRT1_2)]
-    assert fk.normal_ordered_expectation(fk.named_state("circular_pair"), forms) == pytest.approx(0.0, abs=1e-15)
+    once = fk.apply_form(fk.named_state("circular_pair"), analyzer_form(0.6, SQRT1_2))
+    assert fk.norm2(fk.apply_form(once, swapped_analyzer_form(0.6, SQRT1_2))) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_expectation_invariant_under_form_permutation():
@@ -215,9 +215,9 @@ def test_expectation_invariant_under_form_permutation():
 
     for _ in range(20):
         ket = random_ket(rng)
-        forms = [random_form(rng) for _ in range(2)]
-        fwd = fk.normal_ordered_expectation(ket, forms)
-        rev = fk.normal_ordered_expectation(ket, forms[::-1])
+        f, g = random_form(rng), random_form(rng)
+        fwd = fk.norm2(fk.apply_form(fk.apply_form(ket, f), g))
+        rev = fk.norm2(fk.apply_form(fk.apply_form(ket, g), f))
         assert fwd == pytest.approx(rev, abs=1e-12)
 
 
@@ -242,8 +242,8 @@ def test_ladder_adjoint_consistency():
         x = random_ket(rng, modes=modes, total=2)
         y = random_ket(rng, modes=modes, total=3, n_terms=5)
         mode = modes[int(rng.integers(4))]
-        lhs = fk.inner(fk.create(x, mode), y)
-        rhs = fk.inner(x, fk.annihilate(y, mode))
+        lhs = fk.inner(fk.apply_form_dagger(x, fk.unit_form(mode)), y)
+        rhs = fk.inner(x, fk.apply_form(y, fk.unit_form(mode)))
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -299,9 +299,9 @@ def test_composite_representation_is_isomorphic():
             b1.scale(SQRT1_2 * math.cos(t1)).plus(b2.scale(-SQRT1_2 * math.sin(t1))),
             b2.scale(SQRT1_2 * math.cos(t2)).plus(b1.scale(SQRT1_2 * math.sin(t2))),
         ]
-        assert fk.normal_ordered_expectation(psi_abs, abstract) == pytest.approx(
-            fk.normal_ordered_expectation(psi_phys, physical), abs=1e-14
-        )
+        abstract_rate = fk.norm2(fk.apply_form(fk.apply_form(psi_abs, abstract[0]), abstract[1]))
+        physical_rate = fk.norm2(fk.apply_form(fk.apply_form(psi_phys, physical[0]), physical[1]))
+        assert abstract_rate == pytest.approx(physical_rate, abs=1e-14)
 
 
 # --- modes ---------------------------------------------------------------------

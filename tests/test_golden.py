@@ -1,5 +1,6 @@
 """Byte-pinned CLI output: exact stdout and exit code of one default scan per
-experiment, one angle scan and the selfcheck table."""
+experiment, angle scans of fig2, pdc and cascade, a non-canonical chsh and a
+second same-channel state, and the selfcheck table."""
 
 from __future__ import annotations
 
@@ -78,6 +79,70 @@ GOLDEN = [
             '60,0.0258234944479,0.0258234944479,1.73472347598e-17\n'
             '75,0.0111628871973,0.0111628871973,1.21430643318e-17\n'
             '90,0.00188460560044,0.00188460560044,0\n'
+        ),
+    ),
+    (
+        [
+            'scan', '--experiment', 'pdc', '--state', 'psi_e',
+            '--angle', 'theta1', '20', '--scan', 'theta2', '0', '180', '30',
+        ],
+        0,
+        (
+            'param,value,closed_form,abs_error\n'
+            '0,0.0584888892203,0.0584888892203,1.38777878078e-17\n'
+            '30,0.0150768448035,0.0150768448035,5.20417042793e-18\n'
+            '60,0.206587955583,0.206587955583,2.77555756156e-17\n'
+            '90,0.44151111078,0.44151111078,1.66533453694e-16\n'
+            '120,0.484923155196,0.484923155196,0\n'
+            '150,0.293412044417,0.293412044417,0\n'
+            '180,0.0584888892203,0.0584888892203,4.16333634234e-17\n'
+        ),
+    ),
+    (
+        [
+            'scan', '--experiment', 'fig2', '--state', 'psi_e',
+            '--angle', 'theta4', '10', '--scan', 'theta3', '0', '180', '45',
+        ],
+        0,
+        (
+            'param,value,closed_form,abs_error\n'
+            '0,0,0,0\n'
+            '45,0,0,0\n'
+            '90,0,0,0\n'
+            '135,0,0,0\n'
+            '180,0,0,0\n'
+        ),
+    ),
+    (
+        ['scan', '--experiment', 'cascade', '--angle', 'theta2', '15', '--scan', 'theta1', '0', '180', '30'],
+        0,
+        (
+            'param,value,closed_form,abs_error\n'
+            '0,0.466506350946,0.466506350946,5.55111512313e-17\n'
+            '30,0.466506350946,0.466506350946,5.55111512313e-17\n'
+            '60,0.25,0.25,5.55111512313e-17\n'
+            '90,0.0334936490539,0.0334936490539,6.93889390391e-18\n'
+            '120,0.0334936490539,0.0334936490539,1.38777878078e-17\n'
+            '150,0.25,0.25,5.55111512313e-17\n'
+            '180,0.466506350946,0.466506350946,1.66533453694e-16\n'
+        ),
+    ),
+    (
+        ['chsh', '--state', 'psi_u_prime', '--a', '10', '--ap', '50', '--b', '-20', '--bp', '100'],
+        0,
+        (
+            'param,value,closed_form,abs_error\n'
+            'abs_S,0.560307379214,0.560307379214,1.11022302463e-16\n'
+        ),
+    ),
+    (
+        ['scan', '--experiment', 'same-channel', '--state', 'psi_e'],
+        0,
+        (
+            'param,value,closed_form,abs_error\n'
+            'both_ch1,0,0,0\n'
+            'both_ch2,0,0,0\n'
+            'split,1,1,2.22044604925e-16\n'
         ),
     ),
     (

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -50,7 +49,7 @@ def test_apply_identity_jones_is_noop():
     out = op.apply_jones(f, np.eye(2, dtype=complex))
     assert fk.form_commutator(out.v, f.v) == pytest.approx(1.0)
     assert fk.form_commutator(out.h, f.h) == pytest.approx(1.0)
-    assert out.channel == f.channel and out.phase == f.phase
+    assert out.channel == f.channel
 
 
 def test_hwp_zero_flips_h_component_sign():
@@ -119,14 +118,6 @@ def test_splitter_preserves_coefficient_energy():
         assert total_coeff_energy(*outs) == pytest.approx(total_coeff_energy(a, b), rel=1e-12)
 
 
-def test_splitter_folds_phases_into_coefficients():
-    f = source_field(1)
-    a = op.ChannelField(f.v, f.h, f.channel, phase=cmath.exp(1j * math.pi / 2))
-    out1, _ = op.beamsplitter_5050(a, op.empty_field(2))
-    assert out1.phase == 1.0
-    assert out1.v.coeff(BEAM_V) == pytest.approx(1j * SQRT1_2)
-
-
 # --- analyzers ------------------------------------------------------------------
 
 
@@ -160,25 +151,6 @@ def test_polarizer_idempotent_on_already_polarized_field():
     again = op.polarizer(f, theta)
     diff = max(abs(again.coeff(m) - base.coeff(m)) for m, _ in base.items())
     assert diff < 1e-14
-
-
-# --- propagation phases -------------------------------------------------------------
-
-
-def test_phase_shift_leaves_single_channel_rates_unchanged():
-    ket = fk.named_state("circular_pair")
-    f = op.ChannelField(fk.unit_form(BEAM_V).scale(SQRT1_2), fk.unit_form(BEAM_H).scale(-SQRT1_2), 1)
-    for phi in (0.3, 1.0, 2.5):
-        shifted = op.ChannelField(f.v, f.h, f.channel, phase=cmath.exp(1j * phi))
-        for theta in (0.0, 0.7):
-            before = fk.norm2(fk.apply_form(ket, op.polarizer(f, theta)))
-            after = fk.norm2(fk.apply_form(ket, op.polarizer(shifted, theta)))
-            assert after == pytest.approx(before, abs=1e-14)
-
-
-def test_nonunit_phase_rejected():
-    with pytest.raises(ValueError, match="unimodular"):
-        op.ChannelField(fk.unit_form(BEAM_V), fk.zero_form(), 1, phase=2.0)
 
 
 def test_frequency_component_filters_modes():

@@ -69,8 +69,8 @@ def test_ladder_operations_match_oracle_densely():
         ref = to_oracle(ket)
         mode = modes[int(rng.integers(len(modes)))]
         pairs = [
-            (fk.create(ket, mode), oracle.o_create(ref, mode)),
-            (fk.annihilate(ket, mode), oracle.o_annihilate(ref, mode)),
+            (fk.apply_form_dagger(ket, fk.unit_form(mode)), oracle.o_create(ref, mode)),
+            (fk.apply_form(ket, fk.unit_form(mode)), oracle.o_annihilate(ref, mode)),
         ]
         form = random_form(rng)
         pairs.append((fk.apply_form(ket, form), oracle.o_apply_form(ref, form_dict(form))))

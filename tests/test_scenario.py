@@ -6,9 +6,11 @@ import math
 
 import pytest
 
+from biphoton import experiments as ex
 from biphoton import scenario as sc
 from biphoton.detection import DEFAULT_TILT
 from biphoton.experiments import MAX_SCAN_POINTS, fig1_coincidence, scan_count
+from biphoton.fock import named_state
 
 
 def test_parse_minimal_fig1_scan():
@@ -196,3 +198,19 @@ def test_evaluate_fig3_uses_beams():
     text = "experiment fig3\nstate psi_u\nbeam 1 plane_wave 15.707963292679587\nbeam 2 plane_wave -15.707963292679587\n"
     rows = sc.evaluate(sc.parse_scenario(text))
     assert rows[0][1].value == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "text,n_rows",
+    [("experiment fig1\nscan theta2 0 180 0.25\n", 721), ("experiment chsh\nstate psi_u\nscan a 0 180 2.5\n", 73)],
+)
+def test_evaluate_builds_the_source_once(monkeypatch, text, n_rows):
+    calls = []
+
+    def counting_named_state(kind):
+        calls.append(kind)
+        return named_state(kind)
+
+    monkeypatch.setattr(ex, "named_state", counting_named_state)
+    assert len(sc.evaluate(sc.parse_scenario(text))) == n_rows
+    assert len(calls) == 1
