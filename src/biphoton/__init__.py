@@ -3,14 +3,10 @@
 from .detection import (
     AllDark,
     BeamProfile,
-    IntensityMap,
     ScanGrid,
     coincidence_rate,
-    conditional_state,
     default_beams,
-    intensity_at,
     intensity_map,
-    same_channel_double_rate,
     singles_rate,
     visibility,
 )
@@ -26,6 +22,7 @@ from .experiments import (
     fig1_conditional_check,
     fig2_split_coincidence,
     fig3_visibility,
+    pair_source,
     pdc_coincidence,
     same_channel_probability,
     same_channel_table,
@@ -60,7 +57,6 @@ from .optics import (
     frequency_component,
     hwp,
     polarizer,
-    with_channel,
 )
 from .scenario import ParseError, ScenarioSpec, ValidationError, format_scenario, parse_scenario
 

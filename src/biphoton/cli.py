@@ -22,6 +22,7 @@ import math
 import sys
 from pathlib import Path
 
+from .detection import AllDark
 from .experiments import EXPERIMENTS, DarkDenominator
 from .scenario import ParseError, ScenarioSpec, ValidationError, evaluate, parse_scenario
 from .selfcheck import selfcheck_rows
@@ -78,9 +79,12 @@ def _run_spec(spec: ScenarioSpec, args: argparse.Namespace) -> int:
     table = [(param, result.value, result.closed_form) for param, result in evaluate(spec)]
     _emit(table, fmt, args.out)
     tolerance = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
-    # Written as "not <=" so that a NaN value or closed form is a mismatch.
-    mismatch = any(closed is not None and not abs(value - closed) <= tolerance for _, value, closed in table)
-    return EXIT_MISMATCH if mismatch else EXIT_OK
+    # Written as "not <=" so that a NaN closed form is a mismatch too.
+    bad = sum(not math.isfinite(v) or (c is not None and not abs(v - c) <= tolerance) for _, v, c in table)
+    if bad:
+        print(f"mismatch: {bad} of {len(table)} values not finite or off their closed form", file=sys.stderr)
+        return EXIT_MISMATCH
+    return EXIT_OK
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -191,7 +195,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BAD_INPUT if err.code == 2 else err.code
     try:
         return args.func(args)
-    except (ParseError, ValidationError, DarkDenominator, OSError, UnicodeDecodeError) as err:
+    except (ParseError, ValidationError, DarkDenominator, AllDark, OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except OverflowError:

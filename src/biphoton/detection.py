@@ -1,23 +1,21 @@
-"""Observable quantities: counting rates, conditional states, intensity maps.
+"""Observable quantities: counting rates and intensity maps.
 
 Every rate is a normally ordered expectation value of detector operators,
-computed exactly on the sparse state.  Rates are dimensionless (overall
-field constant 1); converting a same-channel double rate into an event
-probability (divide by 2 for a two-photon state) is left to the scenario
-layer, which knows the photon number.
+computed exactly on the sparse state: singles_rate is Glauber's G1 (one
+detector, or one point of a screen), coincidence_rate his G2 (two
+detectors).  Rates are dimensionless (overall field constant 1).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import EPS_ZERO, FockKet, LinearForm, apply_form, norm2, normalize, zero_form
-from .optics import ChannelField
+from .fock import EPS_ZERO, FockKet, LinearForm, apply_form, norm2
 
 BEAM_KINDS = ("plane_wave", "gaussian")
 
@@ -38,37 +36,6 @@ def singles_rate(ket: FockKet, form: LinearForm) -> float:
 def coincidence_rate(ket: FockKet, form1: LinearForm, form2: LinearForm) -> float:
     """Two-detector coincidence rate <L1^dag L2^dag L2 L1>, symmetric in the forms."""
     return norm2(apply_form(apply_form(ket, form1), form2))
-
-
-def conditional_state(ket: FockKet, form: LinearForm, normalized: bool = False) -> FockKet:
-    """State after one detection event, unnormalized by default.
-
-    Raises ZeroState when normalization is requested but the detector
-    operator annihilates the state.
-    """
-    out = apply_form(ket, form)
-    return normalize(out) if normalized else out
-
-
-def same_channel_double_rate(ket: FockKet, channel_field: ChannelField) -> float:
-    """Ordered sum over both polarization components (p, p') of the channel of
-    <Lp^dag Lp'^dag Lp' Lp>; for a unit-norm two-photon ket the probability of
-    both photons ending up in this channel is half this value."""
-    components = [channel_field.v, channel_field.h]
-    total = 0.0
-    for first in components:
-        once = apply_form(ket, first)
-        for second in components:
-            total += norm2(apply_form(once, second))
-    return total
-
-
-def intensity_at(ket: FockKet, contributions: Iterable[tuple[LinearForm, complex]]) -> float:
-    """Rate of the summed field sum_i amp_i * L_i at one detector position."""
-    total = zero_form()
-    for form, amp in contributions:
-        total = total.plus(form.scale(amp))
-    return singles_rate(ket, total)
 
 
 @dataclass(frozen=True)
@@ -120,21 +87,9 @@ class ScanGrid:
         if not self.xs or not self.ys:
             raise ValueError("scan grid must contain at least one point")
 
-    @classmethod
-    def line(cls, n: int = 101, start: float = 0.0, stop: float = 1.0) -> "ScanGrid":
-        if n < 2:
-            raise ValueError("line scan needs at least 2 points")
-        step = (stop - start) / (n - 1)
-        return cls(xs=tuple(start + k * step for k in range(n)))
 
-
-@dataclass(frozen=True)
-class IntensityMap:
-    """Detector rate sampled over a grid, with the beams that produced it."""
-
-    grid: ScanGrid
-    values: np.ndarray  # shape (len(ys), len(xs)), all entries >= 0
-    beams: tuple[BeamProfile, BeamProfile] = field(default_factory=default_beams)
+#: Unit line scan of 101 points, x = 0, 0.01, ..., 1.
+DEFAULT_GRID = ScanGrid(xs=tuple(k * 0.01 for k in range(101)))
 
 
 def intensity_map(
@@ -142,29 +97,30 @@ def intensity_map(
     channel_forms: Sequence[LinearForm],
     beams: Sequence[BeamProfile],
     grid: ScanGrid | None = None,
-) -> IntensityMap:
-    """Sample the overlapped-beam rate over the grid.
+) -> np.ndarray:
+    """Overlapped-beam rate over the grid, as a (len(ys), len(xs)) array.
 
     channel_forms[i] is the detector operator reached by beam i; beams[i]
-    supplies its complex envelope at each point.
+    supplies its complex envelope at each point, so each cell is the
+    singles rate of the summed field.
     """
     if len(channel_forms) != 2 or len(beams) != 2:
         raise ValueError("intensity maps overlap exactly two beams")
-    grid = grid or ScanGrid.line()
+    grid = grid or DEFAULT_GRID
     values = np.empty((len(grid.ys), len(grid.xs)))
     for iy, y in enumerate(grid.ys):
         for ix, x in enumerate(grid.xs):
-            contributions = [(channel_forms[i], beams[i].value(x, y)) for i in range(2)]
-            values[iy, ix] = intensity_at(ket, contributions)
-    return IntensityMap(grid=grid, values=values, beams=(beams[0], beams[1]))
+            screen = channel_forms[0].scale(beams[0].value(x, y)).plus(channel_forms[1].scale(beams[1].value(x, y)))
+            values[iy, ix] = singles_rate(ket, screen)
+    return values
 
 
-def visibility(intensity: IntensityMap) -> float:
+def visibility(values: np.ndarray) -> float:
     """Fringe visibility (max - min) / (max + min) of a sampled map."""
-    if intensity.values.size < 2:
+    if values.size < 2:
         raise ValueError("visibility needs a grid of at least 2 points")
-    top = float(intensity.values.max())
-    bottom = float(intensity.values.min())
+    top = float(values.max())
+    bottom = float(values.min())
     if top + bottom <= EPS_ZERO:
         raise AllDark("intensity map is identically dark")
     return (top - bottom) / (top + bottom)

@@ -30,11 +30,10 @@ import cmath
 import math
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Union
 
 from . import detection as det
 from . import optics as op
-from .fock import _SQRT1_2, EPS_ZERO, FockKet, LinearForm, combination_forms, named_state, unit_form
+from .fock import _SQRT1_2, EPS_ZERO, FockKet, LinearForm, apply_form, combination_forms, named_state, unit_form
 from .modes import BEAM_H, BEAM_V, H1, H2, V1, V2, W1H, W1V, W2H, W2V
 
 #: Upper bound on the number of points in one angle scan.
@@ -51,7 +50,6 @@ class ScenarioResult:
     """One evaluated observable with its analytic reference, when known."""
 
     observable: str
-    params: dict[str, float]
     value: float
     closed_form: float | None = None
 
@@ -83,8 +81,8 @@ class CascadeGeometry:
 def fig1_channel_fields() -> tuple[op.ChannelField, op.ChannelField]:
     """Split the single beam on a balanced mirror, then apply the component
     phase-flip plate in channel 1 and the component-swap plate in channel 2."""
-    source = op.ChannelField(unit_form(BEAM_V), unit_form(BEAM_H), channel=2)
-    ch1, ch2 = op.beamsplitter_5050(source, op.empty_field(1))
+    source = op.ChannelField(unit_form(BEAM_V), unit_form(BEAM_H))
+    ch1, ch2 = op.beamsplitter_5050(source, op.empty_field())
     return op.apply_jones(ch1, op.hwp(0.0)), op.apply_jones(ch2, op.hwp(math.pi / 4))
 
 
@@ -97,14 +95,14 @@ def pdc_channel_fields(kind: str) -> tuple[op.ChannelField, op.ChannelField]:
     """
     if kind == "psi_e":
         return (
-            op.ChannelField(unit_form(V1), unit_form(H1), channel=1),
-            op.ChannelField(unit_form(V2), unit_form(H2), channel=2),
+            op.ChannelField(unit_form(V1), unit_form(H1)),
+            op.ChannelField(unit_form(V2), unit_form(H2)),
         )
     if kind == "psi_u":
         first, second = combination_forms()
         return (
-            op.ChannelField(first.scale(_SQRT1_2), second.scale(-_SQRT1_2), channel=1),
-            op.ChannelField(second.scale(_SQRT1_2), first.scale(_SQRT1_2), channel=2),
+            op.ChannelField(first.scale(_SQRT1_2), second.scale(-_SQRT1_2)),
+            op.ChannelField(second.scale(_SQRT1_2), first.scale(_SQRT1_2)),
         )
     raise ValueError(f"no two-channel pair fields for state {kind!r}")
 
@@ -116,12 +114,10 @@ def cascade_channel_fields(geom: CascadeGeometry) -> tuple[op.ChannelField, op.C
     ch1 = op.ChannelField(
         w1_v.scale(geom.g11).plus(w2_v.scale(geom.g12)),
         w1_h.scale(geom.g11).plus(w2_h.scale(geom.g12)),
-        channel=1,
     )
     ch2 = op.ChannelField(
         w1_v.scale(geom.g21).plus(w2_v.scale(geom.g22)),
         w1_h.scale(geom.g21).plus(w2_h.scale(geom.g22)),
-        channel=2,
     )
     return ch1, ch2
 
@@ -158,18 +154,17 @@ def source(experiment: str, kind: str, geometry: CascadeGeometry = CascadeGeomet
         return Source(ket, arm1, arm2, 0.5 * abs(geometry.g11 * geometry.g22) ** 2, math.cos)
     ch1, ch2 = fig1_channel_fields() if kind == "circular_pair" else pdc_channel_fields(kind)
     if experiment == "fig2":
-        ch3, leftover = op.beamsplitter_5050(ch2, op.empty_field(3))
-        return Source(ket, ch3, op.with_channel(leftover, 4), 0.0 if kind == "psi_e" else 0.0625, math.cos)
+        ch3, ch4 = op.beamsplitter_5050(ch2, op.empty_field())
+        return Source(ket, ch3, ch4, 0.0 if kind == "psi_e" else 0.0625, math.cos)
     if experiment in ("fig1", "pdc"):
         return Source(ket, ch1, ch2, 0.5 if kind == "psi_e" else 0.25, math.sin)
     raise ValueError(f"no two-arm coincidence source for experiment {experiment!r}")
 
 
-def coincidence(src: Source, t1: float, t2: float, names: tuple[str, str] = ("theta1", "theta2")) -> ScenarioResult:
-    """Coincidence rate of the two analyzers at angles t1, t2 (named by names)."""
+def coincidence(src: Source, t1: float, t2: float) -> ScenarioResult:
+    """Coincidence rate of the two analyzers at angles t1, t2."""
     return ScenarioResult(
         observable="coincidence_rate",
-        params={names[0]: t1, names[1]: t2},
         value=det.coincidence_rate(src.ket, op.polarizer(src.arm1, t1), op.polarizer(src.arm2, t2)),
         closed_form=src.peak * src.law(t1 - t2) ** 2,
     )
@@ -183,16 +178,16 @@ def fig1_coincidence(theta1: float, theta2: float) -> ScenarioResult:
     return coincidence(source("fig1", "circular_pair"), theta1, theta2)
 
 
-def fig1_conditional_check(theta1: float, normalized: bool = False) -> float:
+def fig1_conditional_check(theta1: float) -> float:
     """Detection rate of the photon left behind by the first analyzer.
 
     The leftover state is kept unnormalized (detection probability folded
     in), so the bare analyzer operator sees it with rate one half for every
-    angle; with normalization the rate is one.
+    angle.
     """
     ket = named_state("circular_pair")
     ch1, _ = fig1_channel_fields()
-    leftover = det.conditional_state(ket, op.polarizer(ch1, theta1), normalized=normalized)
+    leftover = apply_form(ket, op.polarizer(ch1, theta1))
     bare_analyzer = LinearForm({BEAM_V: math.cos(theta1), BEAM_H: -math.sin(theta1)})
     return det.singles_rate(leftover, bare_analyzer)
 
@@ -205,7 +200,7 @@ def pdc_coincidence(kind: str, theta1: float, theta2: float) -> ScenarioResult:
 def fig2_split_coincidence(kind: str, theta3: float, theta4: float) -> ScenarioResult:
     """Coincidence between the two halves of channel 2 after one more
     balanced split; identically zero for the entangled pair."""
-    return coincidence(source("fig2", kind), theta3, theta4, ("theta3", "theta4"))
+    return coincidence(source("fig2", kind), theta3, theta4)
 
 
 def _fig3_closed_form(kind: str, beams: Sequence[det.BeamProfile], default_grid: bool) -> float | None:
@@ -251,7 +246,6 @@ def fig3_visibility(
     fringe_map = det.intensity_map(named_state(kind), screen_forms, beams, grid)
     return ScenarioResult(
         observable="visibility",
-        params={},
         value=det.visibility(fringe_map),
         closed_form=_fig3_closed_form(kind, beams, default_grid),
     )
@@ -267,22 +261,30 @@ def cascade_coincidence(geom: CascadeGeometry, theta1: float, theta2: float) -> 
 # --- channel statistics -----------------------------------------------------------
 
 
+def _arm_pair_rate(ket: FockKet, a: op.ChannelField, b: op.ChannelField) -> float:
+    """Coincidence rate of arms a and b summed over the (v, h) components of
+    each; with a is b it counts both photons in one arm twice (ordered pairs)."""
+    total = 0.0
+    for first in (a.v, a.h):
+        for second in (b.v, b.h):
+            total += det.coincidence_rate(ket, first, second)
+    return total
+
+
 def same_channel_probability(kind: str, channel: int) -> float:
-    """Probability that both photons of the pair leave through one channel."""
+    """Probability that both photons of the pair leave through one channel:
+    half the ordered double rate, the pair having two photons."""
     if channel not in (1, 2):
         raise ValueError("channel must be 1 or 2")
     src = source("pdc", kind)
-    return det.same_channel_double_rate(src.ket, src.arm1 if channel == 1 else src.arm2) / 2.0
+    arm = src.arm1 if channel == 1 else src.arm2
+    return _arm_pair_rate(src.ket, arm, arm) / 2.0
 
 
 def split_probability(kind: str) -> float:
     """Probability of one photon in each channel, summed over polarizations."""
     src = source("pdc", kind)
-    total = 0.0
-    for first in (src.arm1.v, src.arm1.h):
-        for second in (src.arm2.v, src.arm2.h):
-            total += det.coincidence_rate(src.ket, first, second)
-    return total
+    return _arm_pair_rate(src.ket, src.arm1, src.arm2)
 
 
 #: Closed-form outcome probabilities (both in 1, both in 2, one in each) of
@@ -303,7 +305,7 @@ def same_channel_table(kind: str) -> list[ScenarioResult]:
     )
     names = ("both_ch1", "both_ch2", "split")
     return [
-        ScenarioResult(observable=name, params={}, value=value, closed_form=closed)
+        ScenarioResult(observable=name, value=value, closed_form=closed)
         for name, value, closed in zip(names, values, SAME_CHANNEL_CLOSED_FORMS[kind])
     ]
 
@@ -311,30 +313,26 @@ def same_channel_table(kind: str) -> list[ScenarioResult]:
 # --- correlation coefficients -------------------------------------------------------
 
 
-#: A coincidence law: either a named state kind or a callable (t1, t2) -> rate.
-CoincidenceLaw = Union[str, Callable[[float, float], float]]
-
 #: Two-channel coincidence experiment of each named state kind.
 PAIR_EXPERIMENT = {"circular_pair": "fig1", "psi_e": "pdc", "psi_u": "pdc", "psi_u_prime": "cascade"}
 
 
-def _coincidence_law(law: CoincidenceLaw) -> Callable[[float, float], float]:
-    """The rate (t1, t2) -> coincidence of a law, building a named state's
-    source once."""
-    if callable(law):
-        return law
-    if law not in PAIR_EXPERIMENT:
-        raise ValueError(f"no coincidence scenario for state {law!r}")
-    src = source(PAIR_EXPERIMENT[law], law)
-    return lambda t1, t2: coincidence(src, t1, t2).value
+def pair_source(kind: str) -> Source:
+    """The two-channel coincidence source of a named state kind."""
+    if kind not in PAIR_EXPERIMENT:
+        raise ValueError(f"no coincidence scenario for state {kind!r}")
+    return source(PAIR_EXPERIMENT[kind], kind)
 
 
-def correlation_E(law: CoincidenceLaw, theta1: float, theta2: float) -> float:
+def correlation_E(src: Source, theta1: float, theta2: float) -> float:
     """Two-channel correlation coefficient estimated from four analyzer
     settings (each angle also rotated by pi/2)."""
-    rate = _coincidence_law(law)
     t1p = theta1 + math.pi / 2
     t2p = theta2 + math.pi / 2
+
+    def rate(t1: float, t2: float) -> float:
+        return coincidence(src, t1, t2).value
+
     same = rate(theta1, theta2) + rate(t1p, t2p)
     cross = rate(theta1, t2p) + rate(t1p, theta2)
     total = same + cross
@@ -343,14 +341,13 @@ def correlation_E(law: CoincidenceLaw, theta1: float, theta2: float) -> float:
     return (same - cross) / total
 
 
-def chsh_S(law: CoincidenceLaw, a: float, ap: float, b: float, bp: float) -> float:
+def chsh_S(src: Source, a: float, ap: float, b: float, bp: float) -> float:
     """Four-setting correlation sum E(a,b) - E(a,b') + E(a',b) + E(a',b')."""
-    rate = _coincidence_law(law)
     return (
-        correlation_E(rate, a, b)
-        - correlation_E(rate, a, bp)
-        + correlation_E(rate, ap, b)
-        + correlation_E(rate, ap, bp)
+        correlation_E(src, a, b)
+        - correlation_E(src, a, bp)
+        + correlation_E(src, ap, b)
+        + correlation_E(src, ap, bp)
     )
 
 
@@ -393,21 +390,20 @@ class Experiment:
 def _pair_experiment(experiment: str, names: tuple[str, str], states: tuple[str, ...], default: str) -> Experiment:
     def prepare(state: str, geometry: CascadeGeometry, beams) -> Point:
         src = source(experiment, state, geometry)
-        return lambda angles: [coincidence(src, angles[names[0]], angles[names[1]], names)]
+        return lambda angles: [coincidence(src, angles[names[0]], angles[names[1]])]
 
     return Experiment(dict.fromkeys(names, 0.0), states, default, prepare)
 
 
 def _prepare_chsh(state: str, geometry: CascadeGeometry, beams) -> Point:
-    rate = _coincidence_law(state)
+    src = pair_source(state)
 
     def point(angles: Mapping[str, float]) -> list[ScenarioResult]:
         settings = {name: angles[name] for name in CANONICAL_CHSH_ANGLES}
         return [
             ScenarioResult(
                 observable="abs_S",
-                params=settings,
-                value=abs(chsh_S(rate, **settings)),
+                value=abs(chsh_S(src, **settings)),
                 closed_form=abs(analytic_chsh_S(state, **settings)),
             )
         ]

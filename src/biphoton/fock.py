@@ -12,8 +12,9 @@ amplitude, including any 1/sqrt(2) splitter factors, so that every
 counting rate comes out in the same dimensionless units (overall field
 constant fixed to 1).
 
-Amplitudes with magnitude <= EPS_PRUNE are dropped after each operation;
-normalizing a ket whose squared norm is <= EPS_ZERO raises ZeroState.
+Amplitudes with magnitude <= EPS_PRUNE are dropped after each operation (a
+NaN is kept); normalizing a ket whose squared norm is <= EPS_ZERO raises
+ZeroState.
 """
 
 from __future__ import annotations
@@ -78,7 +79,8 @@ class FockKet:
         for occ, a in (amplitudes or {}).items():
             key = occupation(occ)
             amp[key] = amp.get(key, 0j) + complex(a)
-        self._amp = {occ: a for occ, a in amp.items() if abs(a) > EPS_PRUNE}
+        # "not <=" keeps a NaN amplitude, so it shows in every rate instead of reading as 0.
+        self._amp = {occ: a for occ, a in amp.items() if not abs(a) <= EPS_PRUNE}
 
     def items(self):
         return self._amp.items()
@@ -106,7 +108,7 @@ class LinearForm:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Mapping[ModeId, complex] | None = None):
-        self._coeffs = {m: complex(c) for m, c in (coeffs or {}).items() if abs(c) > EPS_PRUNE}
+        self._coeffs = {m: complex(c) for m, c in (coeffs or {}).items() if not abs(c) <= EPS_PRUNE}
 
     def items(self):
         return self._coeffs.items()

@@ -45,9 +45,6 @@ class ModeId:
             -1 if self.composite is None else self.composite,
         )
 
-    def __lt__(self, other: "ModeId") -> bool:
-        return self.sort_key() < other.sort_key()
-
     def __str__(self) -> str:
         parts = [f"ch{self.channel}"]
         if self.freq is not None:

@@ -26,17 +26,11 @@ class ChannelField:
 
     v: LinearForm
     h: LinearForm
-    channel: int
 
 
-def empty_field(channel: int) -> ChannelField:
+def empty_field() -> ChannelField:
     """Vacuum-port field: both components identically zero."""
-    return ChannelField(zero_form(), zero_form(), channel)
-
-
-def with_channel(field: ChannelField, channel: int) -> ChannelField:
-    """Same field relabeled to another beam line."""
-    return ChannelField(field.v, field.h, channel)
+    return ChannelField(zero_form(), zero_form())
 
 
 def hwp(axis_angle: float) -> JonesMatrix:
@@ -50,26 +44,21 @@ def hwp(axis_angle: float) -> JonesMatrix:
 
 
 def apply_jones(field: ChannelField, matrix: JonesMatrix) -> ChannelField:
-    """Mix the (v, h) components linearly; channel tag unchanged."""
+    """Mix the (v, h) components linearly."""
     v = field.v.scale(matrix[0, 0]).plus(field.h.scale(matrix[0, 1]))
     h = field.v.scale(matrix[1, 0]).plus(field.h.scale(matrix[1, 1]))
-    return ChannelField(v, h, field.channel)
+    return ChannelField(v, h)
 
 
 def beamsplitter_5050(a: ChannelField, b: ChannelField) -> tuple[ChannelField, ChannelField]:
-    """Balanced splitter: component-wise ((a+b)/sqrt2, (a-b)/sqrt2).
-
-    The sum port leaves along the second input's beam line, the difference
-    port along the first input's.
-    """
-    if a.channel == b.channel:
-        raise ValueError("beamsplitter inputs must carry distinct channel tags")
+    """Balanced splitter: component-wise ((a+b)/sqrt2, (a-b)/sqrt2), returned
+    as (sum port, difference port)."""
 
     def mix(x: LinearForm, y: LinearForm, sign: float) -> LinearForm:
         return x.scale(_SQRT1_2).plus(y.scale(sign * _SQRT1_2))
 
-    out_sum = ChannelField(mix(a.v, b.v, 1.0), mix(a.h, b.h, 1.0), b.channel)
-    out_diff = ChannelField(mix(a.v, b.v, -1.0), mix(a.h, b.h, -1.0), a.channel)
+    out_sum = ChannelField(mix(a.v, b.v, 1.0), mix(a.h, b.h, 1.0))
+    out_diff = ChannelField(mix(a.v, b.v, -1.0), mix(a.h, b.h, -1.0))
     return out_sum, out_diff
 
 
@@ -86,4 +75,4 @@ def frequency_component(field: ChannelField, freq: str) -> ChannelField:
     def pick(form: LinearForm) -> LinearForm:
         return LinearForm({m: c for m, c in form.items() if m.freq == freq})
 
-    return ChannelField(pick(field.v), pick(field.h), field.channel)
+    return ChannelField(pick(field.v), pick(field.h))

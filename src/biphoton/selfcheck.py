@@ -106,7 +106,7 @@ def _factorization_rows() -> list[CheckRow]:
 
 def _chsh_rows() -> list[CheckRow]:
     angles = ex.CANONICAL_CHSH_ANGLES
-    values = {kind: abs(ex.chsh_S(kind, **angles)) for kind in ("circular_pair", "psi_e", "psi_u")}
+    values = {kind: abs(ex.chsh_S(ex.pair_source(kind), **angles)) for kind in ("circular_pair", "psi_e", "psi_u")}
     bound = 2.0 * math.sqrt(2.0)
     rows = [CheckRow(f"chsh_abs_{kind}", value, bound, 1e-9) for kind, value in values.items()]
     rows.append(CheckRow("chsh_psi_e_minus_psi_u", values["psi_e"] - values["psi_u"], 0.0, 1e-9))

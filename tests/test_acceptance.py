@@ -105,7 +105,7 @@ def test_criterion_08_factorization():
 
 def test_criterion_09_chsh_saturation():
     angles = ex.CANONICAL_CHSH_ANGLES
-    values = {kind: abs(ex.chsh_S(kind, **angles)) for kind in ("circular_pair", "psi_e", "psi_u")}
+    values = {kind: abs(ex.chsh_S(ex.pair_source(kind), **angles)) for kind in ("circular_pair", "psi_e", "psi_u")}
     bound = 2.0 * SQRT2
     ok = all(abs(v - bound) <= 1e-9 for v in values.values())
     ok = ok and abs(values["psi_e"] - values["psi_u"]) <= 1e-9

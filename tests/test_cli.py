@@ -288,3 +288,23 @@ def test_chsh_all_dark_settings_exit_1(capsys):
     assert code == 1
     assert out == ""
     assert_one_line_error(err)
+
+
+def test_fig3_dark_everywhere_exits_1(capsys):
+    # Two equal plane waves in antiphase cancel at every screen point.
+    code, out, err = run_cli(
+        capsys, "scan", "--experiment", "fig3", "--beam", "1", "plane_wave", "0", "0",
+        "--beam", "2", "plane_wave", "0", "3.141592653589793",
+    )
+    assert code == 1
+    assert out == ""
+    assert_one_line_error(err)
+    assert "dark" in err
+
+
+def test_nan_without_closed_form_exits_2(capsys):
+    # tilt * x + phase overflows, so the beam envelope and the visibility are NaN.
+    code, out, err = run_cli(capsys, "scan", "--experiment", "fig3", "--beam", "1", "plane_wave", "1e308", "1e308")
+    assert code == 2
+    assert out.splitlines()[1] == "visibility,nan,,"
+    assert err.startswith("mismatch: ") and err.count("\n") == 1

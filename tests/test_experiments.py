@@ -9,7 +9,10 @@ import pytest
 
 from biphoton import detection as det
 from biphoton import experiments as ex
+from biphoton import fock as fk
+from biphoton import optics as op
 from biphoton import scenario as sc
+from biphoton.modes import BEAM_H, BEAM_V
 
 SQRT2 = math.sqrt(2.0)
 
@@ -75,7 +78,11 @@ def test_fig1_conditional_rate_is_half_for_all_angles():
 
 
 def test_fig1_conditional_rate_normalized_is_one():
-    assert ex.fig1_conditional_check(0.7, normalized=True) == pytest.approx(1.0, abs=1e-13)
+    theta = 0.7
+    ch1, _ = ex.fig1_channel_fields()
+    leftover = fk.normalize(fk.apply_form(fk.named_state("circular_pair"), op.polarizer(ch1, theta)))
+    bare_analyzer = fk.LinearForm({BEAM_V: math.cos(theta), BEAM_H: -math.sin(theta)})
+    assert det.singles_rate(leftover, bare_analyzer) == pytest.approx(1.0, abs=1e-13)
 
 
 # --- pdc ----------------------------------------------------------------------
@@ -244,40 +251,48 @@ def test_same_channel_rejects_bad_channel():
 @pytest.mark.parametrize("kind", ["circular_pair", "psi_e", "psi_u", "psi_u_prime"])
 def test_correlation_matches_analytic_law(kind):
     for t1, t2 in [(0.0, 0.0), (0.2, 0.9), (1.0, -0.4)]:
-        assert ex.correlation_E(kind, t1, t2) == pytest.approx(
+        assert ex.correlation_E(ex.pair_source(kind), t1, t2) == pytest.approx(
             ex.analytic_correlation_E(kind, t1, t2), abs=1e-12
         )
 
 
 def test_correlation_zero_at_octave_separation():
-    assert ex.correlation_E("psi_u", 0.0, math.pi / 4) == pytest.approx(0.0, abs=1e-12)
+    assert ex.correlation_E(ex.pair_source("psi_u"), 0.0, math.pi / 4) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_correlation_bounded():
     rng = np.random.default_rng(13)
+    src = ex.pair_source("psi_e")
     for _ in range(10):
         t1, t2 = rng.uniform(0, math.pi, size=2)
-        assert abs(ex.correlation_E("psi_e", float(t1), float(t2))) <= 1.0 + 1e-12
+        assert abs(ex.correlation_E(src, float(t1), float(t2))) <= 1.0 + 1e-12
 
 
 def test_correlation_dark_denominator():
+    # The entangled pair never puts both photons into the two halves of channel 2.
     with pytest.raises(ex.DarkDenominator):
-        ex.correlation_E(lambda t1, t2: 0.0, 0.0, 0.0)
+        ex.correlation_E(ex.source("fig2", "psi_e"), 0.0, 0.0)
+
+
+def test_pair_source_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="no coincidence scenario"):
+        ex.pair_source("nope")
 
 
 @pytest.mark.parametrize("kind", ["circular_pair", "psi_e", "psi_u", "psi_u_prime"])
 def test_chsh_canonical_angles_saturate_quantum_bound(kind):
-    s = ex.chsh_S(kind, **ex.CANONICAL_CHSH_ANGLES)
+    s = ex.chsh_S(ex.pair_source(kind), **ex.CANONICAL_CHSH_ANGLES)
     assert abs(s) == pytest.approx(2.0 * SQRT2, abs=1e-9)
 
 
 def test_chsh_identical_for_entangled_and_unentangled():
     args = ex.CANONICAL_CHSH_ANGLES
-    assert ex.chsh_S("psi_e", **args) == pytest.approx(ex.chsh_S("psi_u", **args), abs=1e-9)
+    s_e = ex.chsh_S(ex.pair_source("psi_e"), **args)
+    assert s_e == pytest.approx(ex.chsh_S(ex.pair_source("psi_u"), **args), abs=1e-9)
 
 
 def test_chsh_degenerate_settings_classical():
-    s = ex.chsh_S("circular_pair", 0.0, 0.0, math.pi / 8, math.pi / 8)
+    s = ex.chsh_S(ex.pair_source("circular_pair"), 0.0, 0.0, math.pi / 8, math.pi / 8)
     assert abs(s) <= 2.0 + 1e-12
 
 
@@ -319,7 +334,6 @@ def test_angle_scan_fig1_rows():
     rows = [run_experiment("fig1", "circular_pair", {"theta1": 0.0, "theta2": v})[0] for v in values]
     assert len(rows) == 37
     for value, row in zip(values, rows):
-        assert row.params["theta2"] == value
         assert row.value == pytest.approx(0.25 * math.sin(value) ** 2, abs=1e-13)
         assert row.abs_error() <= 1e-12
 
@@ -335,9 +349,11 @@ def test_angle_scan_empty_grid_rejected():
 
 
 def test_scenario_point_chsh_defaults_to_canonical_angles():
-    [(_, result)] = sc.evaluate(sc.parse_scenario("experiment chsh\nstate circular_pair\n"))
+    spec = sc.parse_scenario("experiment chsh\nstate circular_pair\n")
+    assert {name: math.radians(deg) for name, deg in spec.angles.items()} == ex.CANONICAL_CHSH_ANGLES
+    [(_, result)] = sc.evaluate(spec)
     assert result.value == pytest.approx(2.0 * SQRT2, abs=1e-9)
-    assert result.params == ex.CANONICAL_CHSH_ANGLES
+    assert result.closed_form == abs(ex.analytic_chsh_S("circular_pair", **ex.CANONICAL_CHSH_ANGLES))
 
 
 def test_scenario_point_unknown_experiment():

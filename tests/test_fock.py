@@ -187,6 +187,13 @@ def test_tiny_amplitudes_are_pruned():
     assert len(fk.FockKet({fk.occupation({V1: 1}): 1e-15})) == 0
 
 
+def test_nan_amplitudes_are_kept():
+    ket = fk.FockKet({fk.occupation({V1: 1}): complex("nan")})
+    assert len(ket) == 1 and math.isnan(fk.norm2(ket))
+    form = fk.LinearForm({V1: float("nan"), H1: 1e-15})
+    assert len(form) == 1 and math.isnan(abs(form.coeff(V1)))
+
+
 # --- normally ordered expectations -------------------------------------------
 
 

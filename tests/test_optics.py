@@ -14,8 +14,8 @@ from biphoton.modes import BEAM_H, BEAM_V, W1H, W1V, W2H, W2V
 SQRT1_2 = math.sqrt(0.5)
 
 
-def source_field(channel: int = 2) -> op.ChannelField:
-    return op.ChannelField(fk.unit_form(BEAM_V), fk.unit_form(BEAM_H), channel)
+def source_field() -> op.ChannelField:
+    return op.ChannelField(fk.unit_form(BEAM_V), fk.unit_form(BEAM_H))
 
 
 def total_coeff_energy(*fields: op.ChannelField) -> float:
@@ -49,18 +49,17 @@ def test_apply_identity_jones_is_noop():
     out = op.apply_jones(f, np.eye(2, dtype=complex))
     assert fk.form_commutator(out.v, f.v) == pytest.approx(1.0)
     assert fk.form_commutator(out.h, f.h) == pytest.approx(1.0)
-    assert out.channel == f.channel
 
 
 def test_hwp_zero_flips_h_component_sign():
-    f = op.ChannelField(fk.unit_form(BEAM_V).scale(SQRT1_2), fk.unit_form(BEAM_H).scale(SQRT1_2), 1)
+    f = op.ChannelField(fk.unit_form(BEAM_V).scale(SQRT1_2), fk.unit_form(BEAM_H).scale(SQRT1_2))
     out = op.apply_jones(f, op.hwp(0.0))
     assert out.v.coeff(BEAM_V) == pytest.approx(SQRT1_2)
     assert out.h.coeff(BEAM_H) == pytest.approx(-SQRT1_2)
 
 
 def test_hwp_quarter_swaps_v_and_h():
-    f = op.ChannelField(fk.unit_form(BEAM_V).scale(SQRT1_2), fk.unit_form(BEAM_H).scale(SQRT1_2), 2)
+    f = op.ChannelField(fk.unit_form(BEAM_V).scale(SQRT1_2), fk.unit_form(BEAM_H).scale(SQRT1_2))
     out = op.apply_jones(f, op.hwp(math.pi / 4))
     assert out.v.coeff(BEAM_H) == pytest.approx(SQRT1_2)
     assert out.h.coeff(BEAM_V) == pytest.approx(SQRT1_2)
@@ -70,14 +69,8 @@ def test_hwp_quarter_swaps_v_and_h():
 # --- beam splitter --------------------------------------------------------------
 
 
-def test_splitter_requires_distinct_channels():
-    with pytest.raises(ValueError, match="distinct channel"):
-        op.beamsplitter_5050(source_field(1), source_field(1))
-
-
 def test_splitter_with_vacuum_port_halves_both_outputs():
-    out1, out2 = op.beamsplitter_5050(source_field(2), op.empty_field(1))
-    assert out1.channel == 1 and out2.channel == 2
+    out1, out2 = op.beamsplitter_5050(source_field(), op.empty_field())
     for out in (out1, out2):
         assert out.v.coeff(BEAM_V) == pytest.approx(SQRT1_2)
         assert out.h.coeff(BEAM_H) == pytest.approx(SQRT1_2)
@@ -86,7 +79,7 @@ def test_splitter_with_vacuum_port_halves_both_outputs():
 def test_splitter_reconstructs_two_channel_field_with_plates():
     """Splitting the single-beam source then applying the two plates yields
     the expected pair of channel fields: (bv, -bh)/sqrt2 and (bh, bv)/sqrt2."""
-    ch1, ch2 = op.beamsplitter_5050(source_field(2), op.empty_field(1))
+    ch1, ch2 = op.beamsplitter_5050(source_field(), op.empty_field())
     ch1 = op.apply_jones(ch1, op.hwp(0.0))
     ch2 = op.apply_jones(ch2, op.hwp(math.pi / 4))
     assert form_coeffs(ch1.v) == pytest.approx({BEAM_V: SQRT1_2})
@@ -96,7 +89,7 @@ def test_splitter_reconstructs_two_channel_field_with_plates():
 
 
 def test_splitter_destructive_arm():
-    out1, out2 = op.beamsplitter_5050(source_field(1), source_field(2))
+    out1, out2 = op.beamsplitter_5050(source_field(), source_field())
     assert len(out2.v) == 0 and len(out2.h) == 0
     assert out1.v.coeff(BEAM_V) == pytest.approx(math.sqrt(2.0))
 
@@ -107,12 +100,10 @@ def test_splitter_preserves_coefficient_energy():
         a = op.ChannelField(
             fk.LinearForm({BEAM_V: complex(rng.normal(), rng.normal())}),
             fk.LinearForm({BEAM_H: complex(rng.normal(), rng.normal())}),
-            1,
         )
         b = op.ChannelField(
             fk.LinearForm({BEAM_V: complex(rng.normal(), rng.normal())}),
             fk.LinearForm({BEAM_H: complex(rng.normal(), rng.normal())}),
-            2,
         )
         outs = op.beamsplitter_5050(a, b)
         assert total_coeff_energy(*outs) == pytest.approx(total_coeff_energy(a, b), rel=1e-12)
@@ -122,7 +113,7 @@ def test_splitter_preserves_coefficient_energy():
 
 
 def test_polarizer_on_first_channel_field():
-    ch1, _ = op.beamsplitter_5050(source_field(2), op.empty_field(1))
+    ch1, _ = op.beamsplitter_5050(source_field(), op.empty_field())
     ch1 = op.apply_jones(ch1, op.hwp(0.0))
     theta = 0.8
     form = op.polarizer(ch1, theta)
@@ -131,7 +122,7 @@ def test_polarizer_on_first_channel_field():
 
 
 def test_polarizer_on_swapped_channel_field():
-    _, ch2 = op.beamsplitter_5050(source_field(2), op.empty_field(1))
+    _, ch2 = op.beamsplitter_5050(source_field(), op.empty_field())
     ch2 = op.apply_jones(ch2, op.hwp(math.pi / 4))
     theta = -0.4
     form = op.polarizer(ch2, theta)
@@ -140,14 +131,14 @@ def test_polarizer_on_swapped_channel_field():
 
 
 def test_polarizer_blocks_orthogonal_component():
-    f = op.ChannelField(fk.zero_form(), fk.unit_form(BEAM_H), 1)
+    f = op.ChannelField(fk.zero_form(), fk.unit_form(BEAM_H))
     assert len(op.polarizer(f, 0.0)) == 0
 
 
 def test_polarizer_idempotent_on_already_polarized_field():
     base = fk.LinearForm({BEAM_V: 0.3 + 0.1j, BEAM_H: -0.2j})
     theta = 0.6
-    f = op.ChannelField(base.scale(math.cos(theta)), base.scale(math.sin(theta)), 1)
+    f = op.ChannelField(base.scale(math.cos(theta)), base.scale(math.sin(theta)))
     again = op.polarizer(f, theta)
     diff = max(abs(again.coeff(m) - base.coeff(m)) for m, _ in base.items())
     assert diff < 1e-14
@@ -157,7 +148,6 @@ def test_frequency_component_filters_modes():
     f = op.ChannelField(
         fk.LinearForm({W1V: 1.0, W2V: 0.5}),
         fk.LinearForm({W1H: 1.0, W2H: 0.5}),
-        1,
     )
     only_first = op.frequency_component(f, "w1")
     assert form_coeffs(only_first.v) == {W1V: 1.0}

@@ -1,0 +1,15 @@
+"""The README quick start runs against the current API."""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), flags=re.DOTALL)
+    assert blocks, "README has no python block"
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
