@@ -43,12 +43,11 @@ from .fock import (
     normalize,
     occupation,
     pair_factor_forms,
-    psi_u_composite,
     unit_form,
     vacuum,
     zero_form,
 )
-from .modes import ModeId, composite_mode, freq_mode, pol_mode
+from .modes import ModeId, freq_mode, pol_mode
 from .optics import (
     ChannelField,
     apply_jones,

@@ -74,17 +74,27 @@ def _emit(rows: list[tuple[object, float, float | None]], fmt: str, out: str | N
         sys.stdout.write(text)
 
 
-def _run_spec(spec: ScenarioSpec, args: argparse.Namespace) -> int:
-    fmt = args.format or spec.output
-    table = [(param, result.value, result.closed_form) for param, result in evaluate(spec)]
+def _report(
+    table: list[tuple[object, float, float | None]], tolerances: list[float], fmt: str, args: argparse.Namespace
+) -> int:
+    """Emit the table, then count the rows that are not finite or off their
+    closed form by more than their tolerance (--tolerance, when given)."""
     _emit(table, fmt, args.out)
-    tolerance = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
+    if args.tolerance is not None:
+        tolerances = [args.tolerance] * len(table)
     # Written as "not <=" so that a NaN closed form is a mismatch too.
-    bad = sum(not math.isfinite(v) or (c is not None and not abs(v - c) <= tolerance) for _, v, c in table)
+    bad = sum(
+        not math.isfinite(v) or (c is not None and not abs(v - c) <= tol) for (_, v, c), tol in zip(table, tolerances)
+    )
     if bad:
         print(f"mismatch: {bad} of {len(table)} values not finite or off their closed form", file=sys.stderr)
         return EXIT_MISMATCH
     return EXIT_OK
+
+
+def _run_spec(spec: ScenarioSpec, args: argparse.Namespace) -> int:
+    table = [(param, result.value, result.closed_form) for param, result in evaluate(spec)]
+    return _report(table, [DEFAULT_TOLERANCE] * len(table), args.format or spec.output, args)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -135,12 +145,7 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
             return EXIT_BAD_INPUT
         expected[args.corrupt] += 1e-3
     table = [(row.name, row.value, expected[row.name]) for row in rows]
-    _emit(table, args.format or "csv", args.out)
-    failed = any(
-        not abs(row.value - expected[row.name]) <= (args.tolerance if args.tolerance is not None else row.tolerance)
-        for row in rows
-    )
-    return EXIT_MISMATCH if failed else EXIT_OK
+    return _report(table, [row.tolerance for row in rows], args.format or "csv", args)
 
 
 def build_parser() -> argparse.ArgumentParser:

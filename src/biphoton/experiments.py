@@ -203,14 +203,14 @@ def fig2_split_coincidence(kind: str, theta3: float, theta4: float) -> ScenarioR
     return coincidence(source("fig2", kind), theta3, theta4)
 
 
-def _fig3_closed_form(kind: str, beams: Sequence[det.BeamProfile], default_grid: bool) -> float | None:
+def _fig3_closed_form(kind: str, beams: Sequence[det.BeamProfile], grid: det.ScanGrid) -> float | None:
     if any(beam.kind != "plane_wave" for beam in beams):
         return None
     if kind == "psi_e":
         return 0.0  # constant envelopes add incoherently: flat map
     # Fringe extrema land on the default grid only for the default tilt pair.
     canonical = (
-        default_grid
+        grid == det.DEFAULT_GRID
         and beams[0].tilt == det.DEFAULT_TILT
         and beams[1].tilt == -det.DEFAULT_TILT
         and beams[0].phase_offset == beams[1].phase_offset
@@ -234,7 +234,7 @@ def fig3_visibility(
     analyzed vertically, so both beams hit the screen in the same
     polarization and only the state decides whether they interfere.
     """
-    default_grid = grid is None
+    grid = grid or det.DEFAULT_GRID
     beams = tuple(beams) if beams is not None else det.default_beams()
     if kind == "psi_e":
         screen_forms = [unit_form(H1), unit_form(V2)]
@@ -247,7 +247,7 @@ def fig3_visibility(
     return ScenarioResult(
         observable="visibility",
         value=det.visibility(fringe_map),
-        closed_form=_fig3_closed_form(kind, beams, default_grid),
+        closed_form=_fig3_closed_form(kind, beams, grid),
     )
 
 

@@ -23,7 +23,7 @@ import math
 from collections.abc import Iterable, Mapping
 from typing import Union
 
-from .modes import BEAM_H, BEAM_V, H1, H2, V1, V2, W1H, W1V, W2H, W2V, ModeId, composite_mode
+from .modes import BEAM_H, BEAM_V, H1, H2, V1, V2, W1H, W1V, W2H, W2V, ModeId
 
 EPS_PRUNE = 1e-14
 EPS_ZERO = 1e-12
@@ -50,7 +50,7 @@ def occupation(counts: OccupationLike) -> Occupation:
         if n < 0:
             raise ValueError(f"negative occupation {n} for mode {mode}")
         merged[mode] = merged.get(mode, 0) + n
-    return tuple(sorted(((m, n) for m, n in merged.items() if n > 0), key=lambda p: p[0].sort_key()))
+    return tuple(sorted((m, n) for m, n in merged.items() if n > 0))
 
 
 def occ_count(occ: Occupation, mode: ModeId) -> int:
@@ -65,7 +65,7 @@ def _occ_with(occ: Occupation, mode: ModeId, n: int) -> Occupation:
     pairs = [(m, c) for m, c in occ if m != mode]
     if n > 0:
         pairs.append((mode, n))
-        pairs.sort(key=lambda p: p[0].sort_key())
+        pairs.sort()
     return tuple(pairs)
 
 
@@ -97,7 +97,7 @@ class FockKet:
     def __repr__(self) -> str:
         terms = ", ".join(
             f"{a:.4g} * |{' '.join(f'{m}:{n}' for m, n in occ) or 'vac'}>"
-            for occ, a in sorted(self._amp.items(), key=lambda kv: tuple(p[0].sort_key() for p in kv[0]))
+            for occ, a in sorted(self._amp.items(), key=lambda kv: tuple(m for m, _ in kv[0]))
         )
         return f"FockKet({terms or '0'})"
 
@@ -135,7 +135,7 @@ class LinearForm:
         return bool(self._coeffs)
 
     def __repr__(self) -> str:
-        terms = " + ".join(f"({c:.4g})*b[{m}]" for m, c in sorted(self._coeffs.items(), key=lambda kv: kv[0].sort_key()))
+        terms = " + ".join(f"({c:.4g})*b[{m}]" for m, c in sorted(self._coeffs.items(), key=lambda kv: kv[0]))
         return f"LinearForm({terms or '0'})"
 
 
@@ -277,13 +277,3 @@ def named_state(kind: str) -> FockKet:
         })
     raise ValueError(f"unknown named state {kind!r}; expected one of {NAMED_STATE_KINDS}")
 
-
-def psi_u_composite() -> FockKet:
-    """The un-entangled pair state written over the two abstract combination
-    modes themselves (double occupation of either), rather than expanded over
-    channel/polarization modes as named_state("psi_u") returns it."""
-    first, second = composite_mode(1), composite_mode(2)
-    return FockKet({
-        occupation({first: 2}): _SQRT1_2,
-        occupation({second: 2}): _SQRT1_2,
-    })

@@ -27,7 +27,7 @@ Form = dict   # ModeId -> complex coefficient
 
 def canon(counts) -> tuple:
     items = counts.items() if isinstance(counts, dict) else counts
-    return tuple(sorted(((m, n) for m, n in items if n), key=lambda p: p[0].sort_key()))
+    return tuple(sorted((m, n) for m, n in items if n))
 
 
 def o_vacuum() -> State:
@@ -116,7 +116,7 @@ def to_amplitudes(state: State) -> dict:
 
 def all_occupations(modes, max_total: int) -> list[tuple]:
     """Every occupation vector over the given modes with total <= max_total."""
-    modes = sorted(modes, key=ModeId.sort_key)
+    modes = sorted(modes)
     occs = []
     for counts in itertools.product(range(max_total + 1), repeat=len(modes)):
         if sum(counts) <= max_total:

@@ -176,6 +176,13 @@ def test_selfcheck_corrupted_reference_exits_2(capsys):
     assert float(row.split(",")[3]) > 1e-9
 
 
+def test_selfcheck_mismatch_prints_one_mismatch_line(capsys):
+    code, _, err = run_cli(capsys, "selfcheck", "--corrupt", "fig1_sin2_max_abs_err")
+    assert code == 2
+    assert err.startswith("mismatch: 1 of ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_selfcheck_unknown_corrupt_row(capsys):
     code, _, err = run_cli(capsys, "selfcheck", "--corrupt", "nope")
     assert code == 1

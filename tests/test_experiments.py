@@ -154,6 +154,16 @@ def test_fig3_visibility_dichotomy():
     assert dark.closed_form == 0.0
 
 
+def test_fig3_explicit_default_grid_keeps_the_closed_form():
+    explicit = ex.fig3_visibility("psi_u", None, det.DEFAULT_GRID)
+    assert explicit == ex.fig3_visibility("psi_u")
+    assert explicit.closed_form == 1.0
+    same_points = det.ScanGrid(xs=tuple(k * 0.01 for k in range(101)))
+    assert ex.fig3_visibility("psi_u", None, same_points).closed_form == 1.0
+    coarse = det.ScanGrid(xs=tuple(k * 0.02 for k in range(51)))
+    assert ex.fig3_visibility("psi_u", None, coarse).closed_form is None
+
+
 def test_fig3_one_beam_off_kills_fringes():
     beams = (det.BeamProfile(), det.BeamProfile(tilt=-det.DEFAULT_TILT, amplitude=0.0))
     for kind in ("psi_u", "psi_e"):

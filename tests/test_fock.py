@@ -9,7 +9,7 @@ import pytest
 
 import oracle
 from biphoton import fock as fk
-from biphoton.modes import BEAM_H, BEAM_V, H1, H2, V1, V2, ModeId, composite_mode, pol_mode
+from biphoton.modes import BEAM_H, BEAM_V, H1, H2, V1, V2, W1H, W1V, W2H, W2V, freq_mode, pol_mode
 
 SQRT1_2 = math.sqrt(0.5)
 
@@ -260,7 +260,6 @@ def test_ladder_adjoint_consistency():
 def test_named_states_are_unit_norm():
     for kind in fk.NAMED_STATE_KINDS:
         assert fk.norm2(fk.named_state(kind)) == pytest.approx(1.0, abs=1e-12)
-    assert fk.norm2(fk.psi_u_composite()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_entangled_state_amplitudes():
@@ -292,9 +291,11 @@ def test_unentangled_state_decomposition():
 
 def test_composite_representation_is_isomorphic():
     """The two-combination-mode form of psi_u gives the same analyzer algebra
-    as its four-mode expansion."""
-    psi_abs = fk.psi_u_composite()
-    first, second = composite_mode(1), composite_mode(2)
+    as its four-mode expansion.  The abstract ket doubly occupies either of
+    two spare modes standing for the combination modes."""
+    first, second = pol_mode(3, "V"), pol_mode(4, "V")
+    psi_abs = fk.FockKet({fk.occupation({first: 2}): SQRT1_2, fk.occupation({second: 2}): SQRT1_2})
+    assert fk.norm2(psi_abs) == pytest.approx(1.0, abs=1e-12)
     psi_phys = fk.named_state("psi_u")
     b1, b2 = fk.combination_forms()
     for t1, t2 in [(0.0, 0.5), (0.9, -0.3)]:
@@ -317,16 +318,20 @@ def test_composite_representation_is_isomorphic():
 def test_mode_equality_and_ordering():
     assert pol_mode(1, "V") == pol_mode(1, "V")
     assert pol_mode(1, "V") != pol_mode(2, "V")
-    modes = [V2, H1, V1, H2, composite_mode(1)]
-    ordered = sorted(modes, key=ModeId.sort_key)
+    modes = [V2, H1, V1, H2, pol_mode(3, "V")]
+    ordered = sorted(modes)
     assert ordered.index(V1) < ordered.index(V2)
+    constants = [W2V, H2, BEAM_V, W1H, V1, V2, BEAM_H, W2H, H1, W1V]
+    assert [str(m) for m in sorted(constants)] == [
+        "ch0:H", "ch0:w1:H", "ch0:w2:H", "ch0:V", "ch0:w1:V", "ch0:w2:V", "ch1:H", "ch1:V", "ch2:H", "ch2:V",
+    ]
 
 
 def test_mode_tag_validation():
     with pytest.raises(ValueError):
-        ModeId(channel=1, pol="X")
+        pol_mode(1, "X")
     with pytest.raises(ValueError):
-        ModeId(channel=1, pol="V", freq="w3")
+        freq_mode("w3", "V")
 
 
 def test_occupation_rejects_negative_counts():

@@ -1,4 +1,5 @@
-"""Source hygiene: no module imports a name it never uses."""
+"""Source hygiene: no module imports a name it never uses, and no line is
+longer than 121 characters."""
 
 from __future__ import annotations
 
@@ -9,7 +10,8 @@ import pytest
 
 import biphoton
 
-MODULES = sorted(p for p in Path(biphoton.__file__).parent.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(Path(biphoton.__file__).parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,3 +37,9 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_module_lines_fit_121_columns(path):
+    long_lines = [n for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1) if len(line) > 121]
+    assert long_lines == []

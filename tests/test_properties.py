@@ -11,7 +11,7 @@ from __future__ import annotations
 import contextlib
 import io
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biphoton import scenario as sc
@@ -98,6 +98,18 @@ complex_text = st.one_of(
 )
 
 
+# Well-formed fig3 beams: tilt, width and phase include an exact antiphase pair
+# (the map goes dark) and values for which tilt * x + phase overflows.
+beam_number = st.one_of(st.sampled_from(("0", "3.141592653589793", "1e308", "1e-300")), finite.map(repr))
+
+
+@st.composite
+def beam_argv(draw, index: str) -> list[str]:
+    kind = draw(st.sampled_from(("plane_wave", "gaussian")))
+    width = [draw(beam_number)] if kind == "gaussian" else []
+    return ["--beam", index, kind, draw(beam_number), *width, draw(beam_number)]
+
+
 @st.composite
 def cli_argv(draw) -> list[str]:
     command = draw(st.sampled_from(("chsh", "scan")))
@@ -113,7 +125,10 @@ def cli_argv(draw) -> list[str]:
     if experiment == "cascade" and draw(st.booleans()):
         argv += ["--geometry", *draw(st.lists(complex_text, min_size=4, max_size=4))]
     if experiment == "fig3" and draw(st.booleans()):
-        argv += ["--beam", draw(st.sampled_from("12")), *draw(st.lists(token, min_size=1, max_size=4))]
+        if draw(st.booleans()):
+            argv += [*draw(beam_argv("1")), *draw(beam_argv("2"))]
+        else:
+            argv += ["--beam", draw(st.sampled_from("12")), *draw(st.lists(token, min_size=1, max_size=4))]
     if draw(st.booleans()):
         argv += ["--format", "json"]
     return argv
@@ -121,6 +136,9 @@ def cli_argv(draw) -> list[str]:
 
 @PROPERTY
 @given(cli_argv())
+@example(["scan", "--experiment", "fig3", "--beam", "1", "plane_wave", "0", "0",
+          "--beam", "2", "plane_wave", "0", "3.141592653589793"])
+@example(["scan", "--experiment", "fig3", "--beam", "1", "plane_wave", "1e308", "1e308"])
 def test_cli_exit_code_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
