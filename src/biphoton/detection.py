@@ -13,8 +13,6 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
 from .fock import EPS_ZERO, FockKet, LinearForm, apply_form, norm2
 
 BEAM_KINDS = ("plane_wave", "gaussian")
@@ -97,8 +95,8 @@ def intensity_map(
     channel_forms: Sequence[LinearForm],
     beams: Sequence[BeamProfile],
     grid: ScanGrid | None = None,
-) -> np.ndarray:
-    """Overlapped-beam rate over the grid, as a (len(ys), len(xs)) array.
+) -> tuple[tuple[float, ...], ...]:
+    """Overlapped-beam rate over the grid, as len(ys) rows of len(xs) cells.
 
     channel_forms[i] is the detector operator reached by beam i; beams[i]
     supplies its complex envelope at each point, so each cell is the
@@ -107,20 +105,22 @@ def intensity_map(
     if len(channel_forms) != 2 or len(beams) != 2:
         raise ValueError("intensity maps overlap exactly two beams")
     grid = grid or DEFAULT_GRID
-    values = np.empty((len(grid.ys), len(grid.xs)))
-    for iy, y in enumerate(grid.ys):
-        for ix, x in enumerate(grid.xs):
-            screen = channel_forms[0].scale(beams[0].value(x, y)).plus(channel_forms[1].scale(beams[1].value(x, y)))
-            values[iy, ix] = singles_rate(ket, screen)
-    return values
+    (form1, form2), (beam1, beam2) = channel_forms, beams
+    return tuple(
+        tuple(singles_rate(ket, form1.scale(beam1.value(x, y)).plus(form2.scale(beam2.value(x, y)))) for x in grid.xs)
+        for y in grid.ys
+    )
 
 
-def visibility(values: np.ndarray) -> float:
-    """Fringe visibility (max - min) / (max + min) of a sampled map."""
-    if values.size < 2:
+def visibility(values: Sequence[Sequence[float]]) -> float:
+    """Fringe visibility (max - min) / (max + min) of a sampled map; NaN if any cell is NaN."""
+    cells = [v for row in values for v in row]
+    if len(cells) < 2:
         raise ValueError("visibility needs a grid of at least 2 points")
-    top = float(values.max())
-    bottom = float(values.min())
+    if any(math.isnan(v) for v in cells):
+        # Python's max/min skip a NaN unless it comes first.
+        return math.nan
+    top, bottom = max(cells), min(cells)
     if top + bottom <= EPS_ZERO:
         raise AllDark("intensity map is identically dark")
     return (top - bottom) / (top + bottom)

@@ -12,12 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .fock import _SQRT1_2, LinearForm, zero_form
 
-#: 2x2 complex matrix acting on the (v, h) component pair.
-JonesMatrix = np.ndarray
+#: 2x2 complex matrix acting on the (v, h) component pair, indexed [row][column].
+JonesMatrix = tuple[tuple[complex, complex], tuple[complex, complex]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,13 +38,13 @@ def hwp(axis_angle: float) -> JonesMatrix:
     between the components); hwp(pi/4) swaps the two components.
     """
     c, s = math.cos(2.0 * axis_angle), math.sin(2.0 * axis_angle)
-    return np.array([[c, s], [s, -c]], dtype=complex)
+    return (complex(c), complex(s)), (complex(s), complex(-c))
 
 
 def apply_jones(field: ChannelField, matrix: JonesMatrix) -> ChannelField:
     """Mix the (v, h) components linearly."""
-    v = field.v.scale(matrix[0, 0]).plus(field.h.scale(matrix[0, 1]))
-    h = field.v.scale(matrix[1, 0]).plus(field.h.scale(matrix[1, 1]))
+    v = field.v.scale(matrix[0][0]).plus(field.h.scale(matrix[0][1]))
+    h = field.v.scale(matrix[1][0]).plus(field.h.scale(matrix[1][1]))
     return ChannelField(v, h)
 
 

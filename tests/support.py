@@ -1,10 +1,15 @@
-"""Shared generators and oracle-comparison helpers for randomized checks."""
+"""Shared generators and oracle-comparison helpers for randomized checks, and
+the environment of a child interpreter."""
 
 from __future__ import annotations
+
+import os
+from pathlib import Path
 
 import numpy as np
 
 import oracle
+import biphoton
 from biphoton.detection import coincidence_rate, singles_rate
 from biphoton.fock import FockKet, LinearForm, normalize, occupation
 from biphoton.modes import pol_mode
@@ -52,3 +57,11 @@ def run_randomized_rate_equivalence(n_trials: int, seed: int = 200) -> float:
         worst = max(worst, abs(singles_rate(ket, f1) - oracle.o_expectation(ref, [d1])))
         worst = max(worst, abs(coincidence_rate(ket, f1, f2) - oracle.o_expectation(ref, [d1, d2])))
     return worst
+
+
+def child_env() -> dict[str, str]:
+    """os.environ with this process's biphoton first on PYTHONPATH, so that a
+    child imports the same package, also when the package is on sys.path only
+    through pytest's own pythonpath setting."""
+    src = str(Path(biphoton.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

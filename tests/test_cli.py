@@ -4,15 +4,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import biphoton
 from biphoton.cli import main
+from support import child_env
 
 FIG1_SCAN = "experiment fig1\nangle theta1 0\nscan theta2 0 180 5\n"
 
@@ -203,16 +201,12 @@ def test_tolerance_flag_can_force_mismatch(tmp_path, capsys):
 
 
 def test_module_invocation_smoke():
-    # The child must import the same package as this process, also when the
-    # package is on sys.path only through pytest's own pythonpath setting.
-    src = str(Path(biphoton.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "biphoton", "chsh"],
         capture_output=True,
         text=True,
         check=False,
-        env=env,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert "abs_S" in proc.stdout

@@ -195,9 +195,10 @@ def test_unentangled_map_has_full_visibility():
     psi = fk.named_state("psi_u")
     _, b2 = fk.combination_forms()
     fringe_map = det.intensity_map(psi, [b2, b2], det.default_beams())
-    assert fringe_map.shape == (1, len(det.DEFAULT_GRID.xs))
+    assert len(fringe_map) == 1
+    assert all(len(row) == len(det.DEFAULT_GRID.xs) for row in fringe_map)
     assert det.visibility(fringe_map) == pytest.approx(1.0, abs=1e-9)
-    assert fringe_map.min() >= 0.0
+    assert min(v for row in fringe_map for v in row) >= 0.0
 
 
 def test_entangled_map_is_flat():
@@ -231,10 +232,20 @@ def test_beam_validation():
 
 
 def test_visibility_edge_cases():
-    assert det.visibility(np.array([[2.0, 2.0]])) == 0.0
-    assert det.visibility(np.array([[0.0, 3.0]])) == 1.0
+    assert det.visibility(((2.0, 2.0),)) == 0.0
+    assert det.visibility(((0.0, 3.0),)) == 1.0
     with pytest.raises(det.AllDark):
-        det.visibility(np.zeros((1, 2)))
+        det.visibility(((0.0, 0.0),))
+
+
+@pytest.mark.parametrize("cells", [(1.0, 3.0, 2.0, 0.5, 4.0, 1.5), (0.0,) * 6], ids=["lit", "dark"])
+@pytest.mark.parametrize("where", [0, 3, 5], ids=["first", "middle", "last"])
+def test_visibility_is_nan_when_any_cell_is_nan(cells, where):
+    # max/min alone would skip a NaN that is not the first cell; a dark map
+    # with a NaN cell is NaN, not AllDark.
+    cells = list(cells)
+    cells[where] = math.nan
+    assert math.isnan(det.visibility((tuple(cells[:3]), tuple(cells[3:]))))
 
 
 def test_grid_validation():

@@ -1,14 +1,21 @@
-"""Source hygiene: no module imports a name it never uses, and no line is
-longer than 121 characters."""
+"""Source hygiene: no module imports a name it never uses, no line is
+longer than 121 characters, and the package runs without numpy, whose
+values it pins instead."""
 
 from __future__ import annotations
 
 import ast
+import math
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import biphoton
+from biphoton import selfcheck
+from support import child_env
 
 SOURCES = sorted(Path(biphoton.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
@@ -43,3 +50,34 @@ def test_module_uses_every_import(path):
 def test_module_lines_fit_121_columns(path):
     long_lines = [n for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1) if len(line) > 121]
     assert long_lines == []
+
+
+def run_child(code: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=False, env=child_env())
+
+
+def test_cli_import_pulls_in_no_numpy():
+    proc = run_child("import sys, biphoton.cli; assert 'numpy' not in sys.modules, 'numpy imported'")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_runs_with_numpy_unimportable():
+    proc = run_child(
+        "import runpy, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "for argv in (['selfcheck'], ['scan', '--experiment', 'fig3']):\n"
+        "    sys.argv = ['biphoton', *argv]\n"
+        "    try:\n"
+        "        runpy.run_module('biphoton', run_name='__main__')\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0, (argv, exc.code)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "fig3_visibility_psi_u" in proc.stdout and "visibility,1,1,0" in proc.stdout
+
+
+def test_selfcheck_constants_match_numpy():
+    grid = np.linspace(0.0, math.pi, 73)
+    draws = np.random.default_rng(16).uniform(-math.pi, math.pi, 16)
+    assert len(selfcheck._GRID_73) == len(grid) and all(a == b for a, b in zip(selfcheck._GRID_73, grid))
+    assert len(selfcheck._UNIFORM_16) == len(draws) and all(a == b for a, b in zip(selfcheck._UNIFORM_16, draws))
