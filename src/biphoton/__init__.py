@@ -15,17 +15,14 @@ from .experiments import (
     CascadeGeometry,
     DarkDenominator,
     ScenarioResult,
-    cascade_coincidence,
     chsh_S,
+    coincidence,
     correlation_E,
-    fig1_coincidence,
     fig1_conditional_check,
-    fig2_split_coincidence,
     fig3_visibility,
-    pair_source,
-    pdc_coincidence,
     same_channel_probability,
     same_channel_table,
+    source,
     split_probability,
 )
 from .fock import (

@@ -33,7 +33,17 @@ from dataclasses import dataclass
 
 from . import detection as det
 from . import optics as op
-from .fock import _SQRT1_2, EPS_ZERO, FockKet, LinearForm, apply_form, combination_forms, named_state, unit_form
+from .fock import (
+    _SQRT1_2,
+    EPS_ZERO,
+    NAMED_STATE_KINDS,
+    FockKet,
+    LinearForm,
+    apply_form,
+    combination_forms,
+    named_state,
+    unit_form,
+)
 from .modes import BEAM_H, BEAM_V, H1, H2, V1, V2, W1H, W1V, W2H, W2V
 
 #: Upper bound on the number of points in one angle scan.
@@ -138,27 +148,24 @@ class Source:
     law: Callable[[float], float]
 
 
-def source(experiment: str, kind: str, geometry: CascadeGeometry = CascadeGeometry()) -> Source:
-    """Build the state and both analyzer arms of the fig1, pdc, fig2 or cascade
-    coincidence measurement once; the geometry only enters the cascade.
-
-    fig1 and pdc analyze the two channels of the pair (the state kind picks
-    the channel fields), fig2 splits channel 2 once more and analyzes its two
-    halves, and the cascade puts a color filter (w1 in channel 1, w2 in
-    channel 2) in front of each analyzer.
+def source(kind: str, geometry: CascadeGeometry = CascadeGeometry(), split: bool = False) -> Source:
+    """Build a named state and both analyzer arms of its coincidence
+    measurement once.  The kind picks the channel fields: fig1 for
+    circular_pair, pdc for psi_e and psi_u, and the cascade for psi_u_prime,
+    whose analyzers see only the first color in channel 1 and the second in
+    channel 2; the geometry only enters the cascade.  split is fig2: channel
+    2 is split once more and its two halves are analyzed (not the cascade).
     """
     ket = named_state(kind)
-    if experiment == "cascade":
+    if kind == "psi_u_prime" and not split:
         ch1, ch2 = cascade_channel_fields(geometry)
         arm1, arm2 = op.frequency_component(ch1, "w1"), op.frequency_component(ch2, "w2")
         return Source(ket, arm1, arm2, 0.5 * abs(geometry.g11 * geometry.g22) ** 2, math.cos)
     ch1, ch2 = fig1_channel_fields() if kind == "circular_pair" else pdc_channel_fields(kind)
-    if experiment == "fig2":
+    if split:
         ch3, ch4 = op.beamsplitter_5050(ch2, op.empty_field())
         return Source(ket, ch3, ch4, 0.0 if kind == "psi_e" else 0.0625, math.cos)
-    if experiment in ("fig1", "pdc"):
-        return Source(ket, ch1, ch2, 0.5 if kind == "psi_e" else 0.25, math.sin)
-    raise ValueError(f"no two-arm coincidence source for experiment {experiment!r}")
+    return Source(ket, ch1, ch2, 0.5 if kind == "psi_e" else 0.25, math.sin)
 
 
 def coincidence(src: Source, t1: float, t2: float) -> ScenarioResult:
@@ -173,11 +180,6 @@ def coincidence(src: Source, t1: float, t2: float) -> ScenarioResult:
 # --- single-point scenarios -----------------------------------------------------
 
 
-def fig1_coincidence(theta1: float, theta2: float) -> ScenarioResult:
-    """Coincidence rate of the two analyzers on the split circular pair."""
-    return coincidence(source("fig1", "circular_pair"), theta1, theta2)
-
-
 def fig1_conditional_check(theta1: float) -> float:
     """Detection rate of the photon left behind by the first analyzer.
 
@@ -190,17 +192,6 @@ def fig1_conditional_check(theta1: float) -> float:
     leftover = apply_form(ket, op.polarizer(ch1, theta1))
     bare_analyzer = LinearForm({BEAM_V: math.cos(theta1), BEAM_H: -math.sin(theta1)})
     return det.singles_rate(leftover, bare_analyzer)
-
-
-def pdc_coincidence(kind: str, theta1: float, theta2: float) -> ScenarioResult:
-    """Two-channel coincidence for the entangled or un-entangled pair."""
-    return coincidence(source("pdc", kind), theta1, theta2)
-
-
-def fig2_split_coincidence(kind: str, theta3: float, theta4: float) -> ScenarioResult:
-    """Coincidence between the two halves of channel 2 after one more
-    balanced split; identically zero for the entangled pair."""
-    return coincidence(source("fig2", kind), theta3, theta4)
 
 
 def _fig3_closed_form(kind: str, beams: Sequence[det.BeamProfile], grid: det.ScanGrid) -> float | None:
@@ -251,13 +242,6 @@ def fig3_visibility(
     )
 
 
-def cascade_coincidence(geom: CascadeGeometry, theta1: float, theta2: float) -> ScenarioResult:
-    """Frequency-selective coincidence on the two-color cascade pair: the
-    channel-1 detector accepts only the first color, the channel-2 detector
-    only the second."""
-    return coincidence(source("cascade", "psi_u_prime", geom), theta1, theta2)
-
-
 # --- channel statistics -----------------------------------------------------------
 
 
@@ -271,19 +255,17 @@ def _arm_pair_rate(ket: FockKet, a: op.ChannelField, b: op.ChannelField) -> floa
     return total
 
 
-def same_channel_probability(kind: str, channel: int) -> float:
+def same_channel_probability(src: Source, channel: int) -> float:
     """Probability that both photons of the pair leave through one channel:
     half the ordered double rate, the pair having two photons."""
     if channel not in (1, 2):
         raise ValueError("channel must be 1 or 2")
-    src = source("pdc", kind)
     arm = src.arm1 if channel == 1 else src.arm2
     return _arm_pair_rate(src.ket, arm, arm) / 2.0
 
 
-def split_probability(kind: str) -> float:
+def split_probability(src: Source) -> float:
     """Probability of one photon in each channel, summed over polarizations."""
-    src = source("pdc", kind)
     return _arm_pair_rate(src.ket, src.arm1, src.arm2)
 
 
@@ -298,11 +280,8 @@ SAME_CHANNEL_CLOSED_FORMS = {
 
 def same_channel_table(kind: str) -> list[ScenarioResult]:
     """Outcome probabilities {both in 1, both in 2, one in each}."""
-    values = (
-        same_channel_probability(kind, 1),
-        same_channel_probability(kind, 2),
-        split_probability(kind),
-    )
+    src = source(kind)
+    values = (same_channel_probability(src, 1), same_channel_probability(src, 2), split_probability(src))
     names = ("both_ch1", "both_ch2", "split")
     return [
         ScenarioResult(observable=name, value=value, closed_form=closed)
@@ -311,17 +290,6 @@ def same_channel_table(kind: str) -> list[ScenarioResult]:
 
 
 # --- correlation coefficients -------------------------------------------------------
-
-
-#: Two-channel coincidence experiment of each named state kind.
-PAIR_EXPERIMENT = {"circular_pair": "fig1", "psi_e": "pdc", "psi_u": "pdc", "psi_u_prime": "cascade"}
-
-
-def pair_source(kind: str) -> Source:
-    """The two-channel coincidence source of a named state kind."""
-    if kind not in PAIR_EXPERIMENT:
-        raise ValueError(f"no coincidence scenario for state {kind!r}")
-    return source(PAIR_EXPERIMENT[kind], kind)
 
 
 def correlation_E(src: Source, theta1: float, theta2: float) -> float:
@@ -341,30 +309,19 @@ def correlation_E(src: Source, theta1: float, theta2: float) -> float:
     return (same - cross) / total
 
 
-def chsh_S(src: Source, a: float, ap: float, b: float, bp: float) -> float:
-    """Four-setting correlation sum E(a,b) - E(a,b') + E(a',b) + E(a',b')."""
-    return (
-        correlation_E(src, a, b)
-        - correlation_E(src, a, bp)
-        + correlation_E(src, ap, b)
-        + correlation_E(src, ap, bp)
-    )
-
-
-def analytic_correlation_E(kind: str, theta1: float, theta2: float) -> float:
-    """Closed form of correlation_E: -cos 2(t1-t2) for the sin^2-law states,
-    +cos 2(t1-t2) for the cascade."""
-    sign = 1.0 if kind == "psi_u_prime" else -1.0
+def analytic_correlation_E(src: Source, theta1: float, theta2: float) -> float:
+    """Closed form of correlation_E: -cos 2(t1-t2) for the sin^2-law sources,
+    +cos 2(t1-t2) for the cos^2 law."""
+    sign = 1.0 if src.law is math.cos else -1.0
     return sign * math.cos(2.0 * (theta1 - theta2))
 
 
-def analytic_chsh_S(kind: str, a: float, ap: float, b: float, bp: float) -> float:
-    return (
-        analytic_correlation_E(kind, a, b)
-        - analytic_correlation_E(kind, a, bp)
-        + analytic_correlation_E(kind, ap, b)
-        + analytic_correlation_E(kind, ap, bp)
-    )
+def chsh_S(
+    src: Source, a: float, ap: float, b: float, bp: float, E: Callable[[Source, float, float], float] = correlation_E
+) -> float:
+    """Four-setting correlation sum E(a,b) - E(a,b') + E(a',b) + E(a',b');
+    E=analytic_correlation_E gives its closed form."""
+    return E(src, a, b) - E(src, a, bp) + E(src, ap, b) + E(src, ap, bp)
 
 
 # --- experiment registry and scans ------------------------------------------------------
@@ -387,16 +344,16 @@ class Experiment:
     prepare: Callable[[str, CascadeGeometry, Sequence[det.BeamProfile]], Point]
 
 
-def _pair_experiment(experiment: str, names: tuple[str, str], states: tuple[str, ...], default: str) -> Experiment:
+def _pair_experiment(names: tuple[str, str], states: tuple[str, ...], default: str, split: bool = False) -> Experiment:
     def prepare(state: str, geometry: CascadeGeometry, beams) -> Point:
-        src = source(experiment, state, geometry)
+        src = source(state, geometry, split)
         return lambda angles: [coincidence(src, angles[names[0]], angles[names[1]])]
 
     return Experiment(dict.fromkeys(names, 0.0), states, default, prepare)
 
 
 def _prepare_chsh(state: str, geometry: CascadeGeometry, beams) -> Point:
-    src = pair_source(state)
+    src = source(state)
 
     def point(angles: Mapping[str, float]) -> list[ScenarioResult]:
         settings = {name: angles[name] for name in CANONICAL_CHSH_ANGLES}
@@ -404,7 +361,7 @@ def _prepare_chsh(state: str, geometry: CascadeGeometry, beams) -> Point:
             ScenarioResult(
                 observable="abs_S",
                 value=abs(chsh_S(src, **settings)),
-                closed_form=abs(analytic_chsh_S(state, **settings)),
+                closed_form=abs(chsh_S(src, **settings, E=analytic_correlation_E)),
             )
         ]
 
@@ -412,15 +369,15 @@ def _prepare_chsh(state: str, geometry: CascadeGeometry, beams) -> Point:
 
 
 EXPERIMENTS: dict[str, Experiment] = {
-    "fig1": _pair_experiment("fig1", ("theta1", "theta2"), ("circular_pair",), "circular_pair"),
-    "pdc": _pair_experiment("pdc", ("theta1", "theta2"), ("psi_e", "psi_u"), "psi_u"),
-    "fig2": _pair_experiment("fig2", ("theta3", "theta4"), ("psi_e", "psi_u"), "psi_u"),
+    "fig1": _pair_experiment(("theta1", "theta2"), ("circular_pair",), "circular_pair"),
+    "pdc": _pair_experiment(("theta1", "theta2"), ("psi_e", "psi_u"), "psi_u"),
+    "fig2": _pair_experiment(("theta3", "theta4"), ("psi_e", "psi_u"), "psi_u", split=True),
     "fig3": Experiment(
         {}, ("psi_e", "psi_u"), "psi_u", lambda state, geometry, beams: lambda _: [fig3_visibility(state, beams)]
     ),
-    "cascade": _pair_experiment("cascade", ("theta1", "theta2"), ("psi_u_prime",), "psi_u_prime"),
+    "cascade": _pair_experiment(("theta1", "theta2"), ("psi_u_prime",), "psi_u_prime"),
     "chsh": Experiment(
-        {"a": 0.0, "ap": 45.0, "b": 22.5, "bp": 67.5}, tuple(PAIR_EXPERIMENT), "circular_pair", _prepare_chsh
+        {"a": 0.0, "ap": 45.0, "b": 22.5, "bp": 67.5}, NAMED_STATE_KINDS, "circular_pair", _prepare_chsh
     ),
     "same-channel": Experiment(
         {}, tuple(SAME_CHANNEL_CLOSED_FORMS), "psi_u", lambda state, geometry, beams: lambda _: same_channel_table(state)

@@ -44,7 +44,8 @@ class CheckRow:
 
 
 def _sine_law_rows() -> list[CheckRow]:
-    worst = max(ex.fig1_coincidence(0.0, d).abs_error() for d in _GRID_73)
+    src = ex.source("circular_pair")
+    worst = max(ex.coincidence(src, 0.0, d).abs_error() for d in _GRID_73)
     conditional = max(abs(ex.fig1_conditional_check(t) - 0.5) for t in _UNIFORM_16)
     return [
         CheckRow("fig1_sin2_max_abs_err", worst, 0.0, 1e-12),
@@ -53,25 +54,28 @@ def _sine_law_rows() -> list[CheckRow]:
 
 
 def _pdc_rows() -> list[CheckRow]:
-    curve_e = [ex.pdc_coincidence("psi_e", 0.0, d).value for d in _GRID_73]
-    curve_u = [ex.pdc_coincidence("psi_u", 0.0, d).value for d in _GRID_73]
+    src_e, src_u = ex.source("psi_e"), ex.source("psi_u")
+    curve_e = [ex.coincidence(src_e, 0.0, d).value for d in _GRID_73]
+    curve_u = [ex.coincidence(src_u, 0.0, d).value for d in _GRID_73]
     top_e, top_u = max(curve_e), max(curve_u)
     shape_dev = max(abs(e / top_e - u / top_u) for e, u in zip(curve_e, curve_u))
     return [
         CheckRow("pdc_shape_max_dev", shape_dev, 0.0, 1e-9),
-        CheckRow("pdc_peak_psi_e", ex.pdc_coincidence("psi_e", 0.0, math.pi / 2).value, 0.5, 1e-12),
-        CheckRow("pdc_peak_psi_u", ex.pdc_coincidence("psi_u", 0.0, math.pi / 2).value, 0.25, 1e-12),
+        CheckRow("pdc_peak_psi_e", ex.coincidence(src_e, 0.0, math.pi / 2).value, 0.5, 1e-12),
+        CheckRow("pdc_peak_psi_u", ex.coincidence(src_u, 0.0, math.pi / 2).value, 0.25, 1e-12),
     ]
 
 
 def _cascade_row() -> CheckRow:
-    worst = max(ex.cascade_coincidence(ex.CascadeGeometry(), 0.0, d).abs_error() for d in _GRID_73)
+    src = ex.source("psi_u_prime")
+    worst = max(ex.coincidence(src, 0.0, d).abs_error() for d in _GRID_73)
     return CheckRow("cascade_cos2_max_abs_err", worst, 0.0, 1e-12)
 
 
 def _fig2_rows() -> list[CheckRow]:
-    worst_u = max(ex.fig2_split_coincidence("psi_u", d, 0.0).abs_error() for d in _GRID_73)
-    worst_e = max(ex.fig2_split_coincidence("psi_e", d, 0.0).value for d in _GRID_73)
+    src_u, src_e = ex.source("psi_u", split=True), ex.source("psi_e", split=True)
+    worst_u = max(ex.coincidence(src_u, d, 0.0).abs_error() for d in _GRID_73)
+    worst_e = max(ex.coincidence(src_e, d, 0.0).value for d in _GRID_73)
     return [
         CheckRow("fig2_psi_u_max_abs_err", worst_u, 0.0, 1e-12),
         CheckRow("fig2_psi_e_max_rate", worst_e, 0.0, 1e-12),
@@ -110,7 +114,7 @@ def _factorization_rows() -> list[CheckRow]:
 
 def _chsh_rows() -> list[CheckRow]:
     angles = ex.CANONICAL_CHSH_ANGLES
-    values = {kind: abs(ex.chsh_S(ex.pair_source(kind), **angles)) for kind in ("circular_pair", "psi_e", "psi_u")}
+    values = {kind: abs(ex.chsh_S(ex.source(kind), **angles)) for kind in ("circular_pair", "psi_e", "psi_u")}
     bound = 2.0 * math.sqrt(2.0)
     rows = [CheckRow(f"chsh_abs_{kind}", value, bound, 1e-9) for kind, value in values.items()]
     rows.append(CheckRow("chsh_psi_e_minus_psi_u", values["psi_e"] - values["psi_u"], 0.0, 1e-9))
@@ -118,17 +122,15 @@ def _chsh_rows() -> list[CheckRow]:
 
 
 def _channel_rows() -> list[CheckRow]:
-    total = (
-        ex.same_channel_probability("circular_pair", 1)
-        + ex.same_channel_probability("circular_pair", 2)
-        + ex.split_probability("circular_pair")
-    )
+    both1_u, both2_u, _ = (r.value for r in ex.same_channel_table("psi_u"))
+    both1_e, both2_e, _ = (r.value for r in ex.same_channel_table("psi_e"))
+    both1_c, both2_c, split_c = (r.value for r in ex.same_channel_table("circular_pair"))
     return [
-        CheckRow("same_channel_psi_u_ch1", ex.same_channel_probability("psi_u", 1), 0.25, 1e-12),
-        CheckRow("same_channel_psi_u_ch2", ex.same_channel_probability("psi_u", 2), 0.25, 1e-12),
-        CheckRow("same_channel_psi_e_ch1", ex.same_channel_probability("psi_e", 1), 0.0, 1e-12),
-        CheckRow("same_channel_psi_e_ch2", ex.same_channel_probability("psi_e", 2), 0.0, 1e-12),
-        CheckRow("circular_outcome_total", total, 1.0, 1e-12),
+        CheckRow("same_channel_psi_u_ch1", both1_u, 0.25, 1e-12),
+        CheckRow("same_channel_psi_u_ch2", both2_u, 0.25, 1e-12),
+        CheckRow("same_channel_psi_e_ch1", both1_e, 0.0, 1e-12),
+        CheckRow("same_channel_psi_e_ch2", both2_e, 0.0, 1e-12),
+        CheckRow("circular_outcome_total", both1_c + both2_c + split_c, 1.0, 1e-12),
     ]
 
 

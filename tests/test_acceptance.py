@@ -9,13 +9,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import pytest
 
 import oracle
 from biphoton import experiments as ex
 from biphoton import fock as fk
 from biphoton.cli import main
-from biphoton.modes import H1, H2, V1, V2
+from biphoton.modes import H2, V1
 from support import run_randomized_rate_equivalence, to_oracle
 
 SQRT1_2 = math.sqrt(0.5)
@@ -29,7 +28,8 @@ def report(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 def test_criterion_01_sine_law_quarter():
-    worst = max(ex.fig1_coincidence(0.0, d).abs_error() for d in GRID_73)
+    src = ex.source("circular_pair")
+    worst = max(ex.coincidence(src, 0.0, d).abs_error() for d in GRID_73)
     report(1, "split-beam coincidence equals sin^2/4 on 73-point grid", worst <= 1e-12, f"max_err={worst:.3e}")
 
 
@@ -40,8 +40,9 @@ def test_criterion_02_conditional_rate_half():
 
 
 def test_criterion_03_pdc_shapes_and_constants():
-    curve_e = np.array([ex.pdc_coincidence("psi_e", 0.0, d).value for d in GRID_73])
-    curve_u = np.array([ex.pdc_coincidence("psi_u", 0.0, d).value for d in GRID_73])
+    src_e, src_u = ex.source("psi_e"), ex.source("psi_u")
+    curve_e = np.array([ex.coincidence(src_e, 0.0, d).value for d in GRID_73])
+    curve_u = np.array([ex.coincidence(src_u, 0.0, d).value for d in GRID_73])
     shape_dev = float(np.max(np.abs(curve_e / curve_e.max() - curve_u / curve_u.max())))
 
     # peak constants at analyzer angles (0, pi/2), confirmed through the
@@ -64,17 +65,19 @@ def test_criterion_03_pdc_shapes_and_constants():
 
 
 def test_criterion_04_cascade_cosine_law():
-    worst = max(ex.cascade_coincidence(ex.CascadeGeometry(), 0.0, d).abs_error() for d in GRID_73)
+    src = ex.source("psi_u_prime")
+    worst = max(ex.coincidence(src, 0.0, d).abs_error() for d in GRID_73)
     report(4, "cascade coincidence equals cos^2/2 on 73-point grid", worst <= 1e-12, f"max_err={worst:.3e}")
 
 
 def test_criterion_05_split_channel_discriminator():
-    worst_u = max(ex.fig2_split_coincidence("psi_u", d, 0.0).abs_error() for d in GRID_73)
-    worst_e = max(ex.fig2_split_coincidence("psi_e", d, 0.0).value for d in GRID_73)
+    src_u, src_e = ex.source("psi_u", split=True), ex.source("psi_e", split=True)
+    worst_u = max(ex.coincidence(src_u, d, 0.0).abs_error() for d in GRID_73)
+    worst_e = max(ex.coincidence(src_e, d, 0.0).value for d in GRID_73)
     rng = np.random.default_rng(5)
     for t3, t4 in rng.uniform(-math.pi, math.pi, size=(8, 2)):
-        worst_u = max(worst_u, ex.fig2_split_coincidence("psi_u", float(t3), float(t4)).abs_error())
-        worst_e = max(worst_e, ex.fig2_split_coincidence("psi_e", float(t3), float(t4)).value)
+        worst_u = max(worst_u, ex.coincidence(src_u, float(t3), float(t4)).abs_error())
+        worst_e = max(worst_e, ex.coincidence(src_e, float(t3), float(t4)).value)
     ok = worst_u <= 1e-12 and worst_e <= 1e-12
     report(5, "split channel gives cos^2/16 vs identically zero", ok, f"err_u={worst_u:.3e} rate_e={worst_e:.3e}")
 
@@ -105,7 +108,7 @@ def test_criterion_08_factorization():
 
 def test_criterion_09_chsh_saturation():
     angles = ex.CANONICAL_CHSH_ANGLES
-    values = {kind: abs(ex.chsh_S(ex.pair_source(kind), **angles)) for kind in ("circular_pair", "psi_e", "psi_u")}
+    values = {kind: abs(ex.chsh_S(ex.source(kind), **angles)) for kind in ("circular_pair", "psi_e", "psi_u")}
     bound = 2.0 * SQRT2
     ok = all(abs(v - bound) <= 1e-9 for v in values.values())
     ok = ok and abs(values["psi_e"] - values["psi_u"]) <= 1e-9
@@ -113,12 +116,13 @@ def test_criterion_09_chsh_saturation():
 
 
 def test_criterion_10_same_channel_probabilities():
-    p_u = [ex.same_channel_probability("psi_u", ch) for ch in (1, 2)]
-    p_e = [ex.same_channel_probability("psi_e", ch) for ch in (1, 2)]
+    p_u = [ex.same_channel_probability(ex.source("psi_u"), ch) for ch in (1, 2)]
+    p_e = [ex.same_channel_probability(ex.source("psi_e"), ch) for ch in (1, 2)]
+    circular = ex.source("circular_pair")
     total = (
-        ex.same_channel_probability("circular_pair", 1)
-        + ex.same_channel_probability("circular_pair", 2)
-        + ex.split_probability("circular_pair")
+        ex.same_channel_probability(circular, 1)
+        + ex.same_channel_probability(circular, 2)
+        + ex.split_probability(circular)
     )
     # oracle cross-check of the circular-pair outcome probabilities
     ref = to_oracle(fk.named_state("circular_pair"))

@@ -21,44 +21,45 @@ SQRT2 = math.sqrt(2.0)
 
 
 def test_fig1_quarter_peak():
-    assert ex.fig1_coincidence(0.0, math.pi / 2).value == pytest.approx(0.25, abs=1e-14)
+    assert ex.coincidence(ex.source("circular_pair"), 0.0, math.pi / 2).value == pytest.approx(0.25, abs=1e-14)
 
 
 def test_fig1_equal_angles_dark():
-    assert ex.fig1_coincidence(0.9, 0.9).value == pytest.approx(0.0, abs=1e-15)
+    assert ex.coincidence(ex.source("circular_pair"), 0.9, 0.9).value == pytest.approx(0.0, abs=1e-15)
 
 
 def test_fig1_eighth_turn_value():
-    result = ex.fig1_coincidence(math.pi / 6, -math.pi / 12)
+    result = ex.coincidence(ex.source("circular_pair"), math.pi / 6, -math.pi / 12)
     assert result.value == pytest.approx(0.125, abs=1e-14)
     assert result.closed_form == pytest.approx(0.125, abs=1e-14)
 
 
 def test_fig1_matches_closed_form_on_grid():
+    src = ex.source("circular_pair")
     for delta in np.linspace(0.0, math.pi, 73):
-        result = ex.fig1_coincidence(0.0, delta)
+        result = ex.coincidence(src, 0.0, delta)
         assert result.abs_error() <= 1e-12
 
 
 def test_fig1_rotational_covariance():
     for delta in (0.1, 0.8, 2.0):
-        base = ex.fig1_coincidence(0.3, 1.0).value
-        shifted = ex.fig1_coincidence(0.3 + delta, 1.0 + delta).value
+        base = ex.coincidence(ex.source("circular_pair"), 0.3, 1.0).value
+        shifted = ex.coincidence(ex.source("circular_pair"), 0.3 + delta, 1.0 + delta).value
         assert shifted == pytest.approx(base, abs=1e-13)
 
 
 def test_fig1_angle_periodicity():
-    base = ex.fig1_coincidence(0.25, 1.5).value
-    assert ex.fig1_coincidence(0.25 + math.pi, 1.5).value == pytest.approx(base, abs=1e-13)
-    assert ex.fig1_coincidence(0.25, 1.5 + math.pi).value == pytest.approx(base, abs=1e-13)
+    base = ex.coincidence(ex.source("circular_pair"), 0.25, 1.5).value
+    assert ex.coincidence(ex.source("circular_pair"), 0.25 + math.pi, 1.5).value == pytest.approx(base, abs=1e-13)
+    assert ex.coincidence(ex.source("circular_pair"), 0.25, 1.5 + math.pi).value == pytest.approx(base, abs=1e-13)
 
 
 def test_angle_periodicity_across_scenarios():
     laws = [
-        lambda t: ex.pdc_coincidence("psi_e", t, 0.4).value,
-        lambda t: ex.pdc_coincidence("psi_u", 0.2 - t, 0.9).value,
-        lambda t: ex.fig2_split_coincidence("psi_u", t, 0.1).value,
-        lambda t: ex.cascade_coincidence(ex.CascadeGeometry(), t, 0.3).value,
+        lambda t: ex.coincidence(ex.source("psi_e"), t, 0.4).value,
+        lambda t: ex.coincidence(ex.source("psi_u"), 0.2 - t, 0.9).value,
+        lambda t: ex.coincidence(ex.source("psi_u", split=True), t, 0.1).value,
+        lambda t: ex.coincidence(ex.source("psi_u_prime"), t, 0.3).value,
     ]
     for rate in laws:
         assert rate(0.7 + math.pi) == pytest.approx(rate(0.7), abs=1e-13)
@@ -66,9 +67,9 @@ def test_angle_periodicity_across_scenarios():
 
 def test_pdc_rotational_covariance():
     for kind in ("psi_e", "psi_u"):
-        base = ex.pdc_coincidence(kind, 0.3, 1.0).value
+        base = ex.coincidence(ex.source(kind), 0.3, 1.0).value
         for delta in (0.4, 1.7):
-            assert ex.pdc_coincidence(kind, 0.3 + delta, 1.0 + delta).value == pytest.approx(base, abs=1e-13)
+            assert ex.coincidence(ex.source(kind), 0.3 + delta, 1.0 + delta).value == pytest.approx(base, abs=1e-13)
 
 
 def test_fig1_conditional_rate_is_half_for_all_angles():
@@ -89,53 +90,55 @@ def test_fig1_conditional_rate_normalized_is_one():
 
 
 def test_pdc_peak_constants():
-    assert ex.pdc_coincidence("psi_e", 0.0, math.pi / 2).value == pytest.approx(0.5, abs=1e-14)
-    assert ex.pdc_coincidence("psi_u", 0.0, math.pi / 2).value == pytest.approx(0.25, abs=1e-14)
+    assert ex.coincidence(ex.source("psi_e"), 0.0, math.pi / 2).value == pytest.approx(0.5, abs=1e-14)
+    assert ex.coincidence(ex.source("psi_u"), 0.0, math.pi / 2).value == pytest.approx(0.25, abs=1e-14)
 
 
 def test_pdc_equal_angles_dark():
     for kind in ("psi_e", "psi_u"):
-        assert ex.pdc_coincidence(kind, 1.2, 1.2).value == pytest.approx(0.0, abs=1e-15)
+        assert ex.coincidence(ex.source(kind), 1.2, 1.2).value == pytest.approx(0.0, abs=1e-15)
 
 
 def test_pdc_normalized_shapes_agree():
     deltas = np.linspace(0.0, math.pi, 73)
-    curve_e = np.array([ex.pdc_coincidence("psi_e", 0.0, d).value for d in deltas])
-    curve_u = np.array([ex.pdc_coincidence("psi_u", 0.0, d).value for d in deltas])
+    src_e, src_u = ex.source("psi_e"), ex.source("psi_u")
+    curve_e = np.array([ex.coincidence(src_e, 0.0, d).value for d in deltas])
+    curve_u = np.array([ex.coincidence(src_u, 0.0, d).value for d in deltas])
     np.testing.assert_allclose(curve_e / curve_e.max(), curve_u / curve_u.max(), atol=1e-9)
 
 
 def test_pdc_matches_closed_form_on_grid():
     for kind in ("psi_e", "psi_u"):
         for delta in np.linspace(0.0, math.pi, 37):
-            assert ex.pdc_coincidence(kind, 0.2, 0.2 + delta).abs_error() <= 1e-12
+            assert ex.coincidence(ex.source(kind), 0.2, 0.2 + delta).abs_error() <= 1e-12
 
 
 def test_pdc_rejects_unknown_state():
-    with pytest.raises(ValueError):
-        ex.pdc_coincidence("psi_u_prime", 0.0, 0.0)
+    with pytest.raises(sc.ValidationError):
+        sc.parse_scenario("experiment pdc\nstate psi_u_prime\n")
 
 
 # --- fig2 ----------------------------------------------------------------------
 
 
 def test_fig2_unentangled_peak():
-    assert ex.fig2_split_coincidence("psi_u", 0.0, 0.0).value == pytest.approx(0.0625, abs=1e-14)
+    assert ex.coincidence(ex.source("psi_u", split=True), 0.0, 0.0).value == pytest.approx(0.0625, abs=1e-14)
 
 
 def test_fig2_entangled_identically_zero():
     for t3, t4 in [(0.0, 0.0), (0.3, 1.1), (2.0, -0.7)]:
-        assert ex.fig2_split_coincidence("psi_e", t3, t4).value <= 1e-12
+        assert ex.coincidence(ex.source("psi_e", split=True), t3, t4).value <= 1e-12
 
 
 def test_fig2_crossed_analyzers_dark():
-    assert ex.fig2_split_coincidence("psi_u", 0.4, 0.4 + math.pi / 2).value == pytest.approx(0.0, abs=1e-14)
+    assert ex.coincidence(ex.source("psi_u", split=True), 0.4, 0.4 + math.pi / 2).value == pytest.approx(0.0, abs=1e-14)
 
 
 def test_fig2_discriminator_dichotomy():
     thetas = np.linspace(0.0, math.pi, 73)
-    rates_u = [ex.fig2_split_coincidence("psi_u", t, 0.0).value for t in thetas]
-    rates_e = [ex.fig2_split_coincidence("psi_e", t, 0.0).value for t in thetas]
+    src_u, src_e = ex.source("psi_u", split=True), ex.source("psi_e", split=True)
+    rates_u = [ex.coincidence(src_u, t, 0.0).value for t in thetas]
+    rates_e = [ex.coincidence(src_e, t, 0.0).value for t in thetas]
     assert max(rates_u) >= 0.06
     assert max(rates_e) <= 1e-12
     for theta, rate in zip(thetas, rates_u):
@@ -198,23 +201,23 @@ def test_fig3_relative_phase_shifts_fringes_but_not_visibility_off_grid():
 
 
 def test_cascade_unit_geometry_peak():
-    assert ex.cascade_coincidence(ex.CascadeGeometry(), 0.0, 0.0).value == pytest.approx(0.5, abs=1e-14)
+    assert ex.coincidence(ex.source("psi_u_prime"), 0.0, 0.0).value == pytest.approx(0.5, abs=1e-14)
 
 
 def test_cascade_crossed_analyzers_dark():
-    assert ex.cascade_coincidence(ex.CascadeGeometry(), 0.8, 0.8 + math.pi / 2).value == pytest.approx(0.0, abs=1e-14)
+    assert ex.coincidence(ex.source("psi_u_prime"), 0.8, 0.8 + math.pi / 2).value == pytest.approx(0.0, abs=1e-14)
 
 
 def test_cascade_dark_channel():
     geom = ex.CascadeGeometry(g11=0.0)
     for t1, t2 in [(0.0, 0.0), (0.5, 1.0)]:
-        assert ex.cascade_coincidence(geom, t1, t2).value == pytest.approx(0.0, abs=1e-15)
+        assert ex.coincidence(ex.source("psi_u_prime", geom), t1, t2).value == pytest.approx(0.0, abs=1e-15)
 
 
 def test_cascade_matches_closed_form_with_complex_geometry():
     geom = ex.CascadeGeometry(g11=0.5 + 0.5j, g12=2.0, g21=-1j, g22=0.75 - 0.25j)
     for delta in np.linspace(0.0, math.pi, 37):
-        result = ex.cascade_coincidence(geom, 0.1, 0.1 + delta)
+        result = ex.coincidence(ex.source("psi_u_prime", geom), 0.1, 0.1 + delta)
         assert result.abs_error() <= 1e-12
 
 
@@ -227,19 +230,16 @@ def test_cascade_geometry_must_be_finite():
 
 
 def test_same_channel_probabilities():
-    assert ex.same_channel_probability("psi_u", 1) == pytest.approx(0.25, abs=1e-14)
-    assert ex.same_channel_probability("psi_u", 2) == pytest.approx(0.25, abs=1e-14)
-    assert ex.same_channel_probability("psi_e", 1) == pytest.approx(0.0, abs=1e-14)
-    assert ex.same_channel_probability("psi_e", 2) == pytest.approx(0.0, abs=1e-14)
+    assert ex.same_channel_probability(ex.source("psi_u"), 1) == pytest.approx(0.25, abs=1e-14)
+    assert ex.same_channel_probability(ex.source("psi_u"), 2) == pytest.approx(0.25, abs=1e-14)
+    assert ex.same_channel_probability(ex.source("psi_e"), 1) == pytest.approx(0.0, abs=1e-14)
+    assert ex.same_channel_probability(ex.source("psi_e"), 2) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_outcome_probabilities_complete():
     for kind in ("circular_pair", "psi_u", "psi_e"):
-        total = (
-            ex.same_channel_probability(kind, 1)
-            + ex.same_channel_probability(kind, 2)
-            + ex.split_probability(kind)
-        )
+        src = ex.source(kind)
+        total = ex.same_channel_probability(src, 1) + ex.same_channel_probability(src, 2) + ex.split_probability(src)
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -252,7 +252,7 @@ def test_same_channel_table_rows():
 
 def test_same_channel_rejects_bad_channel():
     with pytest.raises(ValueError):
-        ex.same_channel_probability("psi_u", 3)
+        ex.same_channel_probability(ex.source("psi_u"), 3)
 
 
 # --- correlation coefficients -------------------------------------------------------
@@ -260,19 +260,18 @@ def test_same_channel_rejects_bad_channel():
 
 @pytest.mark.parametrize("kind", ["circular_pair", "psi_e", "psi_u", "psi_u_prime"])
 def test_correlation_matches_analytic_law(kind):
+    src = ex.source(kind)
     for t1, t2 in [(0.0, 0.0), (0.2, 0.9), (1.0, -0.4)]:
-        assert ex.correlation_E(ex.pair_source(kind), t1, t2) == pytest.approx(
-            ex.analytic_correlation_E(kind, t1, t2), abs=1e-12
-        )
+        assert ex.correlation_E(src, t1, t2) == pytest.approx(ex.analytic_correlation_E(src, t1, t2), abs=1e-12)
 
 
 def test_correlation_zero_at_octave_separation():
-    assert ex.correlation_E(ex.pair_source("psi_u"), 0.0, math.pi / 4) == pytest.approx(0.0, abs=1e-12)
+    assert ex.correlation_E(ex.source("psi_u"), 0.0, math.pi / 4) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_correlation_bounded():
     rng = np.random.default_rng(13)
-    src = ex.pair_source("psi_e")
+    src = ex.source("psi_e")
     for _ in range(10):
         t1, t2 = rng.uniform(0, math.pi, size=2)
         assert abs(ex.correlation_E(src, float(t1), float(t2))) <= 1.0 + 1e-12
@@ -281,28 +280,28 @@ def test_correlation_bounded():
 def test_correlation_dark_denominator():
     # The entangled pair never puts both photons into the two halves of channel 2.
     with pytest.raises(ex.DarkDenominator):
-        ex.correlation_E(ex.source("fig2", "psi_e"), 0.0, 0.0)
+        ex.correlation_E(ex.source("psi_e", split=True), 0.0, 0.0)
 
 
-def test_pair_source_rejects_unknown_kind():
-    with pytest.raises(ValueError, match="no coincidence scenario"):
-        ex.pair_source("nope")
+def test_source_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="unknown named state"):
+        ex.source("nope")
 
 
 @pytest.mark.parametrize("kind", ["circular_pair", "psi_e", "psi_u", "psi_u_prime"])
 def test_chsh_canonical_angles_saturate_quantum_bound(kind):
-    s = ex.chsh_S(ex.pair_source(kind), **ex.CANONICAL_CHSH_ANGLES)
+    s = ex.chsh_S(ex.source(kind), **ex.CANONICAL_CHSH_ANGLES)
     assert abs(s) == pytest.approx(2.0 * SQRT2, abs=1e-9)
 
 
 def test_chsh_identical_for_entangled_and_unentangled():
     args = ex.CANONICAL_CHSH_ANGLES
-    s_e = ex.chsh_S(ex.pair_source("psi_e"), **args)
-    assert s_e == pytest.approx(ex.chsh_S(ex.pair_source("psi_u"), **args), abs=1e-9)
+    s_e = ex.chsh_S(ex.source("psi_e"), **args)
+    assert s_e == pytest.approx(ex.chsh_S(ex.source("psi_u"), **args), abs=1e-9)
 
 
 def test_chsh_degenerate_settings_classical():
-    s = ex.chsh_S(ex.pair_source("circular_pair"), 0.0, 0.0, math.pi / 8, math.pi / 8)
+    s = ex.chsh_S(ex.source("circular_pair"), 0.0, 0.0, math.pi / 8, math.pi / 8)
     assert abs(s) <= 2.0 + 1e-12
 
 
@@ -363,7 +362,8 @@ def test_scenario_point_chsh_defaults_to_canonical_angles():
     assert {name: math.radians(deg) for name, deg in spec.angles.items()} == ex.CANONICAL_CHSH_ANGLES
     [(_, result)] = sc.evaluate(spec)
     assert result.value == pytest.approx(2.0 * SQRT2, abs=1e-9)
-    assert result.closed_form == abs(ex.analytic_chsh_S("circular_pair", **ex.CANONICAL_CHSH_ANGLES))
+    closed = ex.chsh_S(ex.source("circular_pair"), **ex.CANONICAL_CHSH_ANGLES, E=ex.analytic_correlation_E)
+    assert result.closed_form == abs(closed)
 
 
 def test_scenario_point_unknown_experiment():
@@ -373,12 +373,12 @@ def test_scenario_point_unknown_experiment():
 
 def test_every_result_with_closed_form_is_within_tolerance():
     results = [
-        ex.fig1_coincidence(0.3, 1.2),
-        ex.pdc_coincidence("psi_e", 0.1, 0.9),
-        ex.pdc_coincidence("psi_u", -0.4, 0.8),
-        ex.fig2_split_coincidence("psi_u", 0.2, 0.5),
-        ex.fig2_split_coincidence("psi_e", 0.2, 0.5),
-        ex.cascade_coincidence(ex.CascadeGeometry(), 0.6, -0.1),
+        ex.coincidence(ex.source("circular_pair"), 0.3, 1.2),
+        ex.coincidence(ex.source("psi_e"), 0.1, 0.9),
+        ex.coincidence(ex.source("psi_u"), -0.4, 0.8),
+        ex.coincidence(ex.source("psi_u", split=True), 0.2, 0.5),
+        ex.coincidence(ex.source("psi_e", split=True), 0.2, 0.5),
+        ex.coincidence(ex.source("psi_u_prime"), 0.6, -0.1),
         ex.fig3_visibility("psi_u"),
         ex.fig3_visibility("psi_e"),
         *run_experiment("chsh", "psi_u", ex.CANONICAL_CHSH_ANGLES),

@@ -1,6 +1,6 @@
-"""Source hygiene: no module imports a name it never uses, no line is
-longer than 121 characters, and the package runs without numpy, whose
-values it pins instead."""
+"""Source hygiene: no module or test file imports a name it never uses,
+no line is longer than 121 characters, and the package runs without
+numpy, whose values it pins instead."""
 
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ from support import child_env
 
 SOURCES = sorted(Path(biphoton.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+TEST_FILES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,7 +42,9 @@ def test_checker_flags_an_unused_import():
     assert unused_imports("from . import optics as op\ny = op.hwp\n") == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize(
+    "path", MODULES + TEST_FILES, ids=[p.name for p in MODULES] + [f"tests/{p.name}" for p in TEST_FILES]
+)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

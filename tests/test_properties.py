@@ -147,6 +147,8 @@ def cli_argv(draw) -> list[str]:
 @example(["scan", "--experiment", "fig3", "--beam", "1", "plane_wave", "0", "0",
           "--beam", "2", "plane_wave", "0", "3.141592653589793"])
 @example(["scan", "--experiment", "fig3", "--beam", "1", "plane_wave", "1e308", "1e308"])
+@example(["scan", "--experiment", "cascade", "--geometry", "1+0i", "1+0i", "1+0i", "1e155+1e155i"])
+@example(["chsh", "--state", "psi_u", "--a", "1e308", "--b", "1e308"])
 def test_cli_exit_code_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -9,8 +9,9 @@ import pytest
 from biphoton import experiments as ex
 from biphoton import scenario as sc
 from biphoton.detection import DEFAULT_TILT
-from biphoton.experiments import MAX_SCAN_POINTS, fig1_coincidence, scan_count
+from biphoton.experiments import MAX_SCAN_POINTS, coincidence, scan_count, source
 from biphoton.fock import named_state
+from biphoton.selfcheck import selfcheck_rows
 
 
 def test_parse_minimal_fig1_scan():
@@ -176,7 +177,7 @@ def test_degree_radian_hygiene():
     spec = sc.parse_scenario("experiment fig1\nangle theta1 12\nscan theta2 0 180 5\n")
     rows = sc.evaluate(spec)
     for degrees, result in rows:
-        direct = fig1_coincidence(math.radians(12.0), math.radians(degrees))
+        direct = coincidence(source("circular_pair"), math.radians(12.0), math.radians(degrees))
         assert result.value == pytest.approx(direct.value, abs=1e-12)
 
 
@@ -214,3 +215,15 @@ def test_evaluate_builds_the_source_once(monkeypatch, text, n_rows):
     monkeypatch.setattr(ex, "named_state", counting_named_state)
     assert len(sc.evaluate(sc.parse_scenario(text))) == n_rows
     assert len(calls) == 1
+
+
+def test_selfcheck_builds_each_source_once(monkeypatch):
+    calls = []
+
+    def counting_source(*args, **kwargs):
+        calls.append(args)
+        return source(*args, **kwargs)
+
+    monkeypatch.setattr(ex, "source", counting_source)
+    assert all(abs(row.value - row.expected) <= row.tolerance for row in selfcheck_rows())
+    assert len(calls) <= 20
