@@ -42,31 +42,28 @@ def _round12(value: float) -> float:
     return float(_fmt(value))
 
 
-def render_csv(rows: list[tuple[object, float, float | None]]) -> str:
+def render_csv(rows: list[tuple[object, float, float]]) -> str:
     lines = ["param,value,closed_form,abs_error"]
     for param, value, closed in rows:
         label = _fmt(param) if isinstance(param, float) else str(param)
-        if closed is None:
-            lines.append(f"{label},{_fmt(value)},,")
-        else:
-            lines.append(f"{label},{_fmt(value)},{_fmt(closed)},{_fmt(abs(value - closed))}")
+        lines.append(f"{label},{_fmt(value)},{_fmt(closed)},{_fmt(abs(value - closed))}")
     return "\n".join(lines) + "\n"
 
 
-def render_json(rows: list[tuple[object, float, float | None]]) -> str:
+def render_json(rows: list[tuple[object, float, float]]) -> str:
     payload = [
         {
             "param": _round12(param) if isinstance(param, float) else param,
             "value": _round12(value),
-            "closed_form": None if closed is None else _round12(closed),
-            "abs_error": None if closed is None else _round12(abs(value - closed)),
+            "closed_form": _round12(closed),
+            "abs_error": _round12(abs(value - closed)),
         }
         for param, value, closed in rows
     ]
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _emit(rows: list[tuple[object, float, float | None]], fmt: str, out: str | None) -> None:
+def _emit(rows: list[tuple[object, float, float]], fmt: str, out: str | None) -> None:
     text = render_json(rows) if fmt == "json" else render_csv(rows)
     if out:
         Path(out).write_text(text, newline="\n")
@@ -75,7 +72,7 @@ def _emit(rows: list[tuple[object, float, float | None]], fmt: str, out: str | N
 
 
 def _report(
-    table: list[tuple[object, float, float | None]], tolerances: list[float], fmt: str, args: argparse.Namespace
+    table: list[tuple[object, float, float]], tolerances: list[float], fmt: str, args: argparse.Namespace
 ) -> int:
     """Emit the table, then count the rows that are not finite or off their
     closed form by more than their tolerance (--tolerance, when given)."""
@@ -83,9 +80,7 @@ def _report(
     if args.tolerance is not None:
         tolerances = [args.tolerance] * len(table)
     # Written as "not <=" so that a NaN closed form is a mismatch too.
-    bad = sum(
-        not math.isfinite(v) or (c is not None and not abs(v - c) <= tol) for (_, v, c), tol in zip(table, tolerances)
-    )
+    bad = sum(not math.isfinite(v) or not abs(v - c) <= tol for (_, v, c), tol in zip(table, tolerances))
     if bad:
         print(f"mismatch: {bad} of {len(table)} values not finite or off their closed form", file=sys.stderr)
         return EXIT_MISMATCH

@@ -62,11 +62,20 @@ class BeamProfile:
         if self.amplitude < 0:
             raise ValueError("beam amplitude must be >= 0")
 
-    def value(self, x: float, y: float) -> complex:
+    def envelope(self, x: float, y: float) -> float:
+        """Real envelope at (x, y): the amplitude, times the gaussian profile."""
         envelope = self.amplitude
         if self.kind == "gaussian":
             envelope *= math.exp(-(x * x + y * y) / (2.0 * self.width * self.width))
-        return envelope * cmath.exp(1j * (self.tilt * x + self.phase_offset))
+        return envelope
+
+    def phase(self, x: float) -> float:
+        """Phase at x: the tilt's linear ramp plus the offset."""
+        return self.tilt * x + self.phase_offset
+
+    def value(self, x: float, y: float) -> complex:
+        """Complex field envelope(x, y) * exp(i phase(x))."""
+        return self.envelope(x, y) * cmath.exp(1j * self.phase(x))
 
 
 def default_beams() -> tuple[BeamProfile, BeamProfile]:
@@ -94,7 +103,7 @@ def intensity_map(
     ket: FockKet,
     channel_forms: Sequence[LinearForm],
     beams: Sequence[BeamProfile],
-    grid: ScanGrid | None = None,
+    grid: ScanGrid,
 ) -> tuple[tuple[float, ...], ...]:
     """Overlapped-beam rate over the grid, as len(ys) rows of len(xs) cells.
 
@@ -104,7 +113,6 @@ def intensity_map(
     """
     if len(channel_forms) != 2 or len(beams) != 2:
         raise ValueError("intensity maps overlap exactly two beams")
-    grid = grid or DEFAULT_GRID
     (form1, form2), (beam1, beam2) = channel_forms, beams
     return tuple(
         tuple(singles_rate(ket, form1.scale(beam1.value(x, y)).plus(form2.scale(beam2.value(x, y)))) for x in grid.xs)

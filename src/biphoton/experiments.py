@@ -2,7 +2,7 @@
 
 Each scenario builds a source state and the detector operators seen through
 its optical chain, evaluates the requested observable exactly, and reports
-it next to the analytic closed form when one is available.  All angles are
+it next to its analytic closed form.  All angles are
 radians; every rate is dimensionless with the overall source constant fixed
 to 1.
 
@@ -16,7 +16,8 @@ Scenario catalog:
                 half-channels separate psi_u (cos^2 law / 16) from psi_e
                 (identically zero).
   fig3          the two channels overlapped on one screen; fringe visibility
-                separates psi_u (1) from psi_e (0).
+                separates psi_u (1) from psi_e (0); closed form from the
+                first-order interference of the two beam envelopes.
   cascade       two-color cascade pair with frequency-selective detectors;
                 cos^2 law with geometry coefficients.
   chsh          four-setting correlation sum built from any of the above
@@ -57,15 +58,13 @@ class DarkDenominator(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    """One evaluated observable with its analytic reference, when known."""
+    """One evaluated observable with its analytic reference."""
 
     observable: str
     value: float
-    closed_form: float | None = None
+    closed_form: float
 
-    def abs_error(self) -> float | None:
-        if self.closed_form is None:
-            return None
+    def abs_error(self) -> float:
         return abs(self.value - self.closed_form)
 
 
@@ -180,38 +179,36 @@ def coincidence(src: Source, t1: float, t2: float) -> ScenarioResult:
 # --- single-point scenarios -----------------------------------------------------
 
 
-def fig1_conditional_check(theta1: float) -> float:
-    """Detection rate of the photon left behind by the first analyzer.
+def fig1_conditional_check(src: Source, theta1: float) -> float:
+    """Detection rate of the photon left behind by the first analyzer of the
+    fig1 source (source("circular_pair")).
 
     The leftover state is kept unnormalized (detection probability folded
     in), so the bare analyzer operator sees it with rate one half for every
     angle.
     """
-    ket = named_state("circular_pair")
-    ch1, _ = fig1_channel_fields()
-    leftover = apply_form(ket, op.polarizer(ch1, theta1))
+    leftover = apply_form(src.ket, op.polarizer(src.arm1, theta1))
     bare_analyzer = LinearForm({BEAM_V: math.cos(theta1), BEAM_H: -math.sin(theta1)})
     return det.singles_rate(leftover, bare_analyzer)
 
 
-def _fig3_closed_form(kind: str, beams: Sequence[det.BeamProfile], grid: det.ScanGrid) -> float | None:
-    if any(beam.kind != "plane_wave" for beam in beams):
-        return None
-    if kind == "psi_e":
-        return 0.0  # constant envelopes add incoherently: flat map
-    # Fringe extrema land on the default grid only for the default tilt pair.
-    canonical = (
-        grid == det.DEFAULT_GRID
-        and beams[0].tilt == det.DEFAULT_TILT
-        and beams[1].tilt == -det.DEFAULT_TILT
-        and beams[0].phase_offset == beams[1].phase_offset
-    )
-    if not canonical:
-        return None
-    a1, a2 = beams[0].amplitude, beams[1].amplitude
-    if a1 + a2 <= 0.0:
-        return None
-    return 2.0 * a1 * a2 / (a1 * a1 + a2 * a2)
+def _fig3_closed_form(kind: str, beams: Sequence[det.BeamProfile], grid: det.ScanGrid) -> float:
+    """Visibility of the first-order interference of the two beam envelopes
+    e and phases p: e1^2 + e2^2 + 2 e1 e2 cos(p1 - p2) for psi_u (one
+    combination mode reaches the screen through both beams) and
+    (e1^2 + e2^2) / 2 for psi_e (H1 and V2 add incoherently, occupation 1/2
+    each)."""
+    beam1, beam2 = beams
+
+    def intensity(x: float, y: float) -> float:
+        e1, e2 = beam1.envelope(x, y), beam2.envelope(x, y)
+        if kind == "psi_e":
+            return (e1 * e1 + e2 * e2) / 2.0
+        delta = beam1.phase(x) - beam2.phase(x)
+        # math.cos raises on inf; the engine's map is NaN there too.
+        return e1 * e1 + e2 * e2 + 2.0 * e1 * e2 * (math.cos(delta) if math.isfinite(delta) else math.nan)
+
+    return det.visibility(tuple(tuple(intensity(x, y) for x in grid.xs) for y in grid.ys))
 
 
 def fig3_visibility(

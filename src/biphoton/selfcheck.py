@@ -46,7 +46,7 @@ class CheckRow:
 def _sine_law_rows() -> list[CheckRow]:
     src = ex.source("circular_pair")
     worst = max(ex.coincidence(src, 0.0, d).abs_error() for d in _GRID_73)
-    conditional = max(abs(ex.fig1_conditional_check(t) - 0.5) for t in _UNIFORM_16)
+    conditional = max(abs(ex.fig1_conditional_check(src, t) - 0.5) for t in _UNIFORM_16)
     return [
         CheckRow("fig1_sin2_max_abs_err", worst, 0.0, 1e-12),
         CheckRow("fig1_conditional_max_dev", conditional, 0.0, 1e-12),
@@ -84,8 +84,8 @@ def _fig2_rows() -> list[CheckRow]:
 
 def _fig3_rows() -> list[CheckRow]:
     return [
-        CheckRow("fig3_visibility_psi_u", ex.fig3_visibility("psi_u").value, 1.0, 1e-3),
-        CheckRow("fig3_visibility_psi_e", ex.fig3_visibility("psi_e").value, 0.0, 1e-3),
+        CheckRow("fig3_visibility_psi_u", ex.fig3_visibility("psi_u").value, 1.0, 1e-12),
+        CheckRow("fig3_visibility_psi_e", ex.fig3_visibility("psi_e").value, 0.0, 1e-12),
     ]
 
 

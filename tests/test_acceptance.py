@@ -35,7 +35,8 @@ def test_criterion_01_sine_law_quarter():
 
 def test_criterion_02_conditional_rate_half():
     rng = np.random.default_rng(2)
-    worst = max(abs(ex.fig1_conditional_check(float(t)) - 0.5) for t in rng.uniform(-math.pi, math.pi, 16))
+    src = ex.source("circular_pair")
+    worst = max(abs(ex.fig1_conditional_check(src, float(t)) - 0.5) for t in rng.uniform(-math.pi, math.pi, 16))
     report(2, "post-detection singles rate is 0.5 for 16 random angles", worst <= 1e-12, f"max_dev={worst:.3e}")
 
 

@@ -303,9 +303,10 @@ def test_fig3_dark_everywhere_exits_1(capsys):
     assert "dark" in err
 
 
-def test_nan_without_closed_form_exits_2(capsys):
-    # tilt * x + phase overflows, so the beam envelope and the visibility are NaN.
+def test_overflowing_beam_phase_gives_nan_closed_form_and_exits_2(capsys):
+    # tilt * x + phase overflows, so the beam field, the visibility and its
+    # closed form are all NaN.
     code, out, err = run_cli(capsys, "scan", "--experiment", "fig3", "--beam", "1", "plane_wave", "1e308", "1e308")
     assert code == 2
-    assert out.splitlines()[1] == "visibility,nan,,"
+    assert out.splitlines()[1] == "visibility,nan,nan,nan"
     assert err.startswith("mismatch: ") and err.count("\n") == 1

@@ -194,7 +194,7 @@ def test_intensity_zero_amplitudes():
 def test_unentangled_map_has_full_visibility():
     psi = fk.named_state("psi_u")
     _, b2 = fk.combination_forms()
-    fringe_map = det.intensity_map(psi, [b2, b2], det.default_beams())
+    fringe_map = det.intensity_map(psi, [b2, b2], det.default_beams(), det.DEFAULT_GRID)
     assert len(fringe_map) == 1
     assert all(len(row) == len(det.DEFAULT_GRID.xs) for row in fringe_map)
     assert det.visibility(fringe_map) == pytest.approx(1.0, abs=1e-9)
@@ -203,7 +203,7 @@ def test_unentangled_map_has_full_visibility():
 
 def test_entangled_map_is_flat():
     psi = fk.named_state("psi_e")
-    flat_map = det.intensity_map(psi, [fk.unit_form(H1), fk.unit_form(V2)], det.default_beams())
+    flat_map = det.intensity_map(psi, [fk.unit_form(H1), fk.unit_form(V2)], det.default_beams(), det.DEFAULT_GRID)
     assert det.visibility(flat_map) == pytest.approx(0.0, abs=1e-9)
     np.testing.assert_allclose(flat_map, 1.0, atol=1e-12)
 
@@ -212,7 +212,7 @@ def test_single_beam_cannot_fringe():
     psi = fk.named_state("psi_u")
     _, b2 = fk.combination_forms()
     beams = (det.BeamProfile(tilt=det.DEFAULT_TILT), det.BeamProfile(tilt=-det.DEFAULT_TILT, amplitude=0.0))
-    lonely = det.intensity_map(psi, [b2, b2], beams)
+    lonely = det.intensity_map(psi, [b2, b2], beams, det.DEFAULT_GRID)
     assert det.visibility(lonely) == pytest.approx(0.0, abs=1e-12)
 
 

@@ -74,8 +74,9 @@ def test_pdc_rotational_covariance():
 
 def test_fig1_conditional_rate_is_half_for_all_angles():
     rng = np.random.default_rng(41)
+    src = ex.source("circular_pair")
     for theta in rng.uniform(-math.pi, math.pi, size=16):
-        assert ex.fig1_conditional_check(float(theta)) == pytest.approx(0.5, abs=1e-13)
+        assert ex.fig1_conditional_check(src, float(theta)) == pytest.approx(0.5, abs=1e-13)
 
 
 def test_fig1_conditional_rate_normalized_is_one():
@@ -164,7 +165,9 @@ def test_fig3_explicit_default_grid_keeps_the_closed_form():
     same_points = det.ScanGrid(xs=tuple(k * 0.01 for k in range(101)))
     assert ex.fig3_visibility("psi_u", None, same_points).closed_form == 1.0
     coarse = det.ScanGrid(xs=tuple(k * 0.02 for k in range(51)))
-    assert ex.fig3_visibility("psi_u", None, coarse).closed_form is None
+    result = ex.fig3_visibility("psi_u", None, coarse)
+    assert result.closed_form == pytest.approx(1.0, abs=1e-12)
+    assert result.abs_error() <= 1e-12
 
 
 def test_fig3_one_beam_off_kills_fringes():
@@ -180,21 +183,48 @@ def test_fig3_unequal_amplitudes_closed_form():
     assert result.value == pytest.approx(0.8, abs=1e-12)
 
 
-def test_fig3_gaussian_beams_have_no_closed_form():
+def test_fig3_gaussian_beams_match_the_envelope_closed_form():
     beams = (
         det.BeamProfile(kind="gaussian", width=0.5),
         det.BeamProfile(kind="gaussian", tilt=-det.DEFAULT_TILT, width=0.5),
     )
     result = ex.fig3_visibility("psi_u", beams=beams)
-    assert result.closed_form is None
-    assert 0.0 <= result.value <= 1.0
+    assert 0.0 <= result.closed_form <= 1.0
+    assert result.abs_error() <= 1e-12
+    # psi_e with a gaussian (width 0.5) and a plane wave on x in [0, 1]: the
+    # map (exp(-4 x^2) + 1) / 2 runs from 1 at x = 0 to (e^-4 + 1) / 2 at x = 1.
+    beams = (det.BeamProfile(kind="gaussian", tilt=3.0, width=0.5), det.BeamProfile(tilt=-det.DEFAULT_TILT))
+    result = ex.fig3_visibility("psi_e", beams=beams)
+    assert result.closed_form == pytest.approx((1.0 - math.exp(-4.0)) / (3.0 + math.exp(-4.0)), abs=1e-15)
+    assert result.abs_error() <= 1e-12
 
 
 def test_fig3_relative_phase_shifts_fringes_but_not_visibility_off_grid():
     beams = (det.BeamProfile(phase_offset=0.3), det.BeamProfile(tilt=-det.DEFAULT_TILT))
     result = ex.fig3_visibility("psi_u", beams=beams)
-    assert result.closed_form is None
-    assert result.value > 0.99
+    assert 0.99 < result.closed_form < 1.0
+    assert result.abs_error() <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["psi_u", "psi_e"])
+def test_fig3_engine_matches_the_envelope_closed_form_on_random_beams_and_grids(kind):
+    rng = np.random.default_rng(83)
+
+    def random_beam(sign: float) -> det.BeamProfile:
+        gaussian = rng.random() < 0.5
+        return det.BeamProfile(
+            kind="gaussian" if gaussian else "plane_wave",
+            tilt=sign * float(rng.uniform(0.0, 20.0)),
+            width=float(rng.uniform(0.3, 2.0)) if gaussian else None,
+            phase_offset=float(rng.uniform(-math.pi, math.pi)),
+            amplitude=float(rng.uniform(0.2, 2.0)),
+        )
+
+    for _ in range(100):
+        xs = tuple(float(x) for x in rng.uniform(-1.0, 1.0, int(rng.integers(2, 16))))
+        ys = tuple(float(y) for y in rng.uniform(-1.0, 1.0, int(rng.integers(1, 5))))
+        result = ex.fig3_visibility(kind, (random_beam(1.0), random_beam(-1.0)), det.ScanGrid(xs, ys))
+        assert abs(result.value - result.closed_form) <= 1e-12, result
 
 
 # --- cascade --------------------------------------------------------------------

@@ -9,7 +9,9 @@ bounded to one scenario point.
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
+import json
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -147,6 +149,7 @@ def cli_argv(draw) -> list[str]:
 @example(["scan", "--experiment", "fig3", "--beam", "1", "plane_wave", "0", "0",
           "--beam", "2", "plane_wave", "0", "3.141592653589793"])
 @example(["scan", "--experiment", "fig3", "--beam", "1", "plane_wave", "1e308", "1e308"])
+@example(["scan", "--experiment", "fig3", "--beam", "1", "gaussian", "15.707963267948966", "0.5"])
 @example(["scan", "--experiment", "cascade", "--geometry", "1+0i", "1+0i", "1+0i", "1e155+1e155i"])
 @example(["chsh", "--state", "psi_u", "--a", "1e308", "--b", "1e308"])
 def test_cli_exit_code_contract(argv):
@@ -156,3 +159,7 @@ def test_cli_exit_code_contract(argv):
     assert code in (0, 1, 2)
     text = out.getvalue().lower()
     assert not (code == 0 and ("nan" in text or "inf" in text)), (argv, out.getvalue())
+    if code == 0:
+        # A passing row was checked: it carries its closed form and error.
+        rows = json.loads(text) if "--format" in argv else list(csv.DictReader(io.StringIO(text)))
+        assert rows and all(row[key] not in (None, "") for row in rows for key in ("closed_form", "abs_error")), argv

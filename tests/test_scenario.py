@@ -8,6 +8,7 @@ import pytest
 
 from biphoton import experiments as ex
 from biphoton import scenario as sc
+from biphoton import selfcheck
 from biphoton.detection import DEFAULT_TILT
 from biphoton.experiments import MAX_SCAN_POINTS, coincidence, scan_count, source
 from biphoton.fock import named_state
@@ -218,12 +219,19 @@ def test_evaluate_builds_the_source_once(monkeypatch, text, n_rows):
 
 
 def test_selfcheck_builds_each_source_once(monkeypatch):
-    calls = []
+    calls, states = [], []
 
     def counting_source(*args, **kwargs):
         calls.append(args)
         return source(*args, **kwargs)
 
+    def counting_named_state(kind):
+        states.append(kind)
+        return named_state(kind)
+
     monkeypatch.setattr(ex, "source", counting_source)
+    monkeypatch.setattr(ex, "named_state", counting_named_state)
+    monkeypatch.setattr(selfcheck, "named_state", counting_named_state)
     assert all(abs(row.value - row.expected) <= row.tolerance for row in selfcheck_rows())
     assert len(calls) <= 20
+    assert len(states) <= 17
