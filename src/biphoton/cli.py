@@ -38,8 +38,10 @@ def _fmt(value: float) -> str:
     return format(float(value), ".12g")
 
 
-def _round12(value: float) -> float:
-    return float(_fmt(value))
+def _round12(value: float) -> float | None:
+    """12 significant digits; None (null) for NaN and inf, which JSON has no literal for."""
+    rounded = float(_fmt(value))
+    return rounded if math.isfinite(rounded) else None
 
 
 def render_csv(rows: list[tuple[object, float, float]]) -> str:
@@ -60,7 +62,7 @@ def render_json(rows: list[tuple[object, float, float]]) -> str:
         }
         for param, value, closed in rows
     ]
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _emit(rows: list[tuple[object, float, float]], fmt: str, out: str | None) -> None:
@@ -100,18 +102,25 @@ def cmd_run(args: argparse.Namespace) -> int:
     return _run_spec(parse_scenario(path.read_text(encoding="utf-8")), args)
 
 
+def _directive(key: str, flag: str, values: list[str]) -> str:
+    """One scenario line from a flag's values, each of which must stay a single
+    token there: a line break, space or '#' would start a directive or a comment."""
+    for value in values:
+        if value.split() != [value] or "#" in value:
+            raise ValidationError(f"argument {flag}: expected one token without spaces or '#', got {value!r}")
+    return " ".join([key, *values])
+
+
 def _scan_args_to_text(args: argparse.Namespace) -> str:
-    lines = [f"experiment {args.experiment}"]
-    if args.state:
-        lines.append(f"state {args.state}")
-    for name, degrees in args.angle or []:
-        lines.append(f"angle {name} {degrees}")
+    lines = [_directive("experiment", "--experiment", [args.experiment])]
+    if args.state is not None:
+        lines.append(_directive("state", "--state", [args.state]))
+    lines += [_directive("angle", "--angle", pair) for pair in args.angle or []]
     if args.scan:
-        lines.append("scan " + " ".join(args.scan))
-    for beam in args.beam or []:
-        lines.append("beam " + " ".join(beam))
+        lines.append(_directive("scan", "--scan", args.scan))
+    lines += [_directive("beam", "--beam", beam) for beam in args.beam or []]
     if args.geometry:
-        lines.append("geometry " + " ".join(args.geometry))
+        lines.append(_directive("geometry", "--geometry", args.geometry))
     return "\n".join(lines) + "\n"
 
 
@@ -121,12 +130,12 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def cmd_chsh(args: argparse.Namespace) -> int:
     lines = ["experiment chsh"]
-    if args.state:
-        lines.append(f"state {args.state}")
+    if args.state is not None:
+        lines.append(_directive("state", "--state", [args.state]))
     for name in EXPERIMENTS["chsh"].angles:
         value = getattr(args, name)
         if value is not None:
-            lines.append(f"angle {name} {value}")
+            lines.append(_directive("angle", f"--{name}", [name, value]))
     return _run_spec(parse_scenario("\n".join(lines) + "\n"), args)
 
 

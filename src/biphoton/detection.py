@@ -13,7 +13,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .fock import EPS_ZERO, FockKet, LinearForm, apply_form, norm2
+from .fock import EPS_ZERO, FockKet, LinearForm, ReplayKernel, apply_form, norm2
 
 BEAM_KINDS = ("plane_wave", "gaussian")
 
@@ -109,13 +109,15 @@ def intensity_map(
 
     channel_forms[i] is the detector operator reached by beam i; beams[i]
     supplies its complex envelope at each point, so each cell is the
-    singles rate of the summed field.
+    singles rate of the summed field, computed bit for bit on a ReplayKernel
+    compiled once per map.
     """
     if len(channel_forms) != 2 or len(beams) != 2:
         raise ValueError("intensity maps overlap exactly two beams")
-    (form1, form2), (beam1, beam2) = channel_forms, beams
+    kernel, (beam1, beam2) = ReplayKernel(ket, [channel_forms]), beams
     return tuple(
-        tuple(singles_rate(ket, form1.scale(beam1.value(x, y)).plus(form2.scale(beam2.value(x, y)))) for x in grid.xs)
+        tuple(kernel.norm2(kernel.apply(kernel.start, kernel.form(0, beam1.value(x, y), beam2.value(x, y))))
+              for x in grid.xs)
         for y in grid.ys
     )
 

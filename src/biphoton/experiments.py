@@ -28,9 +28,10 @@ Scenario catalog:
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import detection as det
 from . import optics as op
@@ -40,6 +41,7 @@ from .fock import (
     NAMED_STATE_KINDS,
     FockKet,
     LinearForm,
+    ReplayKernel,
     apply_form,
     combination_forms,
     named_state,
@@ -49,6 +51,9 @@ from .modes import BEAM_H, BEAM_V, H1, H2, V1, V2, W1H, W1V, W2H, W2V
 
 #: Upper bound on the number of points in one angle scan.
 MAX_SCAN_POINTS = 1_000_000
+
+#: Arm-1 states a Source keeps, oldest dropped first (a chsh point has four).
+ARM1_MEMO = 8
 
 
 class DarkDenominator(ValueError):
@@ -138,6 +143,7 @@ class Source:
     The coincidence rate at analyzer angles (t1, t2) is the normally ordered
     <L1^dag L2^dag L2 L1> of the two polarizer operators (Glauber's G2), with
     closed form peak * law(t1 - t2) ** 2, law being math.sin or math.cos.
+    kernel is compiled on first use; arm1_states keeps arm-1 states by angle.
     """
 
     ket: FockKet
@@ -145,6 +151,12 @@ class Source:
     arm2: op.ChannelField
     peak: float
     law: Callable[[float], float]
+    arm1_states: dict[float, dict[int, complex]] = field(default_factory=dict, init=False, repr=False)
+
+    @functools.cached_property
+    def kernel(self) -> ReplayKernel:
+        """Form pair 0 is arm 1's polarizer (v, h), pair 1 arm 2's."""
+        return ReplayKernel(self.ket, ((self.arm1.v, self.arm1.h), (self.arm2.v, self.arm2.h)))
 
 
 def source(kind: str, geometry: CascadeGeometry = CascadeGeometry(), split: bool = False) -> Source:
@@ -168,10 +180,23 @@ def source(kind: str, geometry: CascadeGeometry = CascadeGeometry(), split: bool
 
 
 def coincidence(src: Source, t1: float, t2: float) -> ScenarioResult:
-    """Coincidence rate of the two analyzers at angles t1, t2."""
+    """Coincidence rate of the two analyzers at angles t1, t2: the value of
+    det.coincidence_rate(src.ket, op.polarizer(src.arm1, t1),
+    op.polarizer(src.arm2, t2)), bit for bit, raising where it raises."""
+    kernel, memo = src.kernel, src.arm1_states
+    # -0.0 and 0.0 share a key: they give one form, sin(+-0.0) terms being pruned.
+    after1 = memo.get(t1)
+    # Both forms before the first apply, so that errors come in the engine's order.
+    form1 = kernel.form(0, math.cos(t1), math.sin(t1)) if after1 is None else None
+    form2 = kernel.form(1, math.cos(t2), math.sin(t2))
+    if after1 is None:
+        after1 = kernel.apply(kernel.start, form1)
+        if len(memo) >= ARM1_MEMO:
+            del memo[next(iter(memo))]
+        memo[t1] = after1
     return ScenarioResult(
         observable="coincidence_rate",
-        value=det.coincidence_rate(src.ket, op.polarizer(src.arm1, t1), op.polarizer(src.arm2, t2)),
+        value=kernel.norm2(kernel.apply(after1, form2)),
         closed_form=src.peak * src.law(t1 - t2) ** 2,
     )
 

@@ -189,6 +189,70 @@ def norm2(ket: FockKet) -> float:
     return sum(abs(a) ** 2 for _, a in ket.items())
 
 
+class ReplayKernel:
+    """apply_form and norm2 on one ket, compiled for the forms
+    f.scale(x).plus(g.scale(y)) of fixed form pairs (f, g).
+
+    Modes and occupations are interned as ints, and the ladder moves
+    (occupation, mode) -> (occupation', sqrt(n)) tabled once.  Each step
+    repeats the engine's float operations in its order, dict insertion order
+    and pruning included, so results are bit-identical to the engine's.
+    Amplitudes are dicts {occupation id: amplitude}; start holds the ket's.
+    """
+
+    def __init__(self, ket: FockKet, pairs: Iterable[Iterable[LinearForm]]):
+        modes: dict[ModeId, int] = {}
+        self._pairs = [
+            tuple([(modes.setdefault(m, len(modes)), c) for m, c in form.items()] for form in pair) for pair in pairs
+        ]
+        ids = {occ: i for i, (occ, _) in enumerate(ket.items())}
+        occs = list(ids)
+        self._moves: list[dict[int, tuple[int, float]]] = []
+        for occ in occs:  # grows as lower occupations are reached
+            moves = {}
+            for mode, n in occ:
+                if mode in modes:
+                    lower = _occ_with(occ, mode, n - 1)
+                    if lower not in ids:
+                        ids[lower] = len(occs)
+                        occs.append(lower)
+                    moves[modes[mode]] = (ids[lower], math.sqrt(n))
+            self._moves.append(moves)
+        self.start = {ids[occ]: a for occ, a in ket.items()}
+
+    def form(self, pair: int, x: complex, y: complex) -> list[tuple[int, complex]]:
+        """pairs[pair] = (f, g) as f.scale(x).plus(g.scale(y))."""
+        f, g = self._pairs[pair]
+        coeffs = {}
+        for m, c in f:
+            if not abs(c := c * x) <= EPS_PRUNE:
+                coeffs[m] = c
+        for m, c in g:
+            if not abs(c := c * y) <= EPS_PRUNE:
+                coeffs[m] = coeffs.get(m, 0j) + c
+        return [(m, c) for m, c in coeffs.items() if not abs(c) <= EPS_PRUNE]
+
+    def apply(self, amps: dict[int, complex], form: list[tuple[int, complex]]) -> dict[int, complex]:
+        """apply_form(ket, form) on compiled amplitudes and a compiled form."""
+        out: dict[int, complex] = {}
+        moves = self._moves
+        for occ, a in amps.items():
+            row = moves[occ]
+            for m, c in form:
+                if move := row.get(m):
+                    key, root = move
+                    out[key] = out.get(key, 0j) + a * c * root
+        kept = {}
+        for key, a in out.items():
+            if not abs(a := 0j + a) <= EPS_PRUNE:  # FockKet re-accumulates onto 0j
+                kept[key] = a
+        return kept
+
+    @staticmethod
+    def norm2(amps: dict[int, complex]) -> float:
+        return sum(abs(a) ** 2 for a in amps.values())
+
+
 def normalize(ket: FockKet) -> FockKet:
     n2 = norm2(ket)
     if n2 <= EPS_ZERO:

@@ -310,3 +310,41 @@ def test_overflowing_beam_phase_gives_nan_closed_form_and_exits_2(capsys):
     assert code == 2
     assert out.splitlines()[1] == "visibility,nan,nan,nan"
     assert err.startswith("mismatch: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    ("flag", "argv"),
+    [
+        ("--state", ["scan", "--experiment", "pdc", "--state", "psi_u\nangle theta1 30"]),
+        ("--experiment", ["scan", "--experiment", "fig1\noutput json"]),
+        ("--a", ["chsh", "--a", "10\nstate psi_e"]),
+        ("--angle", ["scan", "--experiment", "fig1", "--angle", "theta1", "30 # x"]),
+        ("--state", ["chsh", "--state", ""]),
+        ("--geometry", ["scan", "--experiment", "cascade", "--geometry", "1+0i", "1+0i", "1+0i", "1+0i\tx"]),
+    ],
+)
+def test_flag_value_cannot_inject_a_scenario_line(capsys, flag, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert_one_line_error(err)
+    assert f"argument {flag}:" in err
+
+
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--experiment", "fig3", "--beam", "1", "plane_wave", "1e308", "1e308"],
+        ["scan", "--experiment", "cascade", "--geometry", "1e155+1e155i", "1+0i", "1+0i", "1e155+0i"],
+    ],
+)
+def test_json_writes_non_finite_values_as_null(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert code == 2
+    assert err.startswith("mismatch: ") and err.count("\n") == 1
+    (row,) = json.loads(out, parse_constant=reject_constant)
+    assert row["value"] is None and row["abs_error"] is None

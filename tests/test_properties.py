@@ -27,13 +27,15 @@ KEYS = ("experiment", "state", "angle", "scan", "beam", "geometry", "output", "b
 WORDS = (
     *EXPERIMENTS, "circular_pair", "psi_e", "psi_u", "psi_u_prime", "theta1", "theta2", "theta3", "theta4",
     "a", "ap", "b", "bp", "1", "2", "plane_wave", "plane", "gaussian", "csv", "json",
+    "psi_u\nangle theta1 30", "psi_e #", "fig1 output",
 )
-NUMBERS = ("0", "-0", "45", "1e-300", "1e308", "-1e308", "1e999", "nan", "inf", "x")
+NUMBERS = ("0", "-0", "45", "1e-300", "1e308", "-1e308", "1e999", "nan", "inf", "x", "10\nstate psi_e", "30 # x", "1 2")
 COMPLEX = ("1+0i", "0-1i", "i", "0+0i", "1e-200+0i", "1e155+1e155i", "1e200+0i", "1e999+0i", "nan+0i", "x")
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 any_float_text = st.floats().map(repr)
-# No line breaks: a token must not be able to start a directive of its own.
+# No line breaks here; WORDS and NUMBERS hold the few tokens that would
+# inject a directive or a comment into the CLI's scenario text.
 junk = st.text(alphabet="0123456789.e+-ijnafx#_ ", max_size=8)
 token = st.one_of(st.sampled_from(WORDS), st.sampled_from(NUMBERS), any_float_text, junk)
 
@@ -152,11 +154,15 @@ def cli_argv(draw) -> list[str]:
 @example(["scan", "--experiment", "fig3", "--beam", "1", "gaussian", "15.707963267948966", "0.5"])
 @example(["scan", "--experiment", "cascade", "--geometry", "1+0i", "1+0i", "1+0i", "1e155+1e155i"])
 @example(["chsh", "--state", "psi_u", "--a", "1e308", "--b", "1e308"])
+@example(["scan", "--experiment", "pdc", "--state", "psi_u\nangle theta1 30"])
 def test_cli_exit_code_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2)
+    if any(arg.split() != [arg] or "#" in arg for arg in argv):
+        # A flag value that is not one token would rewrite the scenario text.
+        assert code == 1, argv
     text = out.getvalue().lower()
     assert not (code == 0 and ("nan" in text or "inf" in text)), (argv, out.getvalue())
     if code == 0:
