@@ -7,11 +7,11 @@ Subcommands:
     chsh          four-setting correlation sum at given (or canonical) angles
     selfcheck     recompute the built-in verification table
 
-Tables have the columns param, value, closed_form, abs_error and are
-emitted as CSV (12 significant digits, newline line endings) or JSON.
-Exit codes: 0 success, 1 bad input (including usage errors and unreadable
-files), 2 a computed value disagrees with its closed form beyond tolerance
-or is not finite.
+Tables are (param, ScenarioResult) rows, emitted with the columns param,
+value, closed_form, abs_error as CSV (12 significant digits, newline line
+endings) or JSON.  Exit codes: 0 success, 1 bad input (including usage errors
+and unreadable files), 2 a computed value is not finite or off its closed form
+by more than its row's tolerance (or --tolerance, when given).
 """
 
 from __future__ import annotations
@@ -23,11 +23,9 @@ import sys
 from pathlib import Path
 
 from .detection import AllDark
-from .experiments import EXPERIMENTS, DarkDenominator
+from .experiments import EXPERIMENTS, DarkDenominator, ScenarioResult
 from .scenario import ParseError, ScenarioSpec, ValidationError, evaluate, parse_scenario
 from .selfcheck import selfcheck_rows
-
-DEFAULT_TOLERANCE = 1e-9
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -44,28 +42,28 @@ def _round12(value: float) -> float | None:
     return rounded if math.isfinite(rounded) else None
 
 
-def render_csv(rows: list[tuple[object, float, float]]) -> str:
+def render_csv(rows: list[tuple[object, ScenarioResult]]) -> str:
     lines = ["param,value,closed_form,abs_error"]
-    for param, value, closed in rows:
+    for param, row in rows:
         label = _fmt(param) if isinstance(param, float) else str(param)
-        lines.append(f"{label},{_fmt(value)},{_fmt(closed)},{_fmt(abs(value - closed))}")
+        lines.append(f"{label},{_fmt(row.value)},{_fmt(row.closed_form)},{_fmt(row.abs_error())}")
     return "\n".join(lines) + "\n"
 
 
-def render_json(rows: list[tuple[object, float, float]]) -> str:
+def render_json(rows: list[tuple[object, ScenarioResult]]) -> str:
     payload = [
         {
             "param": _round12(param) if isinstance(param, float) else param,
-            "value": _round12(value),
-            "closed_form": _round12(closed),
-            "abs_error": _round12(abs(value - closed)),
+            "value": _round12(row.value),
+            "closed_form": _round12(row.closed_form),
+            "abs_error": _round12(row.abs_error()),
         }
-        for param, value, closed in rows
+        for param, row in rows
     ]
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
-def _emit(rows: list[tuple[object, float, float]], fmt: str, out: str | None) -> None:
+def _emit(rows: list[tuple[object, ScenarioResult]], fmt: str, out: str | None) -> None:
     text = render_json(rows) if fmt == "json" else render_csv(rows)
     if out:
         Path(out).write_text(text, newline="\n")
@@ -73,25 +71,24 @@ def _emit(rows: list[tuple[object, float, float]], fmt: str, out: str | None) ->
         sys.stdout.write(text)
 
 
-def _report(
-    table: list[tuple[object, float, float]], tolerances: list[float], fmt: str, args: argparse.Namespace
-) -> int:
-    """Emit the table, then count the rows that are not finite or off their
+def _report(rows: list[tuple[object, ScenarioResult]], fmt: str, args: argparse.Namespace) -> int:
+    """Emit the rows, then count those that are not finite or off their
     closed form by more than their tolerance (--tolerance, when given)."""
-    _emit(table, fmt, args.out)
-    if args.tolerance is not None:
-        tolerances = [args.tolerance] * len(table)
+    _emit(rows, fmt, args.out)
+    tolerance = args.tolerance
     # Written as "not <=" so that a NaN closed form is a mismatch too.
-    bad = sum(not math.isfinite(v) or not abs(v - c) <= tol for (_, v, c), tol in zip(table, tolerances))
+    bad = sum(
+        not math.isfinite(row.value) or not row.abs_error() <= (row.tolerance if tolerance is None else tolerance)
+        for _, row in rows
+    )
     if bad:
-        print(f"mismatch: {bad} of {len(table)} values not finite or off their closed form", file=sys.stderr)
+        print(f"mismatch: {bad} of {len(rows)} values not finite or off their closed form", file=sys.stderr)
         return EXIT_MISMATCH
     return EXIT_OK
 
 
 def _run_spec(spec: ScenarioSpec, args: argparse.Namespace) -> int:
-    table = [(param, result.value, result.closed_form) for param, result in evaluate(spec)]
-    return _report(table, [DEFAULT_TOLERANCE] * len(table), args.format or spec.output, args)
+    return _report(evaluate(spec), args.format or spec.output, args)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -140,16 +137,15 @@ def cmd_chsh(args: argparse.Namespace) -> int:
 
 
 def cmd_selfcheck(args: argparse.Namespace) -> int:
-    rows = selfcheck_rows()
-    expected = {row.name: row.expected for row in rows}
+    rows = {row.observable: row for row in selfcheck_rows()}
     if args.corrupt is not None:
-        if args.corrupt not in expected:
-            names = ", ".join(sorted(expected))
+        if args.corrupt not in rows:
+            names = ", ".join(sorted(rows))
             print(f"error: no selfcheck row named {args.corrupt!r}; rows are: {names}", file=sys.stderr)
             return EXIT_BAD_INPUT
-        expected[args.corrupt] += 1e-3
-    table = [(row.name, row.value, expected[row.name]) for row in rows]
-    return _report(table, [row.tolerance for row in rows], args.format or "csv", args)
+        row = rows[args.corrupt]
+        rows[args.corrupt] = row._replace(closed_form=row.closed_form + 1e-3)
+    return _report(list(rows.items()), args.format or "csv", args)
 
 
 def build_parser() -> argparse.ArgumentParser:

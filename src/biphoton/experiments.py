@@ -30,8 +30,9 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import detection as det
 from . import optics as op
@@ -61,13 +62,14 @@ class DarkDenominator(ValueError):
     that are all (near) zero."""
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
-    """One evaluated observable with its analytic reference."""
+class ScenarioResult(NamedTuple):
+    """One table row: an evaluated observable, its analytic reference and
+    the largest abs error that still counts as agreement."""
 
     observable: str
     value: float
     closed_form: float
+    tolerance: float = 1e-9
 
     def abs_error(self) -> float:
         return abs(self.value - self.closed_form)
@@ -182,7 +184,8 @@ def source(kind: str, geometry: CascadeGeometry = CascadeGeometry(), split: bool
 def coincidence(src: Source, t1: float, t2: float) -> ScenarioResult:
     """Coincidence rate of the two analyzers at angles t1, t2: the value of
     det.coincidence_rate(src.ket, op.polarizer(src.arm1, t1),
-    op.polarizer(src.arm2, t2)), bit for bit, raising where it raises."""
+    op.polarizer(src.arm2, t2)), bit for bit, raising where it raises.  The
+    closed form is NaN where t1 - t2 is not finite."""
     kernel, memo = src.kernel, src.arm1_states
     # -0.0 and 0.0 share a key: they give one form, sin(+-0.0) terms being pruned.
     after1 = memo.get(t1)
@@ -194,11 +197,10 @@ def coincidence(src: Source, t1: float, t2: float) -> ScenarioResult:
         if len(memo) >= ARM1_MEMO:
             del memo[next(iter(memo))]
         memo[t1] = after1
-    return ScenarioResult(
-        observable="coincidence_rate",
-        value=kernel.norm2(kernel.apply(after1, form2)),
-        closed_form=src.peak * src.law(t1 - t2) ** 2,
-    )
+    value = kernel.norm2(kernel.apply(after1, form2))
+    delta = t1 - t2
+    closed = src.peak * src.law(delta) ** 2 if math.isfinite(delta) else math.nan
+    return ScenarioResult("coincidence_rate", value, closed)
 
 
 # --- single-point scenarios -----------------------------------------------------
@@ -305,10 +307,7 @@ def same_channel_table(kind: str) -> list[ScenarioResult]:
     src = source(kind)
     values = (same_channel_probability(src, 1), same_channel_probability(src, 2), split_probability(src))
     names = ("both_ch1", "both_ch2", "split")
-    return [
-        ScenarioResult(observable=name, value=value, closed_form=closed)
-        for name, value, closed in zip(names, values, SAME_CHANNEL_CLOSED_FORMS[kind])
-    ]
+    return [ScenarioResult(*row) for row in zip(names, values, SAME_CHANNEL_CLOSED_FORMS[kind])]
 
 
 # --- correlation coefficients -------------------------------------------------------
@@ -348,8 +347,8 @@ def chsh_S(
 
 # --- experiment registry and scans ------------------------------------------------------
 
-#: One scan point: every angle of the experiment, in radians -> result rows.
-Point = Callable[[Mapping[str, float]], list[ScenarioResult]]
+#: One scan point: the experiment's angles in radians, positionally in Experiment.angles order -> result rows.
+Point = Callable[..., list[ScenarioResult]]
 
 
 @dataclass(frozen=True)
@@ -357,7 +356,7 @@ class Experiment:
     """Everything the scenario layer knows about one named experiment.
 
     prepare(state, geometry, beams) builds the scenario once and returns the
-    function that evaluates one point of it.
+    Point that evaluates one point of it.
     """
 
     angles: dict[str, float]  # parameter name -> default, in degrees
@@ -369,7 +368,7 @@ class Experiment:
 def _pair_experiment(names: tuple[str, str], states: tuple[str, ...], default: str, split: bool = False) -> Experiment:
     def prepare(state: str, geometry: CascadeGeometry, beams) -> Point:
         src = source(state, geometry, split)
-        return lambda angles: [coincidence(src, angles[names[0]], angles[names[1]])]
+        return lambda t1, t2: [coincidence(src, t1, t2)]
 
     return Experiment(dict.fromkeys(names, 0.0), states, default, prepare)
 
@@ -377,15 +376,10 @@ def _pair_experiment(names: tuple[str, str], states: tuple[str, ...], default: s
 def _prepare_chsh(state: str, geometry: CascadeGeometry, beams) -> Point:
     src = source(state)
 
-    def point(angles: Mapping[str, float]) -> list[ScenarioResult]:
-        settings = {name: angles[name] for name in CANONICAL_CHSH_ANGLES}
-        return [
-            ScenarioResult(
-                observable="abs_S",
-                value=abs(chsh_S(src, **settings)),
-                closed_form=abs(chsh_S(src, **settings, E=analytic_correlation_E)),
-            )
-        ]
+    def point(a: float, ap: float, b: float, bp: float) -> list[ScenarioResult]:
+        value = abs(chsh_S(src, a, ap, b, bp))
+        closed = abs(chsh_S(src, a, ap, b, bp, E=analytic_correlation_E))
+        return [ScenarioResult("abs_S", value, closed)]
 
     return point
 
@@ -395,14 +389,14 @@ EXPERIMENTS: dict[str, Experiment] = {
     "pdc": _pair_experiment(("theta1", "theta2"), ("psi_e", "psi_u"), "psi_u"),
     "fig2": _pair_experiment(("theta3", "theta4"), ("psi_e", "psi_u"), "psi_u", split=True),
     "fig3": Experiment(
-        {}, ("psi_e", "psi_u"), "psi_u", lambda state, geometry, beams: lambda _: [fig3_visibility(state, beams)]
+        {}, ("psi_e", "psi_u"), "psi_u", lambda state, geometry, beams: lambda: [fig3_visibility(state, beams)]
     ),
     "cascade": _pair_experiment(("theta1", "theta2"), ("psi_u_prime",), "psi_u_prime"),
     "chsh": Experiment(
         {"a": 0.0, "ap": 45.0, "b": 22.5, "bp": 67.5}, NAMED_STATE_KINDS, "circular_pair", _prepare_chsh
     ),
     "same-channel": Experiment(
-        {}, tuple(SAME_CHANNEL_CLOSED_FORMS), "psi_u", lambda state, geometry, beams: lambda _: same_channel_table(state)
+        {}, tuple(SAME_CHANNEL_CLOSED_FORMS), "psi_u", lambda state, geometry, beams: lambda: same_channel_table(state)
     ),
 }
 

@@ -255,15 +255,20 @@ def format_scenario(spec: ScenarioSpec) -> str:
 def evaluate(spec: ScenarioSpec) -> list[tuple[object, ScenarioResult]]:
     """Run the scenario; rows are (param, result) with param the scanned
     angle in degrees, or the observable name for single-point runs.  The
-    source and its field chain are built once, not per scan point."""
-    point = EXPERIMENTS[spec.experiment].prepare(spec.state, spec.geometry, spec.beams)
-    fixed_rad = {name: math.radians(deg) for name, deg in spec.angles.items()}
-    if spec.scan is None:
-        return [(result.observable, result) for result in point(fixed_rad)]
+    source, its field chain and the list of angles in radians are built once;
+    a scan point rewrites only the scanned slot."""
+    record = EXPERIMENTS[spec.experiment]
+    point = record.prepare(spec.state, spec.geometry, spec.beams)
+    scan = spec.scan
+    # A missing angle that is not scanned raises KeyError: no silent default.
+    radians = [0.0 if scan and name == scan.name else math.radians(spec.angles[name]) for name in record.angles]
+    if scan is None:
+        return [(result.observable, result) for result in point(*radians)]
 
+    slot = list(record.angles).index(scan.name)
     rows: list[tuple[object, ScenarioResult]] = []
-    for degrees in scan_values(spec.scan.start, spec.scan.stop, spec.scan.step):
-        angles = dict(fixed_rad)
-        angles[spec.scan.name] = math.radians(degrees)
-        rows.extend((degrees, result) for result in point(angles))
+    for degrees in scan_values(scan.start, scan.stop, scan.step):
+        radians[slot] = math.radians(degrees)
+        for result in point(*radians):
+            rows.append((degrees, result))
     return rows

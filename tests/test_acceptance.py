@@ -113,7 +113,8 @@ def test_criterion_09_chsh_saturation():
     bound = 2.0 * SQRT2
     ok = all(abs(v - bound) <= 1e-9 for v in values.values())
     ok = ok and abs(values["psi_e"] - values["psi_u"]) <= 1e-9
-    report(9, "|S| = 2*sqrt2 at canonical angles for all three pair states", ok, str({k: f"{v:.10f}" for k, v in values.items()}))
+    detail = str({k: f"{v:.10f}" for k, v in values.items()})
+    report(9, "|S| = 2*sqrt2 at canonical angles for all three pair states", ok, detail)
 
 
 def test_criterion_10_same_channel_probabilities():

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from biphoton.cli import main
+from biphoton.selfcheck import selfcheck_rows
 from support import child_env
 
 FIG1_SCAN = "experiment fig1\nangle theta1 0\nscan theta2 0 180 5\n"
@@ -198,6 +199,31 @@ def test_tolerance_flag_can_force_mismatch(tmp_path, capsys):
     path = write_spec(tmp_path, FIG1_SCAN)
     code, _, _ = run_cli(capsys, "run", path, "--tolerance", "0")
     assert code == 2
+
+
+def test_selfcheck_row_keeps_its_own_tolerance(monkeypatch, capsys):
+    # 1e-12 is within the 1e-9 default but not within this row's 1e-14.
+    rows = [
+        row._replace(value=1e-12) if row.observable == "factor_commutator_abs" else row for row in selfcheck_rows()
+    ]
+    assert [row.tolerance for row in rows if row.observable == "factor_commutator_abs"] == [1e-14]
+    monkeypatch.setattr("biphoton.cli.selfcheck_rows", lambda: rows)
+    code, _, err = run_cli(capsys, "selfcheck")
+    assert code == 2
+    assert err.startswith("mismatch: 1 of 24 ")
+
+
+def test_selfcheck_tolerance_zero_forces_mismatch(capsys):
+    code, _, err = run_cli(capsys, "selfcheck", "--tolerance", "0")
+    assert code == 2
+    assert err.startswith("mismatch: 15 of 24 ")
+
+
+def test_selfcheck_tolerance_flag_overrides_row_tolerances(capsys):
+    code, out, err = run_cli(capsys, "selfcheck", "--corrupt", "pdc_peak_psi_e", "--tolerance", "1")
+    assert code == 0 and err == ""
+    row = next(line for line in out.splitlines() if line.startswith("pdc_peak_psi_e,"))
+    assert row.split(",")[2] == "0.501"
 
 
 def test_module_invocation_smoke():

@@ -364,13 +364,13 @@ def test_scan_values_validation():
         ex.scan_values(0.0, float("inf"), 1.0)
 
 
-def run_experiment(experiment, state, angles):
-    return ex.EXPERIMENTS[experiment].prepare(state, ex.CascadeGeometry(), det.default_beams())(angles)
+def run_experiment(experiment, state, *radians):
+    return ex.EXPERIMENTS[experiment].prepare(state, ex.CascadeGeometry(), det.default_beams())(*radians)
 
 
 def test_angle_scan_fig1_rows():
     values = [k * math.pi / 36 for k in range(37)]
-    rows = [run_experiment("fig1", "circular_pair", {"theta1": 0.0, "theta2": v})[0] for v in values]
+    rows = [run_experiment("fig1", "circular_pair", 0.0, v)[0] for v in values]
     assert len(rows) == 37
     for value, row in zip(values, rows):
         assert row.value == pytest.approx(0.25 * math.sin(value) ** 2, abs=1e-13)
@@ -378,7 +378,7 @@ def test_angle_scan_fig1_rows():
 
 
 def test_angle_scan_fig2_entangled_all_zero():
-    rows = [run_experiment("fig2", "psi_e", {"theta3": v, "theta4": 0.2})[0] for v in (0.0, 0.5, 1.0)]
+    rows = [run_experiment("fig2", "psi_e", v, 0.2)[0] for v in (0.0, 0.5, 1.0)]
     assert all(row.value <= 1e-12 for row in rows)
 
 
@@ -411,7 +411,7 @@ def test_every_result_with_closed_form_is_within_tolerance():
         ex.coincidence(ex.source("psi_u_prime"), 0.6, -0.1),
         ex.fig3_visibility("psi_u"),
         ex.fig3_visibility("psi_e"),
-        *run_experiment("chsh", "psi_u", ex.CANONICAL_CHSH_ANGLES),
+        *run_experiment("chsh", "psi_u", *ex.CANONICAL_CHSH_ANGLES.values()),
         *ex.same_channel_table("circular_pair"),
     ]
     for result in results:

@@ -1,6 +1,7 @@
 """Byte-pinned CLI output: exact stdout and exit code of one default scan per
 experiment, angle scans of fig2, pdc and cascade, a non-canonical chsh and a
-second same-channel state, and the selfcheck table."""
+second same-channel state, the selfcheck table, and the selfcheck table and
+a fig2 scan as JSON."""
 
 from __future__ import annotations
 
@@ -174,6 +175,211 @@ GOLDEN = [
             'same_channel_psi_e_ch1,0,0,0\n'
             'same_channel_psi_e_ch2,0,0,0\n'
             'circular_outcome_total,1,1,4.4408920985e-16\n'
+        ),
+    ),
+    (
+        ['selfcheck', '--format', 'json'],
+        0,
+        (
+            '[\n'
+            '  {\n'
+            '    "param": "fig1_sin2_max_abs_err",\n'
+            '    "value": 1.66533453694e-16,\n'
+            '    "closed_form": 0.0,\n'
+            '    "abs_error": 1.66533453694e-16\n'
+            '  },\n'
+            '  {\n'
+            '    "param": "fig1_conditional_max_dev",\n'
+            '    "value": 3.33066907388e-16,\n'
+            '    "closed_form": 0.0,\n'
+            '    "abs_error": 3.33066907388e-16\n'
+            '  },\n'
+            '  {\n'
+            '    "param": "pdc_shape_max_dev",\n'
+            '    "value": 3.33066907388e-16,\n'
+            '    "closed_form": 0.0,\n'
+            '    "abs_error": 3.33066907388e-16\n'
+            '  },\n'
+            '  {\n'
+            '    "param": "pdc_peak_psi_e",\n'
+            '    "value": 0.5,\n'
+            '    "closed_form": 0.5,\n'
+            '    "abs_error": 1.11022302463e-16\n'
+            '  },\n'
+            '  {\n'
+            '    "param": "pdc_peak_psi_u",\n'
+            '    "value": 0.25,\n'
+            '    "closed_form": 0.25,\n'
+            '    "abs_error": 2.22044604925e-16\n'
+            '  },\n'
+            '  {\n'
+            '    "param": "cascade_cos2_max_abs_err",\n'
+            '    "value": 1.11022302463e-16,\n'
+            '    "closed_form": 0.0,\n'
+            '    "abs_error": 1.11022302463e-16\n'
+            '  },\n'
+            '  {\n'
+            '    "param": "fig2_psi_u_max_abs_err",\n'
+            '    "value": 8.32667268469e-17,\n'
+            '    "closed_form": 0.0,\n'
+            '    "abs_error": 8.32667268469e-17\n'
+            '  },\n'
+            '  {\n'
+            '    "param": "fig2_psi_e_max_rate",\n'
+            '    "value": 0.0,\n'
+            '    "closed_form": 0.0,\n'
+            '    "abs_error": 0.0\n'
+            '  },\n'
+            '  {\n'
+            '    "param": "fig3_visibility_psi_u",\n'
+            '    "value": 1.0,\n'
+            '    "closed_form": 1.0,\n'
+            '    "abs_error": 0.0\n'
+            '  },\n'
+            '  {\n'
+            '    "param": "fig3_visibility_psi_e",\n'
+            '    "value": 3.33066907388e-16,\n'
+            '    "closed_form": 0.0,\n'
+            '    "abs_error": 3.33066907388e-16\n'
+            '  },\n'
+            '  {\n'
+            '    "param": "overlap_entangled_component",\n'
+            '    "value": 0.707106781187,\n'
+            '    "closed_form": 0.707106781187,\n'
+            '    "abs_error": 0.0\n'
+            '  },\n'
+            '  {\n'
+            '    "param": "overlap_imaginary_part",\n'
+            '    "value": 0.0,\n'
+            '    "closed_form": 0.0,\n'
+            '    "abs_error": 0.0\n'
+            '  },\n'
+            '  {\n'
+            '    "param": "remainder_norm2",\n'
+            '    "value": 0.5,\n'
+            '    "closed_form": 0.5,\n'
+            '    "abs_error": 1.11022302463e-16\n'
+            '  },\n'
+            '  {\n'
+            '    "param": "factorization_max_amp_diff",\n'
+            '    "value": 2.22044604925e-16,\n'
+            '    "closed_form": 0.0,\n'
+            '    "abs_error": 2.22044604925e-16\n'
+            '  },\n'
+            '  {\n'
+            '    "param": "factor_commutator_abs",\n'
+            '    "value": 0.0,\n'
+            '    "closed_form": 0.0,\n'
+            '    "abs_error": 0.0\n'
+            '  },\n'
+            '  {\n'
+            '    "param": "chsh_abs_circular_pair",\n'
+            '    "value": 2.82842712475,\n'
+            '    "closed_form": 2.82842712475,\n'
+            '    "abs_error": 0.0\n'
+            '  },\n'
+            '  {\n'
+            '    "param": "chsh_abs_psi_e",\n'
+            '    "value": 2.82842712475,\n'
+            '    "closed_form": 2.82842712475,\n'
+            '    "abs_error": 0.0\n'
+            '  },\n'
+            '  {\n'
+            '    "param": "chsh_abs_psi_u",\n'
+            '    "value": 2.82842712475,\n'
+            '    "closed_form": 2.82842712475,\n'
+            '    "abs_error": 4.4408920985e-16\n'
+            '  },\n'
+            '  {\n'
+            '    "param": "chsh_psi_e_minus_psi_u",\n'
+            '    "value": -4.4408920985e-16,\n'
+            '    "closed_form": 0.0,\n'
+            '    "abs_error": 4.4408920985e-16\n'
+            '  },\n'
+            '  {\n'
+            '    "param": "same_channel_psi_u_ch1",\n'
+            '    "value": 0.25,\n'
+            '    "closed_form": 0.25,\n'
+            '    "abs_error": 2.22044604925e-16\n'
+            '  },\n'
+            '  {\n'
+            '    "param": "same_channel_psi_u_ch2",\n'
+            '    "value": 0.25,\n'
+            '    "closed_form": 0.25,\n'
+            '    "abs_error": 2.22044604925e-16\n'
+            '  },\n'
+            '  {\n'
+            '    "param": "same_channel_psi_e_ch1",\n'
+            '    "value": 0.0,\n'
+            '    "closed_form": 0.0,\n'
+            '    "abs_error": 0.0\n'
+            '  },\n'
+            '  {\n'
+            '    "param": "same_channel_psi_e_ch2",\n'
+            '    "value": 0.0,\n'
+            '    "closed_form": 0.0,\n'
+            '    "abs_error": 0.0\n'
+            '  },\n'
+            '  {\n'
+            '    "param": "circular_outcome_total",\n'
+            '    "value": 1.0,\n'
+            '    "closed_form": 1.0,\n'
+            '    "abs_error": 4.4408920985e-16\n'
+            '  }\n'
+            ']\n'
+        ),
+    ),
+    (
+        [
+            'scan', '--experiment', 'fig2', '--angle', 'theta4', '10',
+            '--scan', 'theta3', '0', '90', '15', '--format', 'json',
+        ],
+        0,
+        (
+            '[\n'
+            '  {\n'
+            '    "param": 0.0,\n'
+            '    "value": 0.0606153943996,\n'
+            '    "closed_form": 0.0606153943996,\n'
+            '    "abs_error": 5.55111512313e-17\n'
+            '  },\n'
+            '  {\n'
+            '    "param": 15.0,\n'
+            '    "value": 0.0620252422816,\n'
+            '    "closed_form": 0.0620252422816,\n'
+            '    "abs_error": 6.93889390391e-17\n'
+            '  },\n'
+            '  {\n'
+            '    "param": 30.0,\n'
+            '    "value": 0.0551888888475,\n'
+            '    "closed_form": 0.0551888888475,\n'
+            '    "abs_error": 4.16333634234e-17\n'
+            '  },\n'
+            '  {\n'
+            '    "param": 45.0,\n'
+            '    "value": 0.0419381294789,\n'
+            '    "closed_form": 0.0419381294789,\n'
+            '    "abs_error": 3.46944695195e-17\n'
+            '  },\n'
+            '  {\n'
+            '    "param": 60.0,\n'
+            '    "value": 0.0258234944479,\n'
+            '    "closed_form": 0.0258234944479,\n'
+            '    "abs_error": 1.73472347598e-17\n'
+            '  },\n'
+            '  {\n'
+            '    "param": 75.0,\n'
+            '    "value": 0.0111628871973,\n'
+            '    "closed_form": 0.0111628871973,\n'
+            '    "abs_error": 1.21430643318e-17\n'
+            '  },\n'
+            '  {\n'
+            '    "param": 90.0,\n'
+            '    "value": 0.00188460560044,\n'
+            '    "closed_form": 0.00188460560044,\n'
+            '    "abs_error": 0.0\n'
+            '  }\n'
+            ']\n'
         ),
     ),
 ]

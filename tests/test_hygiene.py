@@ -1,5 +1,5 @@
-"""Source hygiene: no module or test file imports a name it never uses,
-no line is longer than 121 characters, and the package runs without
+"""Source hygiene: no module or test file imports a name it never uses or
+has a line longer than 121 characters, and the package runs without
 numpy, whose values it pins instead."""
 
 from __future__ import annotations
@@ -49,7 +49,9 @@ def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+@pytest.mark.parametrize(
+    "path", SOURCES + TEST_FILES, ids=[p.name for p in SOURCES] + [f"tests/{p.name}" for p in TEST_FILES]
+)
 def test_module_lines_fit_121_columns(path):
     long_lines = [n for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1) if len(line) > 121]
     assert long_lines == []

@@ -63,18 +63,23 @@ def test_coincidence_matches_engine_bit_for_bit_and_oracle():
             for t2 in angles:
                 got = outcome(lambda: ex.coincidence(src, t1, t2).value)
                 want = outcome(lambda: engine_rate(src, t1, t2))
-                if want is not OverflowError and math.isinf(t1 - t2):
-                    want = ValueError  # from the closed form's law(inf), after the rate
                 assert got == want, (src, t1, t2)
                 if got is OverflowError:
                     raised += 1
                     continue
                 forms = [form_dict(op.polarizer(src.arm1, t1)), form_dict(op.polarizer(src.arm2, t2))]
                 exact = oracle.o_expectation(ref, forms)
-                if got is not ValueError and math.isfinite(exact):
+                if math.isfinite(exact):
                     assert abs(float(got[1]) - exact) <= 1e-12, (src, t1, t2)
     assert raised, "the overflowing geometry must reach the overflow"
     assert outcome(lambda: ex.coincidence(ex.source("psi_e", split=True), 0.3, 1.1).value) == (int, "0")
+
+
+def test_coincidence_closed_form_is_nan_where_the_angle_difference_overflows():
+    src = ex.source("circular_pair")
+    result = ex.coincidence(src, 1e308, -1e308)
+    assert result.value == engine_rate(src, 1e308, -1e308) == 0.16331001973043988
+    assert math.isnan(result.closed_form) and math.isnan(result.abs_error())
 
 
 def test_kernel_replays_the_engine_on_random_kets_and_forms():

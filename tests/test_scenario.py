@@ -158,7 +158,8 @@ def test_chsh_defaults_are_canonical_degrees():
         "experiment fig1\nangle theta1 0\nscan theta2 0 180 5\n",
         "experiment chsh\nstate psi_u\n",
         "experiment cascade\ngeometry 1+0i -0.5-0.25i 0+2i 3+0i\nangle theta1 12.5\n",
-        "experiment fig3\nstate psi_e\nbeam 1 plane_wave 15.707963 0.25\nbeam 2 gaussian -15.707963 0.5 0\noutput json\n",
+        "experiment fig3\nstate psi_e\nbeam 1 plane_wave 15.707963 0.25\n"
+        "beam 2 gaussian -15.707963 0.5 0\noutput json\n",
         "experiment same-channel\nstate psi_e\n",
         "experiment pdc\nstate psi_e\nangle theta1 30\nscan theta2 0 360 7.5\noutput json\n",
     ],
@@ -202,6 +203,22 @@ def test_evaluate_fig3_uses_beams():
     assert rows[0][1].value == pytest.approx(1.0, abs=1e-9)
 
 
+def test_evaluate_scan_rewrites_only_the_scanned_angle():
+    rows = sc.evaluate(sc.parse_scenario("experiment chsh\nstate psi_u\nangle a 5\nangle bp 80\nscan b -30 30 15\n"))
+    a, ap, bp = map(math.radians, (5.0, 45.0, 80.0))
+    src = source("psi_u")
+    expected = [abs(ex.chsh_S(src, a, ap, math.radians(b), bp)) for b in (-30.0, -15.0, 0.0, 15.0, 30.0)]
+    assert [param for param, _ in rows] == [-30.0, -15.0, 0.0, 15.0, 30.0]
+    assert [result.value for _, result in rows] == expected
+
+
+@pytest.mark.parametrize("scan", [None, sc.Scan("theta2", 0.0, 10.0, 5.0)])
+def test_evaluate_has_no_default_for_a_missing_angle(scan):
+    # parse_scenario fills in every angle; a spec built by hand may lack one.
+    with pytest.raises(KeyError, match="theta1"):
+        sc.evaluate(sc.ScenarioSpec("pdc", "psi_u", angles={"theta2": 0.0} if scan is None else {}, scan=scan))
+
+
 @pytest.mark.parametrize(
     "text,n_rows",
     [("experiment fig1\nscan theta2 0 180 0.25\n", 721), ("experiment chsh\nstate psi_u\nscan a 0 180 2.5\n", 73)],
@@ -232,6 +249,6 @@ def test_selfcheck_builds_each_source_once(monkeypatch):
     monkeypatch.setattr(ex, "source", counting_source)
     monkeypatch.setattr(ex, "named_state", counting_named_state)
     monkeypatch.setattr(selfcheck, "named_state", counting_named_state)
-    assert all(abs(row.value - row.expected) <= row.tolerance for row in selfcheck_rows())
+    assert all(row.abs_error() <= row.tolerance for row in selfcheck_rows())
     assert len(calls) <= 20
     assert len(states) <= 17
