@@ -17,6 +17,7 @@ by more than its row's tolerance (or --tolerance, when given).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -148,7 +149,10 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
     return _report(list(rows.items()), args.format or "csv", args)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state in it, so every main call can share it."""
     parser = argparse.ArgumentParser(
         prog="biphoton",
         description="Exact two-photon polarization-correlation scenarios.",

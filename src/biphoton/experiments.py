@@ -31,18 +31,18 @@ import cmath
 import functools
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import detection as det
 from . import optics as op
 from .fock import (
     _SQRT1_2,
+    EPS_PRUNE,
     EPS_ZERO,
     NAMED_STATE_KINDS,
     FockKet,
     LinearForm,
-    ReplayKernel,
     apply_form,
     combination_forms,
     named_state,
@@ -52,9 +52,6 @@ from .modes import BEAM_H, BEAM_V, H1, H2, V1, V2, W1H, W1V, W2H, W2V
 
 #: Upper bound on the number of points in one angle scan.
 MAX_SCAN_POINTS = 1_000_000
-
-#: Arm-1 states a Source keeps, oldest dropped first (a chsh point has four).
-ARM1_MEMO = 8
 
 
 class DarkDenominator(ValueError):
@@ -143,9 +140,9 @@ class Source:
     """A two-photon state seen through two analyzer arms.
 
     The coincidence rate at analyzer angles (t1, t2) is the normally ordered
-    <L1^dag L2^dag L2 L1> of the two polarizer operators (Glauber's G2), with
-    closed form peak * law(t1 - t2) ** 2, law being math.sin or math.cos.
-    kernel is compiled on first use; arm1_states keeps arm-1 states by angle.
+    <L1^dag L2^dag L2 L1> of the two polarizer operators (Glauber's G2),
+    read off the two-photon amplitude matrix K, with closed form
+    peak * law(t1 - t2) ** 2, law being math.sin or math.cos.
     """
 
     ket: FockKet
@@ -153,12 +150,23 @@ class Source:
     arm2: op.ChannelField
     peak: float
     law: Callable[[float], float]
-    arm1_states: dict[float, dict[int, complex]] = field(default_factory=dict, init=False, repr=False)
 
     @functools.cached_property
-    def kernel(self) -> ReplayKernel:
-        """Form pair 0 is arm 1's polarizer (v, h), pair 1 arm 2's."""
-        return ReplayKernel(self.ket, ((self.arm1.v, self.arm1.h), (self.arm2.v, self.arm2.h)))
+    def K(self) -> tuple[tuple[complex, complex], tuple[complex, complex]] | None:
+        """Two-photon amplitude matrix K[i][j] = <0| arm2[j] arm1[i] |ket>,
+        i and j over the (v, h) components, computed once by the engine; None
+        when the ket has a term that is not two-photon or K is not finite.
+
+        L2 L1 of a two-photon ket is a multiple of the vacuum, and a
+        polarizer at t is cos(t) v + sin(t) h, so the coincidence amplitude
+        is c1^T K c2 with c = (cos t, sin t) (Rubin, Klyshko, Shih and
+        Sergienko, PRA 50, 5122 (1994)).
+        """
+        if any(sum(n for _, n in occ) != 2 for occ, _ in self.ket.items()):
+            return None
+        arm1, arm2 = (self.arm1.v, self.arm1.h), (self.arm2.v, self.arm2.h)
+        K = tuple(tuple(apply_form(apply_form(self.ket, f), g).amplitude(()) for g in arm2) for f in arm1)
+        return K if all(cmath.isfinite(k) for row in K for k in row) else None
 
 
 def source(kind: str, geometry: CascadeGeometry = CascadeGeometry(), split: bool = False) -> Source:
@@ -182,22 +190,20 @@ def source(kind: str, geometry: CascadeGeometry = CascadeGeometry(), split: bool
 
 
 def coincidence(src: Source, t1: float, t2: float) -> ScenarioResult:
-    """Coincidence rate of the two analyzers at angles t1, t2: the value of
+    """Coincidence rate of the two analyzers at angles t1, t2: the squared
+    modulus of the amplitude c1^T K c2 (Source.K), or 0 as the engine prunes
+    it where that modulus is <= EPS_PRUNE.  It agrees with
     det.coincidence_rate(src.ket, op.polarizer(src.arm1, t1),
-    op.polarizer(src.arm2, t2)), bit for bit, raising where it raises.  The
-    closed form is NaN where t1 - t2 is not finite."""
-    kernel, memo = src.kernel, src.arm1_states
-    # -0.0 and 0.0 share a key: they give one form, sin(+-0.0) terms being pruned.
-    after1 = memo.get(t1)
-    # Both forms before the first apply, so that errors come in the engine's order.
-    form1 = kernel.form(0, math.cos(t1), math.sin(t1)) if after1 is None else None
-    form2 = kernel.form(1, math.cos(t2), math.sin(t2))
-    if after1 is None:
-        after1 = kernel.apply(kernel.start, form1)
-        if len(memo) >= ARM1_MEMO:
-            del memo[next(iter(memo))]
-        memo[t1] = after1
-    value = kernel.norm2(kernel.apply(after1, form2))
+    op.polarizer(src.arm2, t2)) to rounding, and is that engine value where
+    K is None.  The closed form is NaN where t1 - t2 is not finite."""
+    K = src.K
+    if K is None:
+        value = det.coincidence_rate(src.ket, op.polarizer(src.arm1, t1), op.polarizer(src.arm2, t2))
+    else:
+        (kvv, kvh), (khv, khh) = K
+        c1, s1, c2, s2 = math.cos(t1), math.sin(t1), math.cos(t2), math.sin(t2)
+        amp = abs((c1 * kvv + s1 * khv) * c2 + (c1 * kvh + s1 * khh) * s2)
+        value = 0 if amp <= EPS_PRUNE else amp ** 2
     delta = t1 - t2
     closed = src.peak * src.law(delta) ** 2 if math.isfinite(delta) else math.nan
     return ScenarioResult("coincidence_rate", value, closed)

@@ -216,7 +216,7 @@ def test_selfcheck_row_keeps_its_own_tolerance(monkeypatch, capsys):
 def test_selfcheck_tolerance_zero_forces_mismatch(capsys):
     code, _, err = run_cli(capsys, "selfcheck", "--tolerance", "0")
     assert code == 2
-    assert err.startswith("mismatch: 15 of 24 ")
+    assert err.startswith("mismatch: 16 of 24 ")
 
 
 def test_selfcheck_tolerance_flag_overrides_row_tolerances(capsys):
@@ -251,6 +251,43 @@ def test_help_still_exits_0(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0
     assert out.startswith("usage: biphoton")
+
+
+#: Runs each argv of the JSON list in argv[1] through one in-process main and
+#: prints [exit code, stdout, stderr] of every call as JSON.
+MAIN_CALLS = """
+import contextlib, io, json, sys
+from biphoton.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def main_calls(calls: list[list[str]]) -> list[list]:
+    argv = [sys.executable, "-c", MAIN_CALLS, json.dumps(calls)]
+    proc = subprocess.run(argv, capture_output=True, text=True, check=True, env=child_env())
+    return json.loads(proc.stdout)
+
+
+def test_consecutive_main_calls_match_first_calls_in_fresh_processes():
+    # Each pair could leak through a parser shared between calls: a flag's
+    # value, an appended --beam, or a half-parsed usage error.
+    calls = [
+        ["scan", "--experiment", "pdc", "--angle", "theta1", "10"],
+        ["scan", "--experiment", "pdc"],
+        ["scan", "--experiment", "fig3", "--beam", "1", "gaussian", "3", "0.5"],
+        ["scan", "--experiment", "fig3"],
+        ["scan", "--experiment", "fig1", "--angle", "theta1"],
+        ["chsh"],
+    ]
+    fresh = [main_calls([argv])[0] for argv in calls]
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 1, 0]
+    assert main_calls(calls) == fresh
 
 
 @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])

@@ -55,7 +55,7 @@ GOLDEN = [
         0,
         (
             'param,value,closed_form,abs_error\n'
-            'abs_S,2.82842712475,2.82842712475,4.4408920985e-16\n'
+            'abs_S,2.82842712475,2.82842712475,0\n'
         ),
     ),
     (
@@ -74,12 +74,12 @@ GOLDEN = [
         (
             'param,value,closed_form,abs_error\n'
             '0,0.0606153943996,0.0606153943996,5.55111512313e-17\n'
-            '15,0.0620252422816,0.0620252422816,6.93889390391e-17\n'
+            '15,0.0620252422816,0.0620252422816,4.16333634234e-17\n'
             '30,0.0551888888475,0.0551888888475,4.16333634234e-17\n'
             '45,0.0419381294789,0.0419381294789,3.46944695195e-17\n'
             '60,0.0258234944479,0.0258234944479,1.73472347598e-17\n'
-            '75,0.0111628871973,0.0111628871973,1.21430643318e-17\n'
-            '90,0.00188460560044,0.00188460560044,0\n'
+            '75,0.0111628871973,0.0111628871973,8.67361737988e-18\n'
+            '90,0.00188460560044,0.00188460560044,1.08420217249e-18\n'
         ),
     ),
     (
@@ -96,7 +96,7 @@ GOLDEN = [
             '90,0.44151111078,0.44151111078,1.66533453694e-16\n'
             '120,0.484923155196,0.484923155196,0\n'
             '150,0.293412044417,0.293412044417,0\n'
-            '180,0.0584888892203,0.0584888892203,4.16333634234e-17\n'
+            '180,0.0584888892203,0.0584888892203,0\n'
         ),
     ),
     (
@@ -122,7 +122,7 @@ GOLDEN = [
             '0,0.466506350946,0.466506350946,5.55111512313e-17\n'
             '30,0.466506350946,0.466506350946,5.55111512313e-17\n'
             '60,0.25,0.25,5.55111512313e-17\n'
-            '90,0.0334936490539,0.0334936490539,6.93889390391e-18\n'
+            '90,0.0334936490539,0.0334936490539,2.77555756156e-17\n'
             '120,0.0334936490539,0.0334936490539,1.38777878078e-17\n'
             '150,0.25,0.25,5.55111512313e-17\n'
             '180,0.466506350946,0.466506350946,1.66533453694e-16\n'
@@ -151,25 +151,25 @@ GOLDEN = [
         0,
         (
             'param,value,closed_form,abs_error\n'
-            'fig1_sin2_max_abs_err,1.66533453694e-16,0,1.66533453694e-16\n'
+            'fig1_sin2_max_abs_err,1.11022302463e-16,0,1.11022302463e-16\n'
             'fig1_conditional_max_dev,3.33066907388e-16,0,3.33066907388e-16\n'
             'pdc_shape_max_dev,3.33066907388e-16,0,3.33066907388e-16\n'
             'pdc_peak_psi_e,0.5,0.5,1.11022302463e-16\n'
             'pdc_peak_psi_u,0.25,0.25,2.22044604925e-16\n'
             'cascade_cos2_max_abs_err,1.11022302463e-16,0,1.11022302463e-16\n'
-            'fig2_psi_u_max_abs_err,8.32667268469e-17,0,8.32667268469e-17\n'
+            'fig2_psi_u_max_abs_err,5.55111512313e-17,0,5.55111512313e-17\n'
             'fig2_psi_e_max_rate,0,0,0\n'
             'fig3_visibility_psi_u,1,1,0\n'
-            'fig3_visibility_psi_e,3.33066907388e-16,0,3.33066907388e-16\n'
+            'fig3_visibility_psi_e,1.11022302463e-16,0,1.11022302463e-16\n'
             'overlap_entangled_component,0.707106781187,0.707106781187,0\n'
             'overlap_imaginary_part,0,0,0\n'
             'remainder_norm2,0.5,0.5,1.11022302463e-16\n'
             'factorization_max_amp_diff,2.22044604925e-16,0,2.22044604925e-16\n'
             'factor_commutator_abs,0,0,0\n'
-            'chsh_abs_circular_pair,2.82842712475,2.82842712475,0\n'
+            'chsh_abs_circular_pair,2.82842712475,2.82842712475,4.4408920985e-16\n'
             'chsh_abs_psi_e,2.82842712475,2.82842712475,0\n'
             'chsh_abs_psi_u,2.82842712475,2.82842712475,4.4408920985e-16\n'
-            'chsh_psi_e_minus_psi_u,-4.4408920985e-16,0,4.4408920985e-16\n'
+            'chsh_psi_e_minus_psi_u,4.4408920985e-16,0,4.4408920985e-16\n'
             'same_channel_psi_u_ch1,0.25,0.25,2.22044604925e-16\n'
             'same_channel_psi_u_ch2,0.25,0.25,2.22044604925e-16\n'
             'same_channel_psi_e_ch1,0,0,0\n'
@@ -184,9 +184,9 @@ GOLDEN = [
             '[\n'
             '  {\n'
             '    "param": "fig1_sin2_max_abs_err",\n'
-            '    "value": 1.66533453694e-16,\n'
+            '    "value": 1.11022302463e-16,\n'
             '    "closed_form": 0.0,\n'
-            '    "abs_error": 1.66533453694e-16\n'
+            '    "abs_error": 1.11022302463e-16\n'
             '  },\n'
             '  {\n'
             '    "param": "fig1_conditional_max_dev",\n'
@@ -220,9 +220,9 @@ GOLDEN = [
             '  },\n'
             '  {\n'
             '    "param": "fig2_psi_u_max_abs_err",\n'
-            '    "value": 8.32667268469e-17,\n'
+            '    "value": 5.55111512313e-17,\n'
             '    "closed_form": 0.0,\n'
-            '    "abs_error": 8.32667268469e-17\n'
+            '    "abs_error": 5.55111512313e-17\n'
             '  },\n'
             '  {\n'
             '    "param": "fig2_psi_e_max_rate",\n'
@@ -238,9 +238,9 @@ GOLDEN = [
             '  },\n'
             '  {\n'
             '    "param": "fig3_visibility_psi_e",\n'
-            '    "value": 3.33066907388e-16,\n'
+            '    "value": 1.11022302463e-16,\n'
             '    "closed_form": 0.0,\n'
-            '    "abs_error": 3.33066907388e-16\n'
+            '    "abs_error": 1.11022302463e-16\n'
             '  },\n'
             '  {\n'
             '    "param": "overlap_entangled_component",\n'
@@ -276,7 +276,7 @@ GOLDEN = [
             '    "param": "chsh_abs_circular_pair",\n'
             '    "value": 2.82842712475,\n'
             '    "closed_form": 2.82842712475,\n'
-            '    "abs_error": 0.0\n'
+            '    "abs_error": 4.4408920985e-16\n'
             '  },\n'
             '  {\n'
             '    "param": "chsh_abs_psi_e",\n'
@@ -292,7 +292,7 @@ GOLDEN = [
             '  },\n'
             '  {\n'
             '    "param": "chsh_psi_e_minus_psi_u",\n'
-            '    "value": -4.4408920985e-16,\n'
+            '    "value": 4.4408920985e-16,\n'
             '    "closed_form": 0.0,\n'
             '    "abs_error": 4.4408920985e-16\n'
             '  },\n'
@@ -347,7 +347,7 @@ GOLDEN = [
             '    "param": 15.0,\n'
             '    "value": 0.0620252422816,\n'
             '    "closed_form": 0.0620252422816,\n'
-            '    "abs_error": 6.93889390391e-17\n'
+            '    "abs_error": 4.16333634234e-17\n'
             '  },\n'
             '  {\n'
             '    "param": 30.0,\n'
@@ -371,13 +371,13 @@ GOLDEN = [
             '    "param": 75.0,\n'
             '    "value": 0.0111628871973,\n'
             '    "closed_form": 0.0111628871973,\n'
-            '    "abs_error": 1.21430643318e-17\n'
+            '    "abs_error": 8.67361737988e-18\n'
             '  },\n'
             '  {\n'
             '    "param": 90.0,\n'
             '    "value": 0.00188460560044,\n'
             '    "closed_form": 0.00188460560044,\n'
-            '    "abs_error": 0.0\n'
+            '    "abs_error": 1.08420217249e-18\n'
             '  }\n'
             ']\n'
         ),
