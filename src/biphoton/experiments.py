@@ -30,6 +30,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -225,23 +226,25 @@ def fig1_conditional_check(src: Source, theta1: float) -> float:
     return det.singles_rate(leftover, bare_analyzer)
 
 
-def _fig3_closed_form(kind: str, beams: Sequence[det.BeamProfile], grid: det.ScanGrid) -> float:
+def _fig3_closed_form(kind: str, samples: Sequence[det.BeamSamples]) -> float:
     """Visibility of the first-order interference of the two beam envelopes
     e and phases p: e1^2 + e2^2 + 2 e1 e2 cos(p1 - p2) for psi_u (one
     combination mode reaches the screen through both beams) and
     (e1^2 + e2^2) / 2 for psi_e (H1 and V2 add incoherently, occupation 1/2
-    each)."""
-    beam1, beam2 = beams
-
-    def intensity(x: float, y: float) -> float:
-        e1, e2 = beam1.envelope(x, y), beam2.envelope(x, y)
-        if kind == "psi_e":
-            return (e1 * e1 + e2 * e2) / 2.0
-        delta = beam1.phase(x) - beam2.phase(x)
-        # math.cos raises on inf; the engine's map is NaN there too.
-        return e1 * e1 + e2 * e2 + 2.0 * e1 * e2 * (math.cos(delta) if math.isfinite(delta) else math.nan)
-
-    return det.visibility(tuple(tuple(intensity(x, y) for x in grid.xs) for y in grid.ys))
+    each), from the beams' BeamProfile.sample."""
+    (rows1, phases1), (rows2, phases2) = samples
+    if kind == "psi_e":
+        return det.visibility(
+            tuple(tuple((e1 * e1 + e2 * e2) / 2.0 for e1, e2 in zip(row1, row2)) for row1, row2 in zip(rows1, rows2))
+        )
+    # math.cos raises on inf; the engine's map is NaN there too.
+    cosines = [math.cos(d) if math.isfinite(d) else math.nan for d in map(operator.sub, phases1, phases2)]
+    return det.visibility(
+        tuple(
+            tuple(e1 * e1 + e2 * e2 + 2.0 * e1 * e2 * c for e1, e2, c in zip(row1, row2, cosines))
+            for row1, row2 in zip(rows1, rows2)
+        )
+    )
 
 
 def fig3_visibility(
@@ -253,7 +256,9 @@ def fig3_visibility(
 
     Channel 1 is analyzed horizontally and rotated to vertical, channel 2 is
     analyzed vertically, so both beams hit the screen in the same
-    polarization and only the state decides whether they interfere.
+    polarization and only the state decides whether they interfere.  Each
+    beam is sampled once, and the engine's map and the closed form share
+    the samples.
     """
     grid = grid or det.DEFAULT_GRID
     beams = tuple(beams) if beams is not None else det.default_beams()
@@ -264,11 +269,12 @@ def fig3_visibility(
         screen_forms = [second, second]
     else:
         raise ValueError(f"no overlap scenario for state {kind!r}")
-    fringe_map = det.intensity_map(named_state(kind), screen_forms, beams, grid)
+    samples = [beam.sample(grid) for beam in beams]
+    fringe_map = det.sampled_intensity_map(named_state(kind), screen_forms, samples)
     return ScenarioResult(
         observable="visibility",
         value=det.visibility(fringe_map),
-        closed_form=_fig3_closed_form(kind, beams, grid),
+        closed_form=_fig3_closed_form(kind, samples),
     )
 
 

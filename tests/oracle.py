@@ -128,3 +128,31 @@ def dense_vector(amplitudes: dict, modes, max_total: int) -> np.ndarray:
     """Number-basis amplitudes laid out as a dense vector over all occupations."""
     table = {occ: complex(a) for occ, a in amplitudes.items()}
     return np.array([table.get(occ, 0j) for occ in all_occupations(modes, max_total)])
+
+
+# --- fig3: the envelope closed form, one point at a time -------------------------
+
+
+def fig3_intensity(kind: str, beams, x: float, y: float) -> float:
+    """Screen intensity at (x, y) of the first-order interference of two beam
+    envelopes e and phases p: e1^2 + e2^2 + 2 e1 e2 cos(p1 - p2) for psi_u and
+    (e1^2 + e2^2) / 2 for psi_e, NaN where p1 - p2 is not finite."""
+    e1, e2 = (
+        beam.amplitude * math.exp(-(x * x + y * y) / (2.0 * beam.width * beam.width))
+        if beam.kind == "gaussian"
+        else beam.amplitude
+        for beam in beams
+    )
+    if kind == "psi_e":
+        return (e1 * e1 + e2 * e2) / 2.0
+    delta = (beams[0].tilt * x + beams[0].phase_offset) - (beams[1].tilt * x + beams[1].phase_offset)
+    return e1 * e1 + e2 * e2 + 2.0 * e1 * e2 * (math.cos(delta) if math.isfinite(delta) else math.nan)
+
+
+def fig3_closed_form(kind: str, beams, xs, ys) -> float:
+    """Visibility (max - min) / (max + min) of fig3_intensity over the grid, NaN
+    if any point is NaN."""
+    cells = [fig3_intensity(kind, beams, x, y) for y in ys for x in xs]
+    if any(math.isnan(c) for c in cells):
+        return math.nan
+    return (max(cells) - min(cells)) / (max(cells) + min(cells))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -229,6 +230,29 @@ def test_beam_validation():
         det.BeamProfile(kind="bessel")
     with pytest.raises(ValueError, match="amplitude"):
         det.BeamProfile(amplitude=-1.0)
+    with pytest.raises(ValueError, match="amplitude must be >= 0"):
+        det.BeamProfile(amplitude=math.nan)
+    with pytest.raises(ValueError, match="need width > 0"):
+        det.BeamProfile(kind="gaussian", width=math.nan)
+
+
+@pytest.mark.parametrize("kind", det.BEAM_KINDS)
+def test_beam_sample_is_value_on_the_grid(kind):
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        beam = det.BeamProfile(
+            kind=kind,
+            tilt=float(rng.uniform(-20.0, 20.0)),
+            width=float(rng.uniform(0.2, 2.0)),
+            phase_offset=float(rng.uniform(-7.0, 7.0)),
+            amplitude=float(rng.uniform(0.0, 3.0)),
+        )
+        grid = det.ScanGrid(tuple(map(float, rng.uniform(-2, 2, 5))), tuple(map(float, rng.uniform(-2, 2, 3))))
+        rows, phases = beam.sample(grid)
+        assert [len(row) for row in rows] == [len(grid.xs)] * len(grid.ys) and len(phases) == len(grid.xs)
+        for y, row in zip(grid.ys, rows):
+            for x, envelope, phase in zip(grid.xs, row, phases):
+                assert envelope * cmath.exp(1j * phase) == beam.value(x, y)
 
 
 def test_visibility_edge_cases():

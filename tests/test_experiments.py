@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import cmath
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import oracle
 from biphoton import detection as det
 from biphoton import experiments as ex
 from biphoton import fock as fk
@@ -223,8 +226,46 @@ def test_fig3_engine_matches_the_envelope_closed_form_on_random_beams_and_grids(
     for _ in range(100):
         xs = tuple(float(x) for x in rng.uniform(-1.0, 1.0, int(rng.integers(2, 16))))
         ys = tuple(float(y) for y in rng.uniform(-1.0, 1.0, int(rng.integers(1, 5))))
-        result = ex.fig3_visibility(kind, (random_beam(1.0), random_beam(-1.0)), det.ScanGrid(xs, ys))
+        beams = (random_beam(1.0), random_beam(-1.0))
+        result = ex.fig3_visibility(kind, beams, det.ScanGrid(xs, ys))
         assert abs(result.value - result.closed_form) <= 1e-12, result
+        want = oracle.fig3_closed_form(kind, beams, xs, ys)
+        assert result.closed_form == want or (math.isnan(result.closed_form) and math.isnan(want)), (result, want)
+
+
+class CountingExp:
+    """A stand-in for the math or cmath module that counts calls of its exp."""
+
+    def __init__(self, module, counts: Counter) -> None:
+        self._module, self._counts = module, counts
+
+    def __getattr__(self, name: str):
+        attr = getattr(self._module, name)
+        if name != "exp":
+            return attr
+
+        def counted(z):
+            self._counts[self._module.__name__] += 1
+            return attr(z)
+
+        return counted
+
+
+def test_a_fig3_row_takes_each_exponential_once_per_axis_and_beam(monkeypatch):
+    counts: Counter = Counter()
+    monkeypatch.setattr(det, "math", CountingExp(math, counts))
+    monkeypatch.setattr(det, "cmath", CountingExp(cmath, counts))
+    nx, ny = 7, 5
+    grid = det.ScanGrid(xs=tuple(-1.0 + 0.3 * i for i in range(nx)), ys=tuple(-0.8 + 0.4 * j for j in range(ny)))
+    beams = (
+        det.BeamProfile(kind="gaussian", tilt=7.5, width=0.6, phase_offset=0.3),
+        det.BeamProfile(kind="gaussian", tilt=-9.0, width=0.8, phase_offset=1.1),
+    )
+    for kind in ("psi_u", "psi_e", "psi_u"):
+        counts.clear()
+        ex.fig3_visibility(kind, beams, grid)
+        # One phasor per column and beam, one gaussian envelope per cell and beam.
+        assert counts == {"cmath": 2 * nx, "math": 2 * nx * ny}, kind
 
 
 # --- cascade --------------------------------------------------------------------

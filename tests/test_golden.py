@@ -1,7 +1,7 @@
 """Byte-pinned CLI output: exact stdout and exit code of one default scan per
 experiment, angle scans of fig2, pdc and cascade, a non-canonical chsh and a
-second same-channel state, the selfcheck table, and the selfcheck table and
-a fig2 scan as JSON."""
+second same-channel state, fig3 with two gaussian beams for each state, the
+selfcheck table, and the selfcheck table and a fig2 scan as JSON."""
 
 from __future__ import annotations
 
@@ -144,6 +144,24 @@ GOLDEN = [
             'both_ch1,0,0,0\n'
             'both_ch2,0,0,0\n'
             'split,1,1,2.22044604925e-16\n'
+        ),
+    ),
+    (
+        ['scan', '--experiment', 'fig3', '--state', 'psi_u', '--beam', '1', 'gaussian', '7.5', '0.6', '0.3',
+         '--beam', '2', 'gaussian', '-9', '0.8', '1.1'],
+        0,
+        (
+            'param,value,closed_form,abs_error\n'
+            'visibility,0.999306289828,0.999306289828,0\n'
+        ),
+    ),
+    (
+        ['scan', '--experiment', 'fig3', '--state', 'psi_e', '--beam', '1', 'gaussian', '7.5', '0.6', '0.3',
+         '--beam', '2', 'gaussian', '-9', '0.8', '1.1'],
+        0,
+        (
+            'param,value,closed_form,abs_error\n'
+            'visibility,0.760727742377,0.760727742377,1.11022302463e-16\n'
         ),
     ),
     (

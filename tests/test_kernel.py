@@ -28,7 +28,17 @@ import oracle
 from biphoton import detection as det
 from biphoton import experiments as ex
 from biphoton import optics as op
-from biphoton.fock import FockKet, LinearForm, combination_forms, named_state, occupation, unit_form
+from biphoton.fock import (
+    FockKet,
+    LinearForm,
+    apply_form,
+    combination_forms,
+    inner,
+    named_state,
+    norm2,
+    occupation,
+    unit_form,
+)
 from biphoton.modes import H1, V1, V2
 from biphoton.scenario import evaluate, parse_scenario
 from support import EIGHT_MODES, form_dict, to_oracle
@@ -230,21 +240,41 @@ def random_beam(rng: np.random.Generator) -> det.BeamProfile:
     )
 
 
+def gram_cell(ket: FockKet, forms_: list[LinearForm], a: complex, b: complex) -> float:
+    """The Gram form |a|^2 <u|u> + |b|^2 <w|w> + 2 Re(conj(a) b <u|w>) of u, w = forms_ |ket>, one cell at a time."""
+    u, w = (apply_form(ket, form) for form in forms_)
+    return abs(a) ** 2 * norm2(u) + abs(b) ** 2 * norm2(w) + 2.0 * (a.conjugate() * b * inner(u, w)).real
+
+
 @pytest.mark.parametrize("kind", ["psi_e", "psi_u"])
 def test_intensity_map_matches_per_cell_singles_rate(kind):
     rng = np.random.default_rng(33 if kind == "psi_e" else 34)
     forms_ = [unit_form(H1), unit_form(V2)] if kind == "psi_e" else [combination_forms()[1]] * 2
     ket = named_state(kind)
-    for _ in range(40):
-        beam1, beam2 = random_beam(rng), random_beam(rng)
-        grid = det.ScanGrid(
-            xs=tuple(map(float, rng.uniform(-2.0, 2.0, int(rng.integers(1, 8))))),
-            ys=tuple(map(float, rng.uniform(-2.0, 2.0, int(rng.integers(1, 4))))),
-        )
+
+    def cases():
+        for _ in range(40):
+            beam1, beam2 = random_beam(rng), random_beam(rng)
+            grid = det.ScanGrid(
+                xs=tuple(map(float, rng.uniform(-2.0, 2.0, int(rng.integers(1, 8))))),
+                ys=tuple(map(float, rng.uniform(-2.0, 2.0, int(rng.integers(1, 4))))),
+            )
+            yield beam1, beam2, grid
+        # A phase that is huge but finite up to x = 0.5 and inf at x = 1: a NaN cell there.
+        yield det.BeamProfile(tilt=1e308, phase_offset=1e308), random_beam(rng), det.ScanGrid((-1.0, 0.0, 0.5, 1.0))
+
+    nan_cells = 0
+    for beam1, beam2, grid in cases():
         fringe_map = det.intensity_map(ket, forms_, (beam1, beam2), grid)
         assert [len(row) for row in fringe_map] == [len(grid.xs)] * len(grid.ys)
         for y, row in zip(grid.ys, fringe_map):
             for x, cell in zip(grid.xs, row):
                 a, b = beam1.value(x, y), beam2.value(x, y)
+                want = gram_cell(ket, forms_, a, b)
+                assert cell == want or (math.isnan(cell) and math.isnan(want)), (x, y, cell, want)
+                if math.isnan(want):
+                    nan_cells += 1
+                    continue
                 form = forms_[0].scale(a).plus(forms_[1].scale(b))
                 assert_agree(cell, ket, [form], [abs_form((a, forms_[0]), (b, forms_[1]))])
+    assert nan_cells == 1
