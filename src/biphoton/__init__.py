@@ -28,7 +28,6 @@ from .experiments import (
 from .fock import (
     FockKet,
     LinearForm,
-    ZeroState,
     add,
     apply_form,
     apply_form_dagger,
@@ -37,12 +36,10 @@ from .fock import (
     inner,
     named_state,
     norm2,
-    normalize,
     occupation,
     pair_factor_forms,
     unit_form,
     vacuum,
-    zero_form,
 )
 from .modes import ModeId, freq_mode, pol_mode
 from .optics import (

@@ -116,26 +116,13 @@ DEFAULT_GRID = ScanGrid(xs=tuple(k * 0.01 for k in range(101)))
 def intensity_map(
     ket: FockKet,
     channel_forms: Sequence[LinearForm],
-    beams: Sequence[BeamProfile],
-    grid: ScanGrid,
-) -> tuple[tuple[float, ...], ...]:
-    """Overlapped-beam rate over the grid, as len(ys) rows of len(xs) cells.
-
-    channel_forms = (f, g) are the detector operators reached by the two
-    beams, and beams supply their complex envelopes a, b at each point; each
-    beam is sampled once per grid axis (BeamProfile.sample) and the map is
-    sampled_intensity_map of those samples.
-    """
-    return sampled_intensity_map(ket, channel_forms, [beam.sample(grid) for beam in beams])
-
-
-def sampled_intensity_map(
-    ket: FockKet,
-    channel_forms: Sequence[LinearForm],
     samples: Sequence[BeamSamples],
 ) -> tuple[tuple[float, ...], ...]:
-    """intensity_map from the two beams' BeamProfile.sample, so that a caller
-    can share the samples with a closed form of the same map.
+    """Overlapped-beam rate over a grid, as len(ys) rows of len(xs) cells.
+
+    channel_forms = (f, g) are the detector operators reached by the two
+    beams, and samples are the two beams on the grid (BeamProfile.sample),
+    which a caller can share with a closed form of the same map.
 
     A cell is the singles rate of the summed field a f + b g, with a and b
     each an envelope times its column's exp(i phase) (one complex exponential

@@ -270,7 +270,7 @@ def fig3_visibility(
     else:
         raise ValueError(f"no overlap scenario for state {kind!r}")
     samples = [beam.sample(grid) for beam in beams]
-    fringe_map = det.sampled_intensity_map(named_state(kind), screen_forms, samples)
+    fringe_map = det.intensity_map(named_state(kind), screen_forms, samples)
     return ScenarioResult(
         observable="visibility",
         value=det.visibility(fringe_map),

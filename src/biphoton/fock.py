@@ -13,8 +13,7 @@ counting rate comes out in the same dimensionless units (overall field
 constant fixed to 1).
 
 Amplitudes with magnitude <= EPS_PRUNE are dropped after each operation (a
-NaN is kept); normalizing a ket whose squared norm is <= EPS_ZERO raises
-ZeroState.
+NaN is kept); a total rate <= EPS_ZERO counts as dark.
 
 apply_form, norm2 and inner are the reference engine.  The scenario hot
 paths evaluate closed forms built from it once per measurement.  A
@@ -45,10 +44,6 @@ Occupation = tuple[tuple[ModeId, int], ...]
 OccupationLike = Union[Occupation, Mapping[ModeId, int], Iterable[tuple[ModeId, int]]]
 
 NAMED_STATE_KINDS = ("circular_pair", "psi_e", "psi_u", "psi_u_prime")
-
-
-class ZeroState(ValueError):
-    """Raised when a (near-)zero ket is asked to behave like a state."""
 
 
 def occupation(counts: OccupationLike) -> Occupation:
@@ -152,10 +147,6 @@ def unit_form(mode: ModeId) -> LinearForm:
     return LinearForm({mode: 1.0})
 
 
-def zero_form() -> LinearForm:
-    return LinearForm()
-
-
 def vacuum() -> FockKet:
     return FockKet({(): 1.0})
 
@@ -196,17 +187,6 @@ def inner(a: FockKet, b: FockKet) -> complex:
 
 def norm2(ket: FockKet) -> float:
     return sum(abs(a) ** 2 for _, a in ket.items())
-
-
-def normalize(ket: FockKet) -> FockKet:
-    n2 = norm2(ket)
-    if n2 <= EPS_ZERO:
-        raise ZeroState(f"cannot normalize ket with squared norm {n2:.3e}")
-    return scale(ket, 1.0 / math.sqrt(n2))
-
-
-def scale(ket: FockKet, factor: complex) -> FockKet:
-    return FockKet({occ: a * factor for occ, a in ket.items()})
 
 
 def add(a: FockKet, b: FockKet, alpha: complex = 1.0, beta: complex = 1.0) -> FockKet:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .fock import _SQRT1_2, LinearForm, zero_form
+from .fock import _SQRT1_2, LinearForm
 
 #: 2x2 complex matrix acting on the (v, h) component pair, indexed [row][column].
 JonesMatrix = tuple[tuple[complex, complex], tuple[complex, complex]]
@@ -28,7 +28,7 @@ class ChannelField:
 
 def empty_field() -> ChannelField:
     """Vacuum-port field: both components identically zero."""
-    return ChannelField(zero_form(), zero_form())
+    return ChannelField(LinearForm(), LinearForm())
 
 
 def hwp(axis_angle: float) -> JonesMatrix:

@@ -113,7 +113,6 @@ def parse_scenario(text: str) -> ScenarioSpec:
     beams: dict[int, BeamProfile] = {}
     geometry: CascadeGeometry | None = None
     output: str | None = None
-    saw_beam_line = False
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -152,7 +151,6 @@ def parse_scenario(text: str) -> ScenarioSpec:
                 step=_parse_float(tokens[3], line_no, "scan step"),
             )
         elif key == "beam":
-            saw_beam_line = True
             index, beam = _parse_beam(tokens, line_no)
             if index in beams:
                 raise ValidationError(f"beam {index} given more than once")
@@ -197,7 +195,7 @@ def parse_scenario(text: str) -> ScenarioSpec:
         except ValueError as err:
             raise ValidationError(str(err)) from None
 
-    if saw_beam_line and experiment != "fig3":
+    if beams and experiment != "fig3":
         raise ValidationError("beam directives only apply to the fig3 experiment")
     if geometry is not None and experiment != "cascade":
         raise ValidationError("geometry only applies to the cascade experiment")

@@ -3,6 +3,7 @@ the environment of a child interpreter."""
 
 from __future__ import annotations
 
+import math
 import os
 from pathlib import Path
 
@@ -11,8 +12,9 @@ import numpy as np
 import oracle
 import biphoton
 from biphoton.detection import coincidence_rate, singles_rate
-from biphoton.fock import FockKet, LinearForm, normalize, occupation
+from biphoton.fock import FockKet, LinearForm, norm2, occupation
 from biphoton.modes import pol_mode
+from biphoton.selfcheck import selfcheck_rows
 
 EIGHT_MODES = tuple(pol_mode(ch, pol) for ch in (1, 2, 3, 4) for pol in ("V", "H"))
 
@@ -34,7 +36,23 @@ def random_ket(rng: np.random.Generator, modes=EIGHT_MODES, total: int = 2, n_te
             counts[mode] = counts.get(mode, 0) + 1
         occ = occupation(counts)
         amp[occ] = amp.get(occ, 0j) + complex(rng.normal(), rng.normal())
-    return normalize(FockKet(amp))
+    return normalized(FockKet(amp))
+
+
+def normalized(ket: FockKet) -> FockKet:
+    """The ket divided by its norm, as a multiplication by 1 / sqrt(norm2)."""
+    factor = 1.0 / math.sqrt(norm2(ket))
+    return FockKet({occ: a * factor for occ, a in ket.items()})
+
+
+def corrupt_selfcheck_row(monkeypatch, observable: str) -> None:
+    """Have the CLI's selfcheck report one row with its closed form shifted by 1e-3."""
+    rows = [
+        row._replace(closed_form=row.closed_form + 1e-3) if row.observable == observable else row
+        for row in selfcheck_rows()
+    ]
+    assert observable in [row.observable for row in rows]
+    monkeypatch.setattr("biphoton.cli.selfcheck_rows", lambda: rows)
 
 
 def to_oracle(ket: FockKet) -> oracle.State:

@@ -15,7 +15,7 @@ from biphoton import experiments as ex
 from biphoton import fock as fk
 from biphoton.cli import main
 from biphoton.modes import H2, V1
-from support import run_randomized_rate_equivalence, to_oracle
+from support import corrupt_selfcheck_row, run_randomized_rate_equivalence, to_oracle
 
 SQRT1_2 = math.sqrt(0.5)
 SQRT2 = math.sqrt(2.0)
@@ -164,11 +164,12 @@ def test_criterion_11_engine_vs_oracle_randomized():
     report(11, "200 randomized two-photon rates match the naive oracle", worst <= 1e-12, f"max_err={worst:.3e}")
 
 
-def test_criterion_12_cli_selfcheck(capsys):
+def test_criterion_12_cli_selfcheck(monkeypatch, capsys):
     code_ok = main(["selfcheck"])
     out = capsys.readouterr().out
     emitted = out.startswith("param,value,closed_form,abs_error") and "chsh_abs_psi_u" in out
-    code_bad = main(["selfcheck", "--corrupt", "pdc_peak_psi_e"])
+    corrupt_selfcheck_row(monkeypatch, "pdc_peak_psi_e")
+    code_bad = main(["selfcheck"])
     capsys.readouterr()
     ok = code_ok == 0 and emitted and code_bad == 2
     with capsys.disabled():

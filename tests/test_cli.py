@@ -11,7 +11,7 @@ import pytest
 
 from biphoton.cli import main
 from biphoton.selfcheck import selfcheck_rows
-from support import child_env
+from support import child_env, corrupt_selfcheck_row
 
 FIG1_SCAN = "experiment fig1\nangle theta1 0\nscan theta2 0 180 5\n"
 
@@ -130,6 +130,36 @@ def test_scan_subcommand_cascade_geometry(capsys):
     assert value == pytest.approx(0.25, abs=1e-12)
 
 
+# argparse's own pattern takes "-1" and "-0.5" for values but "-1e-3" and "-1+0i"
+# for unknown options; cli sets a wider one on every parser.
+@pytest.mark.parametrize(
+    "argv, plain",
+    [
+        (
+            ["scan", "--experiment", "pdc", "--angle", "theta1", "-1e-3"],
+            ["scan", "--experiment", "pdc", "--angle", "theta1", "-0.001"],
+        ),
+        (
+            ["scan", "--experiment", "fig1", "--scan", "theta2", "-1e1", "-5e-1", "2.5e0"],
+            ["scan", "--experiment", "fig1", "--scan", "theta2", "-10", "-0.5", "2.5"],
+        ),
+        (["chsh", "--a", "-2.25e1", "--bp", "-.5e0"], ["chsh", "--a", "-22.5", "--bp", "-0.5"]),
+    ],
+)
+def test_negative_numbers_in_exponent_form_are_values(capsys, argv, plain):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert run_cli(capsys, *plain) == (0, out, "")
+
+
+def test_negative_complex_geometry_flags_match_the_scenario_file(tmp_path, capsys):
+    geometry = ["-1+0i", "1+0i", "1+0i", "-1-0.5i"]
+    path = write_spec(tmp_path, "experiment cascade\ngeometry " + " ".join(geometry) + "\n")
+    from_file = run_cli(capsys, "run", path)
+    assert from_file[0] == 0
+    assert run_cli(capsys, "scan", "--experiment", "cascade", "--geometry", *geometry) == from_file
+
+
 def test_chsh_canonical_row(capsys):
     code, out, _ = run_cli(capsys, "chsh", "--format", "csv")
     assert code == 0
@@ -168,24 +198,20 @@ def test_selfcheck_passes(capsys):
         assert expected in names
 
 
-def test_selfcheck_corrupted_reference_exits_2(capsys):
-    code, out, _ = run_cli(capsys, "selfcheck", "--corrupt", "fig1_sin2_max_abs_err")
+def test_selfcheck_corrupted_reference_exits_2(monkeypatch, capsys):
+    corrupt_selfcheck_row(monkeypatch, "fig1_sin2_max_abs_err")
+    code, out, _ = run_cli(capsys, "selfcheck")
     assert code == 2
     row = next(line for line in out.splitlines() if line.startswith("fig1_sin2_max_abs_err,"))
     assert float(row.split(",")[3]) > 1e-9
 
 
-def test_selfcheck_mismatch_prints_one_mismatch_line(capsys):
-    code, _, err = run_cli(capsys, "selfcheck", "--corrupt", "fig1_sin2_max_abs_err")
+def test_selfcheck_mismatch_prints_one_mismatch_line(monkeypatch, capsys):
+    corrupt_selfcheck_row(monkeypatch, "fig1_sin2_max_abs_err")
+    code, _, err = run_cli(capsys, "selfcheck")
     assert code == 2
     assert err.startswith("mismatch: 1 of ") and err.count("\n") == 1
     assert "Traceback" not in err
-
-
-def test_selfcheck_unknown_corrupt_row(capsys):
-    code, _, err = run_cli(capsys, "selfcheck", "--corrupt", "nope")
-    assert code == 1
-    assert "no selfcheck row" in err
 
 
 def test_selfcheck_json(capsys):
@@ -219,8 +245,9 @@ def test_selfcheck_tolerance_zero_forces_mismatch(capsys):
     assert err.startswith("mismatch: 16 of 24 ")
 
 
-def test_selfcheck_tolerance_flag_overrides_row_tolerances(capsys):
-    code, out, err = run_cli(capsys, "selfcheck", "--corrupt", "pdc_peak_psi_e", "--tolerance", "1")
+def test_selfcheck_tolerance_flag_overrides_row_tolerances(monkeypatch, capsys):
+    corrupt_selfcheck_row(monkeypatch, "pdc_peak_psi_e")
+    code, out, err = run_cli(capsys, "selfcheck", "--tolerance", "1")
     assert code == 0 and err == ""
     row = next(line for line in out.splitlines() if line.startswith("pdc_peak_psi_e,"))
     assert row.split(",")[2] == "0.501"
@@ -291,8 +318,9 @@ def test_consecutive_main_calls_match_first_calls_in_fresh_processes():
 
 
 @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
-def test_tolerance_must_be_finite_and_non_negative(capsys, tolerance):
-    code, out, err = run_cli(capsys, "selfcheck", "--corrupt", "fig2_psi_e_max_rate", "--tolerance", tolerance)
+def test_tolerance_must_be_finite_and_non_negative(monkeypatch, capsys, tolerance):
+    corrupt_selfcheck_row(monkeypatch, "fig2_psi_e_max_rate")
+    code, out, err = run_cli(capsys, "selfcheck", "--tolerance", tolerance)
     assert code == 1
     assert out == ""
     assert "--tolerance" in err

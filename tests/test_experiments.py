@@ -16,6 +16,7 @@ from biphoton import fock as fk
 from biphoton import optics as op
 from biphoton import scenario as sc
 from biphoton.modes import BEAM_H, BEAM_V
+from support import normalized
 
 SQRT2 = math.sqrt(2.0)
 
@@ -85,7 +86,7 @@ def test_fig1_conditional_rate_is_half_for_all_angles():
 def test_fig1_conditional_rate_normalized_is_one():
     theta = 0.7
     ch1, _ = ex.fig1_channel_fields()
-    leftover = fk.normalize(fk.apply_form(fk.named_state("circular_pair"), op.polarizer(ch1, theta)))
+    leftover = normalized(fk.apply_form(fk.named_state("circular_pair"), op.polarizer(ch1, theta)))
     bare_analyzer = fk.LinearForm({BEAM_V: math.cos(theta), BEAM_H: -math.sin(theta)})
     assert det.singles_rate(leftover, bare_analyzer) == pytest.approx(1.0, abs=1e-13)
 
@@ -266,6 +267,25 @@ def test_a_fig3_row_takes_each_exponential_once_per_axis_and_beam(monkeypatch):
         ex.fig3_visibility(kind, beams, grid)
         # One phasor per column and beam, one gaussian envelope per cell and beam.
         assert counts == {"cmath": 2 * nx, "math": 2 * nx * ny}, kind
+
+
+def test_a_fig3_row_calls_detection_intensity_map_once(monkeypatch):
+    # Through the module attribute, where a wrapper set on detection sees it.
+    calls = []
+    real = det.intensity_map
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(det, "intensity_map", counted)
+    for kind in ("psi_u", "psi_e"):
+        calls.clear()
+        assert ex.fig3_visibility(kind).value == pytest.approx(1.0 if kind == "psi_u" else 0.0, abs=1e-9)
+        assert len(calls) == 1, kind
+        calls.clear()
+        rows = sc.evaluate(sc.parse_scenario(f"experiment fig3\nstate {kind}\n"))
+        assert len(calls) == len(rows) == 1, kind
 
 
 # --- cascade --------------------------------------------------------------------

@@ -221,7 +221,7 @@ def test_K_agrees_with_engine_and_oracle_on_random_kets_and_forms(ket, v1, h1, v
 def test_gram_form_agrees_with_engine_and_oracle_on_random_kets_and_forms(ket, f, g, a, b):
     # A one-point grid: beam 1 gives a and beam 2 gives b there.
     beams = [det.BeamProfile(tilt=0.0, phase_offset=math.atan2(z.imag, z.real), amplitude=abs(z)) for z in (a, b)]
-    [[cell]] = det.intensity_map(ket, [f, g], beams, det.ScanGrid(xs=(0.0,)))
+    [[cell]] = det.intensity_map(ket, [f, g], [beam.sample(det.ScanGrid(xs=(0.0,))) for beam in beams])
     a, b = (beam.value(0.0, 0.0) for beam in beams)
     assert_agree(cell, ket, [f.scale(a).plus(g.scale(b))], [abs_form((a, f), (b, g))])
 
@@ -265,7 +265,7 @@ def test_intensity_map_matches_per_cell_singles_rate(kind):
 
     nan_cells = 0
     for beam1, beam2, grid in cases():
-        fringe_map = det.intensity_map(ket, forms_, (beam1, beam2), grid)
+        fringe_map = det.intensity_map(ket, forms_, [beam1.sample(grid), beam2.sample(grid)])
         assert [len(row) for row in fringe_map] == [len(grid.xs)] * len(grid.ys)
         for y, row in zip(grid.ys, fringe_map):
             for x, cell in zip(grid.xs, row):

@@ -136,7 +136,7 @@ def test_polarizer_on_swapped_channel_field():
 
 
 def test_polarizer_blocks_orthogonal_component():
-    f = op.ChannelField(fk.zero_form(), fk.unit_form(BEAM_H))
+    f = op.ChannelField(fk.LinearForm(), fk.unit_form(BEAM_H))
     assert len(op.polarizer(f, 0.0)) == 0
 
 
