@@ -25,8 +25,8 @@ import sys
 from pathlib import Path
 
 from .detection import AllDark
-from .experiments import EXPERIMENTS, DarkDenominator, ScenarioResult
-from .scenario import ParseError, ScenarioSpec, ValidationError, evaluate, parse_scenario
+from .experiments import EXPERIMENTS, ScenarioResult
+from .scenario import OUTPUT_FORMATS, ParseError, ScenarioSpec, ValidationError, evaluate, parse_scenario
 from .selfcheck import selfcheck_rows
 
 EXIT_OK = 0
@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact two-photon polarization-correlation scenarios.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("csv", "json"), help="override the output format")
+    common.add_argument("--format", choices=OUTPUT_FORMATS, help="override the output format")
     common.add_argument("--out", metavar="PATH", help="write the table to a file instead of stdout")
     common.add_argument("--tolerance", type=float, help="closed-form agreement tolerance (finite, >= 0)")
 
@@ -195,7 +195,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BAD_INPUT if err.code == 2 else err.code
     try:
         return args.func(args)
-    except (ParseError, ValidationError, DarkDenominator, AllDark, OSError, UnicodeDecodeError) as err:
+    except (ParseError, ValidationError, AllDark, OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except OverflowError:
@@ -206,7 +206,3 @@ def main(argv: list[str] | None = None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    entrypoint()

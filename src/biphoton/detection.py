@@ -27,7 +27,9 @@ DEFAULT_TILT = 5.0 * math.pi
 
 
 class AllDark(ValueError):
-    """Raised when a fringe metric is requested on an identically dark map."""
+    """Raised when a ratio of rates that all vanish is requested: a fringe
+    visibility on an identically dark map, or a correlation coefficient
+    (experiments.correlation_E) from four dark coincidence rates."""
 
 
 def singles_rate(ket: FockKet, form: LinearForm) -> float:

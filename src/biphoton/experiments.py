@@ -55,11 +55,6 @@ from .modes import BEAM_H, BEAM_V, H1, H2, V1, V2, W1H, W1V, W2H, W2V
 MAX_SCAN_POINTS = 1_000_000
 
 
-class DarkDenominator(ValueError):
-    """Raised when a correlation coefficient is requested from four rates
-    that are all (near) zero."""
-
-
 class ScenarioResult(NamedTuple):
     """One table row: an evaluated observable, its analytic reference and
     the largest abs error that still counts as agreement."""
@@ -327,7 +322,8 @@ def same_channel_table(kind: str) -> list[ScenarioResult]:
 
 def correlation_E(src: Source, theta1: float, theta2: float) -> float:
     """Two-channel correlation coefficient estimated from four analyzer
-    settings (each angle also rotated by pi/2)."""
+    settings (each angle also rotated by pi/2), closing to -/+cos 2(theta1 -
+    theta2) under the sin^2/cos^2 law; det.AllDark if all four rates vanish."""
     t1p = theta1 + math.pi / 2
     t2p = theta2 + math.pi / 2
 
@@ -338,23 +334,13 @@ def correlation_E(src: Source, theta1: float, theta2: float) -> float:
     cross = rate(theta1, t2p) + rate(t1p, theta2)
     total = same + cross
     if total <= EPS_ZERO:
-        raise DarkDenominator("all four coincidence rates vanish at these analyzer angles")
+        raise det.AllDark("all four coincidence rates vanish at these analyzer angles")
     return (same - cross) / total
 
 
-def analytic_correlation_E(src: Source, theta1: float, theta2: float) -> float:
-    """Closed form of correlation_E: -cos 2(t1-t2) for the sin^2-law sources,
-    +cos 2(t1-t2) for the cos^2 law."""
-    sign = 1.0 if src.law is math.cos else -1.0
-    return sign * math.cos(2.0 * (theta1 - theta2))
-
-
-def chsh_S(
-    src: Source, a: float, ap: float, b: float, bp: float, E: Callable[[Source, float, float], float] = correlation_E
-) -> float:
-    """Four-setting correlation sum E(a,b) - E(a,b') + E(a',b) + E(a',b');
-    E=analytic_correlation_E gives its closed form."""
-    return E(src, a, b) - E(src, a, bp) + E(src, ap, b) + E(src, ap, bp)
+def chsh_S(src: Source, a: float, ap: float, b: float, bp: float) -> float:
+    """Four-setting correlation sum E(a,b) - E(a,b') + E(a',b) + E(a',b')."""
+    return correlation_E(src, a, b) - correlation_E(src, a, bp) + correlation_E(src, ap, b) + correlation_E(src, ap, bp)
 
 
 # --- experiment registry and scans ------------------------------------------------------
@@ -390,7 +376,10 @@ def _prepare_chsh(state: str, geometry: CascadeGeometry, beams) -> Point:
 
     def point(a: float, ap: float, b: float, bp: float) -> list[ScenarioResult]:
         value = abs(chsh_S(src, a, ap, b, bp))
-        closed = abs(chsh_S(src, a, ap, b, bp, E=analytic_correlation_E))
+        # Each correlation_E closes to -/+cos 2(t1 - t2); the common sign drops out of abs(S) exactly.
+        closed = abs(
+            math.cos(2.0 * (a - b)) - math.cos(2.0 * (a - bp)) + math.cos(2.0 * (ap - b)) + math.cos(2.0 * (ap - bp))
+        )
         return [ScenarioResult("abs_S", value, closed)]
 
     return point

@@ -95,9 +95,6 @@ class FockKet:
     def __len__(self) -> int:
         return len(self._amp)
 
-    def __bool__(self) -> bool:
-        return bool(self._amp)
-
     def __repr__(self) -> str:
         terms = ", ".join(
             f"{a:.4g} * |{' '.join(f'{m}:{n}' for m, n in occ) or 'vac'}>"
@@ -134,9 +131,6 @@ class LinearForm:
 
     def __len__(self) -> int:
         return len(self._coeffs)
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
 
     def __repr__(self) -> str:
         terms = " + ".join(f"({c:.4g})*b[{m}]" for m, c in sorted(self._coeffs.items(), key=lambda kv: kv[0]))

@@ -5,21 +5,21 @@ belongs to, a polarization letter and an optional frequency tag for
 two-color sources.  Equality of all tags is the only identity criterion, and
 plain tuple order (channel, then polarization, then frequency) is the
 canonical mode order that keeps occupation-vector keys deterministic.
+
+The ten constants below are the package's modes, literals with the tag
+values ModeId lists; no tag is validated, as no outside input names one.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-POLARIZATIONS = ("V", "H")
-FREQUENCIES = ("w1", "w2")
-
 
 class ModeId(NamedTuple):
     """Label of one bosonic mode.
 
-    channel: small integer beam tag (0 marks a source mode that is not
-             assigned to a particular output beam).
+    channel: beam tag, 1 or 2; 0 marks a source mode that is not
+             assigned to a particular output beam.
     pol:     "V" or "H".
     freq:    "w1" or "w2" for two-color sources, else "".
     """
@@ -32,33 +32,18 @@ class ModeId(NamedTuple):
         return ":".join(tag for tag in (f"ch{self.channel}", self.freq, self.pol) if tag)
 
 
-def pol_mode(channel: int, pol: str) -> ModeId:
-    """Polarized mode in a numbered beam channel."""
-    if pol not in POLARIZATIONS:
-        raise ValueError(f"unknown polarization tag {pol!r}")
-    return ModeId(channel, pol)
-
-
-def freq_mode(freq: str, pol: str) -> ModeId:
-    """Polarized source mode carrying a frequency tag (two-color emission)."""
-    mode = pol_mode(0, pol)
-    if freq not in FREQUENCIES:
-        raise ValueError(f"unknown frequency tag {freq!r}")
-    return mode._replace(freq=freq)
-
-
 # Single-beam source modes (circularly polarized pair source).
-BEAM_V = pol_mode(0, "V")
-BEAM_H = pol_mode(0, "H")
+BEAM_V = ModeId(0, "V")
+BEAM_H = ModeId(0, "H")
 
 # Two-channel down-conversion modes.
-V1 = pol_mode(1, "V")
-H1 = pol_mode(1, "H")
-V2 = pol_mode(2, "V")
-H2 = pol_mode(2, "H")
+V1 = ModeId(1, "V")
+H1 = ModeId(1, "H")
+V2 = ModeId(2, "V")
+H2 = ModeId(2, "H")
 
 # Two-color cascade source modes.
-W1V = freq_mode("w1", "V")
-W1H = freq_mode("w1", "H")
-W2V = freq_mode("w2", "V")
-W2H = freq_mode("w2", "H")
+W1V = ModeId(0, "V", "w1")
+W1H = ModeId(0, "H", "w1")
+W2V = ModeId(0, "V", "w2")
+W2H = ModeId(0, "H", "w2")

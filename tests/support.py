@@ -13,10 +13,10 @@ import oracle
 import biphoton
 from biphoton.detection import coincidence_rate, singles_rate
 from biphoton.fock import FockKet, LinearForm, norm2, occupation
-from biphoton.modes import pol_mode
+from biphoton.modes import ModeId
 from biphoton.selfcheck import selfcheck_rows
 
-EIGHT_MODES = tuple(pol_mode(ch, pol) for ch in (1, 2, 3, 4) for pol in ("V", "H"))
+EIGHT_MODES = tuple(ModeId(ch, pol) for ch in (1, 2, 3, 4) for pol in ("V", "H"))
 
 
 def random_form(rng: np.random.Generator, modes=EIGHT_MODES, n_terms: int | None = None) -> LinearForm:

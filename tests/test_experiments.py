@@ -353,7 +353,8 @@ def test_same_channel_rejects_bad_channel():
 def test_correlation_matches_analytic_law(kind):
     src = ex.source(kind)
     for t1, t2 in [(0.0, 0.0), (0.2, 0.9), (1.0, -0.4)]:
-        assert ex.correlation_E(src, t1, t2) == pytest.approx(ex.analytic_correlation_E(src, t1, t2), abs=1e-12)
+        closed = (1.0 if src.law is math.cos else -1.0) * math.cos(2.0 * (t1 - t2))
+        assert ex.correlation_E(src, t1, t2) == pytest.approx(closed, abs=1e-12)
 
 
 def test_correlation_zero_at_octave_separation():
@@ -370,7 +371,7 @@ def test_correlation_bounded():
 
 def test_correlation_dark_denominator():
     # The entangled pair never puts both photons into the two halves of channel 2.
-    with pytest.raises(ex.DarkDenominator):
+    with pytest.raises(det.AllDark):
         ex.correlation_E(ex.source("psi_e", split=True), 0.0, 0.0)
 
 
@@ -453,8 +454,12 @@ def test_scenario_point_chsh_defaults_to_canonical_angles():
     assert {name: math.radians(deg) for name, deg in spec.angles.items()} == ex.CANONICAL_CHSH_ANGLES
     [(_, result)] = sc.evaluate(spec)
     assert result.value == pytest.approx(2.0 * SQRT2, abs=1e-9)
-    closed = ex.chsh_S(ex.source("circular_pair"), **ex.CANONICAL_CHSH_ANGLES, E=ex.analytic_correlation_E)
-    assert result.closed_form == abs(closed)
+    a, ap, b, bp = ex.CANONICAL_CHSH_ANGLES.values()
+
+    def E(t1, t2):  # correlation_E's closed form under the sin^2 law
+        return -math.cos(2.0 * (t1 - t2))
+
+    assert result.closed_form == abs(E(a, b) - E(a, bp) + E(ap, b) + E(ap, bp))
 
 
 def test_scenario_point_unknown_experiment():

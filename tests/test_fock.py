@@ -9,7 +9,7 @@ import pytest
 
 import oracle
 from biphoton import fock as fk
-from biphoton.modes import BEAM_H, BEAM_V, H1, H2, V1, V2, W1H, W1V, W2H, W2V, freq_mode, pol_mode
+from biphoton.modes import BEAM_H, BEAM_V, H1, H2, V1, V2, W1H, W1V, W2H, W2V, ModeId
 
 SQRT1_2 = math.sqrt(0.5)
 
@@ -176,7 +176,11 @@ def test_add_cancels_to_zero_ket():
 
 
 def test_tiny_amplitudes_are_pruned():
-    assert len(fk.FockKet({fk.occupation({V1: 1}): 1e-15})) == 0
+    pruned = fk.FockKet({fk.occupation({V1: 1}): 1e-15})
+    assert len(pruned) == 0
+    # Truthiness follows the support: empty kets and forms are falsy.
+    assert not pruned and not fk.FockKet() and not fk.LinearForm()
+    assert fk.vacuum() and fk.unit_form(V1)
 
 
 def test_nan_amplitudes_are_kept():
@@ -285,7 +289,7 @@ def test_composite_representation_is_isomorphic():
     """The two-combination-mode form of psi_u gives the same analyzer algebra
     as its four-mode expansion.  The abstract ket doubly occupies either of
     two spare modes standing for the combination modes."""
-    first, second = pol_mode(3, "V"), pol_mode(4, "V")
+    first, second = ModeId(3, "V"), ModeId(4, "V")
     psi_abs = fk.FockKet({fk.occupation({first: 2}): SQRT1_2, fk.occupation({second: 2}): SQRT1_2})
     assert fk.norm2(psi_abs) == pytest.approx(1.0, abs=1e-12)
     psi_phys = fk.named_state("psi_u")
@@ -308,22 +312,14 @@ def test_composite_representation_is_isomorphic():
 
 
 def test_mode_equality_and_ordering():
-    assert pol_mode(1, "V") == pol_mode(1, "V")
-    assert pol_mode(1, "V") != pol_mode(2, "V")
-    modes = [V2, H1, V1, H2, pol_mode(3, "V")]
+    assert V1 == ModeId(1, "V") != V2
+    modes = [V2, H1, V1, H2, ModeId(3, "V")]
     ordered = sorted(modes)
     assert ordered.index(V1) < ordered.index(V2)
     constants = [W2V, H2, BEAM_V, W1H, V1, V2, BEAM_H, W2H, H1, W1V]
     assert [str(m) for m in sorted(constants)] == [
         "ch0:H", "ch0:w1:H", "ch0:w2:H", "ch0:V", "ch0:w1:V", "ch0:w2:V", "ch1:H", "ch1:V", "ch2:H", "ch2:V",
     ]
-
-
-def test_mode_tag_validation():
-    with pytest.raises(ValueError):
-        pol_mode(1, "X")
-    with pytest.raises(ValueError):
-        freq_mode("w3", "V")
 
 
 def test_occupation_rejects_negative_counts():

@@ -8,6 +8,7 @@ import ast
 import math
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,15 @@ def unused_imports(source: str) -> list[str]:
                 imported[name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_package_root_exports_only_the_quick_start_api():
+    public = {name for name, value in vars(biphoton).items() if not isinstance(value, types.ModuleType)}
+    public = {name for name in public if not name.startswith("_")}
+    assert public == {
+        "CANONICAL_CHSH_ANGLES", "CascadeGeometry", "ScenarioResult", "chsh_S", "coincidence", "correlation_E",
+        "fig3_visibility", "source",
+    }
 
 
 def test_checker_flags_an_unused_import():

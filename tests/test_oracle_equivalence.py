@@ -10,7 +10,7 @@ import pytest
 import oracle
 from biphoton import fock as fk
 from biphoton.detection import coincidence_rate, singles_rate
-from biphoton.modes import H1, H2, V1, V2, pol_mode
+from biphoton.modes import H1, H2, V1, V2, ModeId
 from support import EIGHT_MODES, form_dict, random_form, random_ket, run_randomized_rate_equivalence, to_oracle
 
 SQRT1_2 = math.sqrt(0.5)
@@ -20,7 +20,7 @@ SQRT1_2 = math.sqrt(0.5)
 
 
 def test_oracle_factorial_norms():
-    mode = pol_mode(1, "V")
+    mode = ModeId(1, "V")
     state = oracle.o_vacuum()
     for n in range(1, 7):
         state = oracle.o_create(state, mode)
@@ -30,13 +30,13 @@ def test_oracle_factorial_norms():
 
 
 def test_oracle_annihilate_is_derivative():
-    mode = pol_mode(1, "V")
+    mode = ModeId(1, "V")
     cubed = {((mode, 3),): 2.0 + 0j}
     assert oracle.o_annihilate(cubed, mode) == {((mode, 2),): 6.0 + 0j}
 
 
 def test_oracle_inner_uses_factorial_weights():
-    mode = pol_mode(1, "V")
+    mode = ModeId(1, "V")
     two = {((mode, 2),): 1.0 + 0j}
     assert oracle.o_inner(two, two) == pytest.approx(2.0)
 
