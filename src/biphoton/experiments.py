@@ -150,8 +150,9 @@ class Source:
     @functools.cached_property
     def K(self) -> tuple[tuple[complex, complex], tuple[complex, complex]] | None:
         """Two-photon amplitude matrix K[i][j] = <0| arm2[j] arm1[i] |ket>,
-        i and j over the (v, h) components, computed once by the engine; None
-        when the ket has a term that is not two-photon or K is not finite.
+        i and j over the (v, h) components, computed by the engine once per
+        Source, so once per process for a memoized one (source); None when
+        the ket has a term that is not two-photon or K is not finite.
 
         L2 L1 of a two-photon ket is a multiple of the vacuum, and a
         polarizer at t is cos(t) v + sin(t) h, so the coincidence amplitude
@@ -161,18 +162,38 @@ class Source:
         if any(sum(n for _, n in occ) != 2 for occ, _ in self.ket.items()):
             return None
         arm1, arm2 = (self.arm1.v, self.arm1.h), (self.arm2.v, self.arm2.h)
-        K = tuple(tuple(apply_form(apply_form(self.ket, f), g).amplitude(()) for g in arm2) for f in arm1)
+        halves = [apply_form(self.ket, f) for f in arm1]  # one photon left
+        K = tuple(tuple(apply_form(half, g).amplitude(()) for g in arm2) for half in halves)
         return K if all(cmath.isfinite(k) for row in K for k in row) else None
 
 
+_DEFAULT_GEOMETRY = CascadeGeometry()
+
+
 def source(kind: str, geometry: CascadeGeometry = CascadeGeometry(), split: bool = False) -> Source:
-    """Build a named state and both analyzer arms of its coincidence
-    measurement once.  The kind picks the channel fields: fig1 for
-    circular_pair, pdc for psi_e and psi_u, and the cascade for psi_u_prime,
-    whose analyzers see only the first color in channel 1 and the second in
-    channel 2; the geometry only enters the cascade.  split is fig2: channel
-    2 is split once more and its two halves are analyzed (not the cascade).
+    """A named state and both analyzer arms of its coincidence measurement.
+    The kind picks the channel fields: fig1 for circular_pair, pdc for psi_e
+    and psi_u, and the cascade for psi_u_prime, whose analyzers see only the
+    first color in channel 1 and the second in channel 2; the geometry only
+    enters the cascade.  split is fig2: channel 2 is split once more and its
+    two halves are analyzed (not the cascade).
+
+    A source depends only on (kind, split) unless it is a cascade at a
+    geometry other than CascadeGeometry(), so every other one is built once
+    per process and shared, with its K: at most 7 Sources.  A cascade at a
+    user geometry is built afresh on every call and never kept.
     """
+    if kind == "psi_u_prime" and not split and geometry != _DEFAULT_GEOMETRY:
+        return _build_source(kind, geometry, split)
+    return _shared_source(kind, bool(split))
+
+
+@functools.cache
+def _shared_source(kind: str, split: bool) -> Source:
+    return _build_source(kind, _DEFAULT_GEOMETRY, split)
+
+
+def _build_source(kind: str, geometry: CascadeGeometry, split: bool) -> Source:
     ket = named_state(kind)
     if kind == "psi_u_prime" and not split:
         ch1, ch2 = cascade_channel_fields(geometry)
@@ -183,6 +204,14 @@ def source(kind: str, geometry: CascadeGeometry = CascadeGeometry(), split: bool
         ch3, ch4 = op.beamsplitter_5050(ch2, op.empty_field())
         return Source(ket, ch3, ch4, 0.0 if kind == "psi_e" else 0.0625, math.cos)
     return Source(ket, ch1, ch2, 0.5 if kind == "psi_e" else 0.25, math.sin)
+
+
+def _rate(K, c1: float, s1: float, c2: float, s2: float) -> float:
+    """|u^T K w|^2 for the analyzer vectors u = (c1, s1) and w = (c2, s2),
+    or 0 where that modulus is <= EPS_PRUNE, as the engine prunes it."""
+    (kvv, kvh), (khv, khh) = K
+    amp = abs((c1 * kvv + s1 * khv) * c2 + (c1 * kvh + s1 * khh) * s2)
+    return 0 if amp <= EPS_PRUNE else amp ** 2
 
 
 def coincidence(src: Source, t1: float, t2: float) -> ScenarioResult:
@@ -196,10 +225,7 @@ def coincidence(src: Source, t1: float, t2: float) -> ScenarioResult:
     if K is None:
         value = det.coincidence_rate(src.ket, op.polarizer(src.arm1, t1), op.polarizer(src.arm2, t2))
     else:
-        (kvv, kvh), (khv, khh) = K
-        c1, s1, c2, s2 = math.cos(t1), math.sin(t1), math.cos(t2), math.sin(t2)
-        amp = abs((c1 * kvv + s1 * khv) * c2 + (c1 * kvh + s1 * khh) * s2)
-        value = 0 if amp <= EPS_PRUNE else amp ** 2
+        value = _rate(K, math.cos(t1), math.sin(t1), math.cos(t2), math.sin(t2))
     delta = t1 - t2
     closed = src.peak * src.law(delta) ** 2 if math.isfinite(delta) else math.nan
     return ScenarioResult("coincidence_rate", value, closed)
@@ -320,27 +346,48 @@ def same_channel_table(kind: str) -> list[ScenarioResult]:
 # --- correlation coefficients -------------------------------------------------------
 
 
-def correlation_E(src: Source, theta1: float, theta2: float) -> float:
-    """Two-channel correlation coefficient estimated from four analyzer
-    settings (each angle also rotated by pi/2), closing to -/+cos 2(theta1 -
-    theta2) under the sin^2/cos^2 law; det.AllDark if all four rates vanish."""
-    t1p = theta1 + math.pi / 2
-    t2p = theta2 + math.pi / 2
+_Setting = tuple[float, ...]
 
-    def rate(t1: float, t2: float) -> float:
-        return coincidence(src, t1, t2).value
 
-    same = rate(theta1, theta2) + rate(t1p, t2p)
-    cross = rate(theta1, t2p) + rate(t1p, theta2)
+def _rater(src: Source) -> tuple[Callable[[float], _Setting], Callable[..., float]]:
+    """(setting, rate): setting(t) is the analyzer at angle t and
+    rate(*x, *y) the coincidence rate of two settings, read off K with
+    (cos t, sin t) taken once per angle, or where K is None the engine's
+    value through coincidence, the setting being (t,)."""
+    K = src.K
+    if K is None:
+        return (lambda t: (t,)), (lambda t1, t2: coincidence(src, t1, t2).value)
+    return (lambda t: (math.cos(t), math.sin(t))), functools.partial(_rate, K)
+
+
+def _correlation(rate: Callable[..., float], x: _Setting, xp: _Setting, y: _Setting, yp: _Setting) -> float:
+    same = rate(*x, *y) + rate(*xp, *yp)
+    cross = rate(*x, *yp) + rate(*xp, *y)
     total = same + cross
     if total <= EPS_ZERO:
         raise det.AllDark("all four coincidence rates vanish at these analyzer angles")
     return (same - cross) / total
 
 
+def correlation_E(src: Source, theta1: float, theta2: float) -> float:
+    """Two-channel correlation coefficient estimated from four analyzer
+    settings (each angle also rotated by pi/2), closing to -/+cos 2(theta1 -
+    theta2) under the sin^2/cos^2 law; det.AllDark if all four rates vanish."""
+    setting, rate = _rater(src)
+    return _correlation(
+        rate, setting(theta1), setting(theta1 + math.pi / 2), setting(theta2), setting(theta2 + math.pi / 2)
+    )
+
+
 def chsh_S(src: Source, a: float, ap: float, b: float, bp: float) -> float:
-    """Four-setting correlation sum E(a,b) - E(a,b') + E(a',b) + E(a',b')."""
-    return correlation_E(src, a, b) - correlation_E(src, a, bp) + correlation_E(src, ap, b) + correlation_E(src, ap, bp)
+    """Four-setting correlation sum E(a,b) - E(a,b') + E(a',b) + E(a',b'),
+    each of the eight analyzer settings taken once."""
+    setting, rate = _rater(src)
+    A, Ap, B, Bp = ((setting(t), setting(t + math.pi / 2)) for t in (a, ap, b, bp))
+    return (
+        _correlation(rate, *A, *B) - _correlation(rate, *A, *Bp) + _correlation(rate, *Ap, *B)
+        + _correlation(rate, *Ap, *Bp)
+    )
 
 
 # --- experiment registry and scans ------------------------------------------------------

@@ -27,6 +27,7 @@ w = g|psi> (detection.intensity_map).
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterable, Mapping
 from typing import Union
@@ -223,8 +224,10 @@ def pair_factor_forms() -> tuple[LinearForm, LinearForm]:
     return factor_a, factor_b
 
 
+@functools.cache
 def named_state(kind: str) -> FockKet:
-    """Unit-norm two-photon source states used throughout the scenarios.
+    """Unit-norm two-photon source states used throughout the scenarios,
+    each built once per process and shared (FockKet has no mutator).
 
     circular_pair: one left- and one right-circular photon in a single beam,
         equal superposition of double-V and double-H occupation.

@@ -380,6 +380,53 @@ def test_source_rejects_unknown_kind():
         ex.source("nope")
 
 
+# --- the per-process source memo ----------------------------------------------------
+
+#: Every (kind, split) that source accepts; a split cascade has no channel fields.
+SOURCE_KEYS = [(kind, split) for kind in fk.NAMED_STATE_KINDS for split in (False, True)]
+SOURCE_KEYS.remove(("psi_u_prime", True))
+
+
+@pytest.mark.parametrize("kind,split", SOURCE_KEYS)
+def test_a_named_source_is_built_once_per_process(kind, split):
+    src = ex.source(kind, split=split)
+    assert ex.source(kind, split=split) is src
+    assert ex.source(kind, ex.CascadeGeometry(), split) is src
+    assert ex.source(kind, ex.CascadeGeometry(1 + 0j, 1 + 0j, 1 + 0j, 1 + 0j), split) is src
+    assert src.ket is fk.named_state(kind)
+
+
+def rows_repr(src: ex.Source) -> list[str]:
+    """361-point scan of theta2 at theta1 = 10 degrees; repr tells NaN, -0.0 and int 0 apart."""
+    t1 = math.radians(10.0)
+    return [repr(ex.coincidence(src, t1, math.radians(0.5 * k))) for k in range(361)]
+
+
+@pytest.mark.parametrize("kind,split", SOURCE_KEYS)
+def test_a_memoized_source_evaluates_like_a_fresh_one(kind, split):
+    fresh = ex._build_source(kind, ex.CascadeGeometry(), split)
+    kept = ex.source(kind, split=split)
+    assert fresh is not kept
+    assert rows_repr(kept) == rows_repr(fresh)
+    if not split:
+        angles = [(math.radians(0.5 * k), 0.8, 0.4, 1.2) for k in range(361)]
+        assert [repr(ex.chsh_S(kept, *a)) for a in angles] == [repr(ex.chsh_S(fresh, *a)) for a in angles]
+
+
+def test_user_geometries_are_never_kept():
+    rng = np.random.default_rng(50)
+    geometries = [ex.CascadeGeometry(*(complex(*rng.uniform(-2, 2, 2)) for _ in range(4))) for _ in range(50)]
+    sources = [ex.source("psi_u_prime", geometry) for geometry in geometries]
+    assert len({id(src) for src in sources}) == 50
+    for kind, split in SOURCE_KEYS:
+        ex.source(kind, split=split)
+    for bad in ("nope", "psi_u_prime"):
+        with pytest.raises(ValueError):
+            ex.source(bad, split=True)
+    assert ex._shared_source.cache_info().currsize <= 7
+    assert fk.named_state.cache_info().currsize <= 4
+
+
 @pytest.mark.parametrize("kind", ["circular_pair", "psi_e", "psi_u", "psi_u_prime"])
 def test_chsh_canonical_angles_saturate_quantum_bound(kind):
     s = ex.chsh_S(ex.source(kind), **ex.CANONICAL_CHSH_ANGLES)

@@ -168,10 +168,14 @@ def test_chsh_point_matches_engine(monkeypatch):
     angle_sets = [ex.CANONICAL_CHSH_ANGLES]
     angle_sets += [dict(zip(("a", "ap", "b", "bp"), map(float, rng.uniform(-4, 4, 4)))) for _ in range(4)]
     for kind in ("circular_pair", "psi_e", "psi_u", "psi_u_prime"):
-        fast = [ex.chsh_S(ex.source(kind), **angles) for angles in angle_sets]
+        src = ex.source(kind)
+        fast = [ex.chsh_S(src, **angles) for angles in angle_sets]
         with monkeypatch.context() as patch:
+            # A Source without K rates each setting through coincidence, here the engine.
+            patch.setattr(ex.Source, "K", None)
             patch.setattr(ex, "coincidence", engine_point)
-            engine = [ex.chsh_S(ex.source(kind), **angles) for angles in angle_sets]
+            bare = ex.Source(src.ket, src.arm1, src.arm2, src.peak, src.law)
+            engine = [ex.chsh_S(bare, **angles) for angles in angle_sets]
         assert fast == pytest.approx(engine, abs=1e-14)
 
 
@@ -185,9 +189,12 @@ def test_a_scan_runs_the_engine_only_to_build_K(monkeypatch, scanned):
         return original(ket, form)
 
     monkeypatch.setattr(ex, "apply_form", counted)
+    ex._shared_source.cache_clear()
     fixed = "theta2" if scanned == "theta1" else "theta1"
-    rows = evaluate(parse_scenario(f"experiment pdc\nstate psi_u\nangle {fixed} 10\nscan {scanned} 0 180 0.5\n"))
-    assert len(rows) == 361 and calls[0] == 8  # two applies for each of K's four entries
+    spec = parse_scenario(f"experiment pdc\nstate psi_u\nangle {fixed} 10\nscan {scanned} 0 180 0.5\n")
+    rows = evaluate(spec)
+    assert len(rows) == 361 and calls[0] == 6  # one apply per arm-1 form, then one per entry of K
+    assert evaluate(spec) == rows and calls[0] == 6  # the source and its K are kept
 
 
 # --- the hypothesis property: random two-photon kets and forms over eight modes ---------------

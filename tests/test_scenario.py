@@ -231,8 +231,11 @@ def test_evaluate_builds_the_source_once(monkeypatch, text, n_rows):
         return named_state(kind)
 
     monkeypatch.setattr(ex, "named_state", counting_named_state)
-    assert len(sc.evaluate(sc.parse_scenario(text))) == n_rows
-    assert len(calls) == 1
+    ex._shared_source.cache_clear()
+    spec = sc.parse_scenario(text)
+    rows = sc.evaluate(spec)
+    assert len(rows) == n_rows and len(calls) == 1
+    assert sc.evaluate(spec) == rows and len(calls) == 1  # a second run builds nothing
 
 
 def test_selfcheck_builds_each_source_once(monkeypatch):
