@@ -48,9 +48,10 @@ class BeamProfile:
 
     kind "plane_wave" ignores width; "gaussian" multiplies in a real
     envelope exp(-(x^2+y^2) / (2 width^2)).  tilt is the transverse
-    wavevector component (radians per unit length along x).  value gives the
-    field at one point; sample gives it on a whole grid, once per axis where
-    a factor depends on one coordinate only.
+    wavevector component (radians per unit length along x).  The field at
+    (x, y) is the real envelope (the amplitude, times the gaussian profile)
+    times exp(i phase), phase = tilt * x + phase_offset; sample gives it on a
+    whole grid, once per axis where a factor depends on one coordinate only.
     """
 
     kind: str = "plane_wave"
@@ -66,25 +67,16 @@ class BeamProfile:
         if self.kind == "gaussian" and (self.width is None or not self.width > 0):
             raise ValueError("gaussian beams need width > 0")
         if self.kind == "gaussian" and not self.width * self.width > 0.0:
-            # value() divides by width^2.
+            # sample() divides by 2 width^2.
             raise ValueError(f"gaussian beam width {self.width!r} is too small: its square underflows to 0")
         if not self.amplitude >= 0:
             raise ValueError("beam amplitude must be >= 0")
 
-    def value(self, x: float, y: float) -> complex:
-        """Complex field at (x, y): the real envelope (the amplitude, times the
-        gaussian profile) times exp(i phase), phase = tilt * x + phase_offset."""
-        envelope = self.amplitude
-        if self.kind == "gaussian":
-            envelope *= math.exp(-(x * x + y * y) / (2.0 * self.width * self.width))
-        return envelope * cmath.exp(1j * (self.tilt * x + self.phase_offset))
-
     def sample(self, grid: ScanGrid) -> BeamSamples:
-        """The beam on the grid as (envelope rows, phase per x), with the float
-        operations of value: len(ys) rows of len(xs) real envelopes, and the
-        phase of each column, which does not depend on y.  A plane wave's
-        envelope is its amplitude everywhere; a gaussian's takes x^2 once per
-        column and y^2 once per row."""
+        """The beam on the grid as (envelope rows, phase per x): len(ys) rows
+        of len(xs) real envelopes, and the phase of each column, which does
+        not depend on y.  A plane wave's envelope is its amplitude everywhere;
+        a gaussian's takes x^2 once per column and y^2 once per row."""
         phases = tuple(self.tilt * x + self.phase_offset for x in grid.xs)
         if self.kind != "gaussian":
             return ((self.amplitude,) * len(grid.xs),) * len(grid.ys), phases
@@ -131,8 +123,7 @@ def intensity_map(
     per column and beam), evaluated as the Gram form
     |a|^2 <u|u> + |b|^2 <w|w> + 2 Re(conj(a) b <u|w>) of u = f|ket> and
     w = g|ket>, which the engine computes once per map.  This holds for any
-    ket, agrees with singles_rate cell by cell to rounding, and equals the
-    Gram form of BeamProfile.value at every cell.
+    ket, and agrees with singles_rate cell by cell to rounding.
     """
     if len(channel_forms) != 2 or len(samples) != 2:
         raise ValueError("intensity maps overlap exactly two beams")

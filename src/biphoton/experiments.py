@@ -29,9 +29,10 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 import operator
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -166,6 +167,33 @@ class Source:
         K = tuple(tuple(apply_form(half, g).amplitude(()) for g in arm2) for half in halves)
         return K if all(cmath.isfinite(k) for row in K for k in row) else None
 
+    @functools.cached_property
+    def _analyzers(self) -> tuple[Callable, Callable, Callable]:
+        """(left, right, rates): left(ts) and right(ts) list the analyzers of
+        arm 1 and arm 2 at the angles ts, and rates(us, ws) the coincidence
+        rate of each u with the w taken in step with it, so that a fixed
+        analyzer is worked out once and repeated.  With K, left gives the
+        rows c1^T K with c1 = (cos t, sin t), right the vectors
+        c2 = (cos t, sin t), and rates is _rates.  Where K is None they are
+        the engine's: left gives the kets that arm 1's polarizers leave, right
+        arm 2's polarizers, and rates the singles rate of each polarizer on
+        its ket, bit for bit det.coincidence_rate."""
+        K = self.K
+        if K is None:
+            ket, arm1, arm2 = self.ket, self.arm1, self.arm2
+            return (
+                lambda ts: [apply_form(ket, op.polarizer(arm1, t)) for t in ts],
+                lambda ts: [op.polarizer(arm2, t) for t in ts],
+                lambda halves, forms: list(map(det.singles_rate, halves, forms)),
+            )
+        (kvv, kvh), (khv, khh) = K
+
+        def row(t: float) -> tuple[complex, complex]:
+            c, s = math.cos(t), math.sin(t)
+            return c * kvv + s * khv, c * kvh + s * khh
+
+        return (lambda ts: list(map(row, ts))), lambda ts: list(zip(map(math.cos, ts), map(math.sin, ts))), _rates
+
 
 _DEFAULT_GEOMETRY = CascadeGeometry()
 
@@ -206,12 +234,12 @@ def _build_source(kind: str, geometry: CascadeGeometry, split: bool) -> Source:
     return Source(ket, ch1, ch2, 0.5 if kind == "psi_e" else 0.25, math.sin)
 
 
-def _rate(K, c1: float, s1: float, c2: float, s2: float) -> float:
-    """|u^T K w|^2 for the analyzer vectors u = (c1, s1) and w = (c2, s2),
-    or 0 where that modulus is <= EPS_PRUNE, as the engine prunes it."""
-    (kvv, kvh), (khv, khh) = K
-    amp = abs((c1 * kvv + s1 * khv) * c2 + (c1 * kvh + s1 * khh) * s2)
-    return 0 if amp <= EPS_PRUNE else amp ** 2
+def _rates(us: Iterable[tuple[complex, complex]], ws: Iterable[tuple[float, float]]) -> list[float]:
+    """|u . w|^2 of each arm-1 row u = c1^T K with the arm-2 analyzer vector
+    w = (c2, s2) taken in step with it, or 0 where that modulus is
+    <= EPS_PRUNE, as the engine prunes it.  The square stays amp ** 2, which
+    raises OverflowError where a rate is too large for a float."""
+    return [0 if (amp := abs(u0 * c + u1 * s)) <= EPS_PRUNE else amp ** 2 for (u0, u1), (c, s) in zip(us, ws)]
 
 
 def coincidence(src: Source, t1: float, t2: float) -> ScenarioResult:
@@ -220,15 +248,33 @@ def coincidence(src: Source, t1: float, t2: float) -> ScenarioResult:
     it where that modulus is <= EPS_PRUNE.  It agrees with
     det.coincidence_rate(src.ket, op.polarizer(src.arm1, t1),
     op.polarizer(src.arm2, t2)) to rounding, and is that engine value where
-    K is None.  The closed form is NaN where t1 - t2 is not finite."""
-    K = src.K
-    if K is None:
-        value = det.coincidence_rate(src.ket, op.polarizer(src.arm1, t1), op.polarizer(src.arm2, t2))
+    K is None.  The closed form is NaN where t1 - t2 is not finite.  The
+    tolerance is 1e-9 of src.peak, the largest value the closed form takes,
+    but no less than EPS_PRUNE ** 2, below which the engine's pruning of an
+    amplitude shows.  This is coincidence_column with one point."""
+    return coincidence_column(src, (t1, t2), 1, (t2,))[0]
+
+
+def coincidence_column(
+    src: Source, radians: Sequence[float], slot: int, column: Sequence[float]
+) -> list[ScenarioResult]:
+    """coincidence at radians = (t1, t2) with the angle at index slot taking
+    each value of column in turn, one row per value, bit for bit; the other
+    arm's analyzer is worked out once."""
+    left, right, rates = src._analyzers
+    t1, t2 = radians
+    if slot == 0:
+        values = rates(left(column), itertools.repeat(right((t2,))[0]))
+        deltas = map(operator.sub, column, itertools.repeat(t2))
     else:
-        value = _rate(K, math.cos(t1), math.sin(t1), math.cos(t2), math.sin(t2))
-    delta = t1 - t2
-    closed = src.peak * src.law(delta) ** 2 if math.isfinite(delta) else math.nan
-    return ScenarioResult("coincidence_rate", value, closed)
+        values = rates(itertools.repeat(left((t1,))[0]), right(column))
+        deltas = map(operator.sub, itertools.repeat(t1), column)
+    peak, law = src.peak, src.law
+    tolerance = max(1e-9 * peak, EPS_PRUNE ** 2)
+    return [
+        ScenarioResult("coincidence_rate", value, peak * law(d) ** 2 if math.isfinite(d) else math.nan, tolerance)
+        for value, d in zip(values, deltas)
+    ]
 
 
 # --- single-point scenarios -----------------------------------------------------
@@ -346,23 +392,13 @@ def same_channel_table(kind: str) -> list[ScenarioResult]:
 # --- correlation coefficients -------------------------------------------------------
 
 
-_Setting = tuple[float, ...]
-
-
-def _rater(src: Source) -> tuple[Callable[[float], _Setting], Callable[..., float]]:
-    """(setting, rate): setting(t) is the analyzer at angle t and
-    rate(*x, *y) the coincidence rate of two settings, read off K with
-    (cos t, sin t) taken once per angle, or where K is None the engine's
-    value through coincidence, the setting being (t,)."""
-    K = src.K
-    if K is None:
-        return (lambda t: (t,)), (lambda t1, t2: coincidence(src, t1, t2).value)
-    return (lambda t: (math.cos(t), math.sin(t))), functools.partial(_rate, K)
-
-
-def _correlation(rate: Callable[..., float], x: _Setting, xp: _Setting, y: _Setting, yp: _Setting) -> float:
-    same = rate(*x, *y) + rate(*xp, *yp)
-    cross = rate(*x, *yp) + rate(*xp, *y)
+def _correlation(rates: Callable, x: Sequence, y: Sequence) -> float:
+    """E of the arm-1 setting x = left((t1, t1 + pi/2)) and the arm-2 setting
+    y = right((t2, t2 + pi/2)) of Source._analyzers."""
+    (u, up), (w, wp) = x, y
+    xy, xpyp, xyp, xpy = rates((u, up, u, up), (w, wp, wp, w))
+    same = xy + xpyp
+    cross = xyp + xpy
     total = same + cross
     if total <= EPS_ZERO:
         raise det.AllDark("all four coincidence rates vanish at these analyzer angles")
@@ -373,27 +409,48 @@ def correlation_E(src: Source, theta1: float, theta2: float) -> float:
     """Two-channel correlation coefficient estimated from four analyzer
     settings (each angle also rotated by pi/2), closing to -/+cos 2(theta1 -
     theta2) under the sin^2/cos^2 law; det.AllDark if all four rates vanish."""
-    setting, rate = _rater(src)
-    return _correlation(
-        rate, setting(theta1), setting(theta1 + math.pi / 2), setting(theta2), setting(theta2 + math.pi / 2)
-    )
+    left, right, rates = src._analyzers
+    return _correlation(rates, left((theta1, theta1 + math.pi / 2)), right((theta2, theta2 + math.pi / 2)))
+
+
+#: The four correlations of the CHSH sum as (arm-1, arm-2) indices into (a, a', b, b').
+_CHSH_PAIRS = ((0, 2), (0, 3), (1, 2), (1, 3))
+
+
+def _chsh_column(src: Source, radians: Sequence[float], slot: int, column: Sequence[float]) -> list[float]:
+    """chsh_S at radians = (a, a', b, b') with the angle at index slot taking
+    each value of column in turn.  Each fixed analyzer setting, and the two
+    correlations that do not involve the scanned angle, are worked out once;
+    every S is summed left to right as E(a,b) - E(a,b') + E(a',b) + E(a',b')."""
+    left, right, rates = src._analyzers
+    arms = (left, left, right, right)
+    settings = [None if i == slot else arm((t, t + math.pi / 2)) for i, (arm, t) in enumerate(zip(arms, radians))]
+    E = [None if slot in pair else _correlation(rates, settings[pair[0]], settings[pair[1]]) for pair in _CHSH_PAIRS]
+    live = [(k, i, j) for k, (i, j) in enumerate(_CHSH_PAIRS) if slot in (i, j)]
+    sums = []
+    for setting in zip(arms[slot](column), arms[slot]([t + math.pi / 2 for t in column])):
+        settings[slot] = setting
+        for k, i, j in live:
+            E[k] = _correlation(rates, settings[i], settings[j])
+        sums.append(E[0] - E[1] + E[2] + E[3])
+    return sums
 
 
 def chsh_S(src: Source, a: float, ap: float, b: float, bp: float) -> float:
     """Four-setting correlation sum E(a,b) - E(a,b') + E(a',b) + E(a',b'),
-    each of the eight analyzer settings taken once."""
-    setting, rate = _rater(src)
-    A, Ap, B, Bp = ((setting(t), setting(t + math.pi / 2)) for t in (a, ap, b, bp))
-    return (
-        _correlation(rate, *A, *B) - _correlation(rate, *A, *Bp) + _correlation(rate, *Ap, *B)
-        + _correlation(rate, *Ap, *Bp)
-    )
+    each of the eight analyzer settings taken once: a scan column of one
+    point."""
+    return _chsh_column(src, (a, ap, b, bp), 0, (a,))[0]
 
 
 # --- experiment registry and scans ------------------------------------------------------
 
-#: One scan point: the experiment's angles in radians, positionally in Experiment.angles order -> result rows.
-Point = Callable[..., list[ScenarioResult]]
+#: A prepared scenario, called as points(radians, slot, column): radians are
+#: its angles positionally in Experiment.angles order, and the angle at index
+#: slot takes each value of column in turn, giving one result row per value
+#: in order (a single point is a column of one).  fig3 and same-channel have
+#: no angles, ignore the column and return their whole table.
+Points = Callable[[Sequence[float], int, Sequence[float]], list[ScenarioResult]]
 
 
 @dataclass(frozen=True)
@@ -401,35 +458,39 @@ class Experiment:
     """Everything the scenario layer knows about one named experiment.
 
     prepare(state, geometry, beams) builds the scenario once and returns the
-    Point that evaluates one point of it.
+    Points that evaluate a column of it, with all work that does not depend
+    on the scanned angle done once per column.
     """
 
     angles: dict[str, float]  # parameter name -> default, in degrees
     states: tuple[str, ...]
     default_state: str
-    prepare: Callable[[str, CascadeGeometry, Sequence[det.BeamProfile]], Point]
+    prepare: Callable[[str, CascadeGeometry, Sequence[det.BeamProfile]], Points]
 
 
 def _pair_experiment(names: tuple[str, str], states: tuple[str, ...], default: str, split: bool = False) -> Experiment:
-    def prepare(state: str, geometry: CascadeGeometry, beams) -> Point:
-        src = source(state, geometry, split)
-        return lambda t1, t2: [coincidence(src, t1, t2)]
+    def prepare(state: str, geometry: CascadeGeometry, beams) -> Points:
+        return functools.partial(coincidence_column, source(state, geometry, split))
 
     return Experiment(dict.fromkeys(names, 0.0), states, default, prepare)
 
 
-def _prepare_chsh(state: str, geometry: CascadeGeometry, beams) -> Point:
+def _chsh_closed_form(a: float, ap: float, b: float, bp: float) -> float:
+    # Each correlation_E closes to -/+cos 2(t1 - t2); the common sign drops out of abs(S) exactly.
+    return abs(math.cos(2.0 * (a - b)) - math.cos(2.0 * (a - bp)) + math.cos(2.0 * (ap - b)) + math.cos(2.0 * (ap - bp)))
+
+
+def _prepare_chsh(state: str, geometry: CascadeGeometry, beams) -> Points:
     src = source(state)
 
-    def point(a: float, ap: float, b: float, bp: float) -> list[ScenarioResult]:
-        value = abs(chsh_S(src, a, ap, b, bp))
-        # Each correlation_E closes to -/+cos 2(t1 - t2); the common sign drops out of abs(S) exactly.
-        closed = abs(
-            math.cos(2.0 * (a - b)) - math.cos(2.0 * (a - bp)) + math.cos(2.0 * (ap - b)) + math.cos(2.0 * (ap - bp))
-        )
-        return [ScenarioResult("abs_S", value, closed)]
+    def points(radians: Sequence[float], slot: int, column: Sequence[float]) -> list[ScenarioResult]:
+        before, after = radians[:slot], radians[slot + 1 :]
+        return [
+            ScenarioResult("abs_S", abs(value), _chsh_closed_form(*before, t, *after))
+            for value, t in zip(_chsh_column(src, radians, slot, column), column)
+        ]
 
-    return point
+    return points
 
 
 EXPERIMENTS: dict[str, Experiment] = {
@@ -437,14 +498,14 @@ EXPERIMENTS: dict[str, Experiment] = {
     "pdc": _pair_experiment(("theta1", "theta2"), ("psi_e", "psi_u"), "psi_u"),
     "fig2": _pair_experiment(("theta3", "theta4"), ("psi_e", "psi_u"), "psi_u", split=True),
     "fig3": Experiment(
-        {}, ("psi_e", "psi_u"), "psi_u", lambda state, geometry, beams: lambda: [fig3_visibility(state, beams)]
+        {}, ("psi_e", "psi_u"), "psi_u", lambda state, geometry, beams: lambda *_: [fig3_visibility(state, beams)]
     ),
     "cascade": _pair_experiment(("theta1", "theta2"), ("psi_u_prime",), "psi_u_prime"),
     "chsh": Experiment(
         {"a": 0.0, "ap": 45.0, "b": 22.5, "bp": 67.5}, NAMED_STATE_KINDS, "circular_pair", _prepare_chsh
     ),
     "same-channel": Experiment(
-        {}, tuple(SAME_CHANNEL_CLOSED_FORMS), "psi_u", lambda state, geometry, beams: lambda: same_channel_table(state)
+        {}, tuple(SAME_CHANNEL_CLOSED_FORMS), "psi_u", lambda state, *_: lambda *_: same_channel_table(state)
     ),
 }
 

@@ -253,20 +253,15 @@ def format_scenario(spec: ScenarioSpec) -> str:
 def evaluate(spec: ScenarioSpec) -> list[tuple[object, ScenarioResult]]:
     """Run the scenario; rows are (param, result) with param the scanned
     angle in degrees, or the observable name for single-point runs.  The
-    source, its field chain and the list of angles in radians are built once;
-    a scan point rewrites only the scanned slot."""
+    scenario is prepared once and evaluated as one column: the scanned
+    angle's values in radians, or a single point as a column of one."""
     record = EXPERIMENTS[spec.experiment]
-    point = record.prepare(spec.state, spec.geometry, spec.beams)
+    points = record.prepare(spec.state, spec.geometry, spec.beams)
     scan = spec.scan
     # A missing angle that is not scanned raises KeyError: no silent default.
     radians = [0.0 if scan and name == scan.name else math.radians(spec.angles[name]) for name in record.angles]
     if scan is None:
-        return [(result.observable, result) for result in point(*radians)]
-
+        return [(result.observable, result) for result in points(radians, 0, radians[:1])]
     slot = list(record.angles).index(scan.name)
-    rows: list[tuple[object, ScenarioResult]] = []
-    for degrees in scan_values(scan.start, scan.stop, scan.step):
-        radians[slot] = math.radians(degrees)
-        for result in point(*radians):
-            rows.append((degrees, result))
-    return rows
+    degrees = scan_values(scan.start, scan.stop, scan.step)
+    return list(zip(degrees, points(radians, slot, list(map(math.radians, degrees)))))

@@ -14,6 +14,7 @@ which is the only bridge between this module and the engine under test.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 
@@ -131,6 +132,17 @@ def dense_vector(amplitudes: dict, modes, max_total: int) -> np.ndarray:
 
 
 # --- fig3: the envelope closed form, one point at a time -------------------------
+
+
+def beam_value(beam, x: float, y: float) -> complex:
+    """Complex field of a BeamProfile at (x, y): the real envelope (the
+    amplitude, times the gaussian profile) times exp(i phase), phase =
+    tilt * x + phase_offset, one point at a time with the float operations
+    of BeamProfile.sample."""
+    envelope = beam.amplitude
+    if beam.kind == "gaussian":
+        envelope *= math.exp(-(x * x + y * y) / (2.0 * beam.width * beam.width))
+    return envelope * cmath.exp(1j * (beam.tilt * x + beam.phase_offset))
 
 
 def fig3_intensity(kind: str, beams, x: float, y: float) -> float:

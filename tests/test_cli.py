@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from biphoton import experiments as ex
 from biphoton.cli import main
 from biphoton.selfcheck import selfcheck_rows
 from support import child_env, corrupt_selfcheck_row
@@ -326,6 +327,35 @@ def test_tolerance_must_be_finite_and_non_negative(monkeypatch, capsys, toleranc
     assert "--tolerance" in err
 
 
+@pytest.mark.parametrize("g", ["1e3", "3e76", "1e-7"])
+def test_scaled_cascade_rows_pass_their_gate(capsys, g):
+    # Each coincidence row is gated at 1e-9 of its source's peak 0.5 |g11 g22|^2, not at an absolute 1e-9.
+    # At 1e-7 the engine prunes the rate to 0 against a closed form of 5e-29, under the EPS_PRUNE ** 2 floor.
+    code, out, err = run_cli(
+        capsys, "scan", "--experiment", "cascade", "--geometry", f"{g}+0i", "1+0i", "1+0i", f"{g}+0i",
+        "--angle", "theta1", "10", "--scan", "theta2", "0", "90", "15",
+    )
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 8
+
+
+def test_a_wrong_closed_form_at_a_small_geometry_is_a_mismatch(monkeypatch, capsys):
+    build = ex._build_source
+
+    def doubled(kind, geometry, split):
+        src = build(kind, geometry, split)
+        return ex.Source(src.ket, src.arm1, src.arm2, 2.0 * src.peak, src.law)
+
+    monkeypatch.setattr(ex, "_build_source", doubled)
+    argv = ["scan", "--experiment", "cascade", "--geometry", "1e-3+0i", "1+0i", "1+0i", "1e-3+0i"]
+    code, out, err = run_cli(capsys, *argv)
+    # value 5e-13 against closed form 1e-12: under an absolute 1e-9 this passed.
+    assert code == 2 and out.splitlines()[1].startswith("coincidence_rate,5e-13,1e-12,")
+    assert err.startswith("mismatch: 1 of 1")
+    monkeypatch.undo()
+    assert run_cli(capsys, *argv)[0] == 0
+
+
 def test_non_finite_value_is_a_mismatch(capsys):
     code, out, _ = run_cli(
         capsys, "scan", "--experiment", "cascade", "--geometry", "1e200+0i", "1+0i", "1+0i", "1e200+0i"
@@ -376,10 +406,14 @@ def test_overflowing_rate_exits_2(capsys):
 
 
 def test_chsh_all_dark_settings_exit_1(capsys):
-    code, out, err = run_cli(capsys, "chsh", "--state", "psi_u", "--a", "1e308", "--b", "1e308")
-    assert code == 1
-    assert out == ""
-    assert_one_line_error(err)
+    point = ["chsh", "--state", "psi_u", "--a", "1e308", "--b", "1e308"]
+    # In the scan E(a, b) does not involve the scanned a', so the column works it out once, before any row.
+    scan = ["scan", "--experiment", "chsh", "--state", "psi_u", "--angle", "a", "1e308", "--angle", "b", "1e308"]
+    for argv in (point, [*scan, "--scan", "ap", "0", "90", "5"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert_one_line_error(err)
 
 
 def test_fig3_dark_everywhere_exits_1(capsys):

@@ -159,10 +159,6 @@ def test_non_finite_K_falls_back_to_the_engine_bit_for_bit():
     assert OverflowError in outcomes, "the overflowing geometry must reach the overflow"
 
 
-def engine_point(src: ex.Source, t1: float, t2: float) -> ex.ScenarioResult:
-    return ex.ScenarioResult("coincidence_rate", det.coincidence_rate(src.ket, *arm_forms(src, t1, t2)), 0.0)
-
-
 def test_chsh_point_matches_engine(monkeypatch):
     rng = np.random.default_rng(5)
     angle_sets = [ex.CANONICAL_CHSH_ANGLES]
@@ -171,9 +167,8 @@ def test_chsh_point_matches_engine(monkeypatch):
         src = ex.source(kind)
         fast = [ex.chsh_S(src, **angles) for angles in angle_sets]
         with monkeypatch.context() as patch:
-            # A Source without K rates each setting through coincidence, here the engine.
+            # A Source without K rates each setting on the engine.
             patch.setattr(ex.Source, "K", None)
-            patch.setattr(ex, "coincidence", engine_point)
             bare = ex.Source(src.ket, src.arm1, src.arm2, src.peak, src.law)
             engine = [ex.chsh_S(bare, **angles) for angles in angle_sets]
         assert fast == pytest.approx(engine, abs=1e-14)
@@ -195,6 +190,91 @@ def test_a_scan_runs_the_engine_only_to_build_K(monkeypatch, scanned):
     rows = evaluate(spec)
     assert len(rows) == 361 and calls[0] == 6  # one apply per arm-1 form, then one per entry of K
     assert evaluate(spec) == rows and calls[0] == 6  # the source and its K are kept
+
+
+# --- a scan column against the per-point coincidence and chsh_S ------------------------------
+
+#: Scan columns hit the exact zeros, huge angles and random values alike.
+SPECIAL_ANGLES = [0.0, -0.0, math.pi / 2, -math.pi, 1e308, -1e308, 1e-300]
+
+
+def column_cases(rng: np.random.Generator, n: int) -> list[tuple[list[float], int, list[float]]]:
+    """(radians, slot, column): each of n angles scanned in turn over specials and
+    random values, the others at random values, all at 1e308 or all at 0."""
+    column = SPECIAL_ANGLES + [float(t) for t in rng.uniform(-7.0, 7.0, 40)]
+    fixed = [[float(t) for t in rng.uniform(-7.0, 7.0, n)], [1e308] * n, [0.0] * n]
+    return [(radians, slot, column) for slot in range(n) for radians in fixed]
+
+
+def assert_column_is_points(points, point, radians, slot, column) -> list:
+    """points(radians, slot, column) gives point(*angles) at each value of
+    column in the slot, by repr; where a point raises, the column raises one
+    of the points' exception types (a scan prints no row then).  Returns the
+    points' outcomes."""
+    want = [outcome(lambda: point(*radians[:slot], t, *radians[slot + 1 :])) for t in column]
+    try:
+        got = [(type(row), repr(row)) for row in points(radians, slot, column)]
+    except (OverflowError, ValueError) as err:
+        assert type(err) in want, (radians, slot)
+        return want
+    assert got == want, (radians, slot)
+    return want
+
+
+PAIR_CASES = [
+    (experiment, state, geometry)
+    for experiment in ("fig1", "pdc", "fig2", "cascade")
+    for state in ex.EXPERIMENTS[experiment].states
+    for geometry in ([ex.CascadeGeometry(), ex.CascadeGeometry(0.3 - 1.2j, 2 + 1j, -0.7 + 0.1j, 1.5 - 0.5j),
+                      ex.CascadeGeometry(1e200 + 0j, 1 + 0j, 1 + 0j, 1e200 + 0j), OVERFLOW_GEOMETRY]
+                     if experiment == "cascade" else [ex.CascadeGeometry()])
+]
+
+
+@pytest.mark.parametrize("experiment,state,geometry", PAIR_CASES)
+def test_a_coincidence_column_is_the_per_point_coincidence_by_repr(experiment, state, geometry):
+    src = ex.source(state, geometry, experiment == "fig2")
+    assert (src.K is None) == (abs(geometry.g11) > 1e150)
+    points = ex.EXPERIMENTS[experiment].prepare(state, geometry, det.default_beams())
+    for radians, slot, column in column_cases(np.random.default_rng(61), 2):
+        assert_column_is_points(points, lambda t1, t2: ex.coincidence(src, t1, t2), radians, slot, column)
+
+
+@pytest.mark.parametrize("state", ex.NAMED_STATE_KINDS)
+def test_a_chsh_column_is_the_per_point_chsh_S_by_repr(state):
+    src = ex.source(state)
+    points = ex.EXPERIMENTS["chsh"].prepare(state, ex.CascadeGeometry(), det.default_beams())
+
+    def point(a, ap, b, bp):
+        cos = math.cos
+        closed = abs(cos(2.0 * (a - b)) - cos(2.0 * (a - bp)) + cos(2.0 * (ap - b)) + cos(2.0 * (ap - bp)))
+        return ex.ScenarioResult("abs_S", abs(ex.chsh_S(src, a, ap, b, bp)), closed)
+
+    dark = 0
+    for radians, slot, column in column_cases(np.random.default_rng(62), 4):
+        dark += det.AllDark in assert_column_is_points(points, point, radians, slot, column)
+    # At 1e308, t + pi/2 == t: a sin^2 law is dark in all four rates of E(a, b), a cos^2 law is not.
+    assert dark or state == "psi_u_prime", "some column must meet a dark correlation"
+
+
+def test_an_arm_2_scan_with_K_calls_neither_coincidence_nor_the_engine(monkeypatch):
+    assert ex.source("psi_u").K is not None
+    calls = Counter()
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in [(ex, "coincidence"), (ex, "apply_form"), (det, "apply_form"), (det, "coincidence_rate"),
+                         (det, "singles_rate"), (op, "polarizer")]:
+        counted(module, name)
+    rows = evaluate(parse_scenario("experiment pdc\nstate psi_u\nangle theta1 10\nscan theta2 0 180 0.25\n"))
+    assert len(rows) == 721 and calls == Counter()
 
 
 # --- the hypothesis property: random two-photon kets and forms over eight modes ---------------
@@ -229,7 +309,7 @@ def test_gram_form_agrees_with_engine_and_oracle_on_random_kets_and_forms(ket, f
     # A one-point grid: beam 1 gives a and beam 2 gives b there.
     beams = [det.BeamProfile(tilt=0.0, phase_offset=math.atan2(z.imag, z.real), amplitude=abs(z)) for z in (a, b)]
     [[cell]] = det.intensity_map(ket, [f, g], [beam.sample(det.ScanGrid(xs=(0.0,))) for beam in beams])
-    a, b = (beam.value(0.0, 0.0) for beam in beams)
+    a, b = (oracle.beam_value(beam, 0.0, 0.0) for beam in beams)
     assert_agree(cell, ket, [f.scale(a).plus(g.scale(b))], [abs_form((a, f), (b, g))])
 
 
@@ -276,7 +356,7 @@ def test_intensity_map_matches_per_cell_singles_rate(kind):
         assert [len(row) for row in fringe_map] == [len(grid.xs)] * len(grid.ys)
         for y, row in zip(grid.ys, fringe_map):
             for x, cell in zip(grid.xs, row):
-                a, b = beam1.value(x, y), beam2.value(x, y)
+                a, b = oracle.beam_value(beam1, x, y), oracle.beam_value(beam2, x, y)
                 want = gram_cell(ket, forms_, a, b)
                 assert cell == want or (math.isnan(cell) and math.isnan(want)), (x, y, cell, want)
                 if math.isnan(want):
