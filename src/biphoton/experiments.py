@@ -168,31 +168,26 @@ class Source:
         return K if all(cmath.isfinite(k) for row in K for k in row) else None
 
     @functools.cached_property
-    def _analyzers(self) -> tuple[Callable, Callable, Callable]:
-        """(left, right, rates): left(ts) and right(ts) list the analyzers of
-        arm 1 and arm 2 at the angles ts, and rates(us, ws) the coincidence
-        rate of each u with the w taken in step with it, so that a fixed
-        analyzer is worked out once and repeated.  With K, left gives the
-        rows c1^T K with c1 = (cos t, sin t), right the vectors
-        c2 = (cos t, sin t), and rates is _rates.  Where K is None they are
-        the engine's: left gives the kets that arm 1's polarizers leave, right
-        arm 2's polarizers, and rates the singles rate of each polarizer on
-        its ket, bit for bit det.coincidence_rate."""
-        K = self.K
-        if K is None:
-            ket, arm1, arm2 = self.ket, self.arm1, self.arm2
-            return (
-                lambda ts: [apply_form(ket, op.polarizer(arm1, t)) for t in ts],
-                lambda ts: [op.polarizer(arm2, t) for t in ts],
-                lambda halves, forms: list(map(det.singles_rate, halves, forms)),
-            )
-        (kvv, kvh), (khv, khh) = K
-
-        def row(t: float) -> tuple[complex, complex]:
-            c, s = math.cos(t), math.sin(t)
-            return c * kvv + s * khv, c * kvh + s * khh
-
-        return (lambda ts: list(map(row, ts))), lambda ts: list(zip(map(math.cos, ts), map(math.sin, ts))), _rates
+    def T(self) -> tuple[float, float, float, float, float]:
+        """(||K||_F^2, T_ZZ, T_ZX, T_XZ, T_XX): the polarization correlation
+        matrix T_ij = Tr(s_i K s_j K^H), s over the Pauli matrices (Z, X), of
+        K = ((a, b), (c, d)).  Analyzers at t and t + pi/2 form an orthonormal
+        basis, so their four coincidence rates sum to ||K||_F^2 at any angles
+        and their signed sum is d(t1)^T T d(t2), d(t) = (cos 2t, sin 2t) (the
+        correlation-matrix criterion of R., P. and M. Horodecki, Phys. Lett.
+        A 200, 340 (1995)).  ValueError where K is None."""
+        if self.K is None:
+            raise ValueError("no correlation matrix: the source has no finite two-photon amplitude matrix K")
+        (a, b), (c, d) = self.K
+        aa, bb, cc, dd = (abs(k) ** 2 for k in (a, b, c, d))
+        ca, cb = a.conjugate(), b.conjugate()
+        return (
+            aa + bb + cc + dd,
+            aa - bb - cc + dd,
+            2.0 * (ca * b - c.conjugate() * d).real,
+            2.0 * (ca * c - cb * d).real,
+            2.0 * (ca * d + cb * c).real,
+        )
 
 
 _DEFAULT_GEOMETRY = CascadeGeometry()
@@ -259,16 +254,28 @@ def coincidence_column(
     src: Source, radians: Sequence[float], slot: int, column: Sequence[float]
 ) -> list[ScenarioResult]:
     """coincidence at radians = (t1, t2) with the angle at index slot taking
-    each value of column in turn, one row per value, bit for bit; the other
-    arm's analyzer is worked out once."""
-    left, right, rates = src._analyzers
+    each value of column in turn, one row per value, bit for bit.  With K,
+    arm 1 enters as the row c1^T K and arm 2 as c2 = (cos t2, sin t2), and
+    the fixed arm's is worked out once; where K is None each rate is
+    det.coincidence_rate."""
     t1, t2 = radians
-    if slot == 0:
-        values = rates(left(column), itertools.repeat(right((t2,))[0]))
-        deltas = map(operator.sub, column, itertools.repeat(t2))
+    angles1, angles2 = (column, itertools.repeat(t2)) if slot == 0 else (itertools.repeat(t1), column)
+    K = src.K
+    if K is None:
+        values = [
+            det.coincidence_rate(src.ket, op.polarizer(src.arm1, u), op.polarizer(src.arm2, w))
+            for u, w in zip(angles1, angles2)
+        ]
     else:
-        values = rates(itertools.repeat(left((t1,))[0]), right(column))
-        deltas = map(operator.sub, itertools.repeat(t1), column)
+        (kvv, kvh), (khv, khh) = K
+        cosines = zip(map(math.cos, column), map(math.sin, column))
+        if slot == 0:
+            rows = [(c * kvv + s * khv, c * kvh + s * khh) for c, s in cosines]
+            values = _rates(rows, itertools.repeat((math.cos(t2), math.sin(t2))))
+        else:
+            c, s = math.cos(t1), math.sin(t1)
+            values = _rates(itertools.repeat((c * kvv + s * khv, c * kvh + s * khh)), cosines)
+    deltas = map(operator.sub, angles1, angles2)
     peak, law = src.peak, src.law
     tolerance = max(1e-9 * peak, EPS_PRUNE ** 2)
     return [
@@ -392,55 +399,43 @@ def same_channel_table(kind: str) -> list[ScenarioResult]:
 # --- correlation coefficients -------------------------------------------------------
 
 
-def _correlation(rates: Callable, x: Sequence, y: Sequence) -> float:
-    """E of the arm-1 setting x = left((t1, t1 + pi/2)) and the arm-2 setting
-    y = right((t2, t2 + pi/2)) of Source._analyzers."""
-    (u, up), (w, wp) = x, y
-    xy, xpyp, xyp, xpy = rates((u, up, u, up), (w, wp, wp, w))
-    same = xy + xpyp
-    cross = xyp + xpy
-    total = same + cross
-    if total <= EPS_ZERO:
+def _d(t: float) -> tuple[float, float]:
+    """(cos 2t, sin 2t) from cos t and sin t, finite wherever t is (2t
+    overflows for |t| > 8.9e307)."""
+    c, s = math.cos(t), math.sin(t)
+    return c * c - s * s, 2.0 * c * s
+
+
+def _checked_T(src: Source) -> tuple[float, float, float, float, float]:
+    """src.T, or det.AllDark if the four rates of every correlation vanish."""
+    T = src.T
+    if T[0] <= EPS_ZERO:
         raise det.AllDark("all four coincidence rates vanish at these analyzer angles")
-    return (same - cross) / total
+    return T
+
+
+def _bilinear(T: tuple[float, ...], x: tuple[float, float], y: tuple[float, float]) -> float:
+    """x^T T y, T = Source.T (its first entry, ||K||_F^2, unused)."""
+    return x[0] * (T[1] * y[0] + T[2] * y[1]) + x[1] * (T[3] * y[0] + T[4] * y[1])
 
 
 def correlation_E(src: Source, theta1: float, theta2: float) -> float:
     """Two-channel correlation coefficient estimated from four analyzer
-    settings (each angle also rotated by pi/2), closing to -/+cos 2(theta1 -
-    theta2) under the sin^2/cos^2 law; det.AllDark if all four rates vanish."""
-    left, right, rates = src._analyzers
-    return _correlation(rates, left((theta1, theta1 + math.pi / 2)), right((theta2, theta2 + math.pi / 2)))
-
-
-#: The four correlations of the CHSH sum as (arm-1, arm-2) indices into (a, a', b, b').
-_CHSH_PAIRS = ((0, 2), (0, 3), (1, 2), (1, 3))
-
-
-def _chsh_column(src: Source, radians: Sequence[float], slot: int, column: Sequence[float]) -> list[float]:
-    """chsh_S at radians = (a, a', b, b') with the angle at index slot taking
-    each value of column in turn.  Each fixed analyzer setting, and the two
-    correlations that do not involve the scanned angle, are worked out once;
-    every S is summed left to right as E(a,b) - E(a,b') + E(a',b) + E(a',b')."""
-    left, right, rates = src._analyzers
-    arms = (left, left, right, right)
-    settings = [None if i == slot else arm((t, t + math.pi / 2)) for i, (arm, t) in enumerate(zip(arms, radians))]
-    E = [None if slot in pair else _correlation(rates, settings[pair[0]], settings[pair[1]]) for pair in _CHSH_PAIRS]
-    live = [(k, i, j) for k, (i, j) in enumerate(_CHSH_PAIRS) if slot in (i, j)]
-    sums = []
-    for setting in zip(arms[slot](column), arms[slot]([t + math.pi / 2 for t in column])):
-        settings[slot] = setting
-        for k, i, j in live:
-            E[k] = _correlation(rates, settings[i], settings[j])
-        sums.append(E[0] - E[1] + E[2] + E[3])
-    return sums
+    settings (each angle also rotated by pi/2): d(theta1)^T T d(theta2) /
+    ||K||_F^2 (Source.T), closing to -/+cos 2(theta1 - theta2) under the
+    sin^2/cos^2 law; det.AllDark if all four rates vanish, ValueError where
+    Source.K is None."""
+    T = _checked_T(src)
+    return _bilinear(T, _d(theta1), _d(theta2)) / T[0]
 
 
 def chsh_S(src: Source, a: float, ap: float, b: float, bp: float) -> float:
-    """Four-setting correlation sum E(a,b) - E(a,b') + E(a',b) + E(a',b'),
-    each of the eight analyzer settings taken once: a scan column of one
-    point."""
-    return _chsh_column(src, (a, ap, b, bp), 0, (a,))[0]
+    """Four-setting correlation sum E(a,b) - E(a,b') + E(a',b) + E(a',b')
+    (correlation_E), as [d(a)^T T (d(b) - d(b')) + d(a')^T T (d(b) + d(b'))]
+    / ||K||_F^2."""
+    T = _checked_T(src)
+    (b0, b1), (c0, c1) = _d(b), _d(bp)
+    return (_bilinear(T, _d(a), (b0 - c0, b1 - c1)) + _bilinear(T, _d(ap), (b0 + c0, b1 + c1))) / T[0]
 
 
 # --- experiment registry and scans ------------------------------------------------------
@@ -457,9 +452,8 @@ Points = Callable[[Sequence[float], int, Sequence[float]], list[ScenarioResult]]
 class Experiment:
     """Everything the scenario layer knows about one named experiment.
 
-    prepare(state, geometry, beams) builds the scenario once and returns the
-    Points that evaluate a column of it, with all work that does not depend
-    on the scanned angle done once per column.
+    prepare(state, geometry, beams) builds the scenario once (its source,
+    and with it K and T) and returns the Points that evaluate a column of it.
     """
 
     angles: dict[str, float]  # parameter name -> default, in degrees
@@ -486,8 +480,8 @@ def _prepare_chsh(state: str, geometry: CascadeGeometry, beams) -> Points:
     def points(radians: Sequence[float], slot: int, column: Sequence[float]) -> list[ScenarioResult]:
         before, after = radians[:slot], radians[slot + 1 :]
         return [
-            ScenarioResult("abs_S", abs(value), _chsh_closed_form(*before, t, *after))
-            for value, t in zip(_chsh_column(src, radians, slot, column), column)
+            ScenarioResult("abs_S", abs(chsh_S(src, *angles)), _chsh_closed_form(*angles))
+            for angles in ((*before, t, *after) for t in column)
         ]
 
     return points

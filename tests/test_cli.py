@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -243,7 +245,15 @@ def test_selfcheck_row_keeps_its_own_tolerance(monkeypatch, capsys):
 def test_selfcheck_tolerance_zero_forces_mismatch(capsys):
     code, _, err = run_cli(capsys, "selfcheck", "--tolerance", "0")
     assert code == 2
-    assert err.startswith("mismatch: 16 of 24 ")
+    assert err.startswith("mismatch: 13 of 24 ")
+
+
+def test_selfcheck_rows_are_the_benchmark_table():
+    # The benchmark's cli_cold workload checks selfcheck's stdout against
+    # perfbench/workloads.py's SELFCHECK; a row added to one and not the other
+    # fails here rather than as an incorrect benchmark run.
+    table = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))["SELFCHECK"]
+    assert [row.observable for row in selfcheck_rows()] == [name for name, _ in table]
 
 
 def test_selfcheck_tolerance_flag_overrides_row_tolerances(monkeypatch, capsys):
@@ -405,15 +415,18 @@ def test_overflowing_rate_exits_2(capsys):
     assert_one_line_error(err)
 
 
-def test_chsh_all_dark_settings_exit_1(capsys):
+def test_chsh_at_huge_angles_prints_its_rows_and_exits_2(capsys):
+    # At 1e308 degrees t + pi/2 rounds to t, yet the correlation matrix of K
+    # gives every E from cos t and sin t: each row is finite, and its closed
+    # form, which takes cos 2(a - b') of the rounded difference, disagrees.
     point = ["chsh", "--state", "psi_u", "--a", "1e308", "--b", "1e308"]
-    # In the scan E(a, b) does not involve the scanned a', so the column works it out once, before any row.
     scan = ["scan", "--experiment", "chsh", "--state", "psi_u", "--angle", "a", "1e308", "--angle", "b", "1e308"]
-    for argv in (point, [*scan, "--scan", "ap", "0", "90", "5"]):
+    for argv, n in ((point, 1), ([*scan, "--scan", "ap", "0", "90", "5"], 19)):
         code, out, err = run_cli(capsys, *argv)
-        assert code == 1, argv
-        assert out == ""
-        assert_one_line_error(err)
+        assert code == 2, argv
+        rows = out.splitlines()[1:]
+        assert len(rows) == n and all(math.isfinite(float(row.split(",")[1])) for row in rows)
+        assert err.startswith(f"mismatch: {n} of {n} ") and err.count("\n") == 1
 
 
 def test_fig3_dark_everywhere_exits_1(capsys):

@@ -55,7 +55,7 @@ GOLDEN = [
         0,
         (
             'param,value,closed_form,abs_error\n'
-            'abs_S,2.82842712475,2.82842712475,0\n'
+            'abs_S,2.82842712475,2.82842712475,4.4408920985e-16\n'
         ),
     ),
     (
@@ -133,7 +133,7 @@ GOLDEN = [
         0,
         (
             'param,value,closed_form,abs_error\n'
-            'abs_S,0.560307379214,0.560307379214,1.11022302463e-16\n'
+            'abs_S,0.560307379214,0.560307379214,3.33066907388e-16\n'
         ),
     ),
     (
@@ -184,10 +184,10 @@ GOLDEN = [
             'remainder_norm2,0.5,0.5,1.11022302463e-16\n'
             'factorization_max_amp_diff,2.22044604925e-16,0,2.22044604925e-16\n'
             'factor_commutator_abs,0,0,0\n'
-            'chsh_abs_circular_pair,2.82842712475,2.82842712475,4.4408920985e-16\n'
+            'chsh_abs_circular_pair,2.82842712475,2.82842712475,0\n'
             'chsh_abs_psi_e,2.82842712475,2.82842712475,0\n'
-            'chsh_abs_psi_u,2.82842712475,2.82842712475,4.4408920985e-16\n'
-            'chsh_psi_e_minus_psi_u,4.4408920985e-16,0,4.4408920985e-16\n'
+            'chsh_abs_psi_u,2.82842712475,2.82842712475,0\n'
+            'chsh_psi_e_minus_psi_u,0,0,0\n'
             'same_channel_psi_u_ch1,0.25,0.25,2.22044604925e-16\n'
             'same_channel_psi_u_ch2,0.25,0.25,2.22044604925e-16\n'
             'same_channel_psi_e_ch1,0,0,0\n'
@@ -294,7 +294,7 @@ GOLDEN = [
             '    "param": "chsh_abs_circular_pair",\n'
             '    "value": 2.82842712475,\n'
             '    "closed_form": 2.82842712475,\n'
-            '    "abs_error": 4.4408920985e-16\n'
+            '    "abs_error": 0.0\n'
             '  },\n'
             '  {\n'
             '    "param": "chsh_abs_psi_e",\n'
@@ -306,13 +306,13 @@ GOLDEN = [
             '    "param": "chsh_abs_psi_u",\n'
             '    "value": 2.82842712475,\n'
             '    "closed_form": 2.82842712475,\n'
-            '    "abs_error": 4.4408920985e-16\n'
+            '    "abs_error": 0.0\n'
             '  },\n'
             '  {\n'
             '    "param": "chsh_psi_e_minus_psi_u",\n'
-            '    "value": 4.4408920985e-16,\n'
+            '    "value": 0.0,\n'
             '    "closed_form": 0.0,\n'
-            '    "abs_error": 4.4408920985e-16\n'
+            '    "abs_error": 0.0\n'
             '  },\n'
             '  {\n'
             '    "param": "same_channel_psi_u_ch1",\n'

@@ -1,8 +1,9 @@
 """The fast paths against the general engine and the oracle.
 
 experiments.coincidence reads each rate off the two-photon amplitude matrix
-Source.K, and detection.intensity_map evaluates each cell as a Gram form;
-apply_form, singles_rate and coincidence_rate are the reference.  A fast
+Source.K, correlation_E and chsh_S read its correlation matrix Source.T, and
+detection.intensity_map evaluates each cell as a Gram form; apply_form,
+singles_rate and coincidence_rate are the reference.  A fast
 result must agree with the engine and with tests/oracle.py within
 1e-15 * scale.  Each sum rounds in proportion to the moduli of its terms,
 and an amplitude a off by d gives a rate |a|^2 off by up to 2 |a| d; so
@@ -16,6 +17,7 @@ bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 
@@ -29,6 +31,7 @@ from biphoton import detection as det
 from biphoton import experiments as ex
 from biphoton import optics as op
 from biphoton.fock import (
+    EPS_ZERO,
     FockKet,
     LinearForm,
     apply_form,
@@ -59,13 +62,18 @@ def abs_form(*terms: tuple[complex, LinearForm]) -> dict:
     return out
 
 
+def rate_scale(ket: FockKet, abs_forms: list[dict]) -> float:
+    """The scale of a rate: abs_forms are its forms as abs_form gives them,
+    before any cancellation."""
+    abs_ket = oracle.from_amplitudes({occ: abs(a) for occ, a in ket.items()})
+    return max(1.0, 2.0 * oracle.o_expectation(abs_ket, abs_forms))
+
+
 def assert_agree(fast: float, ket: FockKet, forms: list[LinearForm], abs_forms: list[dict]) -> None:
-    """fast agrees with the engine's rate and the oracle's within 1e-15 * scale;
-    abs_forms are the forms as abs_form gives them, before any cancellation."""
+    """fast agrees with the engine's rate and the oracle's within 1e-15 * scale."""
     engine = det.coincidence_rate(ket, *forms) if len(forms) == 2 else det.singles_rate(ket, *forms)
     exact = oracle.o_expectation(to_oracle(ket), [form_dict(form) for form in forms])
-    abs_ket = oracle.from_amplitudes({occ: abs(a) for occ, a in ket.items()})
-    bound = 1e-15 * max(1.0, 2.0 * oracle.o_expectation(abs_ket, abs_forms))
+    bound = 1e-15 * rate_scale(ket, abs_forms)
     assert abs(fast - engine) <= bound and abs(fast - exact) <= bound, (fast, engine, exact, bound)
 
 
@@ -82,9 +90,20 @@ def arm_forms(src: ex.Source, t1: float, t2: float) -> list[LinearForm]:
     return [op.polarizer(src.arm1, t1), op.polarizer(src.arm2, t2)]
 
 
+def engine_rate(src: ex.Source, t1: float, t2: float) -> float:
+    return det.coincidence_rate(src.ket, *arm_forms(src, t1, t2))
+
+
+def oracle_rate(src: ex.Source, t1: float, t2: float) -> float:
+    return oracle.o_expectation(to_oracle(src.ket), [form_dict(form) for form in arm_forms(src, t1, t2)])
+
+
+def arm_abs_forms(src: ex.Source, t1: float, t2: float) -> list[dict]:
+    return [abs_form((math.cos(t), arm.v), (math.sin(t), arm.h)) for arm, t in ((src.arm1, t1), (src.arm2, t2))]
+
+
 def assert_coincidence_agrees(src: ex.Source, t1: float, t2: float) -> None:
-    abs_forms = [abs_form((math.cos(t), arm.v), (math.sin(t), arm.h)) for arm, t in ((src.arm1, t1), (src.arm2, t2))]
-    assert_agree(ex.coincidence(src, t1, t2).value, src.ket, arm_forms(src, t1, t2), abs_forms)
+    assert_agree(ex.coincidence(src, t1, t2).value, src.ket, arm_forms(src, t1, t2), arm_abs_forms(src, t1, t2))
 
 
 def all_sources(rng: np.random.Generator) -> list[ex.Source]:
@@ -109,14 +128,19 @@ def test_coincidence_matches_engine_and_oracle():
 
 
 def test_the_four_K_of_the_paper():
+    # T / ||K||_F^2 as (T_ZZ, T_ZX, T_XZ, T_XX): -I is the singlet's
+    # correlation matrix, +I the triplet's; the split psi_e has K = T = 0.
     k_e, k_u = math.sqrt(0.5), 0.5
-    for src, want in [
-        (ex.source("psi_e"), (0, k_e, -k_e, 0)),
-        (ex.source("psi_u"), (0, k_u, -k_u, 0)),
-        (ex.source("psi_e", split=True), (0, 0, 0, 0)),
-        (ex.source("psi_u", split=True), (0.25, 0, 0, 0.25)),
+    for src, want, unit_T in [
+        (ex.source("psi_e"), (0, k_e, -k_e, 0), (-1, 0, 0, -1)),
+        (ex.source("psi_u"), (0, k_u, -k_u, 0), (-1, 0, 0, -1)),
+        (ex.source("psi_e", split=True), (0, 0, 0, 0), (0, 0, 0, 0)),
+        (ex.source("psi_u", split=True), (0.25, 0, 0, 0.25), (1, 0, 0, 1)),
     ]:
         assert [k for row in src.K for k in row] == pytest.approx(want, abs=1e-15)
+        n2, *T = src.T
+        assert n2 == pytest.approx(sum(abs(k) ** 2 for k in want), abs=1e-15)
+        assert T == pytest.approx([n2 * t for t in unit_T], abs=1e-15)
 
 
 def test_exact_zeros_stay_exact():
@@ -138,14 +162,19 @@ def test_coincidence_closed_form_is_nan_where_the_angle_difference_overflows():
     assert math.isnan(result.closed_form) and math.isnan(result.abs_error())
 
 
-def test_three_photon_ket_falls_back_to_the_engine_bit_for_bit():
+def three_photon_source() -> ex.Source:
+    """psi_u's source with a three-photon term added to its ket, so that its K is None."""
     base = ex.source("psi_u")
     ket = FockKet({**dict(base.ket.items()), occupation({V1: 2, H1: 1}): 0.3})
-    src = ex.Source(ket, base.arm1, base.arm2, base.peak, base.law)
+    return ex.Source(ket, base.arm1, base.arm2, base.peak, base.law)
+
+
+def test_three_photon_ket_falls_back_to_the_engine_bit_for_bit():
+    src = three_photon_source()
     assert src.K is None
     for t1, t2 in [(0.0, 0.0), (0.3, 1.1), (-2.0, 0.7), (math.pi / 2, 1e308)]:
         got = outcome(lambda: ex.coincidence(src, t1, t2).value)
-        assert got == outcome(lambda: det.coincidence_rate(ket, *arm_forms(src, t1, t2)))
+        assert got == outcome(lambda: engine_rate(src, t1, t2))
 
 
 def test_non_finite_K_falls_back_to_the_engine_bit_for_bit():
@@ -154,24 +183,45 @@ def test_non_finite_K_falls_back_to_the_engine_bit_for_bit():
     outcomes = []
     for t1, t2 in [(0.0, 0.0), (0.3, 1.1), (math.pi / 2, 0.0), (0.0, 1e308)]:
         got = outcome(lambda: ex.coincidence(src, t1, t2).value)
-        assert got == outcome(lambda: det.coincidence_rate(src.ket, *arm_forms(src, t1, t2)))
+        assert got == outcome(lambda: engine_rate(src, t1, t2))
         outcomes.append(got)
     assert OverflowError in outcomes, "the overflowing geometry must reach the overflow"
 
 
-def test_chsh_point_matches_engine(monkeypatch):
+def four_rates(rate, src: ex.Source, t1: float, t2: float) -> list[float]:
+    """rate(src, ...) at the settings (t1, t2), (t1', t2'), (t1, t2'), (t1', t2),
+    t' = t + pi/2: the two same-basis rates of one correlation, then the two
+    crossed ones."""
+    q1, q2 = t1 + math.pi / 2, t2 + math.pi / 2
+    return [rate(src, t1, t2), rate(src, q1, q2), rate(src, t1, q2), rate(src, q1, t2)]
+
+
+def four_rate_E(rate, src: ex.Source, t1: float, t2: float) -> float:
+    """The correlation coefficient from the four rates of four_rates."""
+    xy, xpyp, xyp, xpy = four_rates(rate, src, t1, t2)
+    return (xy + xpyp - xyp - xpy) / (xy + xpyp + xyp + xpy)
+
+
+def test_correlations_need_K():
+    for src in (three_photon_source(), ex.source("psi_u_prime", OVERFLOW_GEOMETRY)):
+        assert src.K is None
+        with pytest.raises(ValueError, match="no correlation matrix"):
+            ex.correlation_E(src, 0.3, 1.1)
+        with pytest.raises(ValueError, match="no correlation matrix"):
+            ex.chsh_S(src, **ex.CANONICAL_CHSH_ANGLES)
+
+
+def test_chsh_point_matches_engine():
     rng = np.random.default_rng(5)
     angle_sets = [ex.CANONICAL_CHSH_ANGLES]
     angle_sets += [dict(zip(("a", "ap", "b", "bp"), map(float, rng.uniform(-4, 4, 4)))) for _ in range(4)]
     for kind in ("circular_pair", "psi_e", "psi_u", "psi_u_prime"):
         src = ex.source(kind)
         fast = [ex.chsh_S(src, **angles) for angles in angle_sets]
-        with monkeypatch.context() as patch:
-            # A Source without K rates each setting on the engine.
-            patch.setattr(ex.Source, "K", None)
-            bare = ex.Source(src.ket, src.arm1, src.arm2, src.peak, src.law)
-            engine = [ex.chsh_S(bare, **angles) for angles in angle_sets]
-        assert fast == pytest.approx(engine, abs=1e-14)
+        for rate in (engine_rate, oracle_rate):
+            E = functools.partial(four_rate_E, rate, src)
+            reference = [E(a, b) - E(a, bp) + E(ap, b) + E(ap, bp) for a, ap, b, bp in map(dict.values, angle_sets)]
+            assert fast == pytest.approx(reference, abs=1e-14), rate
 
 
 @pytest.mark.parametrize("scanned", ["theta1", "theta2"])
@@ -250,11 +300,8 @@ def test_a_chsh_column_is_the_per_point_chsh_S_by_repr(state):
         closed = abs(cos(2.0 * (a - b)) - cos(2.0 * (a - bp)) + cos(2.0 * (ap - b)) + cos(2.0 * (ap - bp)))
         return ex.ScenarioResult("abs_S", abs(ex.chsh_S(src, a, ap, b, bp)), closed)
 
-    dark = 0
     for radians, slot, column in column_cases(np.random.default_rng(62), 4):
-        dark += det.AllDark in assert_column_is_points(points, point, radians, slot, column)
-    # At 1e308, t + pi/2 == t: a sin^2 law is dark in all four rates of E(a, b), a cos^2 law is not.
-    assert dark or state == "psi_u_prime", "some column must meet a dark correlation"
+        assert_column_is_points(points, point, radians, slot, column)
 
 
 def test_an_arm_2_scan_with_K_calls_neither_coincidence_nor_the_engine(monkeypatch):
@@ -301,6 +348,21 @@ def test_K_agrees_with_engine_and_oracle_on_random_kets_and_forms(ket, v1, h1, v
     src = ex.Source(ket, op.ChannelField(v1, h1), op.ChannelField(v2, h2), 1.0, math.sin)
     assert src.K is not None
     assert_coincidence_agrees(src, t1, t2)
+    # The T form of E against the four-rate E: each of N = same - cross and
+    # D = same + cross is off by up to 1e-15 * scale on every path, so E = N / D
+    # by up to 2e-15 * scale / D between the T form and the exact value, and
+    # twice that against the engine, whose four rates round too.
+    exact = four_rates(oracle_rate, src, t1, t2)
+    scale = sum(four_rates(lambda s, u, w: rate_scale(ket, arm_abs_forms(s, u, w)), src, t1, t2))
+    total = sum(exact)
+    try:
+        fast = ex.correlation_E(src, t1, t2)
+    except det.AllDark:
+        assert total <= EPS_ZERO + 1e-15 * scale
+        return
+    bound = 4e-15 * scale / total
+    assert abs(fast - (exact[0] + exact[1] - exact[2] - exact[3]) / total) <= bound
+    assert abs(fast - four_rate_E(engine_rate, src, t1, t2)) <= bound
 
 
 @PROPERTY

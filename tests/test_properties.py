@@ -117,7 +117,8 @@ def beam_argv(draw, index: str) -> list[str]:
 #: What one CLI example runs: the chsh command, a scan of one experiment, or a
 #: fig3 scan of two well-formed beams.  The beam pair, the only input that can
 #: make a map NaN or dark, is listed three times so that it is drawn often;
-#: chsh is listed twice so that its dark-denominator settings stay reachable.
+#: chsh is listed twice so that its huge angles, where t + pi/2 rounds to t
+#: and the closed form loses the angle difference, are drawn often.
 CLI_CHOICES = ("chsh command", "chsh command", *sorted(EXPERIMENTS), "fig3 pair", "fig3 pair", "fig3 pair")
 
 
