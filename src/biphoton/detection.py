@@ -38,7 +38,8 @@ def singles_rate(ket: FockKet, form: LinearForm) -> float:
 
 
 def coincidence_rate(ket: FockKet, form1: LinearForm, form2: LinearForm) -> float:
-    """Two-detector coincidence rate <L1^dag L2^dag L2 L1>, symmetric in the forms."""
+    """Two-detector coincidence rate <L1^dag L2^dag L2 L1>, symmetric in the
+    forms: the engine reference for the pair matrices of experiments."""
     return norm2(apply_form(apply_form(ket, form1), form2))
 
 

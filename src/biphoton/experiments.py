@@ -149,23 +149,17 @@ class Source:
     law: Callable[[float], float]
 
     @functools.cached_property
-    def K(self) -> tuple[tuple[complex, complex], tuple[complex, complex]] | None:
-        """Two-photon amplitude matrix K[i][j] = <0| arm2[j] arm1[i] |ket>,
-        i and j over the (v, h) components, computed by the engine once per
-        Source, so once per process for a memoized one (source); None when
-        the ket has a term that is not two-photon or K is not finite.
+    def K(self) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
+        """Two-photon amplitude matrix K = _pair_matrix(ket, arm1, arm2),
+        computed once per Source, so once per process for a memoized one
+        (source).
 
         L2 L1 of a two-photon ket is a multiple of the vacuum, and a
         polarizer at t is cos(t) v + sin(t) h, so the coincidence amplitude
         is c1^T K c2 with c = (cos t, sin t) (Rubin, Klyshko, Shih and
         Sergienko, PRA 50, 5122 (1994)).
         """
-        if any(sum(n for _, n in occ) != 2 for occ, _ in self.ket.items()):
-            return None
-        arm1, arm2 = (self.arm1.v, self.arm1.h), (self.arm2.v, self.arm2.h)
-        halves = [apply_form(self.ket, f) for f in arm1]  # one photon left
-        K = tuple(tuple(apply_form(half, g).amplitude(()) for g in arm2) for half in halves)
-        return K if all(cmath.isfinite(k) for row in K for k in row) else None
+        return _pair_matrix(self.ket, self.arm1, self.arm2)
 
     @functools.cached_property
     def T(self) -> tuple[float, float, float, float, float]:
@@ -175,9 +169,7 @@ class Source:
         basis, so their four coincidence rates sum to ||K||_F^2 at any angles
         and their signed sum is d(t1)^T T d(t2), d(t) = (cos 2t, sin 2t) (the
         correlation-matrix criterion of R., P. and M. Horodecki, Phys. Lett.
-        A 200, 340 (1995)).  ValueError where K is None."""
-        if self.K is None:
-            raise ValueError("no correlation matrix: the source has no finite two-photon amplitude matrix K")
+        A 200, 340 (1995))."""
         (a, b), (c, d) = self.K
         aa, bb, cc, dd = (abs(k) ** 2 for k in (a, b, c, d))
         ca, cb = a.conjugate(), b.conjugate()
@@ -188,6 +180,17 @@ class Source:
             2.0 * (ca * c - cb * d).real,
             2.0 * (ca * d + cb * c).real,
         )
+
+
+def _pair_matrix(ket: FockKet, a: op.ChannelField, b: op.ChannelField) -> tuple[tuple[complex, ...], ...]:
+    """M[i][j] = <0| b[j] a[i] |ket>, i and j over the (v, h) components of
+    the arms a and b, by the engine in 6 applies; ValueError where a term of
+    the ket is not two-photon.  The (v, h) x (v, h) detector pairs of a and
+    b count ||M||_F^2 in all, and analyzers on them |c1^T M c2|^2."""
+    if any(sum(n for _, n in occ) != 2 for occ, _ in ket.items()):
+        raise ValueError("a pair matrix needs a ket whose every term has two photons")
+    halves = [apply_form(ket, f) for f in (a.v, a.h)]  # one photon left
+    return tuple(tuple(apply_form(half, g).amplitude(()) for g in (b.v, b.h)) for half in halves)
 
 
 _DEFAULT_GEOMETRY = CascadeGeometry()
@@ -242,11 +245,12 @@ def coincidence(src: Source, t1: float, t2: float) -> ScenarioResult:
     modulus of the amplitude c1^T K c2 (Source.K), or 0 as the engine prunes
     it where that modulus is <= EPS_PRUNE.  It agrees with
     det.coincidence_rate(src.ket, op.polarizer(src.arm1, t1),
-    op.polarizer(src.arm2, t2)) to rounding, and is that engine value where
-    K is None.  The closed form is NaN where t1 - t2 is not finite.  The
-    tolerance is 1e-9 of src.peak, the largest value the closed form takes,
-    but no less than EPS_PRUNE ** 2, below which the engine's pruning of an
-    amplitude shows.  This is coincidence_column with one point."""
+    op.polarizer(src.arm2, t2)) to rounding.  The closed form takes
+    law(t1 - t2) from the value's cos and sin of each angle, so it holds at
+    any finite angles.  The tolerance is 1e-9 of src.peak, the largest value
+    the closed form takes, but no less than EPS_PRUNE ** 2, below which the
+    engine's pruning of an amplitude shows.  This is coincidence_column with
+    one point."""
     return coincidence_column(src, (t1, t2), 1, (t2,))[0]
 
 
@@ -254,34 +258,21 @@ def coincidence_column(
     src: Source, radians: Sequence[float], slot: int, column: Sequence[float]
 ) -> list[ScenarioResult]:
     """coincidence at radians = (t1, t2) with the angle at index slot taking
-    each value of column in turn, one row per value, bit for bit.  With K,
-    arm 1 enters as the row c1^T K and arm 2 as c2 = (cos t2, sin t2), and
-    the fixed arm's is worked out once; where K is None each rate is
-    det.coincidence_rate."""
-    t1, t2 = radians
-    angles1, angles2 = (column, itertools.repeat(t2)) if slot == 0 else (itertools.repeat(t1), column)
-    K = src.K
-    if K is None:
-        values = [
-            det.coincidence_rate(src.ket, op.polarizer(src.arm1, u), op.polarizer(src.arm2, w))
-            for u, w in zip(angles1, angles2)
-        ]
+    each value of column in turn, one row per value, bit for bit.  Arm 1
+    enters as the row c1^T K and arm 2 as c2 = (cos t2, sin t2), and the
+    fixed arm's is worked out once."""
+    (kvv, kvh), (khv, khh) = src.K
+    scanned = [(math.cos(t), math.sin(t)) for t in column]
+    c, s = math.cos(radians[1 - slot]), math.sin(radians[1 - slot])
+    if slot == 0:
+        values = _rates([(c1 * kvv + s1 * khv, c1 * kvh + s1 * khh) for c1, s1 in scanned], itertools.repeat((c, s)))
     else:
-        (kvv, kvh), (khv, khh) = K
-        cosines = zip(map(math.cos, column), map(math.sin, column))
-        if slot == 0:
-            rows = [(c * kvv + s * khv, c * kvh + s * khh) for c, s in cosines]
-            values = _rates(rows, itertools.repeat((math.cos(t2), math.sin(t2))))
-        else:
-            c, s = math.cos(t1), math.sin(t1)
-            values = _rates(itertools.repeat((c * kvv + s * khv, c * kvh + s * khh)), cosines)
-    deltas = map(operator.sub, angles1, angles2)
-    peak, law = src.peak, src.law
-    tolerance = max(1e-9 * peak, EPS_PRUNE ** 2)
-    return [
-        ScenarioResult("coincidence_rate", value, peak * law(d) ** 2 if math.isfinite(d) else math.nan, tolerance)
-        for value, d in zip(values, deltas)
-    ]
+        values = _rates(itertools.repeat((c * kvv + s * khv, c * kvh + s * khh)), scanned)
+    # law(t1 - t2) by angle addition, sin = s1 c2 - c1 s2 or cos = c1 c2 + s1 s2, squared the same either way round.
+    sine = src.law is math.sin
+    laws = [s * cw - c * sw if sine else c * cw + s * sw for cw, sw in scanned]
+    peak, tolerance = src.peak, max(1e-9 * src.peak, EPS_PRUNE ** 2)
+    return [ScenarioResult("coincidence_rate", value, peak * x ** 2, tolerance) for value, x in zip(values, laws)]
 
 
 # --- single-point scenarios -----------------------------------------------------
@@ -355,28 +346,21 @@ def fig3_visibility(
 # --- channel statistics -----------------------------------------------------------
 
 
-def _arm_pair_rate(ket: FockKet, a: op.ChannelField, b: op.ChannelField) -> float:
-    """Coincidence rate of arms a and b summed over the (v, h) components of
-    each; with a is b it counts both photons in one arm twice (ordered pairs)."""
-    total = 0.0
-    for first in (a.v, a.h):
-        for second in (b.v, b.h):
-            total += det.coincidence_rate(ket, first, second)
-    return total
-
-
 def same_channel_probability(src: Source, channel: int) -> float:
     """Probability that both photons of the pair leave through one channel:
-    half the ordered double rate, the pair having two photons."""
+    ||M||_F^2 / 2 of the arm's pair matrix M = _pair_matrix(ket, arm, arm),
+    which counts each pair twice (ordered)."""
     if channel not in (1, 2):
         raise ValueError("channel must be 1 or 2")
     arm = src.arm1 if channel == 1 else src.arm2
-    return _arm_pair_rate(src.ket, arm, arm) / 2.0
+    (a, b), (c, d) = _pair_matrix(src.ket, arm, arm)
+    return (abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2) / 2.0
 
 
 def split_probability(src: Source) -> float:
-    """Probability of one photon in each channel, summed over polarizations."""
-    return _arm_pair_rate(src.ket, src.arm1, src.arm2)
+    """Probability of one photon in each channel, summed over polarizations:
+    ||K||_F^2 (Source.T)."""
+    return src.T[0]
 
 
 #: Closed-form outcome probabilities (both in 1, both in 2, one in each) of
@@ -423,19 +407,22 @@ def correlation_E(src: Source, theta1: float, theta2: float) -> float:
     """Two-channel correlation coefficient estimated from four analyzer
     settings (each angle also rotated by pi/2): d(theta1)^T T d(theta2) /
     ||K||_F^2 (Source.T), closing to -/+cos 2(theta1 - theta2) under the
-    sin^2/cos^2 law; det.AllDark if all four rates vanish, ValueError where
-    Source.K is None."""
+    sin^2/cos^2 law; det.AllDark if all four rates vanish."""
     T = _checked_T(src)
     return _bilinear(T, _d(theta1), _d(theta2)) / T[0]
+
+
+def _chsh_S(T: tuple[float, ...], *ds: tuple[float, float]) -> float:
+    """chsh_S from T = Source.T and the d vectors of its four angles."""
+    da, dap, (b0, b1), (c0, c1) = ds
+    return (_bilinear(T, da, (b0 - c0, b1 - c1)) + _bilinear(T, dap, (b0 + c0, b1 + c1))) / T[0]
 
 
 def chsh_S(src: Source, a: float, ap: float, b: float, bp: float) -> float:
     """Four-setting correlation sum E(a,b) - E(a,b') + E(a',b) + E(a',b')
     (correlation_E), as [d(a)^T T (d(b) - d(b')) + d(a')^T T (d(b) + d(b'))]
     / ||K||_F^2."""
-    T = _checked_T(src)
-    (b0, b1), (c0, c1) = _d(b), _d(bp)
-    return (_bilinear(T, _d(a), (b0 - c0, b1 - c1)) + _bilinear(T, _d(ap), (b0 + c0, b1 + c1))) / T[0]
+    return _chsh_S(_checked_T(src), _d(a), _d(ap), _d(b), _d(bp))
 
 
 # --- experiment registry and scans ------------------------------------------------------
@@ -469,20 +456,22 @@ def _pair_experiment(names: tuple[str, str], states: tuple[str, ...], default: s
     return Experiment(dict.fromkeys(names, 0.0), states, default, prepare)
 
 
-def _chsh_closed_form(a: float, ap: float, b: float, bp: float) -> float:
-    # Each correlation_E closes to -/+cos 2(t1 - t2); the common sign drops out of abs(S) exactly.
-    return abs(math.cos(2.0 * (a - b)) - math.cos(2.0 * (a - bp)) + math.cos(2.0 * (ap - b)) + math.cos(2.0 * (ap - bp)))
+def _chsh_closed_form(*ds: tuple[float, float]) -> float:
+    # Each correlation_E closes to -/+cos 2(x - y) = -/+d(x).d(y); the common sign drops out of abs(S) exactly.
+    (a0, a1), (p0, p1), (b0, b1), (c0, c1) = ds
+    return abs((a0 * b0 + a1 * b1) - (a0 * c0 + a1 * c1) + (p0 * b0 + p1 * b1) + (p0 * c0 + p1 * c1))
 
 
 def _prepare_chsh(state: str, geometry: CascadeGeometry, beams) -> Points:
     src = source(state)
 
     def points(radians: Sequence[float], slot: int, column: Sequence[float]) -> list[ScenarioResult]:
-        before, after = radians[:slot], radians[slot + 1 :]
-        return [
-            ScenarioResult("abs_S", abs(chsh_S(src, *angles)), _chsh_closed_form(*angles))
-            for angles in ((*before, t, *after) for t in column)
-        ]
+        T, ds = _checked_T(src), list(map(_d, radians))
+        rows = []
+        for t in column:
+            ds[slot] = _d(t)
+            rows.append(ScenarioResult("abs_S", abs(_chsh_S(T, *ds)), _chsh_closed_form(*ds)))
+        return rows
 
     return points
 

@@ -17,9 +17,10 @@ NaN is kept); a total rate <= EPS_ZERO counts as dark.
 
 apply_form, norm2 and inner are the reference engine.  The scenario hot
 paths evaluate closed forms built from it once per measurement.  A
-two-photon ket turns two analyzers into one complex number, so each
-coincidence is read off the 2x2 two-photon amplitude matrix
-K[i][j] = <0| arm2[j] arm1[i] |psi> (experiments.Source.K).  A screen cell,
+two-photon ket turns two detector forms into one complex number, so each
+two-photon count is read off a 2x2 pair matrix <0| b[j] a[i] |psi> of two
+arms: a coincidence off K (experiments.Source.K), a same-channel count off
+one arm's with itself.  A screen cell,
 the singles rate of a f + b g, is the Gram form
 |a|^2 <u|u> + |b|^2 <w|w> + 2 Re(conj(a) b <u|w>) of u = f|psi> and
 w = g|psi> (detection.intensity_map).

@@ -371,7 +371,7 @@ def test_non_finite_value_is_a_mismatch(capsys):
         capsys, "scan", "--experiment", "cascade", "--geometry", "1e200+0i", "1+0i", "1+0i", "1e200+0i"
     )
     assert code == 2
-    assert out.splitlines()[1] == "coincidence_rate,inf,inf,nan"
+    assert out.splitlines()[1] == "coincidence_rate,nan,inf,nan"
 
 
 def assert_one_line_error(err):
@@ -415,18 +415,33 @@ def test_overflowing_rate_exits_2(capsys):
     assert_one_line_error(err)
 
 
-def test_chsh_at_huge_angles_prints_its_rows_and_exits_2(capsys):
+def test_chsh_at_huge_angles_prints_its_rows_and_exits_0(capsys):
     # At 1e308 degrees t + pi/2 rounds to t, yet the correlation matrix of K
-    # gives every E from cos t and sin t: each row is finite, and its closed
-    # form, which takes cos 2(a - b') of the rounded difference, disagrees.
+    # gives every E from cos t and sin t, and so does the closed form.
     point = ["chsh", "--state", "psi_u", "--a", "1e308", "--b", "1e308"]
     scan = ["scan", "--experiment", "chsh", "--state", "psi_u", "--angle", "a", "1e308", "--angle", "b", "1e308"]
     for argv, n in ((point, 1), ([*scan, "--scan", "ap", "0", "90", "5"], 19)):
         code, out, err = run_cli(capsys, *argv)
-        assert code == 2, argv
+        assert code == 0 and err == "", argv
         rows = out.splitlines()[1:]
         assert len(rows) == n and all(math.isfinite(float(row.split(",")[1])) for row in rows)
-        assert err.startswith(f"mismatch: {n} of {n} ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv,value",
+    [
+        ("chsh --a 1e12 --b 2e12", "0.0124234098371"),
+        ("scan --experiment fig1 --angle theta1 1e15 --angle theta2 3", "0.246338040436"),
+        ("scan --experiment cascade --angle theta1 1e14 --angle theta2 7", "0.00137020149791"),
+        ("chsh --state psi_u --a 1e308 --b 1e308", "0.944865895189"),
+    ],
+)
+def test_a_large_angle_row_agrees_with_its_closed_form(argv, value, capsys):
+    # The difference of two large angles rounds; a closed form of each
+    # angle's own cos and sin does not take it.
+    code, out, err = run_cli(capsys, *argv.split())
+    _, got, closed_form, abs_error = out.splitlines()[1].split(",")
+    assert (code, err, got, closed_form) == (0, "", value, value) and float(abs_error) <= 1e-15
 
 
 def test_fig3_dark_everywhere_exits_1(capsys):

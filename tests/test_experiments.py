@@ -506,8 +506,13 @@ def test_scenario_point_chsh_defaults_to_canonical_angles():
     assert result.value == pytest.approx(2.0 * SQRT2, abs=1e-9)
     a, ap, b, bp = ex.CANONICAL_CHSH_ANGLES.values()
 
-    def E(t1, t2):  # correlation_E's closed form under the sin^2 law
-        return -math.cos(2.0 * (t1 - t2))
+    def d(t):  # (cos 2t, sin 2t) from cos t and sin t
+        c, s = math.cos(t), math.sin(t)
+        return c * c - s * s, 2.0 * c * s
+
+    def E(t1, t2):  # correlation_E's closed form under the sin^2 law: -cos 2(t1 - t2) = -d(t1).d(t2)
+        (x0, x1), (y0, y1) = d(t1), d(t2)
+        return -(x0 * y0 + x1 * y1)
 
     assert result.closed_form == abs(E(a, b) - E(a, bp) + E(ap, b) + E(ap, bp))
 

@@ -55,7 +55,7 @@ GOLDEN = [
         0,
         (
             'param,value,closed_form,abs_error\n'
-            'abs_S,2.82842712475,2.82842712475,4.4408920985e-16\n'
+            'abs_S,2.82842712475,2.82842712475,0\n'
         ),
     ),
     (
@@ -74,12 +74,12 @@ GOLDEN = [
         (
             'param,value,closed_form,abs_error\n'
             '0,0.0606153943996,0.0606153943996,5.55111512313e-17\n'
-            '15,0.0620252422816,0.0620252422816,4.16333634234e-17\n'
+            '15,0.0620252422816,0.0620252422816,5.55111512313e-17\n'
             '30,0.0551888888475,0.0551888888475,4.16333634234e-17\n'
             '45,0.0419381294789,0.0419381294789,3.46944695195e-17\n'
-            '60,0.0258234944479,0.0258234944479,1.73472347598e-17\n'
-            '75,0.0111628871973,0.0111628871973,8.67361737988e-18\n'
-            '90,0.00188460560044,0.00188460560044,1.08420217249e-18\n'
+            '60,0.0258234944479,0.0258234944479,2.77555756156e-17\n'
+            '75,0.0111628871973,0.0111628871973,1.21430643318e-17\n'
+            '90,0.00188460560044,0.00188460560044,1.73472347598e-18\n'
         ),
     ),
     (
@@ -93,10 +93,10 @@ GOLDEN = [
             '0,0.0584888892203,0.0584888892203,1.38777878078e-17\n'
             '30,0.0150768448035,0.0150768448035,5.20417042793e-18\n'
             '60,0.206587955583,0.206587955583,2.77555756156e-17\n'
-            '90,0.44151111078,0.44151111078,1.66533453694e-16\n'
+            '90,0.44151111078,0.44151111078,5.55111512313e-17\n'
             '120,0.484923155196,0.484923155196,0\n'
             '150,0.293412044417,0.293412044417,0\n'
-            '180,0.0584888892203,0.0584888892203,0\n'
+            '180,0.0584888892203,0.0584888892203,1.38777878078e-17\n'
         ),
     ),
     (
@@ -121,11 +121,11 @@ GOLDEN = [
             'param,value,closed_form,abs_error\n'
             '0,0.466506350946,0.466506350946,5.55111512313e-17\n'
             '30,0.466506350946,0.466506350946,5.55111512313e-17\n'
-            '60,0.25,0.25,5.55111512313e-17\n'
-            '90,0.0334936490539,0.0334936490539,2.77555756156e-17\n'
+            '60,0.25,0.25,0\n'
+            '90,0.0334936490539,0.0334936490539,1.38777878078e-17\n'
             '120,0.0334936490539,0.0334936490539,1.38777878078e-17\n'
             '150,0.25,0.25,5.55111512313e-17\n'
-            '180,0.466506350946,0.466506350946,1.66533453694e-16\n'
+            '180,0.466506350946,0.466506350946,5.55111512313e-17\n'
         ),
     ),
     (
@@ -133,7 +133,7 @@ GOLDEN = [
         0,
         (
             'param,value,closed_form,abs_error\n'
-            'abs_S,0.560307379214,0.560307379214,3.33066907388e-16\n'
+            'abs_S,0.560307379214,0.560307379214,2.22044604925e-16\n'
         ),
     ),
     (
@@ -365,7 +365,7 @@ GOLDEN = [
             '    "param": 15.0,\n'
             '    "value": 0.0620252422816,\n'
             '    "closed_form": 0.0620252422816,\n'
-            '    "abs_error": 4.16333634234e-17\n'
+            '    "abs_error": 5.55111512313e-17\n'
             '  },\n'
             '  {\n'
             '    "param": 30.0,\n'
@@ -383,19 +383,19 @@ GOLDEN = [
             '    "param": 60.0,\n'
             '    "value": 0.0258234944479,\n'
             '    "closed_form": 0.0258234944479,\n'
-            '    "abs_error": 1.73472347598e-17\n'
+            '    "abs_error": 2.77555756156e-17\n'
             '  },\n'
             '  {\n'
             '    "param": 75.0,\n'
             '    "value": 0.0111628871973,\n'
             '    "closed_form": 0.0111628871973,\n'
-            '    "abs_error": 8.67361737988e-18\n'
+            '    "abs_error": 1.21430643318e-17\n'
             '  },\n'
             '  {\n'
             '    "param": 90.0,\n'
             '    "value": 0.00188460560044,\n'
             '    "closed_form": 0.00188460560044,\n'
-            '    "abs_error": 1.08420217249e-18\n'
+            '    "abs_error": 1.73472347598e-18\n'
             '  }\n'
             ']\n'
         ),

@@ -1,6 +1,7 @@
 """Source hygiene: no module or test file imports a name it never uses or
-has a line longer than 121 characters, and the package runs without
-numpy, whose values it pins instead."""
+has a line longer than 121 characters, no module defines a private name it
+never uses, and the package runs without numpy, whose values it pins
+instead."""
 
 from __future__ import annotations
 
@@ -38,6 +39,27 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
+def unused_private_names(source: str) -> list[str]:
+    """The private module-level names (_x, not a dunder) that a module
+    defines with def, class or an assignment and never reads itself."""
+    tree = ast.parse(source)
+    defined: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [ast.Name(node.name)]
+        elif isinstance(node, ast.Assign):
+            targets = [name for target in node.targets for name in ast.walk(target)]
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Name) and target.id.startswith("_") and not target.id.startswith("__"):
+                defined[target.id] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"line {line}: {name}" for name, line in defined.items() if name not in read]
+
+
 def test_package_root_exports_only_the_quick_start_api():
     public = {name for name, value in vars(biphoton).items() if not isinstance(value, types.ModuleType)}
     public = {name for name in public if not name.startswith("_")}
@@ -57,6 +79,16 @@ def test_checker_flags_an_unused_import():
 )
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_an_unused_private_name():
+    source = "_A = 1\n_b, c = 2, 3\n__all__ = []\ndef _f():\n    return _A\nclass _C:\n    pass\nx = _f()\n"
+    assert unused_private_names(source) == ["line 2: _b", "line 6: _C"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_module_uses_every_private_name_it_defines(path):
+    assert unused_private_names(path.read_text(encoding="utf-8")) == []
 
 
 @pytest.mark.parametrize(

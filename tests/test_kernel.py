@@ -1,7 +1,8 @@
 """The fast paths against the general engine and the oracle.
 
 experiments.coincidence reads each rate off the two-photon amplitude matrix
-Source.K, correlation_E and chsh_S read its correlation matrix Source.T, and
+Source.K, correlation_E and chsh_S read its correlation matrix Source.T,
+the same-channel table reads the pair matrices of the same arms, and
 detection.intensity_map evaluates each cell as a Gram form; apply_form,
 singles_rate and coincidence_rate are the reference.  A fast
 result must agree with the engine and with tests/oracle.py within
@@ -10,13 +11,13 @@ and an amplitude a off by d gives a rate |a|^2 off by up to 2 |a| d; so
 scale is twice the rate with every amplitude and coefficient replaced by its
 modulus, where no term cancels.  It is at least 1, the scale of a unit-norm
 source, since the engine drops amplitudes <= EPS_PRUNE and so has an
-absolute precision below that.  Where K is None (a term that is not
-two-photon, or a K that is not finite) coincidence is the engine's value
-bit for bit.
+absolute precision below that.  A pair matrix takes only two-photon kets,
+and a K that is not finite gives rows that are not finite.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from collections import Counter
@@ -30,6 +31,7 @@ import oracle
 from biphoton import detection as det
 from biphoton import experiments as ex
 from biphoton import optics as op
+from biphoton.cli import main
 from biphoton.fock import (
     EPS_ZERO,
     FockKet,
@@ -48,7 +50,7 @@ from support import EIGHT_MODES, form_dict, to_oracle
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=300, database=None)
 
-#: The overflowing geometry of the cascade: its K is not finite, its rates are inf or overflow.
+#: The overflowing geometry of the cascade: its K, and so every rate, is not finite.
 OVERFLOW_GEOMETRY = ex.CascadeGeometry(1e155 + 1e155j, 1 + 0j, 1 + 0j, 1e155 + 0j)
 
 
@@ -121,7 +123,6 @@ def test_coincidence_matches_engine_and_oracle():
     angles = [0.0, -0.0, 1e308, -1e308, *(k * math.pi / 2 for k in range(-4, 5))]
     angles += [float(t) for t in rng.uniform(-7.0, 7.0, 6)]
     for src in all_sources(rng):
-        assert src.K is not None
         for t1 in angles:
             for t2 in angles:
                 assert_coincidence_agrees(src, t1, t2)
@@ -154,38 +155,51 @@ def test_exact_zeros_stay_exact():
             assert outcome(lambda: ex.coincidence(src, t1, t2).value) == (int, "0")
 
 
-def test_coincidence_closed_form_is_nan_where_the_angle_difference_overflows():
+def test_coincidence_closed_form_holds_where_the_angle_difference_overflows():
+    # 1e308 - (-1e308) is inf, but the closed form takes each angle's own cos and sin.
     src = ex.source("circular_pair")
     assert_coincidence_agrees(src, 1e308, -1e308)
     result = ex.coincidence(src, 1e308, -1e308)
     assert result.value == pytest.approx(0.16331001973043988, abs=1e-15)
-    assert math.isnan(result.closed_form) and math.isnan(result.abs_error())
+    assert math.isfinite(result.closed_form) and result.abs_error() <= 1e-15
 
 
-def three_photon_source() -> ex.Source:
-    """psi_u's source with a three-photon term added to its ket, so that its K is None."""
+def test_K_of_a_three_photon_ket_raises():
     base = ex.source("psi_u")
     ket = FockKet({**dict(base.ket.items()), occupation({V1: 2, H1: 1}): 0.3})
-    return ex.Source(ket, base.arm1, base.arm2, base.peak, base.law)
+    with pytest.raises(ValueError, match="two photons"):
+        ex.Source(ket, base.arm1, base.arm2, base.peak, base.law).K
 
 
-def test_three_photon_ket_falls_back_to_the_engine_bit_for_bit():
-    src = three_photon_source()
-    assert src.K is None
-    for t1, t2 in [(0.0, 0.0), (0.3, 1.1), (-2.0, 0.7), (math.pi / 2, 1e308)]:
-        got = outcome(lambda: ex.coincidence(src, t1, t2).value)
-        assert got == outcome(lambda: engine_rate(src, t1, t2))
-
-
-def test_non_finite_K_falls_back_to_the_engine_bit_for_bit():
+def test_an_overflowing_cascade_gives_rows_that_are_not_finite_and_exits_2(capsys):
     src = ex.source("psi_u_prime", OVERFLOW_GEOMETRY)
-    assert src.K is None
-    outcomes = []
+    assert not any(cmath.isfinite(k) for k in (src.K[0][0], src.K[1][1]))
     for t1, t2 in [(0.0, 0.0), (0.3, 1.1), (math.pi / 2, 0.0), (0.0, 1e308)]:
-        got = outcome(lambda: ex.coincidence(src, t1, t2).value)
-        assert got == outcome(lambda: engine_rate(src, t1, t2))
-        outcomes.append(got)
-    assert OverflowError in outcomes, "the overflowing geometry must reach the overflow"
+        assert not math.isfinite(ex.coincidence(src, t1, t2).value)
+    geometry = ["1e155+1e155i", "1+0i", "1+0i", "1e155+0i"]
+    assert main(["scan", "--experiment", "cascade", "--geometry", *geometry, "--scan", "theta1", "0", "90", "30"]) == 2
+    out, err = capsys.readouterr()
+    assert [row.split(",")[1] for row in out.splitlines()[1:]] == ["nan"] * 4
+    assert err.startswith("mismatch: 4 of 4 ")
+
+
+def engine_pair_rate(ket: FockKet, a: op.ChannelField, b: op.ChannelField) -> float:
+    """The engine's coincidence rate of arms a and b summed over the (v, h)
+    components of each, in order; with a is b it counts both photons in one
+    arm twice (ordered pairs)."""
+    total = 0.0
+    for first in (a.v, a.h):
+        for second in (b.v, b.h):
+            total += det.coincidence_rate(ket, first, second)
+    return total
+
+
+@pytest.mark.parametrize("kind", ex.SAME_CHANNEL_CLOSED_FORMS)
+def test_same_channel_table_is_the_engine_sum_bit_for_bit(kind):
+    src = ex.source(kind)
+    assert ex.same_channel_probability(src, 1) == engine_pair_rate(src.ket, src.arm1, src.arm1) / 2.0
+    assert ex.same_channel_probability(src, 2) == engine_pair_rate(src.ket, src.arm2, src.arm2) / 2.0
+    assert ex.split_probability(src) == engine_pair_rate(src.ket, src.arm1, src.arm2)
 
 
 def four_rates(rate, src: ex.Source, t1: float, t2: float) -> list[float]:
@@ -200,15 +214,6 @@ def four_rate_E(rate, src: ex.Source, t1: float, t2: float) -> float:
     """The correlation coefficient from the four rates of four_rates."""
     xy, xpyp, xyp, xpy = four_rates(rate, src, t1, t2)
     return (xy + xpyp - xyp - xpy) / (xy + xpyp + xyp + xpy)
-
-
-def test_correlations_need_K():
-    for src in (three_photon_source(), ex.source("psi_u_prime", OVERFLOW_GEOMETRY)):
-        assert src.K is None
-        with pytest.raises(ValueError, match="no correlation matrix"):
-            ex.correlation_E(src, 0.3, 1.1)
-        with pytest.raises(ValueError, match="no correlation matrix"):
-            ex.chsh_S(src, **ex.CANONICAL_CHSH_ANGLES)
 
 
 def test_chsh_point_matches_engine():
@@ -284,7 +289,7 @@ PAIR_CASES = [
 @pytest.mark.parametrize("experiment,state,geometry", PAIR_CASES)
 def test_a_coincidence_column_is_the_per_point_coincidence_by_repr(experiment, state, geometry):
     src = ex.source(state, geometry, experiment == "fig2")
-    assert (src.K is None) == (abs(geometry.g11) > 1e150)
+    assert all(cmath.isfinite(k) for row in src.K for k in row) == (abs(geometry.g11) < 1e150)
     points = ex.EXPERIMENTS[experiment].prepare(state, geometry, det.default_beams())
     for radians, slot, column in column_cases(np.random.default_rng(61), 2):
         assert_column_is_points(points, lambda t1, t2: ex.coincidence(src, t1, t2), radians, slot, column)
@@ -296,8 +301,9 @@ def test_a_chsh_column_is_the_per_point_chsh_S_by_repr(state):
     points = ex.EXPERIMENTS["chsh"].prepare(state, ex.CascadeGeometry(), det.default_beams())
 
     def point(a, ap, b, bp):
-        cos = math.cos
-        closed = abs(cos(2.0 * (a - b)) - cos(2.0 * (a - bp)) + cos(2.0 * (ap - b)) + cos(2.0 * (ap - bp)))
+        # cos 2(x - y) = d(x).d(y), d(t) = (cos 2t, sin 2t) from cos t and sin t.
+        (a0, a1), (p0, p1), (b0, b1), (c0, c1) = (ex._d(t) for t in (a, ap, b, bp))
+        closed = abs((a0 * b0 + a1 * b1) - (a0 * c0 + a1 * c1) + (p0 * b0 + p1 * b1) + (p0 * c0 + p1 * c1))
         return ex.ScenarioResult("abs_S", abs(ex.chsh_S(src, a, ap, b, bp)), closed)
 
     for radians, slot, column in column_cases(np.random.default_rng(62), 4):
@@ -305,7 +311,6 @@ def test_a_chsh_column_is_the_per_point_chsh_S_by_repr(state):
 
 
 def test_an_arm_2_scan_with_K_calls_neither_coincidence_nor_the_engine(monkeypatch):
-    assert ex.source("psi_u").K is not None
     calls = Counter()
 
     def counted(module, name):
@@ -346,7 +351,6 @@ def kets(draw, photons: tuple[int, ...] = (2,)) -> FockKet:
 @given(kets(), forms, forms, forms, forms, angle, angle)
 def test_K_agrees_with_engine_and_oracle_on_random_kets_and_forms(ket, v1, h1, v2, h2, t1, t2):
     src = ex.Source(ket, op.ChannelField(v1, h1), op.ChannelField(v2, h2), 1.0, math.sin)
-    assert src.K is not None
     assert_coincidence_agrees(src, t1, t2)
     # The T form of E against the four-rate E: each of N = same - cross and
     # D = same + cross is off by up to 1e-15 * scale on every path, so E = N / D
