@@ -9,6 +9,7 @@ detectors).  Rates are dimensionless (overall field constant 1).
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import operator
 from collections.abc import Sequence
@@ -18,8 +19,9 @@ from .fock import EPS_ZERO, FockKet, LinearForm, apply_form, inner, norm2
 
 BEAM_KINDS = ("plane_wave", "gaussian")
 
-#: A beam on a grid: len(ys) rows of len(xs) real envelopes, and the phase of each column.
-BeamSamples = tuple[tuple[tuple[float, ...], ...], tuple[float, ...]]
+#: A beam on a grid: a real factor per x (carrying the amplitude), one per y,
+#: and the phase of each x; the envelope at (xs[i], ys[j]) is ex[i] * ey[j].
+BeamSamples = tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]
 
 #: Default transverse wavevector: five full fringes across the unit line scan,
 #: with fringe extrema landing exactly on the default grid points.
@@ -74,17 +76,17 @@ class BeamProfile:
             raise ValueError("beam amplitude must be >= 0")
 
     def sample(self, grid: ScanGrid) -> BeamSamples:
-        """The beam on the grid as (envelope rows, phase per x): len(ys) rows
-        of len(xs) real envelopes, and the phase of each column, which does
-        not depend on y.  A plane wave's envelope is its amplitude everywhere;
-        a gaussian's takes x^2 once per column and y^2 once per row."""
+        """The beam on the grid as (ex, ey, phases): one real factor per x,
+        which carries the amplitude, one per y, and the phase of each x, so
+        the envelope at (xs[i], ys[j]) is ex[i] * ey[j].  A plane wave's
+        factors are its amplitude and 1; a gaussian takes one exp per x and
+        one per y, amplitude exp(-x^2 / (2 width^2)) and exp(-y^2 / (2 width^2))."""
         phases = tuple(self.tilt * x + self.phase_offset for x in grid.xs)
         if self.kind != "gaussian":
-            return ((self.amplitude,) * len(grid.xs),) * len(grid.ys), phases
+            return (self.amplitude,) * len(grid.xs), (1.0,) * len(grid.ys), phases
         amplitude, spread, exp = self.amplitude, 2.0 * self.width * self.width, math.exp
-        squares = [x * x for x in grid.xs]
-        rows = tuple(tuple(amplitude * exp(-(xx + yy) / spread) for xx in squares) for yy in [y * y for y in grid.ys])
-        return rows, phases
+        ex = tuple(amplitude * exp(-(x * x) / spread) for x in grid.xs)
+        return ex, tuple(exp(-(y * y) / spread) for y in grid.ys), phases
 
 
 def default_beams() -> tuple[BeamProfile, BeamProfile]:
@@ -119,32 +121,31 @@ def intensity_map(
     beams, and samples are the two beams on the grid (BeamProfile.sample),
     which a caller can share with a closed form of the same map.
 
-    A cell is the singles rate of the summed field a f + b g, with a and b
-    each an envelope times its column's exp(i phase) (one complex exponential
-    per column and beam), evaluated as the Gram form
+    A cell is the singles rate of the summed field a f + b g, a and b being
+    the beams' envelopes ex ey times exp(i phase), evaluated as the Gram form
     |a|^2 <u|u> + |b|^2 <w|w> + 2 Re(conj(a) b <u|w>) of u = f|ket> and
-    w = g|ket>, which the engine computes once per map.  This holds for any
-    ket, and agrees with singles_rate cell by cell to rounding.
+    w = g|ket>, which the engine computes once per map.  The form separates
+    into P = ex1^2, Q = ex2^2 and C = 2 ex1 ex2 Re(conj(z1) z2 <u|w>) per
+    column, with one phasor z = exp(i phase) per column and beam, and
+    ey1^2 <u|u>, ey2^2 <w|w> and ey1 ey2 per row: a cell is three real
+    products.  This holds for any ket, and agrees with singles_rate cell by
+    cell to rounding.
     """
     if len(channel_forms) != 2 or len(samples) != 2:
         raise ValueError("intensity maps overlap exactly two beams")
     u, w = (apply_form(ket, form) for form in channel_forms)
     uu, ww, uw = norm2(u), norm2(w), inner(u, w)
-    (rows1, phases1), (rows2, phases2) = samples
-    phasors1 = [cmath.exp(1j * phase) for phase in phases1]
-    phasors2 = [cmath.exp(1j * phase) for phase in phases2]
-    return tuple(
-        tuple(
-            abs(a) ** 2 * uu + abs(b) ** 2 * ww + 2.0 * (a.conjugate() * b * uw).real
-            for a, b in zip(map(operator.mul, row1, phasors1), map(operator.mul, row2, phasors2))
-        )
-        for row1, row2 in zip(rows1, rows2)
-    )
+    (ex1, ey1, phases1), (ex2, ey2, phases2) = samples
+    # A phasor per beam: exp(i (p2 - p1)) would round p2 - p1 first and lose huge phases.
+    cross = [(cmath.exp(1j * p1).conjugate() * cmath.exp(1j * p2) * uw).real for p1, p2 in zip(phases1, phases2)]
+    columns = [(e1 * e1, e2 * e2, 2.0 * e1 * e2 * c) for e1, e2, c in zip(ex1, ex2, cross)]
+    rows = zip([e * e * uu for e in ey1], [e * e * ww for e in ey2], map(operator.mul, ey1, ey2))
+    return tuple(tuple([r1 * p + r2 * q + r12 * c for p, q, c in columns]) for r1, r2, r12 in rows)
 
 
 def visibility(values: Sequence[Sequence[float]]) -> float:
     """Fringe visibility (max - min) / (max + min) of a sampled map; NaN if any cell is NaN."""
-    cells = [v for row in values for v in row]
+    cells = list(itertools.chain.from_iterable(values))
     if len(cells) < 2:
         raise ValueError("visibility needs a grid of at least 2 points")
     if any(map(math.isnan, cells)):

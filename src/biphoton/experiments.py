@@ -293,23 +293,21 @@ def fig1_conditional_check(src: Source, theta1: float) -> float:
 
 def _fig3_closed_form(kind: str, samples: Sequence[det.BeamSamples]) -> float:
     """Visibility of the first-order interference of the two beam envelopes
-    e and phases p: e1^2 + e2^2 + 2 e1 e2 cos(p1 - p2) for psi_u (one
-    combination mode reaches the screen through both beams) and
-    (e1^2 + e2^2) / 2 for psi_e (H1 and V2 add incoherently, occupation 1/2
-    each), from the beams' BeamProfile.sample."""
-    (rows1, phases1), (rows2, phases2) = samples
+    e = ex ey and phases p from the beams' BeamProfile.sample, by row and
+    column as in intensity_map with analytic coefficients: e1^2 + e2^2 +
+    2 e1 e2 cos(p1 - p2) for psi_u (one combination mode reaches the screen
+    through both beams) and (e1^2 + e2^2) / 2 for psi_e (H1 and V2 add
+    incoherently, occupation 1/2 each)."""
+    (ex1, ey1, phases1), (ex2, ey2, phases2) = samples
     if kind == "psi_e":
-        return det.visibility(
-            tuple(tuple((e1 * e1 + e2 * e2) / 2.0 for e1, e2 in zip(row1, row2)) for row1, row2 in zip(rows1, rows2))
-        )
-    # math.cos raises on inf; the engine's map is NaN there too.
-    cosines = [math.cos(d) if math.isfinite(d) else math.nan for d in map(operator.sub, phases1, phases2)]
-    return det.visibility(
-        tuple(
-            tuple(e1 * e1 + e2 * e2 + 2.0 * e1 * e2 * c for e1, e2, c in zip(row1, row2, cosines))
-            for row1, row2 in zip(rows1, rows2)
-        )
-    )
+        occupation, cross = 0.5, [0.0] * len(ex1)
+    else:
+        # math.cos raises on inf; the engine's map is NaN there too.
+        cosines = (math.cos(d) if math.isfinite(d) else math.nan for d in map(operator.sub, phases1, phases2))
+        occupation, cross = 1.0, [2.0 * e1 * e2 * c for e1, e2, c in zip(ex1, ex2, cosines)]
+    columns = [(e1 * e1, e2 * e2, c) for e1, e2, c in zip(ex1, ex2, cross)]
+    rows = zip([e * e * occupation for e in ey1], [e * e * occupation for e in ey2], map(operator.mul, ey1, ey2))
+    return det.visibility([[r1 * p + r2 * q + r12 * c for p, q, c in columns] for r1, r2, r12 in rows])
 
 
 def fig3_visibility(

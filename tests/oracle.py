@@ -138,10 +138,12 @@ def beam_value(beam, x: float, y: float) -> complex:
     """Complex field of a BeamProfile at (x, y): the real envelope (the
     amplitude, times the gaussian profile) times exp(i phase), phase =
     tilt * x + phase_offset, one point at a time with the float operations
-    of BeamProfile.sample."""
+    of BeamProfile.sample, whose gaussian factors into
+    (amplitude exp(-x^2 / s)) exp(-y^2 / s), s = 2 width^2."""
     envelope = beam.amplitude
     if beam.kind == "gaussian":
-        envelope *= math.exp(-(x * x + y * y) / (2.0 * beam.width * beam.width))
+        spread = 2.0 * beam.width * beam.width
+        envelope = (envelope * math.exp(-(x * x) / spread)) * math.exp(-(y * y) / spread)
     return envelope * cmath.exp(1j * (beam.tilt * x + beam.phase_offset))
 
 

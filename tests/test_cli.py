@@ -245,7 +245,7 @@ def test_selfcheck_row_keeps_its_own_tolerance(monkeypatch, capsys):
 def test_selfcheck_tolerance_zero_forces_mismatch(capsys):
     code, _, err = run_cli(capsys, "selfcheck", "--tolerance", "0")
     assert code == 2
-    assert err.startswith("mismatch: 13 of 24 ")
+    assert err.startswith("mismatch: 12 of 24 ")
 
 
 def test_selfcheck_rows_are_the_benchmark_table():

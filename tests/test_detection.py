@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -245,11 +246,34 @@ def test_beam_sample_is_value_on_the_grid(kind):
             amplitude=float(rng.uniform(0.0, 3.0)),
         )
         grid = det.ScanGrid(tuple(map(float, rng.uniform(-2, 2, 5))), tuple(map(float, rng.uniform(-2, 2, 3))))
-        rows, phases = beam.sample(grid)
-        assert [len(row) for row in rows] == [len(grid.xs)] * len(grid.ys) and len(phases) == len(grid.xs)
-        for y, row in zip(grid.ys, rows):
-            for x, envelope, phase in zip(grid.xs, row, phases):
-                assert envelope * cmath.exp(1j * phase) == oracle.beam_value(beam, x, y)
+        ex, ey, phases = beam.sample(grid)
+        assert (len(ex), len(ey), len(phases)) == (len(grid.xs), len(grid.ys), len(grid.xs))
+        for y, fy in zip(grid.ys, ey):
+            for x, fx, phase in zip(grid.xs, ex, phases):
+                assert fx * fy * cmath.exp(1j * phase) == oracle.beam_value(beam, x, y)
+
+
+def test_a_factored_gaussian_is_the_gaussian_of_the_summed_square():
+    # exp turns an absolute error d of its argument into a relative error d,
+    # and z = (x^2 + y^2) / s carries about 2 z 2^-53 of rounding, either way:
+    # with the exps' own rounding, the two factors and the one exp differ by
+    # at most 2 (z + 2) 2^-52 relative.
+    rng = np.random.default_rng(41)
+    checked = 0
+    for _ in range(200):
+        width = float(rng.uniform(0.05, 3.0))
+        grid = det.ScanGrid(tuple(map(float, rng.uniform(-3, 3, 15))), tuple(map(float, rng.uniform(-3, 3, 15))))
+        ex, ey, _ = det.BeamProfile(kind="gaussian", tilt=0.0, width=width).sample(grid)
+        spread = 2.0 * width * width
+        for y, fy in zip(grid.ys, ey):
+            for x, fx in zip(grid.xs, ex):
+                z = (x * x + y * y) / spread
+                want = math.exp(-z)
+                if min(want, fx * fy) < sys.float_info.min:
+                    continue
+                assert abs(fx * fy - want) <= 2.0 * (z + 2.0) * 2.0**-52 * want, (width, x, y)
+                checked += 1
+    assert checked > 10_000
 
 
 def test_visibility_edge_cases():

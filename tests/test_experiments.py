@@ -162,6 +162,12 @@ def test_fig3_visibility_dichotomy():
     assert dark.closed_form == 0.0
 
 
+def test_fig3_psi_e_map_is_exactly_flat():
+    # Each cell is e1^2 <u|u> + e2^2 <w|w> + e1 e2 C, and C is exactly 0 for
+    # orthogonal u and w: no phasor's rounding reaches the visibility.
+    assert ex.fig3_visibility("psi_e").value == 0.0
+
+
 def test_fig3_explicit_default_grid_keeps_the_closed_form():
     explicit = ex.fig3_visibility("psi_u", None, det.DEFAULT_GRID)
     assert explicit == ex.fig3_visibility("psi_u")
@@ -230,8 +236,13 @@ def test_fig3_engine_matches_the_envelope_closed_form_on_random_beams_and_grids(
         beams = (random_beam(1.0), random_beam(-1.0))
         result = ex.fig3_visibility(kind, beams, det.ScanGrid(xs, ys))
         assert abs(result.value - result.closed_form) <= 1e-12, result
+        # The closed form takes each envelope as two factors and sums a cell by row and column, the oracle
+        # one gaussian of x^2 + y^2 per point: a cell differs by a few ulps d of (amp1 + amp2)^2, and
+        # (max - min) / (max + min) by up to 2 d / (max + min).
         want = oracle.fig3_closed_form(kind, beams, xs, ys)
-        assert result.closed_form == want or (math.isnan(result.closed_form) and math.isnan(want)), (result, want)
+        cells = [oracle.fig3_intensity(kind, beams, x, y) for y in ys for x in xs]
+        bound = 8.0 * 2.0**-52 * (beams[0].amplitude + beams[1].amplitude) ** 2 / (max(cells) + min(cells))
+        assert abs(result.closed_form - want) <= bound, (result, want)
 
 
 class CountingExp:
@@ -265,8 +276,13 @@ def test_a_fig3_row_takes_each_exponential_once_per_axis_and_beam(monkeypatch):
     for kind in ("psi_u", "psi_e", "psi_u"):
         counts.clear()
         ex.fig3_visibility(kind, beams, grid)
-        # One phasor per column and beam, one gaussian envelope per cell and beam.
-        assert counts == {"cmath": 2 * nx, "math": 2 * nx * ny}, kind
+        # One phasor per column and beam, one gaussian factor per column, per row and beam.
+        assert counts == {"cmath": 2 * nx, "math": 2 * (nx + ny)}, kind
+    for kind in ("psi_u", "psi_e"):
+        counts.clear()
+        ex.fig3_visibility(kind, det.default_beams(), grid)
+        # A plane wave's envelope is its amplitude: no real exponential at all.
+        assert (counts["cmath"], counts["math"]) == (2 * nx, 0), kind
 
 
 def test_a_fig3_row_calls_detection_intensity_map_once(monkeypatch):

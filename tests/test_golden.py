@@ -178,7 +178,7 @@ GOLDEN = [
             'fig2_psi_u_max_abs_err,5.55111512313e-17,0,5.55111512313e-17\n'
             'fig2_psi_e_max_rate,0,0,0\n'
             'fig3_visibility_psi_u,1,1,0\n'
-            'fig3_visibility_psi_e,1.11022302463e-16,0,1.11022302463e-16\n'
+            'fig3_visibility_psi_e,0,0,0\n'
             'overlap_entangled_component,0.707106781187,0.707106781187,0\n'
             'overlap_imaginary_part,0,0,0\n'
             'remainder_norm2,0.5,0.5,1.11022302463e-16\n'
@@ -256,9 +256,9 @@ GOLDEN = [
             '  },\n'
             '  {\n'
             '    "param": "fig3_visibility_psi_e",\n'
-            '    "value": 1.11022302463e-16,\n'
+            '    "value": 0.0,\n'
             '    "closed_form": 0.0,\n'
-            '    "abs_error": 1.11022302463e-16\n'
+            '    "abs_error": 0.0\n'
             '  },\n'
             '  {\n'
             '    "param": "overlap_entangled_component",\n'

@@ -393,10 +393,13 @@ def random_beam(rng: np.random.Generator) -> det.BeamProfile:
     )
 
 
-def gram_cell(ket: FockKet, forms_: list[LinearForm], a: complex, b: complex) -> float:
-    """The Gram form |a|^2 <u|u> + |b|^2 <w|w> + 2 Re(conj(a) b <u|w>) of u, w = forms_ |ket>, one cell at a time."""
+def gram_cell(ket: FockKet, forms_: list[LinearForm], a: complex, b: complex) -> tuple[float, float]:
+    """The Gram form |a|^2 <u|u> + |b|^2 <w|w> + 2 Re(conj(a) b <u|w>) of u, w = forms_ |ket>, one cell at a
+    time, and its scale: twice the form with every factor replaced by its modulus."""
     u, w = (apply_form(ket, form) for form in forms_)
-    return abs(a) ** 2 * norm2(u) + abs(b) ** 2 * norm2(w) + 2.0 * (a.conjugate() * b * inner(u, w)).real
+    uu, ww, uw = norm2(u), norm2(w), inner(u, w)
+    scale = 2.0 * (abs(a) ** 2 * uu + abs(b) ** 2 * ww + 2.0 * abs(a) * abs(b) * abs(uw))
+    return abs(a) ** 2 * uu + abs(b) ** 2 * ww + 2.0 * (a.conjugate() * b * uw).real, scale
 
 
 @pytest.mark.parametrize("kind", ["psi_e", "psi_u"])
@@ -423,8 +426,10 @@ def test_intensity_map_matches_per_cell_singles_rate(kind):
         for y, row in zip(grid.ys, fringe_map):
             for x, cell in zip(grid.xs, row):
                 a, b = oracle.beam_value(beam1, x, y), oracle.beam_value(beam2, x, y)
-                want = gram_cell(ket, forms_, a, b)
-                assert cell == want or (math.isnan(cell) and math.isnan(want)), (x, y, cell, want)
+                # The map factors each term into a row and a column value, so it rounds apart from the
+                # per-cell form by a few ulps of its moduli.
+                want, scale = gram_cell(ket, forms_, a, b)
+                assert abs(cell - want) <= 1e-15 * scale or (math.isnan(cell) and math.isnan(want)), (x, y)
                 if math.isnan(want):
                     nan_cells += 1
                     continue
