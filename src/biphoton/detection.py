@@ -89,9 +89,8 @@ class BeamProfile:
         return ex, tuple(exp(-(y * y) / spread) for y in grid.ys), phases
 
 
-def default_beams() -> tuple[BeamProfile, BeamProfile]:
-    """Equal-amplitude plane waves with opposite default tilts."""
-    return BeamProfile(tilt=DEFAULT_TILT), BeamProfile(tilt=-DEFAULT_TILT)
+#: Equal-amplitude plane waves with opposite default tilts.
+DEFAULT_BEAMS = (BeamProfile(tilt=DEFAULT_TILT), BeamProfile(tilt=-DEFAULT_TILT))
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ import functools
 import itertools
 import math
 import operator
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -232,14 +232,6 @@ def _build_source(kind: str, geometry: CascadeGeometry, split: bool) -> Source:
     return Source(ket, ch1, ch2, 0.5 if kind == "psi_e" else 0.25, math.sin)
 
 
-def _rates(us: Iterable[tuple[complex, complex]], ws: Iterable[tuple[float, float]]) -> list[float]:
-    """|u . w|^2 of each arm-1 row u = c1^T K with the arm-2 analyzer vector
-    w = (c2, s2) taken in step with it, or 0 where that modulus is
-    <= EPS_PRUNE, as the engine prunes it.  The square stays amp ** 2, which
-    raises OverflowError where a rate is too large for a float."""
-    return [0 if (amp := abs(u0 * c + u1 * s)) <= EPS_PRUNE else amp ** 2 for (u0, u1), (c, s) in zip(us, ws)]
-
-
 def coincidence(src: Source, t1: float, t2: float) -> ScenarioResult:
     """Coincidence rate of the two analyzers at angles t1, t2: the squared
     modulus of the amplitude c1^T K c2 (Source.K), or 0 as the engine prunes
@@ -249,30 +241,32 @@ def coincidence(src: Source, t1: float, t2: float) -> ScenarioResult:
     law(t1 - t2) from the value's cos and sin of each angle, so it holds at
     any finite angles.  The tolerance is 1e-9 of src.peak, the largest value
     the closed form takes, but no less than EPS_PRUNE ** 2, below which the
-    engine's pruning of an amplitude shows.  This is coincidence_column with
+    engine's pruning of an amplitude shows.  This is coincidence_rows at
     one point."""
-    return coincidence_column(src, (t1, t2), 1, (t2,))[0]
+    return coincidence_rows(src, (t1,), (t2,))[0]
 
 
-def coincidence_column(
-    src: Source, radians: Sequence[float], slot: int, column: Sequence[float]
-) -> list[ScenarioResult]:
-    """coincidence at radians = (t1, t2) with the angle at index slot taking
-    each value of column in turn, one row per value, bit for bit.  Arm 1
-    enters as the row c1^T K and arm 2 as c2 = (cos t2, sin t2), and the
-    fixed arm's is worked out once."""
+def coincidence_rows(src: Source, t1s: Sequence[float], t2s: Sequence[float]) -> list[ScenarioResult]:
+    """coincidence at each (t1, t2) of the product of t1s and t2s, in product
+    order, bit for bit.  Arm 1 enters as the row c1^T K, worked out once per
+    t1, and arm 2 as c2 = (cos t2, sin t2), once per t2.  The square stays
+    amp ** 2, which raises OverflowError where a rate is too large for a
+    float."""
     (kvv, kvh), (khv, khh) = src.K
-    scanned = [(math.cos(t), math.sin(t)) for t in column]
-    c, s = math.cos(radians[1 - slot]), math.sin(radians[1 - slot])
-    if slot == 0:
-        values = _rates([(c1 * kvv + s1 * khv, c1 * kvh + s1 * khh) for c1, s1 in scanned], itertools.repeat((c, s)))
-    else:
-        values = _rates(itertools.repeat((c * kvv + s * khv, c * kvh + s * khh)), scanned)
-    # law(t1 - t2) by angle addition, sin = s1 c2 - c1 s2 or cos = c1 c2 + s1 s2, squared the same either way round.
+    arm1 = [(c, s, (c * kvv + s * khv, c * kvh + s * khh)) for c, s in [(math.cos(t), math.sin(t)) for t in t1s]]
+    arm2 = [(math.cos(t), math.sin(t)) for t in t2s]
+    # law(t1 - t2) by angle addition, sin = s1 c2 - c1 s2 or cos = c1 c2 + s1 s2.
     sine = src.law is math.sin
-    laws = [s * cw - c * sw if sine else c * cw + s * sw for cw, sw in scanned]
     peak, tolerance = src.peak, max(1e-9 * src.peak, EPS_PRUNE ** 2)
-    return [ScenarioResult("coincidence_rate", value, peak * x ** 2, tolerance) for value, x in zip(values, laws)]
+    return [
+        ScenarioResult(
+            "coincidence_rate",
+            0 if (amp := abs(u0 * c2 + u1 * s2)) <= EPS_PRUNE else amp ** 2,
+            peak * (s1 * c2 - c1 * s2 if sine else c1 * c2 + s1 * s2) ** 2,
+            tolerance,
+        )
+        for (c1, s1, (u0, u1)), (c2, s2) in itertools.product(arm1, arm2)
+    ]
 
 
 # --- single-point scenarios -----------------------------------------------------
@@ -291,6 +285,11 @@ def fig1_conditional_check(src: Source, theta1: float) -> float:
     return det.singles_rate(leftover, bare_analyzer)
 
 
+def _cos_sin(phase: float) -> tuple[float, float]:
+    # math.cos raises on inf; the engine's map is NaN there too.
+    return (math.cos(phase), math.sin(phase)) if math.isfinite(phase) else (math.nan, math.nan)
+
+
 def _fig3_closed_form(kind: str, samples: Sequence[det.BeamSamples]) -> float:
     """Visibility of the first-order interference of the two beam envelopes
     e = ex ey and phases p from the beams' BeamProfile.sample, by row and
@@ -302,8 +301,8 @@ def _fig3_closed_form(kind: str, samples: Sequence[det.BeamSamples]) -> float:
     if kind == "psi_e":
         occupation, cross = 0.5, [0.0] * len(ex1)
     else:
-        # math.cos raises on inf; the engine's map is NaN there too.
-        cosines = (math.cos(d) if math.isfinite(d) else math.nan for d in map(operator.sub, phases1, phases2))
+        # cos(p1 - p2) by angle addition, as the engine takes one phasor per beam: p1 - p2 would round first.
+        cosines = (c1 * c2 + s1 * s2 for (c1, s1), (c2, s2) in zip(map(_cos_sin, phases1), map(_cos_sin, phases2)))
         occupation, cross = 1.0, [2.0 * e1 * e2 * c for e1, e2, c in zip(ex1, ex2, cosines)]
     columns = [(e1 * e1, e2 * e2, c) for e1, e2, c in zip(ex1, ex2, cross)]
     rows = zip([e * e * occupation for e in ey1], [e * e * occupation for e in ey2], map(operator.mul, ey1, ey2))
@@ -324,7 +323,7 @@ def fig3_visibility(
     the samples.
     """
     grid = grid or det.DEFAULT_GRID
-    beams = tuple(beams) if beams is not None else det.default_beams()
+    beams = tuple(beams) if beams is not None else det.DEFAULT_BEAMS
     if kind == "psi_e":
         screen_forms = [unit_form(H1), unit_form(V2)]
     elif kind == "psi_u":
@@ -425,33 +424,30 @@ def chsh_S(src: Source, a: float, ap: float, b: float, bp: float) -> float:
 
 # --- experiment registry and scans ------------------------------------------------------
 
-#: A prepared scenario, called as points(radians, slot, column): radians are
-#: its angles positionally in Experiment.angles order, and the angle at index
-#: slot takes each value of column in turn, giving one result row per value
-#: in order (a single point is a column of one).  fig3 and same-channel have
-#: no angles, ignore the column and return their whole table.
-Points = Callable[[Sequence[float], int, Sequence[float]], list[ScenarioResult]]
-
 
 @dataclass(frozen=True)
 class Experiment:
     """Everything the scenario layer knows about one named experiment.
 
-    prepare(state, geometry, beams) builds the scenario once (its source,
-    and with it K and T) and returns the Points that evaluate a column of it.
+    rows(state, geometry, beams, columns) builds the scenario (its source,
+    and with it K and T) and evaluates it over columns, one list of radians
+    per angle in angles order: one result row per point of their product,
+    in product order, a fixed angle being a list of one.  fig3 and
+    same-channel have no angles, take no columns and return their whole
+    table.
     """
 
     angles: dict[str, float]  # parameter name -> default, in degrees
     states: tuple[str, ...]
     default_state: str
-    prepare: Callable[[str, CascadeGeometry, Sequence[det.BeamProfile]], Points]
+    rows: Callable[[str, CascadeGeometry, Sequence[det.BeamProfile], Sequence[Sequence[float]]], list[ScenarioResult]]
 
 
 def _pair_experiment(names: tuple[str, str], states: tuple[str, ...], default: str, split: bool = False) -> Experiment:
-    def prepare(state: str, geometry: CascadeGeometry, beams) -> Points:
-        return functools.partial(coincidence_column, source(state, geometry, split))
+    def rows(state: str, geometry: CascadeGeometry, beams, columns: Sequence[Sequence[float]]) -> list[ScenarioResult]:
+        return coincidence_rows(source(state, geometry, split), *columns)
 
-    return Experiment(dict.fromkeys(names, 0.0), states, default, prepare)
+    return Experiment(dict.fromkeys(names, 0.0), states, default, rows)
 
 
 def _chsh_closed_form(*ds: tuple[float, float]) -> float:
@@ -460,18 +456,12 @@ def _chsh_closed_form(*ds: tuple[float, float]) -> float:
     return abs((a0 * b0 + a1 * b1) - (a0 * c0 + a1 * c1) + (p0 * b0 + p1 * b1) + (p0 * c0 + p1 * c1))
 
 
-def _prepare_chsh(state: str, geometry: CascadeGeometry, beams) -> Points:
-    src = source(state)
-
-    def points(radians: Sequence[float], slot: int, column: Sequence[float]) -> list[ScenarioResult]:
-        T, ds = _checked_T(src), list(map(_d, radians))
-        rows = []
-        for t in column:
-            ds[slot] = _d(t)
-            rows.append(ScenarioResult("abs_S", abs(_chsh_S(T, *ds)), _chsh_closed_form(*ds)))
-        return rows
-
-    return points
+def _chsh_rows(state: str, geometry: CascadeGeometry, beams, columns: Sequence[Sequence[float]]) -> list[ScenarioResult]:
+    T = _checked_T(source(state))
+    return [
+        ScenarioResult("abs_S", abs(_chsh_S(T, *ds)), _chsh_closed_form(*ds))
+        for ds in itertools.product(*[map(_d, column) for column in columns])
+    ]
 
 
 EXPERIMENTS: dict[str, Experiment] = {
@@ -479,14 +469,12 @@ EXPERIMENTS: dict[str, Experiment] = {
     "pdc": _pair_experiment(("theta1", "theta2"), ("psi_e", "psi_u"), "psi_u"),
     "fig2": _pair_experiment(("theta3", "theta4"), ("psi_e", "psi_u"), "psi_u", split=True),
     "fig3": Experiment(
-        {}, ("psi_e", "psi_u"), "psi_u", lambda state, geometry, beams: lambda *_: [fig3_visibility(state, beams)]
+        {}, ("psi_e", "psi_u"), "psi_u", lambda state, geometry, beams, columns: [fig3_visibility(state, beams)]
     ),
     "cascade": _pair_experiment(("theta1", "theta2"), ("psi_u_prime",), "psi_u_prime"),
-    "chsh": Experiment(
-        {"a": 0.0, "ap": 45.0, "b": 22.5, "bp": 67.5}, NAMED_STATE_KINDS, "circular_pair", _prepare_chsh
-    ),
+    "chsh": Experiment({"a": 0.0, "ap": 45.0, "b": 22.5, "bp": 67.5}, NAMED_STATE_KINDS, "circular_pair", _chsh_rows),
     "same-channel": Experiment(
-        {}, tuple(SAME_CHANNEL_CLOSED_FORMS), "psi_u", lambda state, *_: lambda *_: same_channel_table(state)
+        {}, tuple(SAME_CHANNEL_CLOSED_FORMS), "psi_u", lambda state, *_: same_channel_table(state)
     ),
 }
 

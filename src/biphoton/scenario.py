@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .detection import BeamProfile, default_beams
+from .detection import DEFAULT_BEAMS, BeamProfile
 from .experiments import EXPERIMENTS, CascadeGeometry, ScenarioResult, scan_count, scan_values
 
 OUTPUT_FORMATS = ("csv", "json")
@@ -53,7 +53,7 @@ class ScenarioSpec:
     state: str
     angles: dict[str, float] = field(default_factory=dict)  # degrees
     scan: Scan | None = None
-    beams: tuple[BeamProfile, BeamProfile] = field(default_factory=default_beams)
+    beams: tuple[BeamProfile, BeamProfile] = DEFAULT_BEAMS
     geometry: CascadeGeometry = field(default_factory=CascadeGeometry)
     output: str = "csv"
 
@@ -205,13 +205,12 @@ def parse_scenario(text: str) -> ScenarioSpec:
     if scan is not None:
         full_angles.pop(scan.name, None)
 
-    default_pair = default_beams()
     return ScenarioSpec(
         experiment=experiment,
         state=state,
         angles=full_angles,
         scan=scan,
-        beams=(beams.get(1, default_pair[0]), beams.get(2, default_pair[1])),
+        beams=(beams.get(1, DEFAULT_BEAMS[0]), beams.get(2, DEFAULT_BEAMS[1])),
         geometry=geometry or CascadeGeometry(),
         output=output or "csv",
     )
@@ -252,16 +251,18 @@ def format_scenario(spec: ScenarioSpec) -> str:
 
 def evaluate(spec: ScenarioSpec) -> list[tuple[object, ScenarioResult]]:
     """Run the scenario; rows are (param, result) with param the scanned
-    angle in degrees, or the observable name for single-point runs.  The
-    scenario is prepared once and evaluated as one column: the scanned
-    angle's values in radians, or a single point as a column of one."""
+    angle in degrees, or the observable name for single-point runs.  Each
+    angle is one column of radians: the scanned angle's values, or a fixed
+    angle's one value, evaluated in one call of the experiment's rows."""
     record = EXPERIMENTS[spec.experiment]
-    points = record.prepare(spec.state, spec.geometry, spec.beams)
     scan = spec.scan
+    degrees = scan_values(scan.start, scan.stop, scan.step) if scan else []
     # A missing angle that is not scanned raises KeyError: no silent default.
-    radians = [0.0 if scan and name == scan.name else math.radians(spec.angles[name]) for name in record.angles]
+    columns = [
+        list(map(math.radians, degrees)) if scan and name == scan.name else [math.radians(spec.angles[name])]
+        for name in record.angles
+    ]
+    rows = record.rows(spec.state, spec.geometry, spec.beams, columns)
     if scan is None:
-        return [(result.observable, result) for result in points(radians, 0, radians[:1])]
-    slot = list(record.angles).index(scan.name)
-    degrees = scan_values(scan.start, scan.stop, scan.step)
-    return list(zip(degrees, points(radians, slot, list(map(math.radians, degrees)))))
+        return [(result.observable, result) for result in rows]
+    return list(zip(degrees, rows))

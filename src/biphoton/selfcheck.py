@@ -37,7 +37,7 @@ _UNIFORM_16 = (
 
 def _sine_law_rows() -> list[ScenarioResult]:
     src = ex.source("circular_pair")
-    worst = max(row.abs_error() for row in ex.coincidence_column(src, (0.0, 0.0), 1, _GRID_73))
+    worst = max(row.abs_error() for row in ex.coincidence_rows(src, [0.0], _GRID_73))
     conditional = max(abs(ex.fig1_conditional_check(src, t) - 0.5) for t in _UNIFORM_16)
     return [
         ScenarioResult("fig1_sin2_max_abs_err", worst, 0.0, 1e-12),
@@ -47,8 +47,8 @@ def _sine_law_rows() -> list[ScenarioResult]:
 
 def _pdc_rows() -> list[ScenarioResult]:
     src_e, src_u = ex.source("psi_e"), ex.source("psi_u")
-    curve_e = [row.value for row in ex.coincidence_column(src_e, (0.0, 0.0), 1, _GRID_73)]
-    curve_u = [row.value for row in ex.coincidence_column(src_u, (0.0, 0.0), 1, _GRID_73)]
+    curve_e = [row.value for row in ex.coincidence_rows(src_e, [0.0], _GRID_73)]
+    curve_u = [row.value for row in ex.coincidence_rows(src_u, [0.0], _GRID_73)]
     top_e, top_u = max(curve_e), max(curve_u)
     shape_dev = max(abs(e / top_e - u / top_u) for e, u in zip(curve_e, curve_u))
     return [
@@ -60,14 +60,14 @@ def _pdc_rows() -> list[ScenarioResult]:
 
 def _cascade_row() -> ScenarioResult:
     src = ex.source("psi_u_prime")
-    worst = max(row.abs_error() for row in ex.coincidence_column(src, (0.0, 0.0), 1, _GRID_73))
+    worst = max(row.abs_error() for row in ex.coincidence_rows(src, [0.0], _GRID_73))
     return ScenarioResult("cascade_cos2_max_abs_err", worst, 0.0, 1e-12)
 
 
 def _fig2_rows() -> list[ScenarioResult]:
     src_u, src_e = ex.source("psi_u", split=True), ex.source("psi_e", split=True)
-    worst_u = max(row.abs_error() for row in ex.coincidence_column(src_u, (0.0, 0.0), 0, _GRID_73))
-    worst_e = max(row.value for row in ex.coincidence_column(src_e, (0.0, 0.0), 0, _GRID_73))
+    worst_u = max(row.abs_error() for row in ex.coincidence_rows(src_u, _GRID_73, [0.0]))
+    worst_e = max(row.value for row in ex.coincidence_rows(src_e, _GRID_73, [0.0]))
     return [
         ScenarioResult("fig2_psi_u_max_abs_err", worst_u, 0.0, 1e-12),
         ScenarioResult("fig2_psi_e_max_rate", worst_e, 0.0, 1e-12),

@@ -444,6 +444,18 @@ def test_a_large_angle_row_agrees_with_its_closed_form(argv, value, capsys):
     assert (code, err, got, closed_form) == (0, "", value, value) and float(abs_error) <= 1e-15
 
 
+@pytest.mark.parametrize(
+    "beam1,beam2,value",
+    [("1e10 0.3", "-1e10", "0.999083165598"), ("1e17", "-3e16", "0.998736615627")],
+)
+def test_a_fig3_row_at_huge_tilts_agrees_with_its_closed_form(beam1, beam2, value, capsys):
+    # p1 - p2 rounds at these phases; the closed form takes each phase's own
+    # cos and sin, as the engine takes one phasor per beam.
+    beams = ["--beam", "1", "plane_wave", *beam1.split(), "--beam", "2", "plane_wave", beam2]
+    code, out, err = run_cli(capsys, "scan", "--experiment", "fig3", *beams)
+    assert (code, err, out.splitlines()[1]) == (0, "", f"visibility,{value},{value},0")
+
+
 def test_fig3_dark_everywhere_exits_1(capsys):
     # Two equal plane waves in antiphase cancel at every screen point.
     code, out, err = run_cli(

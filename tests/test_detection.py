@@ -192,7 +192,7 @@ def test_intensity_zero_amplitudes():
 def test_unentangled_map_has_full_visibility():
     psi = fk.named_state("psi_u")
     _, b2 = fk.combination_forms()
-    fringe_map = det.intensity_map(psi, [b2, b2], [b.sample(det.DEFAULT_GRID) for b in det.default_beams()])
+    fringe_map = det.intensity_map(psi, [b2, b2], [b.sample(det.DEFAULT_GRID) for b in det.DEFAULT_BEAMS])
     assert len(fringe_map) == 1
     assert all(len(row) == len(det.DEFAULT_GRID.xs) for row in fringe_map)
     assert det.visibility(fringe_map) == pytest.approx(1.0, abs=1e-9)
@@ -201,7 +201,7 @@ def test_unentangled_map_has_full_visibility():
 
 def test_entangled_map_is_flat():
     psi = fk.named_state("psi_e")
-    samples = [b.sample(det.DEFAULT_GRID) for b in det.default_beams()]
+    samples = [b.sample(det.DEFAULT_GRID) for b in det.DEFAULT_BEAMS]
     flat_map = det.intensity_map(psi, [fk.unit_form(H1), fk.unit_form(V2)], samples)
     assert det.visibility(flat_map) == pytest.approx(0.0, abs=1e-9)
     np.testing.assert_allclose(flat_map, 1.0, atol=1e-12)

@@ -280,7 +280,7 @@ def test_a_fig3_row_takes_each_exponential_once_per_axis_and_beam(monkeypatch):
         assert counts == {"cmath": 2 * nx, "math": 2 * (nx + ny)}, kind
     for kind in ("psi_u", "psi_e"):
         counts.clear()
-        ex.fig3_visibility(kind, det.default_beams(), grid)
+        ex.fig3_visibility(kind, det.DEFAULT_BEAMS, grid)
         # A plane wave's envelope is its amplitude: no real exponential at all.
         assert (counts["cmath"], counts["math"]) == (2 * nx, 0), kind
 
@@ -489,16 +489,15 @@ def test_scan_values_validation():
         ex.scan_values(0.0, float("inf"), 1.0)
 
 
-def run_experiment(experiment, state, radians, slot=0, column=None):
-    """One column of the experiment: the angle at index slot of radians takes
-    each value of column in turn, or keeps its own value when column is None."""
-    points = ex.EXPERIMENTS[experiment].prepare(state, ex.CascadeGeometry(), det.default_beams())
-    return points(list(radians), slot, radians[slot : slot + 1] if column is None else column)
+def run_experiment(experiment, state, columns):
+    """The experiment's rows over the product of columns, one list of radians
+    per angle."""
+    return ex.EXPERIMENTS[experiment].rows(state, ex.CascadeGeometry(), det.DEFAULT_BEAMS, columns)
 
 
 def test_angle_scan_fig1_rows():
     values = [k * math.pi / 36 for k in range(37)]
-    rows = run_experiment("fig1", "circular_pair", (0.0, 0.0), 1, values)
+    rows = run_experiment("fig1", "circular_pair", [[0.0], values])
     assert len(rows) == 37
     for value, row in zip(values, rows):
         assert row.value == pytest.approx(0.25 * math.sin(value) ** 2, abs=1e-13)
@@ -506,7 +505,7 @@ def test_angle_scan_fig1_rows():
 
 
 def test_angle_scan_fig2_entangled_all_zero():
-    rows = run_experiment("fig2", "psi_e", (0.0, 0.2), 0, (0.0, 0.5, 1.0))
+    rows = run_experiment("fig2", "psi_e", [(0.0, 0.5, 1.0), [0.2]])
     assert all(row.value <= 1e-12 for row in rows)
 
 
@@ -542,7 +541,7 @@ def test_scenario_point_unknown_experiment():
 def test_default_coincidence_rows_are_gated_at_1e_9_of_their_peak(experiment):
     for state in ex.EXPERIMENTS[experiment].states:
         src = ex.source(state, split=experiment == "fig2")
-        [row] = run_experiment(experiment, state, (0.3, 1.1))
+        [row] = run_experiment(experiment, state, [[0.3], [1.1]])
         # Never looser than the absolute 1e-9 of the other rows; psi_e split (peak 0) demands exact zeros.
         assert row.tolerance == max(1e-9 * src.peak, fk.EPS_PRUNE ** 2) <= 1e-9
         assert row.abs_error() <= row.tolerance
@@ -558,7 +557,7 @@ def test_every_result_with_closed_form_is_within_tolerance():
         ex.coincidence(ex.source("psi_u_prime"), 0.6, -0.1),
         ex.fig3_visibility("psi_u"),
         ex.fig3_visibility("psi_e"),
-        *run_experiment("chsh", "psi_u", tuple(ex.CANONICAL_CHSH_ANGLES.values())),
+        *run_experiment("chsh", "psi_u", [[t] for t in ex.CANONICAL_CHSH_ANGLES.values()]),
         *ex.same_channel_table("circular_pair"),
     ]
     for result in results:

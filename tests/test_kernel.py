@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from collections import Counter
 
@@ -247,33 +248,36 @@ def test_a_scan_runs_the_engine_only_to_build_K(monkeypatch, scanned):
     assert evaluate(spec) == rows and calls[0] == 6  # the source and its K are kept
 
 
-# --- a scan column against the per-point coincidence and chsh_S ------------------------------
+# --- scan rows against the per-point coincidence and chsh_S ------------------------------
 
-#: Scan columns hit the exact zeros, huge angles and random values alike.
+#: Scanned columns hit the exact zeros, huge angles and random values alike.
 SPECIAL_ANGLES = [0.0, -0.0, math.pi / 2, -math.pi, 1e308, -1e308, 1e-300]
 
 
-def column_cases(rng: np.random.Generator, n: int) -> list[tuple[list[float], int, list[float]]]:
-    """(radians, slot, column): each of n angles scanned in turn over specials and
-    random values, the others at random values, all at 1e308 or all at 0."""
+def column_cases(rng: np.random.Generator, n: int) -> list[list[list[float]]]:
+    """Columns of n angles: each angle scanned in turn over specials and random
+    values, the others fixed (columns of one) at random values, all at 1e308 or
+    all at 0; then the first and last angles scanned together over two shorter
+    columns, the others fixed at random values, which pins product order."""
     column = SPECIAL_ANGLES + [float(t) for t in rng.uniform(-7.0, 7.0, 40)]
     fixed = [[float(t) for t in rng.uniform(-7.0, 7.0, n)], [1e308] * n, [0.0] * n]
-    return [(radians, slot, column) for slot in range(n) for radians in fixed]
+    cases = [[column if i == slot else [t] for i, t in enumerate(radians)] for slot in range(n) for radians in fixed]
+    first, last = ([*SPECIAL_ANGLES, *(float(t) for t in rng.uniform(-7.0, 7.0, 5))] for _ in range(2))
+    cases.append([first, *([float(t)] for t in rng.uniform(-7.0, 7.0, n - 2)), last[::-1]])
+    return cases
 
 
-def assert_column_is_points(points, point, radians, slot, column) -> list:
-    """points(radians, slot, column) gives point(*angles) at each value of
-    column in the slot, by repr; where a point raises, the column raises one
-    of the points' exception types (a scan prints no row then).  Returns the
-    points' outcomes."""
-    want = [outcome(lambda: point(*radians[:slot], t, *radians[slot + 1 :])) for t in column]
+def assert_rows_are_points(rows, point, columns) -> None:
+    """rows(columns) gives point(*angles) at each point of the product of
+    columns, in product order, by repr; where a point raises, rows raises one
+    of the points' exception types (a scan prints no row then)."""
+    want = [outcome(lambda: point(*angles)) for angles in itertools.product(*columns)]
     try:
-        got = [(type(row), repr(row)) for row in points(radians, slot, column)]
+        got = [(type(row), repr(row)) for row in rows(columns)]
     except (OverflowError, ValueError) as err:
-        assert type(err) in want, (radians, slot)
-        return want
-    assert got == want, (radians, slot)
-    return want
+        assert type(err) in want, columns
+        return
+    assert got == want, columns
 
 
 PAIR_CASES = [
@@ -290,15 +294,15 @@ PAIR_CASES = [
 def test_a_coincidence_column_is_the_per_point_coincidence_by_repr(experiment, state, geometry):
     src = ex.source(state, geometry, experiment == "fig2")
     assert all(cmath.isfinite(k) for row in src.K for k in row) == (abs(geometry.g11) < 1e150)
-    points = ex.EXPERIMENTS[experiment].prepare(state, geometry, det.default_beams())
-    for radians, slot, column in column_cases(np.random.default_rng(61), 2):
-        assert_column_is_points(points, lambda t1, t2: ex.coincidence(src, t1, t2), radians, slot, column)
+    rows = functools.partial(ex.EXPERIMENTS[experiment].rows, state, geometry, det.DEFAULT_BEAMS)
+    for columns in column_cases(np.random.default_rng(61), 2):
+        assert_rows_are_points(rows, lambda t1, t2: ex.coincidence(src, t1, t2), columns)
 
 
 @pytest.mark.parametrize("state", ex.NAMED_STATE_KINDS)
 def test_a_chsh_column_is_the_per_point_chsh_S_by_repr(state):
     src = ex.source(state)
-    points = ex.EXPERIMENTS["chsh"].prepare(state, ex.CascadeGeometry(), det.default_beams())
+    rows = functools.partial(ex.EXPERIMENTS["chsh"].rows, state, ex.CascadeGeometry(), det.DEFAULT_BEAMS)
 
     def point(a, ap, b, bp):
         # cos 2(x - y) = d(x).d(y), d(t) = (cos 2t, sin 2t) from cos t and sin t.
@@ -306,8 +310,8 @@ def test_a_chsh_column_is_the_per_point_chsh_S_by_repr(state):
         closed = abs((a0 * b0 + a1 * b1) - (a0 * c0 + a1 * c1) + (p0 * b0 + p1 * b1) + (p0 * c0 + p1 * c1))
         return ex.ScenarioResult("abs_S", abs(ex.chsh_S(src, a, ap, b, bp)), closed)
 
-    for radians, slot, column in column_cases(np.random.default_rng(62), 4):
-        assert_column_is_points(points, point, radians, slot, column)
+    for columns in column_cases(np.random.default_rng(62), 4):
+        assert_rows_are_points(rows, point, columns)
 
 
 def test_an_arm_2_scan_with_K_calls_neither_coincidence_nor_the_engine(monkeypatch):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from biphoton import scenario as sc
 from biphoton.cli import main
-from biphoton.detection import BeamProfile, default_beams
+from biphoton.detection import DEFAULT_BEAMS, BeamProfile
 from biphoton.experiments import EXPERIMENTS, CascadeGeometry
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150, database=None)
@@ -68,7 +68,7 @@ def specs(draw) -> sc.ScenarioSpec:
         step = draw(st.floats(1e-3, 1e3))
         scan = sc.Scan(name, start, start + draw(st.integers(0, 50)) * step, step)
         del angles[name]
-    beams = default_beams()
+    beams = DEFAULT_BEAMS
     if experiment == "fig3":
         beam = st.one_of(
             st.builds(BeamProfile, st.just("plane_wave"), finite, st.none(), finite),
