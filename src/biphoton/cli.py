@@ -143,9 +143,10 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parse_args keeps no
-    state in it, so every main call can share it."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and its command parsers by name, built once per
+    process: parsing keeps no state in them, so every main call can share
+    them."""
     parser = argparse.ArgumentParser(
         prog="biphoton",
         description="Exact two-photon polarization-correlation scenarios.",
@@ -181,13 +182,28 @@ def build_parser() -> argparse.ArgumentParser:
     # argparse's own pattern, ^-\d+$|^-\d*\.\d+$, reads "-1e-3" and "-1+0i" as options, not values.
     for each in (parser, *sub.choices.values()):
         each._negative_number_matcher = re.compile(r"^-\.?\d")
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(
+    parser: argparse.ArgumentParser, commands: dict[str, argparse.ArgumentParser], argv: list[str]
+) -> argparse.Namespace:
+    """argv parsed by its command's own parser, to which the top-level
+    parser would hand the same tokens after a pass of its own over each.
+    The top-level parser parses argv where no command comes first or tokens
+    are left over, so that argparse prints its own usage, help and errors."""
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(parser, commands, sys.argv[1:] if argv is None else list(argv))
         if args.tolerance is not None and not (math.isfinite(args.tolerance) and args.tolerance >= 0.0):
             parser.error(f"argument --tolerance: must be finite and >= 0, got {args.tolerance!r}")
     except SystemExit as err:

@@ -162,6 +162,12 @@ class Source:
         return _pair_matrix(self.ket, self.arm1, self.arm2)
 
     @functools.cached_property
+    def same_channel(self) -> tuple[tuple[tuple[complex, ...], ...], ...]:
+        """The pair matrices _pair_matrix(ket, arm, arm) of arm1 and of arm2,
+        computed once per Source, like K."""
+        return tuple(_pair_matrix(self.ket, arm, arm) for arm in (self.arm1, self.arm2))
+
+    @functools.cached_property
     def T(self) -> tuple[float, float, float, float, float]:
         """(||K||_F^2, T_ZZ, T_ZX, T_XZ, T_XX): the polarization correlation
         matrix T_ij = Tr(s_i K s_j K^H), s over the Pauli matrices (Z, X), of
@@ -345,12 +351,11 @@ def fig3_visibility(
 
 def same_channel_probability(src: Source, channel: int) -> float:
     """Probability that both photons of the pair leave through one channel:
-    ||M||_F^2 / 2 of the arm's pair matrix M = _pair_matrix(ket, arm, arm),
-    which counts each pair twice (ordered)."""
+    ||M||_F^2 / 2 of the arm's pair matrix M (Source.same_channel), which
+    counts each pair twice (ordered)."""
     if channel not in (1, 2):
         raise ValueError("channel must be 1 or 2")
-    arm = src.arm1 if channel == 1 else src.arm2
-    (a, b), (c, d) = _pair_matrix(src.ket, arm, arm)
+    (a, b), (c, d) = src.same_channel[channel - 1]
     return (abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2) / 2.0
 
 

@@ -88,6 +88,16 @@ class FockKet:
         # "not <=" keeps a NaN amplitude, so it shows in every rate instead of reading as 0.
         self._amp = {occ: a for occ, a in amp.items() if not abs(a) <= EPS_PRUNE}
 
+    @classmethod
+    def _canonical(cls, amplitudes: dict[Occupation, complex]) -> "FockKet":
+        """FockKet(amplitudes) where every key is canonical already, as the
+        keys of apply_form, apply_form_dagger and add are: the same items in
+        the same order, without occupation() on each key."""
+        ket = cls.__new__(cls)
+        # 0j + a as in __init__, which turns a -0.0 part into 0.0.
+        ket._amp = {occ: 0j + a for occ, a in amplitudes.items() if not abs(a) <= EPS_PRUNE}
+        return ket
+
     def items(self):
         return self._amp.items()
 
@@ -156,7 +166,7 @@ def apply_form(ket: FockKet, form: LinearForm) -> FockKet:
             if n:
                 key = _occ_with(occ, mode, n - 1)
                 out[key] = out.get(key, 0j) + a * c * math.sqrt(n)
-    return FockKet(out)
+    return FockKet._canonical(out)
 
 
 def apply_form_dagger(ket: FockKet, form: LinearForm) -> FockKet:
@@ -171,7 +181,7 @@ def apply_form_dagger(ket: FockKet, form: LinearForm) -> FockKet:
             n = occ_count(occ, mode)
             key = _occ_with(occ, mode, n + 1)
             out[key] = out.get(key, 0j) + a * c * math.sqrt(n + 1)
-    return FockKet(out)
+    return FockKet._canonical(out)
 
 
 def inner(a: FockKet, b: FockKet) -> complex:
@@ -190,7 +200,7 @@ def add(a: FockKet, b: FockKet, alpha: complex = 1.0, beta: complex = 1.0) -> Fo
     out: dict[Occupation, complex] = {occ: alpha * amp for occ, amp in a.items()}
     for occ, amp in b.items():
         out[occ] = out.get(occ, 0j) + beta * amp
-    return FockKet(out)
+    return FockKet._canonical(out)
 
 
 def form_commutator(f: LinearForm, g: LinearForm) -> complex:

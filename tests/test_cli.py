@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import runpy
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from biphoton import cli
 from biphoton import experiments as ex
 from biphoton.cli import main
 from biphoton.selfcheck import selfcheck_rows
@@ -289,6 +291,49 @@ def test_help_still_exits_0(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0
     assert out.startswith("usage: biphoton")
+
+
+#: Odd argv for the command parser's dispatch, which must print what the
+#: top-level parser alone prints: no command, help at both levels, unknown
+#: commands and options, stray tokens, "--", abbreviations, "=" values,
+#: negative numbers, bad values and missing ones.
+ODD_ARGV = [
+    [], ["-h"], ["--help"], ["--he"], ["bogus"], ["sca"], ["-", "scan"], ["--format", "json"],
+    ["--", "scan", "--experiment", "pdc"], ["scan"], ["scan", "-h"], ["chsh", "--help"], ["run", "-h"],
+    ["selfcheck", "-hx"], ["scan", "--experiment", "pdc", "--bogus"], ["scan", "--experiment", "pdc", "stray"],
+    ["scan", "--experiment", "pdc", "-x"], ["scan", "--experiment", "pdc", "-h", "--bogus"], ["scan", "-h", "x"],
+    ["scan", "--exp", "pdc"], ["scan", "--experiment=pdc", "--format=json"], ["scan", "--experiment", "pdc", "--"],
+    ["scan", "--experiment", "pdc", "--", "x"], ["scan", "--", "--experiment", "pdc"], ["run", "--", "-h"],
+    ["scan", "--experiment", "pdc", "--angle", "theta1", "-1e-3"],
+    ["scan", "--experiment", "cascade", "--geometry", "-1+0i", "1+0i", "1+0i", "1+0i"], ["chsh", "--a", "-1+0i"],
+    ["scan", "--experiment", "pdc", "--format", "xml"], ["scan", "--experiment", "pdc", "--format"],
+    ["scan", "--experiment"], ["scan", "--experiment", "pdc", "--angle", "theta1"], ["scan", "--experiment", "nope"],
+    ["selfcheck", "--tolerance", "abc"], ["selfcheck", "--tolerance", "nan"], ["chsh", "--a", "-1e-3", "--zz"],
+    ["chsh", "--state", "psi_e", "extra"], ["selfcheck", "--", "x"], ["run"], ["run", "a", "b"],
+    ["run", "/nonexistent/spec.txt"], ["scan", "--experiment", "same-channel", "--tolerance", "-1e-3"],
+]
+
+
+@pytest.mark.parametrize("argv", ODD_ARGV, ids=map(" ".join, ODD_ARGV))
+def test_command_parser_prints_what_the_top_level_parser_prints(monkeypatch, capsys, argv):
+    dispatched = run_cli(capsys, *argv)
+    monkeypatch.setattr(cli, "_parse_args", lambda parser, commands, argv: parser.parse_args(argv))
+    assert dispatched == run_cli(capsys, *argv)
+
+
+def test_well_formed_requests_skip_the_top_level_parser(monkeypatch, tmp_path, capsys):
+    def refuse(*_):
+        raise AssertionError("the top-level parser parsed a well-formed request")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+    path = write_spec(tmp_path, FIG1_SCAN)
+    for argv in (
+        ["scan", "--experiment", "pdc", "--angle", "theta1", "-1e-3", "--format", "json"],
+        ["chsh", "--state", "psi_u", "--a", "5"],
+        ["selfcheck", "--tolerance", "1e-6"],
+        ["run", path, "--format=json"],
+    ):
+        assert run_cli(capsys, *argv)[0] == 0
 
 
 #: Runs each argv of the JSON list in argv[1] through one in-process main and

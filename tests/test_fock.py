@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from biphoton import fock as fk
@@ -181,6 +183,30 @@ def test_tiny_amplitudes_are_pruned():
     # Truthiness follows the support: empty kets and forms are falsy.
     assert not pruned and not fk.FockKet() and not fk.LinearForm()
     assert fk.vacuum() and fk.unit_form(V1)
+
+
+MODES = (BEAM_V, BEAM_H, V1, H1, V2, H2, W1V, W1H, W2V, W2H)
+#: Amplitudes at the edges of the prune: NaN parts, -0.0 parts, and moduli at,
+#: just below and just above EPS_PRUNE.
+EDGE_AMPLITUDES = (
+    complex("nan"), complex(1.0, math.nan), complex(-0.0, 1.0), complex(1.0, -0.0), complex(-0.0, -0.0),
+    complex(fk.EPS_PRUNE, 0.0), complex(-1e-15, 1e-15), complex(0.0, -1.5e-14), complex(-3.0, 0.5),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(
+    st.dictionaries(
+        st.dictionaries(st.sampled_from(MODES), st.integers(0, 3), max_size=4).map(fk.occupation),
+        st.one_of(st.complex_numbers(), st.sampled_from(EDGE_AMPLITUDES)),
+        max_size=8,
+    )
+)
+def test_canonical_constructor_is_the_public_one_on_canonical_keys(amplitudes):
+    fast, slow = fk.FockKet._canonical(amplitudes), fk.FockKet(amplitudes)
+    # repr of the items shows a -0.0 part and the item order; the ket's own repr is what a user sees.
+    assert repr(list(fast.items())) == repr(list(slow.items()))
+    assert repr(fast) == repr(slow)
 
 
 def test_nan_amplitudes_are_kept():
