@@ -32,6 +32,7 @@ import functools
 import itertools
 import math
 import operator
+import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -349,22 +350,6 @@ def fig3_visibility(
 # --- channel statistics -----------------------------------------------------------
 
 
-def same_channel_probability(src: Source, channel: int) -> float:
-    """Probability that both photons of the pair leave through one channel:
-    ||M||_F^2 / 2 of the arm's pair matrix M (Source.same_channel), which
-    counts each pair twice (ordered)."""
-    if channel not in (1, 2):
-        raise ValueError("channel must be 1 or 2")
-    (a, b), (c, d) = src.same_channel[channel - 1]
-    return (abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2) / 2.0
-
-
-def split_probability(src: Source) -> float:
-    """Probability of one photon in each channel, summed over polarizations:
-    ||K||_F^2 (Source.T)."""
-    return src.T[0]
-
-
 #: Closed-form outcome probabilities (both in 1, both in 2, one in each) of
 #: every state kind with a channel decomposition.
 SAME_CHANNEL_CLOSED_FORMS = {
@@ -375,9 +360,13 @@ SAME_CHANNEL_CLOSED_FORMS = {
 
 
 def same_channel_table(kind: str) -> list[ScenarioResult]:
-    """Outcome probabilities {both in 1, both in 2, one in each}."""
+    """Outcome probabilities {both in 1, both in 2, one in each}.  Both
+    photons in one channel is ||M||_F^2 / 2 of that arm's pair matrix M
+    (Source.same_channel), which counts each pair twice (ordered); one in
+    each, summed over polarizations, is ||K||_F^2 (Source.T)."""
     src = source(kind)
-    values = (same_channel_probability(src, 1), same_channel_probability(src, 2), split_probability(src))
+    values = [(abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2) / 2.0 for (a, b), (c, d) in src.same_channel]
+    values.append(src.T[0])
     names = ("both_ch1", "both_ch2", "split")
     return [ScenarioResult(*row) for row in zip(names, values, SAME_CHANNEL_CLOSED_FORMS[kind])]
 
@@ -489,16 +478,26 @@ CANONICAL_CHSH_ANGLES = {name: math.radians(deg) for name, deg in EXPERIMENTS["c
 
 def scan_count(start: float, stop: float, step: float) -> int:
     """Number of points in the inclusive grid start, start + step, ..., stop,
-    computed without building the grid; at most MAX_SCAN_POINTS."""
+    computed without building the grid; at most MAX_SCAN_POINTS.  A grid
+    whose points start + k * step would overflow or repeat is rejected."""
     if not all(math.isfinite(v) for v in (start, stop, step)):
         raise ValueError("scan bounds and step must be finite")
     if step <= 0.0:
         raise ValueError("scan step must be > 0")
     if stop < start:
         raise ValueError("scan range is empty (to < from)")
-    limit = stop + 1e-9 * step
-    # Floor estimate of the last index, corrected against the inclusive test.
-    last = int(min((stop - start) / step, MAX_SCAN_POINTS))
+    # Floor estimate of the last index; halving keeps stop - start finite.
+    last = int(min((stop / 2 - start / 2) / step * 2, MAX_SCAN_POINTS))
+    # Past either check start + k * step makes no distinct finite points, and
+    # the estimate can be far off; an oversized scan keeps its "more than".
+    if math.isinf(last * step):
+        raise ValueError("scan offsets k * step overflow the float range")
+    widest = max(abs(start), abs(stop))
+    if last < MAX_SCAN_POINTS and widest + step == widest:
+        raise ValueError("scan step is below the float spacing at the scan bounds")
+    # Capped, the limit stays finite where stop + 1e-9 * step would overflow.
+    limit = min(stop + 1e-9 * step, sys.float_info.max)
+    # Correct the estimate against the inclusive test.
     while last > 0 and start + last * step > limit:
         last -= 1
     while last < MAX_SCAN_POINTS and start + (last + 1) * step <= limit:

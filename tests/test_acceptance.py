@@ -118,14 +118,10 @@ def test_criterion_09_chsh_saturation():
 
 
 def test_criterion_10_same_channel_probabilities():
-    p_u = [ex.same_channel_probability(ex.source("psi_u"), ch) for ch in (1, 2)]
-    p_e = [ex.same_channel_probability(ex.source("psi_e"), ch) for ch in (1, 2)]
-    circular = ex.source("circular_pair")
-    total = (
-        ex.same_channel_probability(circular, 1)
-        + ex.same_channel_probability(circular, 2)
-        + ex.split_probability(circular)
-    )
+    p_u = [row.value for row in ex.same_channel_table("psi_u")[:2]]
+    p_e = [row.value for row in ex.same_channel_table("psi_e")[:2]]
+    both1, both2, split = (row.value for row in ex.same_channel_table("circular_pair"))
+    total = both1 + both2 + split
     # oracle cross-check of the circular-pair outcome probabilities
     ref = to_oracle(fk.named_state("circular_pair"))
     ch1, ch2 = ex.fig1_channel_fields()

@@ -451,6 +451,25 @@ def test_underflowing_gaussian_width_exits_1(capsys):
     assert_one_line_error(err)
 
 
+@pytest.mark.parametrize(
+    ("bounds", "message"),
+    [
+        # k * step overflows, though the grid's top points are finite.
+        (["-1.7e308", "1.7e308", "1e308"], "overflow"),
+        (["-1e308", "1e308", "5e307"], "overflow"),
+        # start + step == start: every point of the grid is start.
+        (["1e300", "1e300", "1"], "float spacing"),
+    ],
+)
+def test_scan_that_floats_cannot_hold_exits_1(capsys, bounds, message):
+    argv = ["scan", "--experiment", "pdc", "--angle", "theta1", "0", "--scan", "theta2", *bounds]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert_one_line_error(err)
+    assert message in err
+
+
 def test_overflowing_rate_exits_2(capsys):
     code, out, err = run_cli(
         capsys, "scan", "--experiment", "cascade", "--geometry", "1+0i", "1+0i", "1+0i", "1e155+1e155i"

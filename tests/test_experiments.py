@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections import Counter
 
 import numpy as np
@@ -337,16 +338,18 @@ def test_cascade_geometry_must_be_finite():
 
 
 def test_same_channel_probabilities():
-    assert ex.same_channel_probability(ex.source("psi_u"), 1) == pytest.approx(0.25, abs=1e-14)
-    assert ex.same_channel_probability(ex.source("psi_u"), 2) == pytest.approx(0.25, abs=1e-14)
-    assert ex.same_channel_probability(ex.source("psi_e"), 1) == pytest.approx(0.0, abs=1e-14)
-    assert ex.same_channel_probability(ex.source("psi_e"), 2) == pytest.approx(0.0, abs=1e-14)
+    u1, u2, _ = ex.same_channel_table("psi_u")
+    e1, e2, _ = ex.same_channel_table("psi_e")
+    assert u1.value == pytest.approx(0.25, abs=1e-14)
+    assert u2.value == pytest.approx(0.25, abs=1e-14)
+    assert e1.value == pytest.approx(0.0, abs=1e-14)
+    assert e2.value == pytest.approx(0.0, abs=1e-14)
 
 
 def test_outcome_probabilities_complete():
     for kind in ("circular_pair", "psi_u", "psi_e"):
-        src = ex.source(kind)
-        total = ex.same_channel_probability(src, 1) + ex.same_channel_probability(src, 2) + ex.split_probability(src)
+        both1, both2, split = (row.value for row in ex.same_channel_table(kind))
+        total = both1 + both2 + split
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -355,11 +358,6 @@ def test_same_channel_table_rows():
     assert [r.observable for r in rows] == ["both_ch1", "both_ch2", "split"]
     assert [r.value for r in rows] == pytest.approx([0.25, 0.25, 0.5], abs=1e-13)
     assert all(r.abs_error() <= 1e-12 for r in rows)
-
-
-def test_same_channel_rejects_bad_channel():
-    with pytest.raises(ValueError):
-        ex.same_channel_probability(ex.source("psi_u"), 3)
 
 
 # --- correlation coefficients -------------------------------------------------------
@@ -478,6 +476,11 @@ def test_scan_values_count_matches_inclusive_loop(start, stop, step):
         expected.append(start + len(expected) * step)
     assert ex.scan_values(start, stop, step) == expected
     assert ex.scan_count(start, stop, step) == len(expected)
+
+
+def test_scan_values_where_the_tolerance_overflows():
+    # stop + 1e-9 * step overflows, yet 2e308 is no point of the grid.
+    assert ex.scan_values(0.0, sys.float_info.max, 1e308) == [0.0, 1e308]
 
 
 def test_scan_values_validation():

@@ -198,9 +198,10 @@ def engine_pair_rate(ket: FockKet, a: op.ChannelField, b: op.ChannelField) -> fl
 @pytest.mark.parametrize("kind", ex.SAME_CHANNEL_CLOSED_FORMS)
 def test_same_channel_table_is_the_engine_sum_bit_for_bit(kind):
     src = ex.source(kind)
-    assert ex.same_channel_probability(src, 1) == engine_pair_rate(src.ket, src.arm1, src.arm1) / 2.0
-    assert ex.same_channel_probability(src, 2) == engine_pair_rate(src.ket, src.arm2, src.arm2) / 2.0
-    assert ex.split_probability(src) == engine_pair_rate(src.ket, src.arm1, src.arm2)
+    both1, both2, split = (row.value for row in ex.same_channel_table(kind))
+    assert both1 == engine_pair_rate(src.ket, src.arm1, src.arm1) / 2.0
+    assert both2 == engine_pair_rate(src.ket, src.arm2, src.arm2) / 2.0
+    assert split == engine_pair_rate(src.ket, src.arm1, src.arm2)
 
 
 def four_rates(rate, src: ex.Source, t1: float, t2: float) -> list[float]:
