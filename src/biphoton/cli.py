@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import re
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 from .detection import AllDark
@@ -32,6 +32,9 @@ from .selfcheck import selfcheck_rows
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
 EXIT_MISMATCH = 2
+
+#: A command's parse of argv: its Namespace, or None where argparse must parse it.
+_ParseTable = Callable[[list[str]], argparse.Namespace | None]
 
 
 def _fmt(value: float) -> str:
@@ -53,6 +56,8 @@ def render_csv(rows: list[tuple[object, ScenarioResult]]) -> str:
 
 
 def render_json(rows: list[tuple[object, ScenarioResult]]) -> str:
+    import json  # only here: CSV requests never load it
+
     payload = [
         {
             "param": _round12(param) if isinstance(param, float) else param,
@@ -142,11 +147,76 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
     return _report([(row.observable, row) for row in selfcheck_rows()], args.format or "csv", args)
 
 
+def _parse_table(command: argparse.ArgumentParser) -> _ParseTable:
+    """The parse of one command's argv, read once off its parser's _actions:
+    its store and append options (nargs None, N or "+") by option string, its
+    defaults, required options and one-value positionals.  It gives what
+    parse_known_args would give, with nothing left over, for argv of exact
+    option strings, --opt=value and values that do not start with '-' or are
+    negative numbers, and None for any other argv, which argparse parses."""
+    options, positionals = {}, []
+    for action in command._actions:
+        if type(action) in (argparse._StoreAction, argparse._AppendAction):
+            entry = (action.dest, action.nargs, action.type, action.choices, type(action) is argparse._AppendAction)
+            if not action.option_strings:
+                positionals.append(entry)
+            elif action.nargs is None or action.nargs == "+" or isinstance(action.nargs, int):
+                options.update(dict.fromkeys(action.option_strings, entry))
+    defaults = {a.dest: a.default for a in command._actions if argparse.SUPPRESS not in (a.dest, a.default)}
+    defaults.update(command._defaults)
+    required = {a.dest for a in command._actions if a.required and a.option_strings}
+    number = command._negative_number_matcher.match
+
+    def parse(argv: list[str]) -> argparse.Namespace | None:
+        values, seen, filled, i, n = dict(defaults), set(), 0, 0, len(argv)
+        while i < n:
+            token = argv[i]
+            i += 1
+            entry = options.get(token)
+            if entry is not None:
+                # The values that follow: tokens that do not start with '-', or negative numbers.
+                nargs, start = entry[1], i
+                stop = n if nargs == "+" else i + (nargs or 1)
+                while i < stop and i < n and (argv[i][:1] != "-" or number(argv[i])):
+                    i += 1
+                if i == start or (nargs != "+" and i != stop):
+                    return None
+                strings = argv[start:i]
+            elif token[:1] != "-" or number(token):
+                if filled == len(positionals):
+                    return None
+                entry, strings = positionals[filled], [token]
+                filled += 1
+            else:
+                name, _, value = token.partition("=")
+                entry = options.get(name)
+                if entry is None or entry[1] is not None or not value or (value[0] == "-" and not number(value)):
+                    return None
+                strings = [value]
+            dest, nargs, convert, choices, appends = entry
+            try:
+                strings = strings if convert is None else list(map(convert, strings))
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+            if choices is not None and not all(value in choices for value in strings):
+                return None
+            value = strings[0] if nargs is None else strings
+            values[dest] = [*(values[dest] or ()), value] if appends else value
+            seen.add(dest)
+        if filled < len(positionals) or not required <= seen:
+            return None
+        args = argparse.Namespace()
+        vars(args).update(values)
+        return args
+
+    return parse
+
+
 @functools.cache
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The argument parser and its command parsers by name, built once per
-    process: parsing keeps no state in them, so every main call can share
-    them."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _ParseTable]]:
+    """The argument parser and each command's parse table by name, built once
+    per process: parsing keeps no state in either, so every main call can
+    share them."""
     parser = argparse.ArgumentParser(
         prog="biphoton",
         description="Exact two-photon polarization-correlation scenarios.",
@@ -182,28 +252,22 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     # argparse's own pattern, ^-\d+$|^-\d*\.\d+$, reads "-1e-3" and "-1+0i" as options, not values.
     for each in (parser, *sub.choices.values()):
         each._negative_number_matcher = re.compile(r"^-\.?\d")
-    return parser, sub.choices
+    return parser, {name: _parse_table(command) for name, command in sub.choices.items()}
 
 
-def _parse_args(
-    parser: argparse.ArgumentParser, commands: dict[str, argparse.ArgumentParser], argv: list[str]
-) -> argparse.Namespace:
-    """argv parsed by its command's own parser, to which the top-level
-    parser would hand the same tokens after a pass of its own over each.
-    The top-level parser parses argv where no command comes first or tokens
-    are left over, so that argparse prints its own usage, help and errors."""
-    command = commands.get(argv[0]) if argv else None
-    if command is not None:
-        args, rest = command.parse_known_args(argv[1:])
-        if not rest:
-            return args
-    return parser.parse_args(argv)
+def _parse_args(parser: argparse.ArgumentParser, tables: dict[str, _ParseTable], argv: list[str]) -> argparse.Namespace:
+    """argv parsed by its command's parse table, or by the top-level parser
+    where no command comes first or the table declines, so that argparse
+    prints its own usage, help and errors."""
+    table = tables.get(argv[0]) if argv else None
+    args = table(argv[1:]) if table else None
+    return parser.parse_args(argv) if args is None else args
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, commands = build_parser()
+    parser, tables = build_parser()
     try:
-        args = _parse_args(parser, commands, sys.argv[1:] if argv is None else list(argv))
+        args = _parse_args(parser, tables, sys.argv[1:] if argv is None else list(argv))
         if args.tolerance is not None and not (math.isfinite(args.tolerance) and args.tolerance >= 0.0):
             parser.error(f"argument --tolerance: must be finite and >= 0, got {args.tolerance!r}")
     except SystemExit as err:

@@ -147,8 +147,9 @@ def visibility(values: Sequence[Sequence[float]]) -> float:
     cells = list(itertools.chain.from_iterable(values))
     if len(cells) < 2:
         raise ValueError("visibility needs a grid of at least 2 points")
-    if any(map(math.isnan, cells)):
-        # Python's max/min skip a NaN unless it comes first.
+    # Python's max/min skip a NaN unless it comes first.  A NaN cell makes the
+    # sum NaN, so only a NaN sum (a NaN, or +inf with -inf) walks the cells.
+    if math.isnan(sum(cells)) and any(map(math.isnan, cells)):
         return math.nan
     top, bottom = max(cells), min(cells)
     if top + bottom <= EPS_ZERO:

@@ -293,10 +293,11 @@ def test_help_still_exits_0(capsys):
     assert out.startswith("usage: biphoton")
 
 
-#: Odd argv for the command parser's dispatch, which must print what the
-#: top-level parser alone prints: no command, help at both levels, unknown
-#: commands and options, stray tokens, "--", abbreviations, "=" values,
-#: negative numbers, bad values and missing ones.
+#: Odd argv for the parse tables, which must print what the top-level parser
+#: alone prints: no command, help at both levels, unknown commands and
+#: options, stray tokens, "--", abbreviations, "=" values (empty ones too),
+#: negative numbers, repeated options, "-" and spaces in values, a greedy
+#: --beam before another option, bad values and missing ones.
 ODD_ARGV = [
     [], ["-h"], ["--help"], ["--he"], ["bogus"], ["sca"], ["-", "scan"], ["--format", "json"],
     ["--", "scan", "--experiment", "pdc"], ["scan"], ["scan", "-h"], ["chsh", "--help"], ["run", "-h"],
@@ -311,24 +312,31 @@ ODD_ARGV = [
     ["selfcheck", "--tolerance", "abc"], ["selfcheck", "--tolerance", "nan"], ["chsh", "--a", "-1e-3", "--zz"],
     ["chsh", "--state", "psi_e", "extra"], ["selfcheck", "--", "x"], ["run"], ["run", "a", "b"],
     ["run", "/nonexistent/spec.txt"], ["scan", "--experiment", "same-channel", "--tolerance", "-1e-3"],
+    ["scan", "--experiment", "pdc", "--out="], ["scan", "--experiment", "pdc", "--angle=theta1"],
+    ["scan", "--experiment", "pdc", "--state", "psi_u", "--state", "psi_e"], ["chsh", "--a", "1", "--ap", "2"],
+    ["scan", "--experiment", "pdc", "--state", "-"], ["chsh", "--state", "psi e"],
+    ["scan", "--experiment", "fig3", "--beam", "1", "plane_wave", "--format", "json"],
+    ["selfcheck", "--tolerance=-1e-3"],
 ]
 
 
 @pytest.mark.parametrize("argv", ODD_ARGV, ids=map(" ".join, ODD_ARGV))
 def test_command_parser_prints_what_the_top_level_parser_prints(monkeypatch, capsys, argv):
     dispatched = run_cli(capsys, *argv)
-    monkeypatch.setattr(cli, "_parse_args", lambda parser, commands, argv: parser.parse_args(argv))
+    monkeypatch.setattr(cli, "_parse_args", lambda parser, tables, argv: parser.parse_args(argv))
     assert dispatched == run_cli(capsys, *argv)
 
 
 def test_well_formed_requests_skip_the_top_level_parser(monkeypatch, tmp_path, capsys):
     def refuse(*_):
-        raise AssertionError("the top-level parser parsed a well-formed request")
+        raise AssertionError("argparse parsed a well-formed request")
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
     path = write_spec(tmp_path, FIG1_SCAN)
     for argv in (
         ["scan", "--experiment", "pdc", "--angle", "theta1", "-1e-3", "--format", "json"],
+        ["scan", "--experiment", "fig3", "--beam", "1", "plane_wave", "0.5", "0", "--beam", "2", "plane_wave", "0"],
         ["chsh", "--state", "psi_u", "--a", "5"],
         ["selfcheck", "--tolerance", "1e-6"],
         ["run", path, "--format=json"],

@@ -281,6 +281,11 @@ def test_visibility_edge_cases():
     assert det.visibility(((0.0, 3.0),)) == 1.0
     with pytest.raises(det.AllDark):
         det.visibility(((0.0, 0.0),))
+    # A NaN cell first or last, and +inf with -inf (a NaN sum with no NaN cell).
+    assert repr(det.visibility(((math.nan, 1.0), (2.0, 3.0)))) == "nan"
+    assert repr(det.visibility(((1.0, 2.0), (3.0, math.nan)))) == "nan"
+    assert repr(det.visibility(((math.inf, 1.0), (2.0, -math.inf)))) == "nan"
+    assert repr(det.visibility(((math.inf, 1.0), (2.0, 3.0)))) == "nan"
 
 
 @pytest.mark.parametrize("cells", [(1.0, 3.0, 2.0, 0.5, 4.0, 1.5), (0.0,) * 6], ids=["lit", "dark"])

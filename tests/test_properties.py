@@ -1,5 +1,5 @@
 """Property tests of the input surface: the scenario parser, its format round
-trip, and the CLI exit-code contract.
+trip, the CLI's parse tables and its exit-code contract.
 
 Examples are derandomized, so every run checks the same inputs.  The CLI
 property generates no scan directive, which keeps each example's work
@@ -8,6 +8,7 @@ bounded to one scenario point.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
 import io
@@ -17,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biphoton import scenario as sc
-from biphoton.cli import main
+from biphoton.cli import build_parser, main
 from biphoton.detection import DEFAULT_BEAMS, BeamProfile
 from biphoton.experiments import EXPERIMENTS, CascadeGeometry
 
@@ -170,3 +171,51 @@ def test_cli_exit_code_contract(argv):
         # A passing row was checked: it carries its closed form and error.
         rows = json.loads(text) if "--format" in argv else list(csv.DictReader(io.StringIO(text)))
         assert rows and all(row[key] not in (None, "") for row in rows for key in ("closed_form", "abs_error")), argv
+
+
+PARSER, TABLES = build_parser()
+COMMANDS = next(action.choices for action in PARSER._actions if isinstance(action, argparse._SubParsersAction))
+#: Values a flag may take, among them negative numbers and empty and spaced
+#: values, and tokens at the edge of what a parse table accepts: a lone "-",
+#: "--", abbreviations, "=" forms (empty ones too), help and a bad choice.
+VALUE_TOKENS = ("json", "csv", "1", "-1e-3", "-1+0i", "", "a b", "nan", "abc", "theta1", "plane_wave")
+ODD_TOKENS = (
+    "-", "--", "--exp", "--format=json", "--format=", "--out=", "--tolerance=-1e-3", "--angle=theta1", "--a=-x",
+    "=", "--a", "-h", "xml",
+)
+flag_value = st.sampled_from(VALUE_TOKENS)
+
+
+@st.composite
+def command_argv(draw) -> tuple[str, list[str]]:
+    """A command and argv of its flags and positionals, each with about as
+    many values as it takes, and at most one odd token put in among them."""
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = []
+    for action in draw(st.lists(st.sampled_from(COMMANDS[name]._actions), max_size=5)):
+        arity = draw(st.integers(1, 3)) if action.nargs == "+" else action.nargs
+        arity = max(0, (1 if arity is None else arity) + draw(st.sampled_from((0, 0, 0, -1, 1))))
+        argv += [draw(st.sampled_from(action.option_strings))] if action.option_strings else []
+        argv += draw(st.lists(flag_value, min_size=arity, max_size=arity))
+    for odd in draw(st.lists(st.sampled_from(ODD_TOKENS), max_size=1)):
+        argv.insert(draw(st.integers(0, len(argv))), odd)
+    return name, argv
+
+
+@settings(PROPERTY, max_examples=400)
+@given(command_argv())
+@example(("scan", ["--experiment", "pdc", "--angle", "theta1", "-1e-3", "--beam", "1", "a b", "--format=json"]))
+@example(("run", ["--tolerance=-1e-3", "spec.txt", "--out", "-1"]))
+@example(("chsh", ["--a", "1", "--ap", "2", "--a", "-1+0i"]))
+def test_parse_table_declines_or_agrees_with_the_command_parser(case):
+    name, argv = case
+    args = TABLES[name](argv)
+    if args is None:
+        return
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            want, rest = COMMANDS[name].parse_known_args(argv)
+    except SystemExit:
+        raise AssertionError(f"the table accepted argv that {name} rejects: {argv}") from None
+    assert rest == []
+    assert repr(sorted(vars(args).items())) == repr(sorted(vars(want).items()))
