@@ -270,6 +270,8 @@ def main(argv: list[str] | None = None) -> int:
         args = _parse_args(parser, tables, sys.argv[1:] if argv is None else list(argv))
         if args.tolerance is not None and not (math.isfinite(args.tolerance) and args.tolerance >= 0.0):
             parser.error(f"argument --tolerance: must be finite and >= 0, got {args.tolerance!r}")
+        if args.out == "":
+            parser.error("argument --out: expected a file path, got ''")
     except SystemExit as err:
         # argparse exits 0 after --help and 2 on a usage error, which would read as a mismatch.
         return EXIT_BAD_INPUT if err.code == 2 else err.code

@@ -194,7 +194,7 @@ def _pair_matrix(ket: FockKet, a: op.ChannelField, b: op.ChannelField) -> tuple[
     the arms a and b, by the engine in 6 applies; ValueError where a term of
     the ket is not two-photon.  The (v, h) x (v, h) detector pairs of a and
     b count ||M||_F^2 in all, and analyzers on them |c1^T M c2|^2."""
-    if any(sum(n for _, n in occ) != 2 for occ, _ in ket.items()):
+    if any(len(occ) != 2 for occ, _ in ket.items()):
         raise ValueError("a pair matrix needs a ket whose every term has two photons")
     halves = [apply_form(ket, f) for f in (a.v, a.h)]  # one photon left
     return tuple(tuple(apply_form(half, g).amplitude(()) for g in (b.v, b.h)) for half in halves)

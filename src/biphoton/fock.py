@@ -1,10 +1,11 @@
 """Sparse Fock-space algebra for few-photon states.
 
 States are finite complex combinations of occupation-number basis kets,
-stored as a mapping from canonical occupation vectors to amplitudes.  The
-amplitudes are number-basis amplitudes, i.e. ladder factors are already
-included: applying a creation operator multiplies by sqrt(n+1), an
-annihilation operator by sqrt(n).
+stored as a mapping from occupation vectors to amplitudes.  An occupation
+vector is the sorted tuple of its photons' modes, a mode holding n photons
+appearing n times, and () is the vacuum.  The amplitudes are number-basis
+amplitudes, i.e. ladder factors are already included: applying a creation
+operator multiplies by sqrt(n+1), an annihilation operator by sqrt(n).
 
 Detector and field operators are linear forms sum_m c_m b_m over mode
 annihilators.  By convention the coefficients carry the full field
@@ -30,8 +31,8 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterable, Mapping
-from typing import Union
+from collections import Counter
+from collections.abc import Mapping
 
 from .modes import BEAM_H, BEAM_V, H1, H2, V1, V2, W1H, W1V, W2H, W2V, ModeId
 
@@ -40,39 +41,18 @@ EPS_ZERO = 1e-12
 
 _SQRT1_2 = math.sqrt(0.5)
 
-#: Canonical occupation vector: mode/count pairs, sorted, counts > 0.
-Occupation = tuple[tuple[ModeId, int], ...]
-
-OccupationLike = Union[Occupation, Mapping[ModeId, int], Iterable[tuple[ModeId, int]]]
+#: Occupation vector: the modes of its photons, sorted, one entry per photon.
+Occupation = tuple[ModeId, ...]
 
 NAMED_STATE_KINDS = ("circular_pair", "psi_e", "psi_u", "psi_u_prime")
 
 
-def occupation(counts: OccupationLike) -> Occupation:
-    """Canonicalize an occupation vector: drop zeros, sort, reject negatives."""
-    pairs = counts.items() if isinstance(counts, Mapping) else counts
-    merged: dict[ModeId, int] = {}
-    for mode, n in pairs:
+def occupation(counts: Mapping[ModeId, int]) -> Occupation:
+    """The occupation vector of a mode -> photon count mapping; rejects negatives."""
+    for mode, n in counts.items():
         if n < 0:
             raise ValueError(f"negative occupation {n} for mode {mode}")
-        merged[mode] = merged.get(mode, 0) + n
-    return tuple(sorted((m, n) for m, n in merged.items() if n > 0))
-
-
-def occ_count(occ: Occupation, mode: ModeId) -> int:
-    for m, n in occ:
-        if m == mode:
-            return n
-    return 0
-
-
-def _occ_with(occ: Occupation, mode: ModeId, n: int) -> Occupation:
-    """Copy of occ with the count of one mode replaced (removed if zero)."""
-    pairs = [(m, c) for m, c in occ if m != mode]
-    if n > 0:
-        pairs.append((mode, n))
-        pairs.sort()
-    return tuple(pairs)
+    return tuple(sorted(Counter(counts).elements()))
 
 
 class FockKet:
@@ -80,37 +60,26 @@ class FockKet:
 
     __slots__ = ("_amp",)
 
-    def __init__(self, amplitudes: Mapping[OccupationLike, complex] | None = None):
-        amp: dict[Occupation, complex] = {}
-        for occ, a in (amplitudes or {}).items():
-            key = occupation(occ)
-            amp[key] = amp.get(key, 0j) + complex(a)
-        # "not <=" keeps a NaN amplitude, so it shows in every rate instead of reading as 0.
-        self._amp = {occ: a for occ, a in amp.items() if not abs(a) <= EPS_PRUNE}
-
-    @classmethod
-    def _canonical(cls, amplitudes: dict[Occupation, complex]) -> "FockKet":
-        """FockKet(amplitudes) where every key is canonical already, as the
-        keys of apply_form, apply_form_dagger and add are: the same items in
-        the same order, without occupation() on each key."""
-        ket = cls.__new__(cls)
-        # 0j + a as in __init__, which turns a -0.0 part into 0.0.
-        ket._amp = {occ: 0j + a for occ, a in amplitudes.items() if not abs(a) <= EPS_PRUNE}
-        return ket
+    def __init__(self, amplitudes: Mapping[Occupation, complex] | None = None):
+        """amplitudes is keyed by occupation vectors, as occupation() and the
+        items of a ket give them; no key is re-sorted."""
+        # 0j + a turns a -0.0 part into 0.0; "not <=" keeps a NaN amplitude,
+        # so it shows in every rate instead of reading as 0.
+        self._amp = {occ: 0j + a for occ, a in (amplitudes or {}).items() if not abs(a) <= EPS_PRUNE}
 
     def items(self):
         return self._amp.items()
 
-    def amplitude(self, occ: OccupationLike) -> complex:
-        return self._amp.get(occupation(occ), 0j)
+    def amplitude(self, occ: Occupation) -> complex:
+        return self._amp.get(occ, 0j)
 
     def __len__(self) -> int:
         return len(self._amp)
 
     def __repr__(self) -> str:
         terms = ", ".join(
-            f"{a:.4g} * |{' '.join(f'{m}:{n}' for m, n in occ) or 'vac'}>"
-            for occ, a in sorted(self._amp.items(), key=lambda kv: tuple(m for m, _ in kv[0]))
+            f"{a:.4g} * |{' '.join(f'{m}:{n}' for m, n in Counter(occ).items()) or 'vac'}>"
+            for occ, a in sorted(self._amp.items(), key=lambda kv: tuple(Counter(kv[0])))
         )
         return f"FockKet({terms or '0'})"
 
@@ -162,11 +131,12 @@ def apply_form(ket: FockKet, form: LinearForm) -> FockKet:
     out: dict[Occupation, complex] = {}
     for occ, a in ket.items():
         for mode, c in form.items():
-            n = occ_count(occ, mode)
+            n = occ.count(mode)
             if n:
-                key = _occ_with(occ, mode, n - 1)
+                i = occ.index(mode)
+                key = occ[:i] + occ[i + 1 :]
                 out[key] = out.get(key, 0j) + a * c * math.sqrt(n)
-    return FockKet._canonical(out)
+    return FockKet(out)
 
 
 def apply_form_dagger(ket: FockKet, form: LinearForm) -> FockKet:
@@ -178,10 +148,10 @@ def apply_form_dagger(ket: FockKet, form: LinearForm) -> FockKet:
     out: dict[Occupation, complex] = {}
     for occ, a in ket.items():
         for mode, c in form.items():
-            n = occ_count(occ, mode)
-            key = _occ_with(occ, mode, n + 1)
+            n = occ.count(mode)
+            key = tuple(sorted((*occ, mode)))
             out[key] = out.get(key, 0j) + a * c * math.sqrt(n + 1)
-    return FockKet._canonical(out)
+    return FockKet(out)
 
 
 def inner(a: FockKet, b: FockKet) -> complex:
@@ -200,7 +170,7 @@ def add(a: FockKet, b: FockKet, alpha: complex = 1.0, beta: complex = 1.0) -> Fo
     out: dict[Occupation, complex] = {occ: alpha * amp for occ, amp in a.items()}
     for occ, amp in b.items():
         out[occ] = out.get(occ, 0j) + beta * amp
-    return FockKet._canonical(out)
+    return FockKet(out)
 
 
 def form_commutator(f: LinearForm, g: LinearForm) -> complex:

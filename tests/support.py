@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -55,8 +56,14 @@ def corrupt_selfcheck_row(monkeypatch, observable: str) -> None:
     monkeypatch.setattr("biphoton.cli.selfcheck_rows", lambda: rows)
 
 
+def oracle_amplitudes(items) -> dict:
+    """Engine (occupation, amplitude) items keyed as the oracle keys them, by
+    (mode, count) pairs."""
+    return {oracle.canon(Counter(occ)): a for occ, a in items}
+
+
 def to_oracle(ket: FockKet) -> oracle.State:
-    return oracle.from_amplitudes(dict(ket.items()))
+    return oracle.from_amplitudes(oracle_amplitudes(ket.items()))
 
 
 def form_dict(form: LinearForm) -> dict:

@@ -287,6 +287,13 @@ def test_usage_error_exits_1(capsys):
     assert "required: --experiment" in err
 
 
+@pytest.mark.parametrize("argv", [["--out="], ["--out", ""]], ids=["--out=", "--out ''"])
+def test_empty_out_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, "scan", "--experiment", "pdc", *argv)
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1] == "biphoton: error: argument --out: expected a file path, got ''"
+
+
 def test_help_still_exits_0(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0

@@ -122,8 +122,8 @@ def test_rates_are_nonnegative_on_random_inputs():
 def test_conditional_state_amplitudes_unnormalized():
     theta = 0.8
     out = fk.apply_form(fk.named_state("circular_pair"), beam_analyzer(theta))
-    assert out.amplitude({BEAM_V: 1}) == pytest.approx(SQRT1_2 * math.cos(theta), abs=1e-14)
-    assert out.amplitude({BEAM_H: 1}) == pytest.approx(-SQRT1_2 * math.sin(theta), abs=1e-14)
+    assert out.amplitude(fk.occupation({BEAM_V: 1})) == pytest.approx(SQRT1_2 * math.cos(theta), abs=1e-14)
+    assert out.amplitude(fk.occupation({BEAM_H: 1})) == pytest.approx(-SQRT1_2 * math.sin(theta), abs=1e-14)
 
 
 def test_conditional_state_normalized_flag():

@@ -47,14 +47,14 @@ def test_annihilate_vacuum_is_zero_ket():
 
 def test_create_on_vacuum_single_photon():
     ket = fk.apply_form_dagger(fk.vacuum(), fk.unit_form(BEAM_V))
-    assert ket.amplitude({BEAM_V: 1}) == pytest.approx(1.0)
+    assert ket.amplitude(fk.occupation({BEAM_V: 1})) == pytest.approx(1.0)
     assert len(ket) == 1
 
 
 def test_double_create_ladder_factor():
     once = fk.apply_form_dagger(fk.vacuum(), fk.unit_form(BEAM_V))
     ket = fk.apply_form_dagger(once, fk.unit_form(BEAM_V))
-    assert ket.amplitude({BEAM_V: 2}) == pytest.approx(math.sqrt(2.0), abs=1e-15)
+    assert ket.amplitude(fk.occupation({BEAM_V: 2})) == pytest.approx(math.sqrt(2.0), abs=1e-15)
 
 
 def test_double_create_norm_matches_factorial_oracle():
@@ -93,8 +93,8 @@ def test_factorial_law_up_to_six():
 def test_apply_field_scaled_analyzer_to_circular_pair():
     theta = 0.7
     ket = fk.apply_form(fk.named_state("circular_pair"), analyzer_form(theta, SQRT1_2))
-    assert ket.amplitude({BEAM_V: 1}) == pytest.approx(SQRT1_2 * math.cos(theta), abs=1e-14)
-    assert ket.amplitude({BEAM_H: 1}) == pytest.approx(-SQRT1_2 * math.sin(theta), abs=1e-14)
+    assert ket.amplitude(fk.occupation({BEAM_V: 1})) == pytest.approx(SQRT1_2 * math.cos(theta), abs=1e-14)
+    assert ket.amplitude(fk.occupation({BEAM_H: 1})) == pytest.approx(-SQRT1_2 * math.sin(theta), abs=1e-14)
     assert fk.norm2(ket) == pytest.approx(0.5, abs=1e-14)
 
 
@@ -202,11 +202,12 @@ EDGE_AMPLITUDES = (
         max_size=8,
     )
 )
-def test_canonical_constructor_is_the_public_one_on_canonical_keys(amplitudes):
-    fast, slow = fk.FockKet._canonical(amplitudes), fk.FockKet(amplitudes)
-    # repr of the items shows a -0.0 part and the item order; the ket's own repr is what a user sees.
-    assert repr(list(fast.items())) == repr(list(slow.items()))
-    assert repr(fast) == repr(slow)
+def test_constructor_keeps_input_order_and_prunes_at_EPS_PRUNE(amplitudes):
+    ket = fk.FockKet(amplitudes)
+    kept = [(occ, 0j + a) for occ, a in amplitudes.items() if math.isnan(abs(a)) or abs(a) > fk.EPS_PRUNE]
+    # repr of the items shows a -0.0 part and the item order.
+    assert repr(list(ket.items())) == repr(kept)
+    assert not any(x == 0.0 and math.copysign(1.0, x) < 0 for _, a in ket.items() for x in (a.real, a.imag))
 
 
 def test_nan_amplitudes_are_kept():
@@ -286,8 +287,8 @@ def test_named_states_are_unit_norm():
 
 def test_entangled_state_amplitudes():
     psi = fk.named_state("psi_e")
-    assert psi.amplitude({V1: 1, H2: 1}) == pytest.approx(SQRT1_2)
-    assert psi.amplitude({V2: 1, H1: 1}) == pytest.approx(-SQRT1_2)
+    assert psi.amplitude(fk.occupation({V1: 1, H2: 1})) == pytest.approx(SQRT1_2)
+    assert psi.amplitude(fk.occupation({V2: 1, H1: 1})) == pytest.approx(-SQRT1_2)
     assert len(psi) == 2
 
 
@@ -307,7 +308,7 @@ def test_unentangled_state_decomposition():
     psi_e = fk.named_state("psi_e")
     rest = fk.add(psi_u, psi_e, 1.0, -SQRT1_2)
     for occ, _ in rest.items():
-        assert len(occ) == 1 and occ[0][1] == 2, f"mixed occupation {occ} survived"
+        assert len(occ) == 2 and occ[0] == occ[1], f"mixed occupation {occ} survived"
     assert fk.norm2(rest) == pytest.approx(0.5, abs=1e-14)
 
 
@@ -354,6 +355,6 @@ def test_occupation_rejects_negative_counts():
 
 
 def test_occupation_canonical_form_is_unique():
-    a = fk.occupation([(V1, 1), (H2, 1), (V2, 0)])
-    b = fk.occupation({H2: 1, V1: 1})
-    assert a == b
+    assert fk.occupation({H2: 1, V1: 1, V2: 0}) == fk.occupation({V1: 1, H2: 1}) == (V1, H2)
+    assert fk.occupation({H2: 1, V1: 2}) == (V1, V1, H2)
+    assert fk.occupation({}) == ()

@@ -47,7 +47,7 @@ from biphoton.fock import (
 )
 from biphoton.modes import H1, V1, V2
 from biphoton.scenario import evaluate, parse_scenario
-from support import EIGHT_MODES, form_dict, to_oracle
+from support import EIGHT_MODES, form_dict, oracle_amplitudes, to_oracle
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=300, database=None)
 
@@ -68,7 +68,7 @@ def abs_form(*terms: tuple[complex, LinearForm]) -> dict:
 def rate_scale(ket: FockKet, abs_forms: list[dict]) -> float:
     """The scale of a rate: abs_forms are its forms as abs_form gives them,
     before any cancellation."""
-    abs_ket = oracle.from_amplitudes({occ: abs(a) for occ, a in ket.items()})
+    abs_ket = oracle.from_amplitudes(oracle_amplitudes((occ, abs(a)) for occ, a in ket.items()))
     return max(1.0, 2.0 * oracle.o_expectation(abs_ket, abs_forms))
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,7 +12,15 @@ import oracle
 from biphoton import fock as fk
 from biphoton.detection import coincidence_rate, singles_rate
 from biphoton.modes import H1, H2, V1, V2, ModeId
-from support import EIGHT_MODES, form_dict, random_form, random_ket, run_randomized_rate_equivalence, to_oracle
+from support import (
+    EIGHT_MODES,
+    form_dict,
+    oracle_amplitudes,
+    random_form,
+    random_ket,
+    run_randomized_rate_equivalence,
+    to_oracle,
+)
 
 SQRT1_2 = math.sqrt(0.5)
 
@@ -53,11 +62,20 @@ def test_oracle_amplitude_bridge_round_trip():
 
 
 def _dense_from_ket(ket: fk.FockKet, modes, cap: int) -> np.ndarray:
-    return oracle.dense_vector(dict(ket.items()), modes, cap)
+    return oracle.dense_vector(oracle_amplitudes(ket.items()), modes, cap)
 
 
 def _dense_from_oracle(state: oracle.State, modes, cap: int) -> np.ndarray:
     return oracle.dense_vector(oracle.to_amplitudes(state), modes, cap)
+
+
+def one_photon_apart(occ: tuple, sources: list[tuple], step: int) -> bool:
+    """occ is one photon more (step 1) or fewer (step -1) than one of the source keys."""
+    counts = Counter(occ)
+    return any(
+        len(occ) == len(src) + step and (Counter(src) <= counts if step > 0 else counts <= Counter(src))
+        for src in sources
+    )
 
 
 def test_ladder_operations_match_oracle_densely():
@@ -68,13 +86,16 @@ def test_ladder_operations_match_oracle_densely():
         ref = to_oracle(ket)
         mode = modes[int(rng.integers(len(modes)))]
         pairs = [
-            (fk.apply_form_dagger(ket, fk.unit_form(mode)), oracle.o_create(ref, mode)),
-            (fk.apply_form(ket, fk.unit_form(mode)), oracle.o_annihilate(ref, mode)),
+            (fk.apply_form_dagger(ket, fk.unit_form(mode)), oracle.o_create(ref, mode), 1),
+            (fk.apply_form(ket, fk.unit_form(mode)), oracle.o_annihilate(ref, mode), -1),
         ]
         form = random_form(rng)
-        pairs.append((fk.apply_form(ket, form), oracle.o_apply_form(ref, form_dict(form))))
-        pairs.append((fk.apply_form_dagger(ket, form), oracle.o_apply_dagger(ref, form_dict(form))))
-        for engine_ket, oracle_state in pairs:
+        pairs.append((fk.apply_form(ket, form), oracle.o_apply_form(ref, form_dict(form)), -1))
+        pairs.append((fk.apply_form_dagger(ket, form), oracle.o_apply_dagger(ref, form_dict(form)), 1))
+        sources = [occ for occ, _ in ket.items()]
+        for engine_ket, oracle_state, step in pairs:
+            for occ, _ in engine_ket.items():
+                assert occ == tuple(sorted(occ)) and one_photon_apart(occ, sources, step), (occ, sources, step)
             got = _dense_from_ket(engine_ket, modes, 3)
             want = _dense_from_oracle(oracle_state, modes, 3)
             np.testing.assert_allclose(got, want, atol=1e-12)
