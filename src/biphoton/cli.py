@@ -16,25 +16,23 @@ by more than its row's tolerance (or --tolerance, when given).
 
 from __future__ import annotations
 
-import argparse
 import functools
 import math
 import re
 import sys
 from collections.abc import Callable
-from pathlib import Path
+from types import SimpleNamespace
 
 from .detection import AllDark
 from .experiments import EXPERIMENTS, ScenarioResult
 from .scenario import OUTPUT_FORMATS, ParseError, ScenarioSpec, ValidationError, evaluate, parse_scenario
-from .selfcheck import selfcheck_rows
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
 EXIT_MISMATCH = 2
 
-#: A command's parse of argv: its Namespace, or None where argparse must parse it.
-_ParseTable = Callable[[list[str]], argparse.Namespace | None]
+#: A command's parse of argv: its arguments, or None where argparse must parse it.
+_ParseTable = Callable[[list[str]], SimpleNamespace | None]
 
 
 def _fmt(value: float) -> str:
@@ -73,12 +71,14 @@ def render_json(rows: list[tuple[object, ScenarioResult]]) -> str:
 def _emit(rows: list[tuple[object, ScenarioResult]], fmt: str, out: str | None) -> None:
     text = render_json(rows) if fmt == "json" else render_csv(rows)
     if out:
-        Path(out).write_text(text, newline="\n")
+        # open, not Path: Path("dir/") drops the separator and would write a file named dir.
+        with open(out, "w", newline="\n") as stream:
+            stream.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _report(rows: list[tuple[object, ScenarioResult]], fmt: str, args: argparse.Namespace) -> int:
+def _report(rows: list[tuple[object, ScenarioResult]], fmt: str, args: SimpleNamespace) -> int:
     """Emit the rows, then count those that are not finite or off their
     closed form by more than their tolerance (--tolerance, when given)."""
     _emit(rows, fmt, args.out)
@@ -94,11 +94,13 @@ def _report(rows: list[tuple[object, ScenarioResult]], fmt: str, args: argparse.
     return EXIT_OK
 
 
-def _run_spec(spec: ScenarioSpec, args: argparse.Namespace) -> int:
+def _run_spec(spec: ScenarioSpec, args: SimpleNamespace) -> int:
     return _report(evaluate(spec), args.format or spec.output, args)
 
 
-def cmd_run(args: argparse.Namespace) -> int:
+def cmd_run(args: SimpleNamespace) -> int:
+    from pathlib import Path  # only here: no other command reads a file
+
     path = Path(args.file)
     if not path.exists():
         print(f"error: no such scenario file: {path}", file=sys.stderr)
@@ -115,7 +117,7 @@ def _directive(key: str, flag: str, values: list[str]) -> str:
     return " ".join([key, *values])
 
 
-def _scan_args_to_text(args: argparse.Namespace) -> str:
+def _scan_args_to_text(args: SimpleNamespace) -> str:
     lines = [_directive("experiment", "--experiment", [args.experiment])]
     if args.state is not None:
         lines.append(_directive("state", "--state", [args.state]))
@@ -128,11 +130,11 @@ def _scan_args_to_text(args: argparse.Namespace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_scan(args: argparse.Namespace) -> int:
+def cmd_scan(args: SimpleNamespace) -> int:
     return _run_spec(parse_scenario(_scan_args_to_text(args)), args)
 
 
-def cmd_chsh(args: argparse.Namespace) -> int:
+def cmd_chsh(args: SimpleNamespace) -> int:
     lines = ["experiment chsh"]
     if args.state is not None:
         lines.append(_directive("state", "--state", [args.state]))
@@ -143,36 +145,73 @@ def cmd_chsh(args: argparse.Namespace) -> int:
     return _run_spec(parse_scenario("\n".join(lines) + "\n"), args)
 
 
-def cmd_selfcheck(args: argparse.Namespace) -> int:
+def cmd_selfcheck(args: SimpleNamespace) -> int:
+    from .selfcheck import selfcheck_rows  # only here: no other command runs the table
+
     return _report([(row.observable, row) for row in selfcheck_rows()], args.format or "csv", args)
 
 
-def _parse_table(command: argparse.ArgumentParser) -> _ParseTable:
-    """The parse of one command's argv, read once off its parser's _actions:
-    its store and append options (nargs None, N or "+") by option string, its
-    defaults, required options and one-value positionals.  It gives what
-    parse_known_args would give, with nothing left over, for argv of exact
-    option strings, --opt=value and values that do not start with '-' or are
-    negative numbers, and None for any other argv, which argparse parses."""
-    options, positionals = {}, []
-    for action in command._actions:
-        if type(action) in (argparse._StoreAction, argparse._AppendAction):
-            entry = (action.dest, action.nargs, action.type, action.choices, type(action) is argparse._AppendAction)
-            if not action.option_strings:
-                positionals.append(entry)
-            elif action.nargs is None or action.nargs == "+" or isinstance(action.nargs, int):
-                options.update(dict.fromkeys(action.option_strings, entry))
-    defaults = {a.dest: a.default for a in command._actions if argparse.SUPPRESS not in (a.dest, a.default)}
-    defaults.update(command._defaults)
-    required = {a.dest for a in command._actions if a.required and a.option_strings}
-    number = command._negative_number_matcher.match
+#: An option: its flag (or a positional's name) and its argparse add_argument keywords.
+_Option = tuple[str, dict]
 
-    def parse(argv: list[str]) -> argparse.Namespace | None:
+#: The options every command takes, ahead of its own.
+_COMMON: tuple[_Option, ...] = (
+    ("--format", {"choices": OUTPUT_FORMATS, "help": "override the output format"}),
+    ("--out", {"metavar": "PATH", "help": "write the table to a file instead of stdout"}),
+    ("--tolerance", {"type": float, "help": "closed-form agreement tolerance (finite, >= 0)"}),
+)
+
+#: Each command's help line, handler and options, declared once: the parse
+#: tables and, where argparse is needed, its parsers are both built from here.
+_COMMANDS: dict[str, tuple[str, Callable[[SimpleNamespace], int], tuple[_Option, ...]]] = {
+    "run": ("evaluate a scenario file", cmd_run, (*_COMMON, ("file", {"help": "scenario file path"}))),
+    "scan": ("evaluate a scenario given as flags", cmd_scan, (
+        *_COMMON,
+        ("--experiment", {"required": True}),
+        ("--state", {}),
+        ("--angle", {"nargs": 2, "action": "append", "metavar": ("NAME", "DEG")}),
+        ("--scan", {"nargs": 4, "metavar": ("NAME", "FROM", "TO", "STEP")}),
+        ("--beam", {"nargs": "+", "action": "append", "metavar": "SPEC"}),
+        ("--geometry", {"nargs": 4, "metavar": ("G11", "G12", "G21", "G22")}),
+    )),
+    "chsh": ("four-setting correlation sum", cmd_chsh, (
+        *_COMMON, ("--state", {}), *((f"--{name}", {"metavar": "DEG"}) for name in EXPERIMENTS["chsh"].angles)
+    )),
+    "selfcheck": ("recompute the verification table", cmd_selfcheck, _COMMON),
+}
+
+# argparse's own pattern, ^-\d+$|^-\d*\.\d+$, reads "-1e-3" and "-1+0i" as options, not values.
+_NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
+
+
+def _parse_table(func: Callable[[SimpleNamespace], int], options: tuple[_Option, ...]) -> _ParseTable:
+    """The parse of one command's argv, built once from its declared options:
+    each a store or append option (nargs None, N or "+") or a one-value
+    positional, every value defaulting to None.  It gives what argparse's
+    parse_known_args would give for the command, with nothing left over, for
+    argv of exact option strings, --opt=value and values that do not start
+    with '-' or are negative numbers, and None for any other argv, which
+    argparse parses."""
+    flags, positionals, defaults, required = {}, [], {"func": func}, set()
+    for name, keywords in options:
+        dest = name.lstrip("-").replace("-", "_")
+        appends = keywords.get("action") == "append"
+        entry = (dest, keywords.get("nargs"), keywords.get("type"), keywords.get("choices"), appends)
+        if name[:1] == "-":
+            flags[name] = entry
+        else:
+            positionals.append(entry)
+        defaults[dest] = None
+        if keywords.get("required"):
+            required.add(dest)
+    number = _NEGATIVE_NUMBER.match
+
+    def parse(argv: list[str]) -> SimpleNamespace | None:
         values, seen, filled, i, n = dict(defaults), set(), 0, 0, len(argv)
         while i < n:
             token = argv[i]
             i += 1
-            entry = options.get(token)
+            entry = flags.get(token)
             if entry is not None:
                 # The values that follow: tokens that do not start with '-', or negative numbers.
                 nargs, start = entry[1], i
@@ -189,14 +228,14 @@ def _parse_table(command: argparse.ArgumentParser) -> _ParseTable:
                 filled += 1
             else:
                 name, _, value = token.partition("=")
-                entry = options.get(name)
+                entry = flags.get(name)
                 if entry is None or entry[1] is not None or not value or (value[0] == "-" and not number(value)):
                     return None
                 strings = [value]
             dest, nargs, convert, choices, appends = entry
             try:
                 strings = strings if convert is None else list(map(convert, strings))
-            except (argparse.ArgumentTypeError, TypeError, ValueError):
+            except (TypeError, ValueError):
                 return None
             if choices is not None and not all(value in choices for value in strings):
                 return None
@@ -205,73 +244,52 @@ def _parse_table(command: argparse.ArgumentParser) -> _ParseTable:
             seen.add(dest)
         if filled < len(positionals) or not required <= seen:
             return None
-        args = argparse.Namespace()
-        vars(args).update(values)
-        return args
+        return SimpleNamespace(**values)
 
     return parse
 
 
+_TABLES = {name: _parse_table(func, options) for name, (_, func, options) in _COMMANDS.items()}
+
+
 @functools.cache
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _ParseTable]]:
-    """The argument parser and each command's parse table by name, built once
-    per process: parsing keeps no state in either, so every main call can
-    share them."""
+def build_parser():
+    """The top-level argparse.ArgumentParser, built from the declared
+    commands once per process, and only for argv that a parse table
+    declines or for a usage error: it alone prints usage, help and errors."""
+    import argparse  # only here: a well-formed request never loads it
+
     parser = argparse.ArgumentParser(
         prog="biphoton",
         description="Exact two-photon polarization-correlation scenarios.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=OUTPUT_FORMATS, help="override the output format")
-    common.add_argument("--out", metavar="PATH", help="write the table to a file instead of stdout")
-    common.add_argument("--tolerance", type=float, help="closed-form agreement tolerance (finite, >= 0)")
-
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", parents=[common], help="evaluate a scenario file")
-    p_run.add_argument("file", help="scenario file path")
-    p_run.set_defaults(func=cmd_run)
-
-    p_scan = sub.add_parser("scan", parents=[common], help="evaluate a scenario given as flags")
-    p_scan.add_argument("--experiment", required=True)
-    p_scan.add_argument("--state")
-    p_scan.add_argument("--angle", nargs=2, action="append", metavar=("NAME", "DEG"))
-    p_scan.add_argument("--scan", nargs=4, metavar=("NAME", "FROM", "TO", "STEP"))
-    p_scan.add_argument("--beam", nargs="+", action="append", metavar="SPEC")
-    p_scan.add_argument("--geometry", nargs=4, metavar=("G11", "G12", "G21", "G22"))
-    p_scan.set_defaults(func=cmd_scan)
-
-    p_chsh = sub.add_parser("chsh", parents=[common], help="four-setting correlation sum")
-    p_chsh.add_argument("--state")
-    for name in EXPERIMENTS["chsh"].angles:
-        p_chsh.add_argument(f"--{name}", metavar="DEG")
-    p_chsh.set_defaults(func=cmd_chsh)
-
-    p_check = sub.add_parser("selfcheck", parents=[common], help="recompute the verification table")
-    p_check.set_defaults(func=cmd_selfcheck)
-    # argparse's own pattern, ^-\d+$|^-\d*\.\d+$, reads "-1e-3" and "-1+0i" as options, not values.
+    for name, (summary, func, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        for flag, keywords in options:
+            command.add_argument(flag, **keywords)
+        command.set_defaults(func=func)
     for each in (parser, *sub.choices.values()):
-        each._negative_number_matcher = re.compile(r"^-\.?\d")
-    return parser, {name: _parse_table(command) for name, command in sub.choices.items()}
+        each._negative_number_matcher = _NEGATIVE_NUMBER
+    return parser
 
 
-def _parse_args(parser: argparse.ArgumentParser, tables: dict[str, _ParseTable], argv: list[str]) -> argparse.Namespace:
+def _parse_args(argv: list[str]) -> SimpleNamespace:
     """argv parsed by its command's parse table, or by the top-level parser
     where no command comes first or the table declines, so that argparse
     prints its own usage, help and errors."""
-    table = tables.get(argv[0]) if argv else None
+    table = _TABLES.get(argv[0]) if argv else None
     args = table(argv[1:]) if table else None
-    return parser.parse_args(argv) if args is None else args
+    return build_parser().parse_args(argv, SimpleNamespace()) if args is None else args
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, tables = build_parser()
     try:
-        args = _parse_args(parser, tables, sys.argv[1:] if argv is None else list(argv))
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
         if args.tolerance is not None and not (math.isfinite(args.tolerance) and args.tolerance >= 0.0):
-            parser.error(f"argument --tolerance: must be finite and >= 0, got {args.tolerance!r}")
+            build_parser().error(f"argument --tolerance: must be finite and >= 0, got {args.tolerance!r}")
         if args.out == "":
-            parser.error("argument --out: expected a file path, got ''")
+            build_parser().error("argument --out: expected a file path, got ''")
     except SystemExit as err:
         # argparse exits 0 after --help and 2 on a usage error, which would read as a mismatch.
         return EXIT_BAD_INPUT if err.code == 2 else err.code

@@ -2,8 +2,9 @@
 
 Every rate is a normally ordered expectation value of detector operators,
 computed exactly on the sparse state: singles_rate is Glauber's G1 (one
-detector, or one point of a screen), coincidence_rate his G2 (two
-detectors).  Rates are dimensionless (overall field constant 1).
+detector, or one point of a screen); his G2 (two detectors) is read off the
+pair matrices of experiments.  Rates are dimensionless (overall field
+constant 1).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import itertools
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fock import EPS_ZERO, FockKet, LinearForm, apply_form, inner, norm2
 
@@ -39,13 +40,6 @@ def singles_rate(ket: FockKet, form: LinearForm) -> float:
     return norm2(apply_form(ket, form))
 
 
-def coincidence_rate(ket: FockKet, form1: LinearForm, form2: LinearForm) -> float:
-    """Two-detector coincidence rate <L1^dag L2^dag L2 L1>, symmetric in the
-    forms: the engine reference for the pair matrices of experiments."""
-    return norm2(apply_form(apply_form(ket, form1), form2))
-
-
-@dataclass(frozen=True)
 class BeamProfile:
     """Analytic transverse envelope of one overlapped beam.
 
@@ -55,25 +49,39 @@ class BeamProfile:
     (x, y) is the real envelope (the amplitude, times the gaussian profile)
     times exp(i phase), phase = tilt * x + phase_offset; sample gives it on a
     whole grid, once per axis where a factor depends on one coordinate only.
+    Beams compare by value.
     """
 
-    kind: str = "plane_wave"
-    tilt: float = DEFAULT_TILT
-    width: float | None = None
-    phase_offset: float = 0.0
-    amplitude: float = 1.0
+    __slots__ = ("kind", "tilt", "width", "phase_offset", "amplitude")
 
-    def __post_init__(self) -> None:
-        if self.kind not in BEAM_KINDS:
-            raise ValueError(f"unknown beam kind {self.kind!r}; expected one of {BEAM_KINDS}")
+    def __init__(
+        self,
+        kind: str = "plane_wave",
+        tilt: float = DEFAULT_TILT,
+        width: float | None = None,
+        phase_offset: float = 0.0,
+        amplitude: float = 1.0,
+    ) -> None:
+        if kind not in BEAM_KINDS:
+            raise ValueError(f"unknown beam kind {kind!r}; expected one of {BEAM_KINDS}")
         # "not >" and "not >=" also reject NaN.
-        if self.kind == "gaussian" and (self.width is None or not self.width > 0):
+        if kind == "gaussian" and (width is None or not width > 0):
             raise ValueError("gaussian beams need width > 0")
-        if self.kind == "gaussian" and not self.width * self.width > 0.0:
+        if kind == "gaussian" and not width * width > 0.0:
             # sample() divides by 2 width^2.
-            raise ValueError(f"gaussian beam width {self.width!r} is too small: its square underflows to 0")
-        if not self.amplitude >= 0:
+            raise ValueError(f"gaussian beam width {width!r} is too small: its square underflows to 0")
+        if not amplitude >= 0:
             raise ValueError("beam amplitude must be >= 0")
+        self.kind, self.tilt, self.width, self.phase_offset, self.amplitude = kind, tilt, width, phase_offset, amplitude
+
+    def _values(self) -> tuple[str, float, float | None, float, float]:
+        return self.kind, self.tilt, self.width, self.phase_offset, self.amplitude
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if type(other) is BeamProfile else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"BeamProfile({', '.join(f'{name}={value!r}' for name, value in zip(self.__slots__, self._values()))})"
 
     def sample(self, grid: ScanGrid) -> BeamSamples:
         """The beam on the grid as (ex, ey, phases): one real factor per x,
@@ -81,28 +89,34 @@ class BeamProfile:
         the envelope at (xs[i], ys[j]) is ex[i] * ey[j].  A plane wave's
         factors are its amplitude and 1; a gaussian takes one exp per x and
         one per y, amplitude exp(-x^2 / (2 width^2)) and exp(-y^2 / (2 width^2))."""
-        phases = tuple(self.tilt * x + self.phase_offset for x in grid.xs)
-        if self.kind != "gaussian":
-            return (self.amplitude,) * len(grid.xs), (1.0,) * len(grid.ys), phases
-        amplitude, spread, exp = self.amplitude, 2.0 * self.width * self.width, math.exp
-        ex = tuple(amplitude * exp(-(x * x) / spread) for x in grid.xs)
-        return ex, tuple(exp(-(y * y) / spread) for y in grid.ys), phases
+        kind, tilt, width, offset, amplitude = self._values()
+        xs, ys = grid
+        phases = tuple(tilt * x + offset for x in xs)
+        if kind != "gaussian":
+            return (amplitude,) * len(xs), (1.0,) * len(ys), phases
+        spread, exp = 2.0 * width * width, math.exp
+        ex = tuple(amplitude * exp(-(x * x) / spread) for x in xs)
+        return ex, tuple(exp(-(y * y) / spread) for y in ys), phases
 
 
 #: Equal-amplitude plane waves with opposite default tilts.
 DEFAULT_BEAMS = (BeamProfile(tilt=DEFAULT_TILT), BeamProfile(tilt=-DEFAULT_TILT))
 
 
-@dataclass(frozen=True)
-class ScanGrid:
+class _Grid(NamedTuple):
+    xs: tuple[float, ...]
+    ys: tuple[float, ...]
+
+
+class ScanGrid(_Grid):
     """Rectangular lattice of detector positions."""
 
-    xs: tuple[float, ...]
-    ys: tuple[float, ...] = (0.0,)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.xs or not self.ys:
+    def __new__(cls, xs: tuple[float, ...], ys: tuple[float, ...] = (0.0,)) -> ScanGrid:
+        if not xs or not ys:
             raise ValueError("scan grid must contain at least one point")
+        return tuple.__new__(cls, (xs, ys))
 
 
 #: Unit line scan of 101 points, x = 0, 0.01, ..., 1.

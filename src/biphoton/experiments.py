@@ -34,7 +34,6 @@ import math
 import operator
 import sys
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import detection as det
@@ -70,20 +69,27 @@ class ScenarioResult(NamedTuple):
         return abs(self.value - self.closed_form)
 
 
-@dataclass(frozen=True)
-class CascadeGeometry:
+class _Geometry(NamedTuple):
+    g11: complex
+    g12: complex
+    g21: complex
+    g22: complex
+
+
+class CascadeGeometry(_Geometry):
     """Complex routing coefficients of the two-color source into the two
     channels; g[i][j] weights frequency j in channel i."""
 
-    g11: complex = 1.0 + 0j
-    g12: complex = 1.0 + 0j
-    g21: complex = 1.0 + 0j
-    g22: complex = 1.0 + 0j
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("g11", "g12", "g21", "g22"):
-            if not cmath.isfinite(getattr(self, name)):
+    def __new__(
+        cls, g11: complex = 1.0 + 0j, g12: complex = 1.0 + 0j, g21: complex = 1.0 + 0j, g22: complex = 1.0 + 0j
+    ) -> CascadeGeometry:
+        coefficients = (g11, g12, g21, g22)
+        for name, value in zip(cls._fields, coefficients):
+            if not cmath.isfinite(value):
                 raise ValueError(f"geometry coefficient {name} must be finite")
+        return tuple.__new__(cls, coefficients)
 
 
 # --- field chains ------------------------------------------------------------
@@ -133,21 +139,20 @@ def cascade_channel_fields(geom: CascadeGeometry) -> tuple[op.ChannelField, op.C
     return ch1, ch2
 
 
-@dataclass(frozen=True, eq=False)
 class Source:
     """A two-photon state seen through two analyzer arms.
 
     The coincidence rate at analyzer angles (t1, t2) is the normally ordered
     <L1^dag L2^dag L2 L1> of the two polarizer operators (Glauber's G2),
     read off the two-photon amplitude matrix K, with closed form
-    peak * law(t1 - t2) ** 2, law being math.sin or math.cos.
+    peak * law(t1 - t2) ** 2, law being math.sin or math.cos.  Sources
+    compare by identity.
     """
 
-    ket: FockKet
-    arm1: op.ChannelField
-    arm2: op.ChannelField
-    peak: float
-    law: Callable[[float], float]
+    def __init__(
+        self, ket: FockKet, arm1: op.ChannelField, arm2: op.ChannelField, peak: float, law: Callable[[float], float]
+    ) -> None:
+        self.ket, self.arm1, self.arm2, self.peak, self.law = ket, arm1, arm2, peak, law
 
     @functools.cached_property
     def K(self) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
@@ -242,9 +247,10 @@ def _build_source(kind: str, geometry: CascadeGeometry, split: bool) -> Source:
 def coincidence(src: Source, t1: float, t2: float) -> ScenarioResult:
     """Coincidence rate of the two analyzers at angles t1, t2: the squared
     modulus of the amplitude c1^T K c2 (Source.K), or 0 as the engine prunes
-    it where that modulus is <= EPS_PRUNE.  It agrees with
-    det.coincidence_rate(src.ket, op.polarizer(src.arm1, t1),
-    op.polarizer(src.arm2, t2)) to rounding.  The closed form takes
+    it where that modulus is <= EPS_PRUNE.  It agrees to rounding with the
+    engine's <L1^dag L2^dag L2 L1>, norm2(apply_form(apply_form(src.ket,
+    op.polarizer(src.arm1, t1)), op.polarizer(src.arm2, t2))), which the
+    tests keep as coincidence_rate in tests/support.py.  The closed form takes
     law(t1 - t2) from the value's cos and sin of each angle, so it holds at
     any finite angles.  The tolerance is 1e-9 of src.peak, the largest value
     the closed form takes, but no less than EPS_PRUNE ** 2, below which the
@@ -419,8 +425,7 @@ def chsh_S(src: Source, a: float, ap: float, b: float, bp: float) -> float:
 # --- experiment registry and scans ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Experiment:
+class Experiment(NamedTuple):
     """Everything the scenario layer knows about one named experiment.
 
     rows(state, geometry, beams, columns) builds the scenario (its source,

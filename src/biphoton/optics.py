@@ -10,7 +10,7 @@ field onto one transmission axis, yielding the detector operator for that arm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fock import _SQRT1_2, LinearForm
 
@@ -18,8 +18,7 @@ from .fock import _SQRT1_2, LinearForm
 JonesMatrix = tuple[tuple[complex, complex], tuple[complex, complex]]
 
 
-@dataclass(frozen=True, eq=False)
-class ChannelField:
+class ChannelField(NamedTuple):
     """Positive-frequency field of one channel: v e_v + h e_h."""
 
     v: LinearForm

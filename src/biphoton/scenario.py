@@ -19,7 +19,7 @@ default, so formatting a parsed spec and re-parsing it is the identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .detection import DEFAULT_BEAMS, BeamProfile
 from .experiments import EXPERIMENTS, CascadeGeometry, ScenarioResult, scan_count, scan_values
@@ -39,22 +39,23 @@ class ValidationError(ValueError):
     """Grammatically valid spec that violates a semantic rule."""
 
 
-@dataclass(frozen=True)
-class Scan:
+class Scan(NamedTuple):
     name: str
     start: float
     stop: float
     step: float
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(NamedTuple):
+    """A parsed scenario; angles maps names to degrees, and is never
+    mutated, so one empty default is shared."""
+
     experiment: str
     state: str
-    angles: dict[str, float] = field(default_factory=dict)  # degrees
+    angles: dict[str, float] = {}
     scan: Scan | None = None
     beams: tuple[BeamProfile, BeamProfile] = DEFAULT_BEAMS
-    geometry: CascadeGeometry = field(default_factory=CascadeGeometry)
+    geometry: CascadeGeometry = CascadeGeometry()
     output: str = "csv"
 
 

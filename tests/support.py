@@ -12,8 +12,8 @@ import numpy as np
 
 import oracle
 import biphoton
-from biphoton.detection import coincidence_rate, singles_rate
-from biphoton.fock import FockKet, LinearForm, norm2, occupation
+from biphoton.detection import singles_rate
+from biphoton.fock import FockKet, LinearForm, apply_form, norm2, occupation
 from biphoton.modes import ModeId
 from biphoton.selfcheck import selfcheck_rows
 
@@ -46,6 +46,13 @@ def normalized(ket: FockKet) -> FockKet:
     return FockKet({occ: a * factor for occ, a in ket.items()})
 
 
+def coincidence_rate(ket: FockKet, form1: LinearForm, form2: LinearForm) -> float:
+    """Two-detector coincidence rate <L1^dag L2^dag L2 L1> by the engine,
+    symmetric in the forms: the reference for the pair matrices of
+    experiments, which the package reads its coincidences off instead."""
+    return norm2(apply_form(apply_form(ket, form1), form2))
+
+
 def corrupt_selfcheck_row(monkeypatch, observable: str) -> None:
     """Have the CLI's selfcheck report one row with its closed form shifted by 1e-3."""
     rows = [
@@ -53,7 +60,7 @@ def corrupt_selfcheck_row(monkeypatch, observable: str) -> None:
         for row in selfcheck_rows()
     ]
     assert observable in [row.observable for row in rows]
-    monkeypatch.setattr("biphoton.cli.selfcheck_rows", lambda: rows)
+    monkeypatch.setattr("biphoton.selfcheck.selfcheck_rows", lambda: rows)
 
 
 def oracle_amplitudes(items) -> dict:

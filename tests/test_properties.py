@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biphoton import scenario as sc
+from biphoton.cli import _TABLES as TABLES
 from biphoton.cli import build_parser, main
 from biphoton.detection import DEFAULT_BEAMS, BeamProfile
 from biphoton.experiments import EXPERIMENTS, CascadeGeometry
@@ -173,8 +174,7 @@ def test_cli_exit_code_contract(argv):
         assert rows and all(row[key] not in (None, "") for row in rows for key in ("closed_form", "abs_error")), argv
 
 
-PARSER, TABLES = build_parser()
-COMMANDS = next(action.choices for action in PARSER._actions if isinstance(action, argparse._SubParsersAction))
+COMMANDS = next(action.choices for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction))
 #: Values a flag may take, among them negative numbers and empty and spaced
 #: values, and tokens at the edge of what a parse table accepts: a lone "-",
 #: "--", abbreviations, "=" forms (empty ones too), help and a bad choice.
