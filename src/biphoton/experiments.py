@@ -33,7 +33,7 @@ import itertools
 import math
 import operator
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from typing import NamedTuple
 
 from . import detection as det
@@ -261,25 +261,39 @@ def coincidence(src: Source, t1: float, t2: float) -> ScenarioResult:
 
 def coincidence_rows(src: Source, t1s: Sequence[float], t2s: Sequence[float]) -> list[ScenarioResult]:
     """coincidence at each (t1, t2) of the product of t1s and t2s, in product
-    order, bit for bit.  Arm 1 enters as the row c1^T K, worked out once per
-    t1, and arm 2 as c2 = (cos t2, sin t2), once per t2.  The square stays
-    amp ** 2, which raises OverflowError where a rate is too large for a
-    float."""
+    order, bit for bit.  One trig pass per column: arm 1 gives, once per t1,
+    the row (u0, u1) = c1^T K and the law's row (x1, y1), so that law(t1 -
+    t2) = x1 c2 + y1 s2 by angle addition, (s1, -c1) for sin and (c1, s1)
+    for cos; arm 2 gives c2 = (cos t2, sin t2) once per t2.  The values
+    |u . c2|^2 and the closed forms peak (x . c2)^2 are then one list each,
+    one pass over the product each, and _results makes the rows from them
+    in step, so that a row allocates no tuple but its ScenarioResult.  The
+    square stays amp ** 2, which raises OverflowError where a rate is too
+    large for a float."""
     (kvv, kvh), (khv, khh) = src.K
-    arm1 = [(c, s, (c * kvv + s * khv, c * kvh + s * khh)) for c, s in [(math.cos(t), math.sin(t)) for t in t1s]]
-    arm2 = [(math.cos(t), math.sin(t)) for t in t2s]
-    # law(t1 - t2) by angle addition, sin = s1 c2 - c1 s2 or cos = c1 c2 + s1 s2.
     sine = src.law is math.sin
-    peak, tolerance = src.peak, max(1e-9 * src.peak, EPS_PRUNE ** 2)
-    return [
-        ScenarioResult(
-            "coincidence_rate",
-            0 if (amp := abs(u0 * c2 + u1 * s2)) <= EPS_PRUNE else amp ** 2,
-            peak * (s1 * c2 - c1 * s2 if sine else c1 * c2 + s1 * s2) ** 2,
-            tolerance,
-        )
-        for (c1, s1, (u0, u1)), (c2, s2) in itertools.product(arm1, arm2)
+    # (s1, -c1): s1 c2 + (-c1) s2 is s1 c2 - c1 s2 to the bit, as x - y is x + (-y) and rounding is odd in sign.
+    arm1 = [
+        (c * kvv + s * khv, c * kvh + s * khh, s if sine else c, -c if sine else s)
+        for t in t1s
+        for c, s in [(math.cos(t), math.sin(t))]
     ]
+    arm2 = [(math.cos(t), math.sin(t)) for t in t2s]
+    values = [
+        0 if (amp := abs(u0 * c2 + u1 * s2)) <= EPS_PRUNE else amp ** 2
+        for (u0, u1, _, _), (c2, s2) in itertools.product(arm1, arm2)
+    ]
+    peak = src.peak
+    closed_forms = [peak * (x1 * c2 + y1 * s2) ** 2 for (_, _, x1, y1), (c2, s2) in itertools.product(arm1, arm2)]
+    tolerance = max(1e-9 * peak, EPS_PRUNE ** 2)
+    return _results(zip(itertools.repeat("coincidence_rate"), values, closed_forms, itertools.repeat(tolerance)))
+
+
+def _results(rows: Iterable[tuple[str, float, float, float]]) -> list[ScenarioResult]:
+    """A ScenarioResult of each (observable, value, closed_form, tolerance)
+    row, made by tuple.__new__ as ScenarioResult._make makes it, without a
+    Python frame per row."""
+    return list(map(tuple.__new__, itertools.repeat(ScenarioResult), rows))
 
 
 # --- single-point scenarios -----------------------------------------------------
@@ -409,7 +423,7 @@ def correlation_E(src: Source, theta1: float, theta2: float) -> float:
     return _bilinear(T, _d(theta1), _d(theta2)) / T[0]
 
 
-def _chsh_S(T: tuple[float, ...], *ds: tuple[float, float]) -> float:
+def _chsh_S(T: tuple[float, ...], ds: Sequence[tuple[float, float]]) -> float:
     """chsh_S from T = Source.T and the d vectors of its four angles."""
     da, dap, (b0, b1), (c0, c1) = ds
     return (_bilinear(T, da, (b0 - c0, b1 - c1)) + _bilinear(T, dap, (b0 + c0, b1 + c1))) / T[0]
@@ -419,7 +433,7 @@ def chsh_S(src: Source, a: float, ap: float, b: float, bp: float) -> float:
     """Four-setting correlation sum E(a,b) - E(a,b') + E(a',b) + E(a',b')
     (correlation_E), as [d(a)^T T (d(b) - d(b')) + d(a')^T T (d(b) + d(b'))]
     / ||K||_F^2."""
-    return _chsh_S(_checked_T(src), _d(a), _d(ap), _d(b), _d(bp))
+    return _chsh_S(_checked_T(src), (_d(a), _d(ap), _d(b), _d(bp)))
 
 
 # --- experiment registry and scans ------------------------------------------------------
@@ -449,18 +463,21 @@ def _pair_experiment(names: tuple[str, str], states: tuple[str, ...], default: s
     return Experiment(dict.fromkeys(names, 0.0), states, default, rows)
 
 
-def _chsh_closed_form(*ds: tuple[float, float]) -> float:
+def _chsh_closed_form(ds: Sequence[tuple[float, float]]) -> float:
     # Each correlation_E closes to -/+cos 2(x - y) = -/+d(x).d(y); the common sign drops out of abs(S) exactly.
     (a0, a1), (p0, p1), (b0, b1), (c0, c1) = ds
     return abs((a0 * b0 + a1 * b1) - (a0 * c0 + a1 * c1) + (p0 * b0 + p1 * b1) + (p0 * c0 + p1 * c1))
 
 
 def _chsh_rows(state: str, geometry: CascadeGeometry, beams, columns: Sequence[Sequence[float]]) -> list[ScenarioResult]:
+    """abs(chsh_S) and its closed form at each point of the product of the
+    columns (a, ap, b, bp), in product order: each column's d vectors in one
+    pass, then one pass over the product for the fields of each row, which
+    _results makes into the row.  The two calls of a chsh row cost more
+    than its field tuple, and a pass per field would add to a point."""
     T = _checked_T(source(state))
-    return [
-        ScenarioResult("abs_S", abs(_chsh_S(T, *ds)), _chsh_closed_form(*ds))
-        for ds in itertools.product(*[map(_d, column) for column in columns])
-    ]
+    settings = itertools.product(*[map(_d, column) for column in columns])
+    return _results([("abs_S", abs(_chsh_S(T, ds)), _chsh_closed_form(ds), 1e-9) for ds in settings])
 
 
 EXPERIMENTS: dict[str, Experiment] = {

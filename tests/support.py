@@ -13,7 +13,8 @@ import numpy as np
 import oracle
 import biphoton
 from biphoton.detection import singles_rate
-from biphoton.fock import FockKet, LinearForm, apply_form, norm2, occupation
+from biphoton.experiments import ScenarioResult, Source
+from biphoton.fock import EPS_PRUNE, FockKet, LinearForm, apply_form, norm2, occupation
 from biphoton.modes import ModeId
 from biphoton.selfcheck import selfcheck_rows
 
@@ -51,6 +52,23 @@ def coincidence_rate(ket: FockKet, form1: LinearForm, form2: LinearForm) -> floa
     symmetric in the forms: the reference for the pair matrices of
     experiments, which the package reads its coincidences off instead."""
     return norm2(apply_form(apply_form(ket, form1), form2))
+
+
+def coincidence_row(src: Source, t1: float, t2: float) -> ScenarioResult:
+    """The coincidence row of src at analyzer angles t1, t2, one point at a
+    time and one float operation at a time: the amplitude u0 c2 + u1 s2 of
+    the row u = c1^T K (Source.K) and c2 = (cos t2, sin t2), its square amp
+    ** 2 (OverflowError past the float range) or the integer 0 where amp <=
+    EPS_PRUNE, the closed form peak * law(t1 - t2) ** 2 by angle addition,
+    and the tolerance 1e-9 * peak, at least EPS_PRUNE ** 2.  The reference
+    that experiments.coincidence_rows must match by repr at every point."""
+    (kvv, kvh), (khv, khh) = src.K
+    c1, s1, c2, s2 = math.cos(t1), math.sin(t1), math.cos(t2), math.sin(t2)
+    u0, u1 = c1 * kvv + s1 * khv, c1 * kvh + s1 * khh
+    amp = abs(u0 * c2 + u1 * s2)
+    value = 0 if amp <= EPS_PRUNE else amp ** 2
+    law = s1 * c2 - c1 * s2 if src.law is math.sin else c1 * c2 + s1 * s2
+    return ScenarioResult("coincidence_rate", value, src.peak * law ** 2, max(1e-9 * src.peak, EPS_PRUNE ** 2))
 
 
 def corrupt_selfcheck_row(monkeypatch, observable: str) -> None:

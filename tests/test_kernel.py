@@ -34,6 +34,7 @@ from biphoton import experiments as ex
 from biphoton import optics as op
 from biphoton.cli import main
 from biphoton.fock import (
+    EPS_PRUNE,
     EPS_ZERO,
     FockKet,
     LinearForm,
@@ -47,7 +48,7 @@ from biphoton.fock import (
 )
 from biphoton.modes import H1, V1, V2
 from biphoton.scenario import evaluate, parse_scenario
-from support import EIGHT_MODES, coincidence_rate, form_dict, oracle_amplitudes, to_oracle
+from support import EIGHT_MODES, coincidence_rate, coincidence_row, form_dict, oracle_amplitudes, to_oracle
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=300, database=None)
 
@@ -270,24 +271,29 @@ def column_cases(rng: np.random.Generator, n: int) -> list[list[list[float]]]:
 
 def assert_rows_are_points(rows, point, columns) -> None:
     """rows(columns) gives point(*angles) at each point of the product of
-    columns, in product order, by repr; where a point raises, rows raises one
-    of the points' exception types (a scan prints no row then)."""
+    columns, in product order, by repr, each row a ScenarioResult equal to
+    one made field by field; where a point raises, rows raises one of the
+    points' exception types (a scan prints no row then)."""
     want = [outcome(lambda: point(*angles)) for angles in itertools.product(*columns)]
     try:
-        got = [(type(row), repr(row)) for row in rows(columns)]
+        results = rows(columns)
     except (OverflowError, ValueError) as err:
         assert type(err) in want, columns
         return
-    assert got == want, columns
+    assert [(type(row), repr(row)) for row in results] == want, columns
+    assert all(type(row) is ex.ScenarioResult and row == ex.ScenarioResult(*row) for row in results), columns
 
+
+#: The cascade geometries of the scans: the default, a random one, one whose
+#: K is finite but whose rates overflow, and OVERFLOW_GEOMETRY.
+CASCADE_GEOMETRIES = [ex.CascadeGeometry(), ex.CascadeGeometry(0.3 - 1.2j, 2 + 1j, -0.7 + 0.1j, 1.5 - 0.5j),
+                      ex.CascadeGeometry(1e200 + 0j, 1 + 0j, 1 + 0j, 1e200 + 0j), OVERFLOW_GEOMETRY]
 
 PAIR_CASES = [
     (experiment, state, geometry)
     for experiment in ("fig1", "pdc", "fig2", "cascade")
     for state in ex.EXPERIMENTS[experiment].states
-    for geometry in ([ex.CascadeGeometry(), ex.CascadeGeometry(0.3 - 1.2j, 2 + 1j, -0.7 + 0.1j, 1.5 - 0.5j),
-                      ex.CascadeGeometry(1e200 + 0j, 1 + 0j, 1 + 0j, 1e200 + 0j), OVERFLOW_GEOMETRY]
-                     if experiment == "cascade" else [ex.CascadeGeometry()])
+    for geometry in (CASCADE_GEOMETRIES if experiment == "cascade" else [ex.CascadeGeometry()])
 ]
 
 
@@ -297,7 +303,28 @@ def test_a_coincidence_column_is_the_per_point_coincidence_by_repr(experiment, s
     assert all(cmath.isfinite(k) for row in src.K for k in row) == (abs(geometry.g11) < 1e150)
     rows = functools.partial(ex.EXPERIMENTS[experiment].rows, state, geometry, det.DEFAULT_BEAMS)
     for columns in column_cases(np.random.default_rng(61), 2):
-        assert_rows_are_points(rows, lambda t1, t2: ex.coincidence(src, t1, t2), columns)
+        assert_rows_are_points(rows, functools.partial(coincidence_row, src), columns)
+
+
+#: The seven shared sources as (kind, split), at the default geometry, and
+#: the cascade at each other geometry of CASCADE_GEOMETRIES.
+SOURCE_CASES = [
+    (kind, ex.CascadeGeometry(), split)
+    for kind in ex.NAMED_STATE_KINDS
+    for split in (False, True)
+    if not (split and kind == "psi_u_prime")
+] + [("psi_u_prime", geometry, False) for geometry in CASCADE_GEOMETRIES[1:]]
+
+
+@pytest.mark.parametrize("kind,geometry,split", SOURCE_CASES)
+def test_coincidence_rows_are_the_reference_rows_by_repr(kind, geometry, split):
+    src = ex.source(kind, geometry, split)
+
+    def rows(columns):
+        return ex.coincidence_rows(src, *columns)
+
+    for columns in column_cases(np.random.default_rng(63), 2):
+        assert_rows_are_points(rows, functools.partial(coincidence_row, src), columns)
 
 
 @pytest.mark.parametrize("state", ex.NAMED_STATE_KINDS)
@@ -372,6 +399,38 @@ def test_K_agrees_with_engine_and_oracle_on_random_kets_and_forms(ket, v1, h1, v
     bound = 4e-15 * scale / total
     assert abs(fast - (exact[0] + exact[1] - exact[2] - exact[3]) / total) <= bound
     assert abs(fast - four_rate_E(engine_rate, src, t1, t2)) <= bound
+
+
+#: The unit roundoff of a double.
+UNIT_ROUNDOFF = 2.0 ** -53
+
+
+@PROPERTY
+@given(kets(), forms, forms, forms, forms, angle, angle, angle)
+def test_coincidence_rows_are_nonnegative_complete_and_no_signalling(ket, v1, h1, v2, h2, t1, t2, t2b):
+    # Analyzers at t and t + pi/2 form an orthonormal basis of each arm, so
+    # the four rates of the two bases sum to ||K||_F^2 = Source.T[0]
+    # (completeness), and arm 1's marginal, summed over arm 2's basis, is
+    # ||c1^T K||^2 whatever t2 is (no-signalling; Popescu and Rohrlich, Found.
+    # Phys. 24, 379 (1994)).  With M = sum |K_ij|, every rate is at most M^2.
+    # t + pi/2 rounds by up to 9 u for |t| <= 7, tilting a basis off
+    # orthogonal by that angle (up to 18 u M^2 per arm), and each rate and
+    # ||K||_F^2 round by a few u M^2 more; so the bound is 64 u M^2, plus the
+    # four rates of at most EPS_PRUNE^2 that are pruned to 0.  The worst seen
+    # in three runs of 5,000 random examples was 12 u M^2.
+    src = ex.Source(ket, op.ChannelField(v1, h1), op.ChannelField(v2, h2), 1.0, math.sin)
+    q = math.pi / 2
+    rates = [row.value for row in ex.coincidence_rows(src, [t1, t1 + q], [t2, t2 + q, t2b, t2b + q])]
+    assert all(rate >= 0 for rate in rates)
+    (a, b), (c, d) = src.K
+    bound = 64 * UNIT_ROUNDOFF * (abs(a) + abs(b) + abs(c) + abs(d)) ** 2 + 4 * EPS_PRUNE ** 2
+    # In product order, rates[4 * i + j] is at t1, t1 + pi/2 (i) and t2, t2 + pi/2, t2b, t2b + pi/2 (j).
+    for j in (0, 2):
+        assert abs(rates[j] + rates[j + 1] + rates[j + 4] + rates[j + 5] - src.T[0]) <= bound
+    c1, s1 = math.cos(t1), math.sin(t1)
+    marginal = abs(c1 * a + s1 * c) ** 2 + abs(c1 * b + s1 * d) ** 2
+    assert abs(rates[0] + rates[1] - marginal) <= bound
+    assert abs(rates[2] + rates[3] - marginal) <= bound
 
 
 @PROPERTY
