@@ -9,20 +9,19 @@ constant 1).
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 import operator
 from collections.abc import Sequence
 from typing import NamedTuple
 
-from .fock import EPS_ZERO, FockKet, LinearForm, apply_form, inner, norm2
+from .fock import EPS_ZERO, FockKet, LinearForm, apply_form, norm2
 
 BEAM_KINDS = ("plane_wave", "gaussian")
 
-#: A beam on a grid: a real factor per x (carrying the amplitude), one per y,
-#: and the phase of each x; the envelope at (xs[i], ys[j]) is ex[i] * ey[j].
-BeamSamples = tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]
+#: A beam on a grid (BeamProfile.sample): a real factor per x (carrying the
+#: amplitude), one per y, and the phasor (cos p, sin p) of each x's phase p.
+BeamSamples = tuple[tuple[float, ...], tuple[float, ...], tuple[tuple[float, float], ...]]
 
 #: Default transverse wavevector: five full fringes across the unit line scan,
 #: with fringe extrema landing exactly on the default grid points.
@@ -84,19 +83,27 @@ class BeamProfile:
         return f"BeamProfile({', '.join(f'{name}={value!r}' for name, value in zip(self.__slots__, self._values()))})"
 
     def sample(self, grid: ScanGrid) -> BeamSamples:
-        """The beam on the grid as (ex, ey, phases): one real factor per x,
-        which carries the amplitude, one per y, and the phase of each x, so
-        the envelope at (xs[i], ys[j]) is ex[i] * ey[j].  A plane wave's
-        factors are its amplitude and 1; a gaussian takes one exp per x and
-        one per y, amplitude exp(-x^2 / (2 width^2)) and exp(-y^2 / (2 width^2))."""
+        """The beam on the grid as (ex, ey, phasors): one real factor per x,
+        which carries the amplitude, one per y, and (cos p, sin p) of each
+        x's phase p = tilt * x + phase_offset, (nan, nan) where p is not
+        finite, so the field at (xs[i], ys[j]) is ex[i] ey[j] exp(i p).  A
+        plane wave's factors are its amplitude and 1; a gaussian takes one
+        exp per x and one per y.  The pairs are a fig3 row's only trig: the
+        map and its closed form both read them, so a wrong phase would not
+        show as a mismatch between the two, and the tests pin each pair."""
         kind, tilt, width, offset, amplitude = self._values()
         xs, ys = grid
-        phases = tuple(tilt * x + offset for x in xs)
+        phases = [tilt * x + offset for x in xs]
+        # A finite sum has no inf or NaN term, so neither C-level map can raise (math.cos raises on inf).
+        if math.isfinite(sum(phases)):
+            phasors = tuple(zip(map(math.cos, phases), map(math.sin, phases)))
+        else:
+            phasors = tuple((math.cos(p), math.sin(p)) if math.isfinite(p) else (math.nan, math.nan) for p in phases)
         if kind != "gaussian":
-            return (amplitude,) * len(xs), (1.0,) * len(ys), phases
+            return (amplitude,) * len(xs), (1.0,) * len(ys), phasors
         spread, exp = 2.0 * width * width, math.exp
         ex = tuple(amplitude * exp(-(x * x) / spread) for x in xs)
-        return ex, tuple(exp(-(y * y) / spread) for y in ys), phases
+        return ex, tuple(exp(-(y * y) / spread) for y in ys), phasors
 
 
 #: Equal-amplitude plane waves with opposite default tilts.
@@ -123,36 +130,31 @@ class ScanGrid(_Grid):
 DEFAULT_GRID = ScanGrid(xs=tuple(k * 0.01 for k in range(101)))
 
 
-def intensity_map(
-    ket: FockKet,
-    channel_forms: Sequence[LinearForm],
-    samples: Sequence[BeamSamples],
-) -> tuple[tuple[float, ...], ...]:
+def intensity_map(gram: tuple[float, float, complex], samples: Sequence[BeamSamples]) -> tuple[tuple[float, ...], ...]:
     """Overlapped-beam rate over a grid, as len(ys) rows of len(xs) cells.
 
-    channel_forms = (f, g) are the detector operators reached by the two
-    beams, and samples are the two beams on the grid (BeamProfile.sample),
-    which a caller can share with a closed form of the same map.
-
-    A cell is the singles rate of the summed field a f + b g, a and b being
-    the beams' envelopes ex ey times exp(i phase), evaluated as the Gram form
-    |a|^2 <u|u> + |b|^2 <w|w> + 2 Re(conj(a) b <u|w>) of u = f|ket> and
-    w = g|ket>, which the engine computes once per map.  The form separates
-    into P = ex1^2, Q = ex2^2 and C = 2 ex1 ex2 Re(conj(z1) z2 <u|w>) per
-    column, with one phasor z = exp(i phase) per column and beam, and
-    ey1^2 <u|u>, ey2^2 <w|w> and ey1 ey2 per row: a cell is three real
-    products.  This holds for any ket, and agrees with singles_rate cell by
-    cell to rounding.
-    """
-    if len(channel_forms) != 2 or len(samples) != 2:
+    gram is (<u|u>, <w|w>, <u|w>) of u = f|ket> and w = g|ket>, f and g being
+    the detector operators the two beams reach (the engine's part, which
+    fig3 keeps once per state), and samples are the two beams on the grid
+    (BeamProfile.sample).  A cell is the singles rate of the summed field
+    a f + b g, a and b being the beams' envelopes ex ey times exp(i p), as
+    the Gram form |a|^2 <u|u> + |b|^2 <w|w> + 2 Re(conj(a) b <u|w>).  It
+    separates into P = ex1^2, Q = ex2^2 and C = 2 ex1 ex2 Re(conj(z1) z2
+    <u|w>) per column, z = (cos p, sin p), and ey1^2 <u|u>, ey2^2 <w|w> and
+    ey1 ey2 per row: a cell is three real products.  This holds for any
+    ket, and agrees with singles_rate cell by cell to rounding."""
+    if len(samples) != 2:
         raise ValueError("intensity maps overlap exactly two beams")
-    u, w = (apply_form(ket, form) for form in channel_forms)
-    uu, ww, uw = norm2(u), norm2(w), inner(u, w)
-    (ex1, ey1, phases1), (ex2, ey2, phases2) = samples
+    uu, ww, uw = gram
+    ur, ui = uw.real, uw.imag
+    (ex1, ey1, z1), (ex2, ey2, z2) = samples
+    rows = list(zip([e * e * uu for e in ey1], [e * e * ww for e in ey2], map(operator.mul, ey1, ey2)))
+    # Re(conj(z1) z2 <u|w>) in reals is the complex product bit for bit: x - (-y) is x + y and (-a) b is -(a b).
     # A phasor per beam: exp(i (p2 - p1)) would round p2 - p1 first and lose huge phases.
-    cross = [(cmath.exp(1j * p1).conjugate() * cmath.exp(1j * p2) * uw).real for p1, p2 in zip(phases1, phases2)]
-    columns = [(e1 * e1, e2 * e2, 2.0 * e1 * e2 * c) for e1, e2, c in zip(ex1, ex2, cross)]
-    rows = zip([e * e * uu for e in ey1], [e * e * ww for e in ey2], map(operator.mul, ey1, ey2))
+    columns = [
+        (e1 * e1, e2 * e2, 2.0 * e1 * e2 * ((c1 * c2 + s1 * s2) * ur - (c1 * s2 - s1 * c2) * ui))
+        for e1, e2, (c1, s1), (c2, s2) in zip(ex1, ex2, z1, z2)
+    ]
     return tuple(tuple([r1 * p + r2 * q + r12 * c for p, q, c in columns]) for r1, r2, r12 in rows)
 
 

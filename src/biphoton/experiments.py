@@ -47,7 +47,9 @@ from .fock import (
     LinearForm,
     apply_form,
     combination_forms,
+    inner,
     named_state,
+    norm2,
     unit_form,
 )
 from .modes import BEAM_H, BEAM_V, H1, H2, V1, V2, W1H, W1V, W2H, W2V
@@ -125,18 +127,13 @@ def pdc_channel_fields(kind: str) -> tuple[op.ChannelField, op.ChannelField]:
 
 
 def cascade_channel_fields(geom: CascadeGeometry) -> tuple[op.ChannelField, op.ChannelField]:
-    """Both frequencies reach both channels, weighted by the geometry."""
-    w1_v, w1_h = unit_form(W1V), unit_form(W1H)
-    w2_v, w2_h = unit_form(W2V), unit_form(W2H)
-    ch1 = op.ChannelField(
-        w1_v.scale(geom.g11).plus(w2_v.scale(geom.g12)),
-        w1_h.scale(geom.g11).plus(w2_h.scale(geom.g12)),
+    """Both frequencies reach both channels, weighted by the geometry: each
+    component of channel i is g[i][1] w1 + g[i][2] w2 of its two colors."""
+    g11, g12, g21, g22 = geom
+    return (
+        op.ChannelField(LinearForm({W1V: g11, W2V: g12}), LinearForm({W1H: g11, W2H: g12})),
+        op.ChannelField(LinearForm({W1V: g21, W2V: g22}), LinearForm({W1H: g21, W2H: g22})),
     )
-    ch2 = op.ChannelField(
-        w1_v.scale(geom.g21).plus(w2_v.scale(geom.g22)),
-        w1_h.scale(geom.g21).plus(w2_h.scale(geom.g22)),
-    )
-    return ch1, ch2
 
 
 class Source:
@@ -312,28 +309,35 @@ def fig1_conditional_check(src: Source, theta1: float) -> float:
     return det.singles_rate(leftover, bare_analyzer)
 
 
-def _cos_sin(phase: float) -> tuple[float, float]:
-    # math.cos raises on inf; the engine's map is NaN there too.
-    return (math.cos(phase), math.sin(phase)) if math.isfinite(phase) else (math.nan, math.nan)
-
-
 def _fig3_closed_form(kind: str, samples: Sequence[det.BeamSamples]) -> float:
     """Visibility of the first-order interference of the two beam envelopes
-    e = ex ey and phases p from the beams' BeamProfile.sample, by row and
+    e = ex ey and phasors (cos p, sin p) of BeamProfile.sample, by row and
     column as in intensity_map with analytic coefficients: e1^2 + e2^2 +
     2 e1 e2 cos(p1 - p2) for psi_u (one combination mode reaches the screen
     through both beams) and (e1^2 + e2^2) / 2 for psi_e (H1 and V2 add
-    incoherently, occupation 1/2 each)."""
-    (ex1, ey1, phases1), (ex2, ey2, phases2) = samples
-    if kind == "psi_e":
-        occupation, cross = 0.5, [0.0] * len(ex1)
-    else:
-        # cos(p1 - p2) by angle addition, as the engine takes one phasor per beam: p1 - p2 would round first.
-        cosines = (c1 * c2 + s1 * s2 for (c1, s1), (c2, s2) in zip(map(_cos_sin, phases1), map(_cos_sin, phases2)))
-        occupation, cross = 1.0, [2.0 * e1 * e2 * c for e1, e2, c in zip(ex1, ex2, cosines)]
-    columns = [(e1 * e1, e2 * e2, c) for e1, e2, c in zip(ex1, ex2, cross)]
+    incoherently, occupation 1/2 each).  It takes no trig of its own."""
+    (ex1, ey1, z1), (ex2, ey2, z2) = samples
+    occupation = 0.5 if kind == "psi_e" else 1.0
     rows = zip([e * e * occupation for e in ey1], [e * e * occupation for e in ey2], map(operator.mul, ey1, ey2))
+    if kind == "psi_e":
+        columns = [(e1 * e1, e2 * e2) for e1, e2 in zip(ex1, ex2)]
+        return det.visibility([[r1 * p + r2 * q for p, q in columns] for r1, r2, _ in rows])
+    # cos(p1 - p2) by angle addition, as the map takes one phasor per beam: p1 - p2 would round first.
+    phasors = zip(ex1, ex2, z1, z2)
+    columns = [(e1 * e1, e2 * e2, 2.0 * e1 * e2 * (c1 * c2 + s1 * s2)) for e1, e2, (c1, s1), (c2, s2) in phasors]
     return det.visibility([[r1 * p + r2 * q + r12 * c for p, q, c in columns] for r1, r2, r12 in rows])
+
+
+@functools.cache
+def _fig3_gram(kind: str) -> tuple[float, float, complex]:
+    """The Gram triple (<u|u>, <w|w>, <u|w>) of the kind's state under its
+    two screen forms (fig3_visibility), u = f|ket> and w = g|ket>: two
+    engine applies, once per process per kind, as source shares K."""
+    if kind not in ("psi_e", "psi_u"):
+        raise ValueError(f"no overlap scenario for state {kind!r}")
+    forms = [unit_form(H1), unit_form(V2)] if kind == "psi_e" else [combination_forms()[1]] * 2
+    u, w = (apply_form(named_state(kind), form) for form in forms)
+    return norm2(u), norm2(w), inner(u, w)
 
 
 def fig3_visibility(
@@ -346,20 +350,14 @@ def fig3_visibility(
     Channel 1 is analyzed horizontally and rotated to vertical, channel 2 is
     analyzed vertically, so both beams hit the screen in the same
     polarization and only the state decides whether they interfere.  Each
-    beam is sampled once, and the engine's map and the closed form share
-    the samples.
+    beam is sampled once, and the map and the closed form share the
+    samples.
     """
+    gram = _fig3_gram(kind)
     grid = grid or det.DEFAULT_GRID
     beams = tuple(beams) if beams is not None else det.DEFAULT_BEAMS
-    if kind == "psi_e":
-        screen_forms = [unit_form(H1), unit_form(V2)]
-    elif kind == "psi_u":
-        _, second = combination_forms()
-        screen_forms = [second, second]
-    else:
-        raise ValueError(f"no overlap scenario for state {kind!r}")
     samples = [beam.sample(grid) for beam in beams]
-    fringe_map = det.intensity_map(named_state(kind), screen_forms, samples)
+    fringe_map = det.intensity_map(gram, samples)
     return ScenarioResult(
         observable="visibility",
         value=det.visibility(fringe_map),

@@ -13,9 +13,10 @@ import numpy as np
 import oracle
 import biphoton
 from biphoton.detection import singles_rate
-from biphoton.experiments import ScenarioResult, Source
-from biphoton.fock import EPS_PRUNE, FockKet, LinearForm, apply_form, norm2, occupation
-from biphoton.modes import ModeId
+from biphoton.experiments import CascadeGeometry, ScenarioResult, Source
+from biphoton.fock import EPS_PRUNE, FockKet, LinearForm, apply_form, inner, norm2, occupation, unit_form
+from biphoton.modes import W1H, W1V, W2H, W2V, ModeId
+from biphoton.optics import ChannelField
 from biphoton.selfcheck import selfcheck_rows
 
 EIGHT_MODES = tuple(ModeId(ch, pol) for ch in (1, 2, 3, 4) for pol in ("V", "H"))
@@ -52,6 +53,31 @@ def coincidence_rate(ket: FockKet, form1: LinearForm, form2: LinearForm) -> floa
     symmetric in the forms: the reference for the pair matrices of
     experiments, which the package reads its coincidences off instead."""
     return norm2(apply_form(apply_form(ket, form1), form2))
+
+
+def gram_triple(ket: FockKet, forms) -> tuple[float, float, complex]:
+    """(<u|u>, <w|w>, <u|w>) of u, w = forms |ket> by the engine: the triple
+    detection.intensity_map reads, which fig3 keeps once per state."""
+    u, w = (apply_form(ket, form) for form in forms)
+    return norm2(u), norm2(w), inner(u, w)
+
+
+def cascade_channel_fields_chain(geom: CascadeGeometry) -> tuple[ChannelField, ChannelField]:
+    """The cascade's channel fields as a chain of unit forms, each scaled by
+    its geometry coefficient and summed: the reference that
+    experiments.cascade_channel_fields, which writes each form at once, must
+    match by repr in K and in every coincidence row."""
+    w1_v, w1_h = unit_form(W1V), unit_form(W1H)
+    w2_v, w2_h = unit_form(W2V), unit_form(W2H)
+    ch1 = ChannelField(
+        w1_v.scale(geom.g11).plus(w2_v.scale(geom.g12)),
+        w1_h.scale(geom.g11).plus(w2_h.scale(geom.g12)),
+    )
+    ch2 = ChannelField(
+        w1_v.scale(geom.g21).plus(w2_v.scale(geom.g22)),
+        w1_h.scale(geom.g21).plus(w2_h.scale(geom.g22)),
+    )
+    return ch1, ch2
 
 
 def coincidence_row(src: Source, t1: float, t2: float) -> ScenarioResult:

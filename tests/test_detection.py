@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 
@@ -14,7 +13,7 @@ from biphoton import detection as det
 from biphoton import fock as fk
 from biphoton.modes import BEAM_H, BEAM_V, H1, H2, V1, V2
 from biphoton.optics import ChannelField
-from support import coincidence_rate, normalized
+from support import coincidence_rate, gram_triple, normalized
 
 SQRT1_2 = math.sqrt(0.5)
 
@@ -192,7 +191,7 @@ def test_intensity_zero_amplitudes():
 def test_unentangled_map_has_full_visibility():
     psi = fk.named_state("psi_u")
     _, b2 = fk.combination_forms()
-    fringe_map = det.intensity_map(psi, [b2, b2], [b.sample(det.DEFAULT_GRID) for b in det.DEFAULT_BEAMS])
+    fringe_map = det.intensity_map(gram_triple(psi, [b2, b2]), [b.sample(det.DEFAULT_GRID) for b in det.DEFAULT_BEAMS])
     assert len(fringe_map) == 1
     assert all(len(row) == len(det.DEFAULT_GRID.xs) for row in fringe_map)
     assert det.visibility(fringe_map) == pytest.approx(1.0, abs=1e-9)
@@ -202,7 +201,7 @@ def test_unentangled_map_has_full_visibility():
 def test_entangled_map_is_flat():
     psi = fk.named_state("psi_e")
     samples = [b.sample(det.DEFAULT_GRID) for b in det.DEFAULT_BEAMS]
-    flat_map = det.intensity_map(psi, [fk.unit_form(H1), fk.unit_form(V2)], samples)
+    flat_map = det.intensity_map(gram_triple(psi, [fk.unit_form(H1), fk.unit_form(V2)]), samples)
     assert det.visibility(flat_map) == pytest.approx(0.0, abs=1e-9)
     np.testing.assert_allclose(flat_map, 1.0, atol=1e-12)
 
@@ -211,7 +210,7 @@ def test_single_beam_cannot_fringe():
     psi = fk.named_state("psi_u")
     _, b2 = fk.combination_forms()
     beams = (det.BeamProfile(tilt=det.DEFAULT_TILT), det.BeamProfile(tilt=-det.DEFAULT_TILT, amplitude=0.0))
-    lonely = det.intensity_map(psi, [b2, b2], [b.sample(det.DEFAULT_GRID) for b in beams])
+    lonely = det.intensity_map(gram_triple(psi, [b2, b2]), [b.sample(det.DEFAULT_GRID) for b in beams])
     assert det.visibility(lonely) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -246,11 +245,48 @@ def test_beam_sample_is_value_on_the_grid(kind):
             amplitude=float(rng.uniform(0.0, 3.0)),
         )
         grid = det.ScanGrid(tuple(map(float, rng.uniform(-2, 2, 5))), tuple(map(float, rng.uniform(-2, 2, 3))))
-        ex, ey, phases = beam.sample(grid)
-        assert (len(ex), len(ey), len(phases)) == (len(grid.xs), len(grid.ys), len(grid.xs))
+        ex, ey, phasors = beam.sample(grid)
+        assert (len(ex), len(ey), len(phasors)) == (len(grid.xs), len(grid.ys), len(grid.xs))
         for y, fy in zip(grid.ys, ey):
-            for x, fx, phase in zip(grid.xs, ex, phases):
-                assert fx * fy * cmath.exp(1j * phase) == oracle.beam_value(beam, x, y)
+            for x, fx, (c, s) in zip(grid.xs, ex, phasors):
+                assert fx * fy * complex(c, s) == oracle.beam_value(beam, x, y)
+
+
+def test_each_sampled_phasor_is_cos_and_sin_of_its_phase():
+    # intensity_map and the fig3 closed form both read these pairs and take no
+    # trig of their own, so this pins the phase: cos and sin of
+    # tilt * x + phase_offset by repr, (nan, nan) where it is not finite.
+    def want(beam, x):
+        p = beam.tilt * x + beam.phase_offset
+        return (math.cos(p), math.sin(p)) if math.isfinite(p) else (math.nan, math.nan)
+
+    rng = np.random.default_rng(58)
+    xs = (-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0)
+    beams = [
+        det.BeamProfile(tilt=1e308),  # -inf, -1e308, 0.0, 0.0, 5e307, 1e308, inf
+        det.BeamProfile(tilt=-1e308, phase_offset=-0.0),  # inf, 1e308, 0.0, -0.0, -5e307, -1e308, -inf
+        det.BeamProfile(tilt=0.0, phase_offset=-0.0),  # -0.0 for x <= -0.0, else 0.0
+        det.BeamProfile(tilt=1e307, phase_offset=1.7e308),  # 1.5e308 up to 1.75e308, then inf past the float range
+        det.BeamProfile(tilt=math.inf),  # +-inf, and NaN at x = +-0
+        det.BeamProfile(kind="gaussian", tilt=3e15, width=0.3, phase_offset=-7e22),
+    ]
+    for _ in range(300):
+        kind = str(rng.choice(det.BEAM_KINDS))
+        beams.append(det.BeamProfile(
+            kind=kind,
+            tilt=float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 308.0)),
+            width=1.0 if kind == "gaussian" else None,
+            phase_offset=float(rng.choice([0.0, -0.0, rng.uniform(-1e3, 1e3), rng.uniform(-1e307, 1e307)])),
+        ))
+    grids = [det.ScanGrid(xs), det.ScanGrid(tuple(map(float, rng.uniform(-3.0, 3.0, 9))))]
+    finite = nonfinite = 0
+    for beam in beams:
+        for grid in grids:
+            _, _, phasors = beam.sample(grid)
+            assert repr(phasors) == repr(tuple(want(beam, x) for x in grid.xs)), beam
+            finite += sum(math.isfinite(c) for c, _ in phasors)
+            nonfinite += sum(not math.isfinite(c) for c, _ in phasors)
+    assert finite > 1000 and nonfinite > 20
 
 
 def test_a_factored_gaussian_is_the_gaussian_of_the_summed_square():

@@ -16,8 +16,8 @@ from biphoton import experiments as ex
 from biphoton import fock as fk
 from biphoton import optics as op
 from biphoton import scenario as sc
-from biphoton.modes import BEAM_H, BEAM_V
-from support import normalized
+from biphoton.modes import BEAM_H, BEAM_V, H1, V2
+from support import gram_triple, normalized
 
 SQRT2 = math.sqrt(2.0)
 
@@ -246,28 +246,31 @@ def test_fig3_engine_matches_the_envelope_closed_form_on_random_beams_and_grids(
         assert abs(result.closed_form - want) <= bound, (result, want)
 
 
-class CountingExp:
-    """A stand-in for the math or cmath module that counts calls of its exp."""
+class CountingMath:
+    """A stand-in for the math or cmath module that counts calls of its exp,
+    cos and sin, by qualified name."""
 
     def __init__(self, module, counts: Counter) -> None:
         self._module, self._counts = module, counts
 
     def __getattr__(self, name: str):
         attr = getattr(self._module, name)
-        if name != "exp":
+        if name not in ("exp", "cos", "sin"):
             return attr
 
         def counted(z):
-            self._counts[self._module.__name__] += 1
+            self._counts[f"{self._module.__name__}.{name}"] += 1
             return attr(z)
 
         return counted
 
 
-def test_a_fig3_row_takes_each_exponential_once_per_axis_and_beam(monkeypatch):
+def test_a_fig3_row_takes_one_phasor_per_column_and_beam_and_each_exponential_once_per_axis(monkeypatch):
     counts: Counter = Counter()
-    monkeypatch.setattr(det, "math", CountingExp(math, counts))
-    monkeypatch.setattr(det, "cmath", CountingExp(cmath, counts))
+    # Both modules count into one tally: a closed form that took its own trig would double it.
+    monkeypatch.setattr(det, "math", CountingMath(math, counts))
+    monkeypatch.setattr(ex, "math", CountingMath(math, counts))
+    monkeypatch.setattr(cmath, "exp", CountingMath(cmath, counts).exp)
     nx, ny = 7, 5
     grid = det.ScanGrid(xs=tuple(-1.0 + 0.3 * i for i in range(nx)), ys=tuple(-0.8 + 0.4 * j for j in range(ny)))
     beams = (
@@ -277,13 +280,18 @@ def test_a_fig3_row_takes_each_exponential_once_per_axis_and_beam(monkeypatch):
     for kind in ("psi_u", "psi_e", "psi_u"):
         counts.clear()
         ex.fig3_visibility(kind, beams, grid)
-        # One phasor per column and beam, one gaussian factor per column, per row and beam.
-        assert counts == {"cmath": 2 * nx, "math": 2 * (nx + ny)}, kind
+        # One (cos, sin) per column and beam, one gaussian factor per column, per row and beam, no complex exp.
+        assert counts == {"math.cos": 2 * nx, "math.sin": 2 * nx, "math.exp": 2 * (nx + ny)}, kind
     for kind in ("psi_u", "psi_e"):
         counts.clear()
         ex.fig3_visibility(kind, det.DEFAULT_BEAMS, grid)
         # A plane wave's envelope is its amplitude: no real exponential at all.
-        assert (counts["cmath"], counts["math"]) == (2 * nx, 0), kind
+        assert counts == {"math.cos": 2 * nx, "math.sin": 2 * nx}, kind
+    # Phases -inf, -1e308, 0, 1e308, inf: the per-phase path takes no trig at the infinite two.
+    counts.clear()
+    huge = (det.BeamProfile(tilt=1e308), det.DEFAULT_BEAMS[1])
+    ex.fig3_visibility("psi_u", huge, det.ScanGrid((-2.0, -1.0, 0.0, 1.0, 2.0)))
+    assert counts == {"math.cos": 5 + 3, "math.sin": 5 + 3}
 
 
 def test_a_fig3_row_calls_detection_intensity_map_once(monkeypatch):
@@ -300,9 +308,33 @@ def test_a_fig3_row_calls_detection_intensity_map_once(monkeypatch):
         calls.clear()
         assert ex.fig3_visibility(kind).value == pytest.approx(1.0 if kind == "psi_u" else 0.0, abs=1e-9)
         assert len(calls) == 1, kind
+        # The map reads the state's Gram triple and the beams' samples on the grid.
+        gram, samples = calls[0]
+        assert gram is ex._fig3_gram(kind)
+        assert samples == [beam.sample(det.DEFAULT_GRID) for beam in det.DEFAULT_BEAMS]
         calls.clear()
         rows = sc.evaluate(sc.parse_scenario(f"experiment fig3\nstate {kind}\n"))
         assert len(calls) == len(rows) == 1, kind
+
+
+@pytest.mark.parametrize("kind", ["psi_u", "psi_e"])
+def test_the_fig3_gram_triple_is_computed_once_per_process(monkeypatch, kind):
+    applies = []
+    real = ex.apply_form
+
+    def counted(*args):
+        applies.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ex, "apply_form", counted)
+    ex._fig3_gram.cache_clear()
+    first = ex.fig3_visibility(kind)
+    assert len(applies) == 2
+    for _ in range(3):
+        assert ex.fig3_visibility(kind) == first
+    assert len(applies) == 2
+    forms = [fk.unit_form(H1), fk.unit_form(V2)] if kind == "psi_e" else [fk.combination_forms()[1]] * 2
+    assert repr(ex._fig3_gram(kind)) == repr(gram_triple(fk.named_state(kind), forms))
 
 
 # --- cascade --------------------------------------------------------------------

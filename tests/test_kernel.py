@@ -22,6 +22,7 @@ import functools
 import itertools
 import math
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,17 +39,23 @@ from biphoton.fock import (
     EPS_ZERO,
     FockKet,
     LinearForm,
-    apply_form,
     combination_forms,
-    inner,
     named_state,
-    norm2,
     occupation,
     unit_form,
 )
 from biphoton.modes import H1, V1, V2
 from biphoton.scenario import evaluate, parse_scenario
-from support import EIGHT_MODES, coincidence_rate, coincidence_row, form_dict, oracle_amplitudes, to_oracle
+from support import (
+    EIGHT_MODES,
+    cascade_channel_fields_chain,
+    coincidence_rate,
+    coincidence_row,
+    form_dict,
+    gram_triple,
+    oracle_amplitudes,
+    to_oracle,
+)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=300, database=None)
 
@@ -327,6 +334,49 @@ def test_coincidence_rows_are_the_reference_rows_by_repr(kind, geometry, split):
         assert_rows_are_points(rows, functools.partial(coincidence_row, src), columns)
 
 
+def cascade_outcome(geometry: ex.CascadeGeometry):
+    """The cascade source at geometry, its K and its coincidence rows by
+    repr, or the type of the exception that building it raises."""
+    angles = [0.0, 0.3, -1.2, 2.5, 1e6]
+
+    def build():
+        src = ex._build_source("psi_u_prime", geometry, False)
+        return src.K, outcome(lambda: ex.coincidence_rows(src, angles, angles))
+
+    return outcome(build)
+
+
+def assert_cascade_fields_are_the_chain(geometry: ex.CascadeGeometry) -> None:
+    # The package writes each field at once; tests/support.py chains unit forms.
+    with mock.patch.object(ex, "cascade_channel_fields", cascade_channel_fields_chain):
+        want = cascade_outcome(geometry)
+    assert cascade_outcome(geometry) == want, geometry
+    # Also the parts the color filters drop; == and not repr, as the chain's products may flip the sign of a zero.
+    fields, chain = ([[dict(form.items()) for form in ch] for ch in build(geometry)]
+                     for build in (ex.cascade_channel_fields, cascade_channel_fields_chain))
+    assert fields == chain, geometry
+
+
+@pytest.mark.parametrize("geometry", CASCADE_GEOMETRIES)
+def test_cascade_fields_written_at_once_are_the_unit_form_chain(geometry):
+    assert_cascade_fields_are_the_chain(geometry)
+
+
+#: A geometry coefficient's real or imaginary part: either zero, at or just
+#: below the pruning threshold, ordinary, or large enough to overflow a rate.
+geometry_part = st.one_of(
+    st.sampled_from([0.0, -0.0, EPS_PRUNE, -EPS_PRUNE, 0.7 * EPS_PRUNE, -1e-300, 5e-324]),
+    st.floats(-10.0, 10.0),
+    st.floats(1.19e77, 1e200).flatmap(lambda x: st.sampled_from([x, -x])),
+)
+
+
+@PROPERTY
+@given(st.lists(st.builds(complex, geometry_part, geometry_part), min_size=4, max_size=4))
+def test_cascade_fields_are_the_unit_form_chain_on_random_geometries(coefficients):
+    assert_cascade_fields_are_the_chain(ex.CascadeGeometry(*coefficients))
+
+
 @pytest.mark.parametrize("state", ex.NAMED_STATE_KINDS)
 def test_a_chsh_column_is_the_per_point_chsh_S_by_repr(state):
     src = ex.source(state)
@@ -438,7 +488,7 @@ def test_coincidence_rows_are_nonnegative_complete_and_no_signalling(ket, v1, h1
 def test_gram_form_agrees_with_engine_and_oracle_on_random_kets_and_forms(ket, f, g, a, b):
     # A one-point grid: beam 1 gives a and beam 2 gives b there.
     beams = [det.BeamProfile(tilt=0.0, phase_offset=math.atan2(z.imag, z.real), amplitude=abs(z)) for z in (a, b)]
-    [[cell]] = det.intensity_map(ket, [f, g], [beam.sample(det.ScanGrid(xs=(0.0,))) for beam in beams])
+    [[cell]] = det.intensity_map(gram_triple(ket, [f, g]), [beam.sample(det.ScanGrid(xs=(0.0,))) for beam in beams])
     a, b = (oracle.beam_value(beam, 0.0, 0.0) for beam in beams)
     assert_agree(cell, ket, [f.scale(a).plus(g.scale(b))], [abs_form((a, f), (b, g))])
 
@@ -460,8 +510,7 @@ def random_beam(rng: np.random.Generator) -> det.BeamProfile:
 def gram_cell(ket: FockKet, forms_: list[LinearForm], a: complex, b: complex) -> tuple[float, float]:
     """The Gram form |a|^2 <u|u> + |b|^2 <w|w> + 2 Re(conj(a) b <u|w>) of u, w = forms_ |ket>, one cell at a
     time, and its scale: twice the form with every factor replaced by its modulus."""
-    u, w = (apply_form(ket, form) for form in forms_)
-    uu, ww, uw = norm2(u), norm2(w), inner(u, w)
+    uu, ww, uw = gram_triple(ket, forms_)
     scale = 2.0 * (abs(a) ** 2 * uu + abs(b) ** 2 * ww + 2.0 * abs(a) * abs(b) * abs(uw))
     return abs(a) ** 2 * uu + abs(b) ** 2 * ww + 2.0 * (a.conjugate() * b * uw).real, scale
 
@@ -485,7 +534,7 @@ def test_intensity_map_matches_per_cell_singles_rate(kind):
 
     nan_cells = 0
     for beam1, beam2, grid in cases():
-        fringe_map = det.intensity_map(ket, forms_, [beam1.sample(grid), beam2.sample(grid)])
+        fringe_map = det.intensity_map(gram_triple(ket, forms_), [beam1.sample(grid), beam2.sample(grid)])
         assert [len(row) for row in fringe_map] == [len(grid.xs)] * len(grid.ys)
         for y, row in zip(grid.ys, fringe_map):
             for x, cell in zip(grid.xs, row):
