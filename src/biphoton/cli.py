@@ -10,8 +10,8 @@ Subcommands:
 Tables are (param, ScenarioResult) rows, emitted with the columns param,
 value, closed_form, abs_error as CSV (12 significant digits, newline line
 endings) or JSON.  Exit codes: 0 success, 1 bad input (including usage errors
-and unreadable files), 2 a computed value is not finite or off its closed form
-by more than its row's tolerance (or --tolerance, when given).
+and unreadable files; one line on stderr), 2 a computed value is not finite or
+off its closed form by more than its row's tolerance (or --tolerance, when given).
 """
 
 from __future__ import annotations
@@ -108,41 +108,47 @@ def cmd_run(args: SimpleNamespace) -> int:
     return _run_spec(parse_scenario(path.read_text(encoding="utf-8")), args)
 
 
-def _directive(key: str, flag: str, values: list[str]) -> str:
-    """One scenario line from a flag's values, each of which must stay a single
-    token there: a line break, space or '#' would start a directive or a comment."""
+def _directive(key: str, flag: str, values: list[str]) -> tuple[str, str]:
+    """The flag and the scenario line of its values, each of which must stay a
+    single token there: a line break, space or '#' would start a directive or a comment."""
     for value in values:
         if value.split() != [value] or "#" in value:
             raise ValidationError(f"argument {flag}: expected one token without spaces or '#', got {value!r}")
-    return " ".join([key, *values])
+    return flag, " ".join([key, *values])
 
 
-def _scan_args_to_text(args: SimpleNamespace) -> str:
-    lines = [_directive("experiment", "--experiment", [args.experiment])]
-    if args.state is not None:
-        lines.append(_directive("state", "--state", [args.state]))
-    lines += [_directive("angle", "--angle", pair) for pair in args.angle or []]
-    if args.scan:
-        lines.append(_directive("scan", "--scan", args.scan))
-    lines += [_directive("beam", "--beam", beam) for beam in args.beam or []]
-    if args.geometry:
-        lines.append(_directive("geometry", "--geometry", args.geometry))
-    return "\n".join(lines) + "\n"
+def _run_flags(directives: list[tuple[str, str]], args: SimpleNamespace) -> int:
+    """Evaluate the scenario of the (flag, line) directives; a ParseError names the flag of its line."""
+    try:
+        spec = parse_scenario("\n".join([line for _, line in directives]) + "\n")
+    except ParseError as err:
+        flag = directives[err.line_no - 1][0]
+        raise ValidationError(f"argument {flag}: {str(err).partition(': ')[2]}") from None
+    return _run_spec(spec, args)
 
 
 def cmd_scan(args: SimpleNamespace) -> int:
-    return _run_spec(parse_scenario(_scan_args_to_text(args)), args)
+    directives = [_directive("experiment", "--experiment", [args.experiment])]
+    if args.state is not None:
+        directives.append(_directive("state", "--state", [args.state]))
+    directives += [_directive("angle", "--angle", pair) for pair in args.angle or []]
+    if args.scan:
+        directives.append(_directive("scan", "--scan", args.scan))
+    directives += [_directive("beam", "--beam", beam) for beam in args.beam or []]
+    if args.geometry:
+        directives.append(_directive("geometry", "--geometry", args.geometry))
+    return _run_flags(directives, args)
 
 
 def cmd_chsh(args: SimpleNamespace) -> int:
-    lines = ["experiment chsh"]
+    directives = [("chsh", "experiment chsh")]
     if args.state is not None:
-        lines.append(_directive("state", "--state", [args.state]))
+        directives.append(_directive("state", "--state", [args.state]))
     for name in EXPERIMENTS["chsh"].angles:
         value = getattr(args, name)
         if value is not None:
-            lines.append(_directive("angle", f"--{name}", [name, value]))
-    return _run_spec(parse_scenario("\n".join(lines) + "\n"), args)
+            directives.append(_directive("angle", f"--{name}", [name, value]))
+    return _run_flags(directives, args)
 
 
 def cmd_selfcheck(args: SimpleNamespace) -> int:
@@ -185,13 +191,12 @@ _NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 
 
 def _parse_table(func: Callable[[SimpleNamespace], int], options: tuple[_Option, ...]) -> _ParseTable:
-    """The parse of one command's argv, built once from its declared options:
-    each a store or append option (nargs None, N or "+") or a one-value
-    positional, every value defaulting to None.  It gives what argparse's
-    parse_known_args would give for the command, with nothing left over, for
-    argv of exact option strings, --opt=value and values that do not start
-    with '-' or are negative numbers, and None for any other argv, which
-    argparse parses."""
+    """The parse of one command's argv from its declared options (store or
+    append options of nargs None, N or "+", one-value positionals, every value
+    defaulting to None): what argparse's parse_known_args gives for the
+    command, with nothing left over, for argv of exact option strings,
+    --opt=value and values that do not start with '-' or are negative numbers;
+    None for any other argv."""
     flags, positionals, defaults, required = {}, [], {"func": func}, set()
     for name, keywords in options:
         dest = name.lstrip("-").replace("-", "_")
@@ -254,12 +259,16 @@ _TABLES = {name: _parse_table(func, options) for name, (_, func, options) in _CO
 
 @functools.cache
 def build_parser():
-    """The top-level argparse.ArgumentParser, built from the declared
-    commands once per process, and only for argv that a parse table
-    declines or for a usage error: it alone prints usage, help and errors."""
+    """The top-level argparse.ArgumentParser of the declared commands, built
+    once per process: it alone prints usage, help and errors, each error on
+    one line."""
     import argparse  # only here: a well-formed request never loads it
 
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):
+        def error(self, message: str):
+            self.exit(2, f"{self.prog}: error: {message}\n")  # one line, without the usage
+
+    parser = Parser(
         prog="biphoton",
         description="Exact two-photon polarization-correlation scenarios.",
     )

@@ -47,8 +47,7 @@ class BeamProfile:
     wavevector component (radians per unit length along x).  The field at
     (x, y) is the real envelope (the amplitude, times the gaussian profile)
     times exp(i phase), phase = tilt * x + phase_offset; sample gives it on a
-    whole grid, once per axis where a factor depends on one coordinate only.
-    Beams compare by value.
+    grid.  Beams compare by value.
     """
 
     __slots__ = ("kind", "tilt", "width", "phase_offset", "amplitude")
@@ -86,11 +85,10 @@ class BeamProfile:
         """The beam on the grid as (ex, ey, phasors): one real factor per x,
         which carries the amplitude, one per y, and (cos p, sin p) of each
         x's phase p = tilt * x + phase_offset, (nan, nan) where p is not
-        finite, so the field at (xs[i], ys[j]) is ex[i] ey[j] exp(i p).  A
-        plane wave's factors are its amplitude and 1; a gaussian takes one
-        exp per x and one per y.  The pairs are a fig3 row's only trig: the
-        map and its closed form both read them, so a wrong phase would not
-        show as a mismatch between the two, and the tests pin each pair."""
+        finite, so the field at (xs[i], ys[j]) is ex[i] ey[j] exp(i p).  The
+        pairs are a fig3 row's only trig: the map and its closed form both
+        read them, so a wrong phase would not show as a mismatch between the
+        two, and the tests pin each pair."""
         kind, tilt, width, offset, amplitude = self._values()
         xs, ys = grid
         phases = [tilt * x + offset for x in xs]
@@ -134,15 +132,12 @@ def intensity_map(gram: tuple[float, float, complex], samples: Sequence[BeamSamp
     """Overlapped-beam rate over a grid, as len(ys) rows of len(xs) cells.
 
     gram is (<u|u>, <w|w>, <u|w>) of u = f|ket> and w = g|ket>, f and g being
-    the detector operators the two beams reach (the engine's part, which
-    fig3 keeps once per state), and samples are the two beams on the grid
-    (BeamProfile.sample).  A cell is the singles rate of the summed field
-    a f + b g, a and b being the beams' envelopes ex ey times exp(i p), as
-    the Gram form |a|^2 <u|u> + |b|^2 <w|w> + 2 Re(conj(a) b <u|w>).  It
-    separates into P = ex1^2, Q = ex2^2 and C = 2 ex1 ex2 Re(conj(z1) z2
-    <u|w>) per column, z = (cos p, sin p), and ey1^2 <u|u>, ey2^2 <w|w> and
-    ey1 ey2 per row: a cell is three real products.  This holds for any
-    ket, and agrees with singles_rate cell by cell to rounding."""
+    the detector operators the two beams reach, and samples are the two
+    beams on the grid (BeamProfile.sample).  A cell is the singles rate of
+    the summed field a f + b g, a and b being the beams' envelopes ex ey
+    times exp(i p), as the Gram form |a|^2 <u|u> + |b|^2 <w|w> +
+    2 Re(conj(a) b <u|w>).  This holds for any ket, and agrees with
+    singles_rate cell by cell to rounding."""
     if len(samples) != 2:
         raise ValueError("intensity maps overlap exactly two beams")
     uu, ww, uw = gram

@@ -153,21 +153,16 @@ class Source:
 
     @functools.cached_property
     def K(self) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
-        """Two-photon amplitude matrix K = _pair_matrix(ket, arm1, arm2),
-        computed once per Source, so once per process for a memoized one
-        (source).
-
-        L2 L1 of a two-photon ket is a multiple of the vacuum, and a
-        polarizer at t is cos(t) v + sin(t) h, so the coincidence amplitude
-        is c1^T K c2 with c = (cos t, sin t) (Rubin, Klyshko, Shih and
-        Sergienko, PRA 50, 5122 (1994)).
-        """
+        """Two-photon amplitude matrix K = _pair_matrix(ket, arm1, arm2).
+        L2 L1 of a two-photon ket is a multiple of the vacuum, and a polarizer
+        at t is cos(t) v + sin(t) h, so the coincidence amplitude is c1^T K c2
+        with c = (cos t, sin t) (Rubin, Klyshko, Shih and Sergienko, PRA 50,
+        5122 (1994))."""
         return _pair_matrix(self.ket, self.arm1, self.arm2)
 
     @functools.cached_property
     def same_channel(self) -> tuple[tuple[tuple[complex, ...], ...], ...]:
-        """The pair matrices _pair_matrix(ket, arm, arm) of arm1 and of arm2,
-        computed once per Source, like K."""
+        """The pair matrices _pair_matrix(ket, arm, arm) of arm1 and of arm2."""
         return tuple(_pair_matrix(self.ket, arm, arm) for arm in (self.arm1, self.arm2))
 
     @functools.cached_property
@@ -193,9 +188,9 @@ class Source:
 
 def _pair_matrix(ket: FockKet, a: op.ChannelField, b: op.ChannelField) -> tuple[tuple[complex, ...], ...]:
     """M[i][j] = <0| b[j] a[i] |ket>, i and j over the (v, h) components of
-    the arms a and b, by the engine in 6 applies; ValueError where a term of
-    the ket is not two-photon.  The (v, h) x (v, h) detector pairs of a and
-    b count ||M||_F^2 in all, and analyzers on them |c1^T M c2|^2."""
+    the arms a and b; ValueError where a term of the ket is not two-photon.
+    The (v, h) x (v, h) detector pairs of a and b count ||M||_F^2 in all, and
+    analyzers on them |c1^T M c2|^2."""
     if any(len(occ) != 2 for occ, _ in ket.items()):
         raise ValueError("a pair matrix needs a ket whose every term has two photons")
     halves = [apply_form(ket, f) for f in (a.v, a.h)]  # one photon left
@@ -211,13 +206,9 @@ def source(kind: str, geometry: CascadeGeometry = CascadeGeometry(), split: bool
     and psi_u, and the cascade for psi_u_prime, whose analyzers see only the
     first color in channel 1 and the second in channel 2; the geometry only
     enters the cascade.  split is fig2: channel 2 is split once more and its
-    two halves are analyzed (not the cascade).
-
-    A source depends only on (kind, split) unless it is a cascade at a
-    geometry other than CascadeGeometry(), so every other one is built once
-    per process and shared, with its K: at most 7 Sources.  A cascade at a
-    user geometry is built afresh on every call and never kept.
-    """
+    two halves are analyzed (not the cascade).  Every source but a cascade
+    at a geometry other than CascadeGeometry() is built once per process and
+    shared."""
     if kind == "psi_u_prime" and not split and geometry != _DEFAULT_GEOMETRY:
         return _build_source(kind, geometry, split)
     return _shared_source(kind, bool(split))
@@ -242,31 +233,20 @@ def _build_source(kind: str, geometry: CascadeGeometry, split: bool) -> Source:
 
 
 def coincidence(src: Source, t1: float, t2: float) -> ScenarioResult:
-    """Coincidence rate of the two analyzers at angles t1, t2: the squared
-    modulus of the amplitude c1^T K c2 (Source.K), or 0 as the engine prunes
-    it where that modulus is <= EPS_PRUNE.  It agrees to rounding with the
-    engine's <L1^dag L2^dag L2 L1>, norm2(apply_form(apply_form(src.ket,
-    op.polarizer(src.arm1, t1)), op.polarizer(src.arm2, t2))), which the
-    tests keep as coincidence_rate in tests/support.py.  The closed form takes
-    law(t1 - t2) from the value's cos and sin of each angle, so it holds at
-    any finite angles.  The tolerance is 1e-9 of src.peak, the largest value
-    the closed form takes, but no less than EPS_PRUNE ** 2, below which the
-    engine's pruning of an amplitude shows.  This is coincidence_rows at
-    one point."""
+    """Coincidence rate of the two analyzers at angles t1, t2: |c1^T K c2|^2
+    (Source.K), or 0 where that modulus is <= EPS_PRUNE, as the engine prunes
+    it; to rounding the engine's <L1^dag L2^dag L2 L1> of the two polarizers.
+    The closed form is peak * law(t1 - t2) ** 2 at any finite angles, and the
+    tolerance 1e-9 of src.peak, but no less than EPS_PRUNE ** 2, below which
+    the pruning shows.  This is coincidence_rows at one point."""
     return coincidence_rows(src, (t1,), (t2,))[0]
 
 
 def coincidence_rows(src: Source, t1s: Sequence[float], t2s: Sequence[float]) -> list[ScenarioResult]:
     """coincidence at each (t1, t2) of the product of t1s and t2s, in product
-    order, bit for bit.  One trig pass per column: arm 1 gives, once per t1,
-    the row (u0, u1) = c1^T K and the law's row (x1, y1), so that law(t1 -
-    t2) = x1 c2 + y1 s2 by angle addition, (s1, -c1) for sin and (c1, s1)
-    for cos; arm 2 gives c2 = (cos t2, sin t2) once per t2.  The values
-    |u . c2|^2 and the closed forms peak (x . c2)^2 are then one list each,
-    one pass over the product each, and _results makes the rows from them
-    in step, so that a row allocates no tuple but its ScenarioResult.  The
-    square stays amp ** 2, which raises OverflowError where a rate is too
-    large for a float."""
+    order, bit for bit.  The closed form takes law(t1 - t2) by angle addition
+    from each angle's cos and sin.  OverflowError where a rate is too large
+    for a float."""
     (kvv, kvh), (khv, khh) = src.K
     sine = src.law is math.sin
     # (s1, -c1): s1 c2 + (-c1) s2 is s1 c2 - c1 s2 to the bit, as x - y is x + (-y) and rounding is odd in sign.
@@ -287,9 +267,7 @@ def coincidence_rows(src: Source, t1s: Sequence[float], t2s: Sequence[float]) ->
 
 
 def _results(rows: Iterable[tuple[str, float, float, float]]) -> list[ScenarioResult]:
-    """A ScenarioResult of each (observable, value, closed_form, tolerance)
-    row, made by tuple.__new__ as ScenarioResult._make makes it, without a
-    Python frame per row."""
+    """A ScenarioResult of each (observable, value, closed_form, tolerance) row, as ScenarioResult._make makes it."""
     return list(map(tuple.__new__, itertools.repeat(ScenarioResult), rows))
 
 
@@ -331,8 +309,7 @@ def _fig3_closed_form(kind: str, samples: Sequence[det.BeamSamples]) -> float:
 @functools.cache
 def _fig3_gram(kind: str) -> tuple[float, float, complex]:
     """The Gram triple (<u|u>, <w|w>, <u|w>) of the kind's state under its
-    two screen forms (fig3_visibility), u = f|ket> and w = g|ket>: two
-    engine applies, once per process per kind, as source shares K."""
+    two screen forms (fig3_visibility), u = f|ket> and w = g|ket>."""
     if kind not in ("psi_e", "psi_u"):
         raise ValueError(f"no overlap scenario for state {kind!r}")
     forms = [unit_form(H1), unit_form(V2)] if kind == "psi_e" else [combination_forms()[1]] * 2
@@ -349,9 +326,8 @@ def fig3_visibility(
 
     Channel 1 is analyzed horizontally and rotated to vertical, channel 2 is
     analyzed vertically, so both beams hit the screen in the same
-    polarization and only the state decides whether they interfere.  Each
-    beam is sampled once, and the map and the closed form share the
-    samples.
+    polarization and only the state decides whether they interfere.  The
+    map and the closed form share the beams' samples.
     """
     gram = _fig3_gram(kind)
     grid = grid or det.DEFAULT_GRID
@@ -440,11 +416,10 @@ def chsh_S(src: Source, a: float, ap: float, b: float, bp: float) -> float:
 class Experiment(NamedTuple):
     """Everything the scenario layer knows about one named experiment.
 
-    rows(state, geometry, beams, columns) builds the scenario (its source,
-    and with it K and T) and evaluates it over columns, one list of radians
-    per angle in angles order: one result row per point of their product,
-    in product order, a fixed angle being a list of one.  fig3 and
-    same-channel have no angles, take no columns and return their whole
+    rows(state, geometry, beams, columns) evaluates the scenario over
+    columns, one list of radians per angle in angles order: one result row
+    per point of their product, in product order, a fixed angle being a list
+    of one.  fig3 and same-channel have no angles and return their whole
     table.
     """
 
@@ -469,10 +444,7 @@ def _chsh_closed_form(ds: Sequence[tuple[float, float]]) -> float:
 
 def _chsh_rows(state: str, geometry: CascadeGeometry, beams, columns: Sequence[Sequence[float]]) -> list[ScenarioResult]:
     """abs(chsh_S) and its closed form at each point of the product of the
-    columns (a, ap, b, bp), in product order: each column's d vectors in one
-    pass, then one pass over the product for the fields of each row, which
-    _results makes into the row.  The two calls of a chsh row cost more
-    than its field tuple, and a pass per field would add to a point."""
+    columns (a, ap, b, bp), in product order."""
     T = _checked_T(source(state))
     settings = itertools.product(*[map(_d, column) for column in columns])
     return _results([("abs_S", abs(_chsh_S(T, ds)), _chsh_closed_form(ds), 1e-9) for ds in settings])

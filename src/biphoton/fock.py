@@ -16,15 +16,12 @@ constant fixed to 1).
 Amplitudes with magnitude <= EPS_PRUNE are dropped after each operation (a
 NaN is kept); a total rate <= EPS_ZERO counts as dark.
 
-apply_form, norm2 and inner are the reference engine.  The scenario hot
-paths evaluate closed forms built from it once per measurement.  A
-two-photon ket turns two detector forms into one complex number, so each
-two-photon count is read off a 2x2 pair matrix <0| b[j] a[i] |psi> of two
-arms: a coincidence off K (experiments.Source.K), a same-channel count off
-one arm's with itself.  A screen cell,
-the singles rate of a f + b g, is the Gram form
-|a|^2 <u|u> + |b|^2 <w|w> + 2 Re(conj(a) b <u|w>) of u = f|psi> and
-w = g|psi> (detection.intensity_map).
+apply_form, norm2 and inner are the reference engine.  A two-photon ket
+turns two detector forms into one complex number, so each two-photon count
+is read off a 2x2 pair matrix <0| b[j] a[i] |psi> of two arms: a
+coincidence off K (experiments.Source.K), a same-channel count off one
+arm's with itself.  A screen cell, the singles rate of a f + b g, is the
+Gram form of u = f|psi> and w = g|psi> (detection.intensity_map).
 """
 
 from __future__ import annotations
@@ -207,8 +204,8 @@ def pair_factor_forms() -> tuple[LinearForm, LinearForm]:
 
 @functools.cache
 def named_state(kind: str) -> FockKet:
-    """Unit-norm two-photon source states used throughout the scenarios,
-    each built once per process and shared (FockKet has no mutator).
+    """Unit-norm two-photon source states, each built once per process and
+    shared (FockKet has no mutator).
 
     circular_pair: one left- and one right-circular photon in a single beam,
         equal superposition of double-V and double-H occupation.

@@ -22,7 +22,7 @@ import math
 from typing import NamedTuple
 
 from .detection import DEFAULT_BEAMS, BeamProfile
-from .experiments import EXPERIMENTS, CascadeGeometry, ScenarioResult, scan_count, scan_values
+from .experiments import _DEFAULT_GEOMETRY, EXPERIMENTS, CascadeGeometry, ScenarioResult, scan_count, scan_values
 
 OUTPUT_FORMATS = ("csv", "json")
 
@@ -55,7 +55,7 @@ class ScenarioSpec(NamedTuple):
     angles: dict[str, float] = {}
     scan: Scan | None = None
     beams: tuple[BeamProfile, BeamProfile] = DEFAULT_BEAMS
-    geometry: CascadeGeometry = CascadeGeometry()
+    geometry: CascadeGeometry = _DEFAULT_GEOMETRY
     output: str = "csv"
 
 
@@ -105,72 +105,57 @@ def _parse_beam(tokens: list[str], line_no: int) -> tuple[int, BeamProfile]:
         raise ValidationError(str(err)) from None
 
 
+#: The directives given at most once, in ScenarioSpec order: value count, usage message, repeat message.
+_ONCE = {
+    "experiment": (1, "experiment takes exactly one value", "experiment given more than once"),
+    "state": (1, "state takes exactly one value", "state given more than once"),
+    "scan": (4, "scan needs <name> <from> <to> <step>", "only one scan variable is allowed"),
+    "geometry": (4, "geometry needs four complex coefficients", "geometry given more than once"),
+    "output": (1, f"output must be one of {OUTPUT_FORMATS}", "output given more than once"),
+}
+
+
 def parse_scenario(text: str) -> ScenarioSpec:
     """Parse and validate one scenario description."""
-    experiment: str | None = None
-    state: str | None = None
     angles: dict[str, float] = {}
-    scan: Scan | None = None
     beams: dict[int, BeamProfile] = {}
-    geometry: CascadeGeometry | None = None
-    output: str | None = None
+    once: dict[str, object] = {}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         key, *tokens = line.split()
 
-        if key == "experiment":
-            if len(tokens) != 1:
-                raise ParseError(line_no, "experiment takes exactly one value")
-            if experiment is not None:
-                raise ValidationError("experiment given more than once")
-            experiment = tokens[0]
-        elif key == "state":
-            if len(tokens) != 1:
-                raise ParseError(line_no, "state takes exactly one value")
-            if state is not None:
-                raise ValidationError("state given more than once")
-            state = tokens[0]
-        elif key == "angle":
+        if key == "angle":
             if len(tokens) != 2:
                 raise ParseError(line_no, "angle needs <name> <degrees>")
             name = tokens[0]
             if name in angles:
                 raise ValidationError(f"angle {name} given more than once")
             angles[name] = _parse_float(tokens[1], line_no, f"angle {name}")
-        elif key == "scan":
-            if len(tokens) != 4:
-                raise ParseError(line_no, "scan needs <name> <from> <to> <step>")
-            if scan is not None:
-                raise ValidationError("only one scan variable is allowed")
-            scan = Scan(
-                name=tokens[0],
-                start=_parse_float(tokens[1], line_no, "scan start"),
-                stop=_parse_float(tokens[2], line_no, "scan stop"),
-                step=_parse_float(tokens[3], line_no, "scan step"),
-            )
         elif key == "beam":
             index, beam = _parse_beam(tokens, line_no)
             if index in beams:
                 raise ValidationError(f"beam {index} given more than once")
             beams[index] = beam
-        elif key == "geometry":
-            if len(tokens) != 4:
-                raise ParseError(line_no, "geometry needs four complex coefficients")
-            if geometry is not None:
-                raise ValidationError("geometry given more than once")
-            g11, g12, g21, g22 = (_parse_complex(tok, line_no) for tok in tokens)
-            geometry = CascadeGeometry(g11=g11, g12=g12, g21=g21, g22=g22)
-        elif key == "output":
-            if len(tokens) != 1 or tokens[0] not in OUTPUT_FORMATS:
-                raise ParseError(line_no, f"output must be one of {OUTPUT_FORMATS}")
-            if output is not None:
-                raise ValidationError("output given more than once")
-            output = tokens[0]
+        elif key in _ONCE:
+            count, usage, repeat = _ONCE[key]
+            if len(tokens) != count or key == "output" and tokens[0] not in OUTPUT_FORMATS:
+                raise ParseError(line_no, usage)
+            if key in once:
+                raise ValidationError(repeat)
+            if count == 1:
+                once[key] = tokens[0]
+            elif key == "scan":
+                start = _parse_float(tokens[1], line_no, "scan start")
+                stop = _parse_float(tokens[2], line_no, "scan stop")
+                once[key] = Scan(tokens[0], start, stop, _parse_float(tokens[3], line_no, "scan step"))
+            else:
+                once[key] = CascadeGeometry(*[_parse_complex(tok, line_no) for tok in tokens])
         else:
             raise ParseError(line_no, f"unknown key {key!r}")
+    experiment, state, scan, geometry, output = map(once.get, _ONCE)
 
     if experiment is None:
         raise ValidationError("missing required 'experiment' directive")
@@ -201,20 +186,12 @@ def parse_scenario(text: str) -> ScenarioSpec:
     if geometry is not None and experiment != "cascade":
         raise ValidationError("geometry only applies to the cascade experiment")
 
-    full_angles = dict(record.angles)
-    full_angles.update(angles)
+    full_angles = {**record.angles, **angles}
     if scan is not None:
         full_angles.pop(scan.name, None)
 
-    return ScenarioSpec(
-        experiment=experiment,
-        state=state,
-        angles=full_angles,
-        scan=scan,
-        beams=(beams.get(1, DEFAULT_BEAMS[0]), beams.get(2, DEFAULT_BEAMS[1])),
-        geometry=geometry or CascadeGeometry(),
-        output=output or "csv",
-    )
+    beam_pair = (beams.get(1, DEFAULT_BEAMS[0]), beams.get(2, DEFAULT_BEAMS[1]))
+    return ScenarioSpec(experiment, state, full_angles, scan, beam_pair, geometry or _DEFAULT_GEOMETRY, output or "csv")
 
 
 def _fmt_number(value: float) -> str:
@@ -252,9 +229,7 @@ def format_scenario(spec: ScenarioSpec) -> str:
 
 def evaluate(spec: ScenarioSpec) -> list[tuple[object, ScenarioResult]]:
     """Run the scenario; rows are (param, result) with param the scanned
-    angle in degrees, or the observable name for single-point runs.  Each
-    angle is one column of radians: the scanned angle's values, or a fixed
-    angle's one value, evaluated in one call of the experiment's rows."""
+    angle in degrees, or the observable name for single-point runs."""
     record = EXPERIMENTS[spec.experiment]
     scan = spec.scan
     degrees = scan_values(scan.start, scan.stop, scan.step) if scan else []

@@ -341,6 +341,30 @@ def test_command_parser_prints_what_the_top_level_parser_prints(monkeypatch, cap
     assert dispatched == run_cli(capsys, *argv)
 
 
+@pytest.mark.parametrize("argv", ODD_ARGV, ids=map(" ".join, ODD_ARGV))
+def test_bad_input_prints_one_line(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    if code == 1:
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["chsh", "--a", "-1+0i"], "--a"),
+        (["scan", "--experiment", "pdc", "--angle", "theta1", "abc"], "--angle"),
+        (["scan", "--experiment", "fig3", "--beam", "1", "plane_wave"], "--beam"),
+        (["scan", "--experiment", "cascade", "--geometry", "1+0i", "nope", "0i", "1"], "--geometry"),
+        (["scan", "--experiment", "fig1", "--scan", "theta2", "0", "x", "5"], "--scan"),
+    ],
+)
+def test_flag_errors_name_the_flag(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: argument {flag}: ") and err.count("\n") == 1
+    assert "line " not in err
+
+
 def test_well_formed_requests_skip_the_top_level_parser(monkeypatch, tmp_path, capsys):
     def refuse(*_):
         raise AssertionError("argparse parsed a well-formed request")

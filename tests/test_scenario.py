@@ -53,6 +53,40 @@ def test_parse_error_wrong_arity():
         sc.parse_scenario("experiment fig1\nscan theta2 0 180\n")
 
 
+#: Each directive given at most once: a line of it, its usage message and its repeat message.
+ONCE_DIRECTIVES = {
+    "experiment": ("experiment pdc", "experiment takes exactly one value", "experiment given more than once"),
+    "state": ("state psi_e", "state takes exactly one value", "state given more than once"),
+    "scan": ("scan theta2 0 10 1", "scan needs <name> <from> <to> <step>", "only one scan variable is allowed"),
+    "geometry": ("geometry 1 1 1 1", "geometry needs four complex coefficients", "geometry given more than once"),
+    "output": ("output json", "output must be one of ('csv', 'json')", "output given more than once"),
+}
+
+
+@pytest.mark.parametrize("key", ONCE_DIRECTIVES)
+@pytest.mark.parametrize("too_many", [False, True], ids=["no values", "one value too many"])
+def test_once_directive_value_count_message(key, too_many):
+    directive, usage, _ = ONCE_DIRECTIVES[key]
+    line = f"{directive} 1" if too_many else key
+    with pytest.raises(sc.ParseError) as err:
+        sc.parse_scenario(f"experiment cascade\n{line}\n")
+    assert str(err.value) == f"line 2: {usage}" and err.value.line_no == 2
+
+
+def test_output_format_message():
+    with pytest.raises(sc.ParseError) as err:
+        sc.parse_scenario("experiment pdc\n\noutput xml\n")
+    assert str(err.value) == "line 3: output must be one of ('csv', 'json')" and err.value.line_no == 3
+
+
+@pytest.mark.parametrize("key", ONCE_DIRECTIVES)
+def test_once_directive_repeat_message(key):
+    directive, _, repeat = ONCE_DIRECTIVES[key]
+    with pytest.raises(sc.ValidationError) as err:
+        sc.parse_scenario(f"experiment cascade\n{directive}\n{directive}\n")
+    assert str(err.value) == repeat
+
+
 def test_validation_unknown_experiment():
     with pytest.raises(sc.ValidationError, match="unknown experiment"):
         sc.parse_scenario("experiment fig9\n")
