@@ -642,3 +642,81 @@ def test_json_writes_non_finite_values_as_null(capsys, argv):
     assert err.startswith("mismatch: ") and err.count("\n") == 1
     (row,) = json.loads(out, parse_constant=reject_constant)
     assert row["value"] is None and row["abs_error"] is None
+
+
+#: The help each command prints at 80 columns, byte for byte.
+HELP = {
+    "-h": """\
+usage: biphoton [-h] {run,scan,chsh,selfcheck} ...
+
+Exact two-photon polarization-correlation scenarios.
+
+positional arguments:
+  {run,scan,chsh,selfcheck}
+    run                 evaluate a scenario file
+    scan                evaluate a scenario given as flags
+    chsh                four-setting correlation sum
+    selfcheck           recompute the verification table
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "scan -h": """\
+usage: biphoton scan [-h] [--format {csv,json}] [--out PATH]
+                     [--tolerance TOLERANCE] --experiment EXPERIMENT
+                     [--state STATE] [--angle NAME DEG]
+                     [--scan NAME FROM TO STEP] [--beam SPEC [SPEC ...]]
+                     [--geometry G11 G12 G21 G22]
+
+options:
+  -h, --help            show this help message and exit
+  --format {csv,json}   override the output format
+  --out PATH            write the table to a file instead of stdout
+  --tolerance TOLERANCE
+                        closed-form agreement tolerance (finite, >= 0)
+  --experiment EXPERIMENT
+  --state STATE
+  --angle NAME DEG
+  --scan NAME FROM TO STEP
+  --beam SPEC [SPEC ...]
+  --geometry G11 G12 G21 G22
+""",
+    "chsh -h": """\
+usage: biphoton chsh [-h] [--format {csv,json}] [--out PATH]
+                     [--tolerance TOLERANCE] [--state STATE] [--a DEG]
+                     [--ap DEG] [--b DEG] [--bp DEG]
+
+options:
+  -h, --help            show this help message and exit
+  --format {csv,json}   override the output format
+  --out PATH            write the table to a file instead of stdout
+  --tolerance TOLERANCE
+                        closed-form agreement tolerance (finite, >= 0)
+  --state STATE
+  --a DEG
+  --ap DEG
+  --b DEG
+  --bp DEG
+""",
+    "run -h": """\
+usage: biphoton run [-h] [--format {csv,json}] [--out PATH]
+                    [--tolerance TOLERANCE]
+                    file
+
+positional arguments:
+  file                  scenario file path
+
+options:
+  -h, --help            show this help message and exit
+  --format {csv,json}   override the output format
+  --out PATH            write the table to a file instead of stdout
+  --tolerance TOLERANCE
+                        closed-form agreement tolerance (finite, >= 0)
+""",
+}
+
+
+@pytest.mark.parametrize("argv", HELP)
+def test_help_prints_its_pinned_bytes(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(capsys, *argv.split()) == (0, HELP[argv], "")
