@@ -25,7 +25,9 @@ from types import SimpleNamespace
 
 from .detection import AllDark
 from .experiments import EXPERIMENTS, ScenarioResult
-from .scenario import OUTPUT_FORMATS, ParseError, ScenarioSpec, ValidationError, evaluate, parse_scenario
+from .scenario import (
+    _DIRECTIVES, OUTPUT_FORMATS, ParseError, ScenarioSpec, ValidationError, _read_items, evaluate, parse_scenario,
+)
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -108,47 +110,35 @@ def cmd_run(args: SimpleNamespace) -> int:
     return _run_spec(parse_scenario(path.read_text(encoding="utf-8")), args)
 
 
-def _directive(key: str, flag: str, values: list[str]) -> tuple[str, str]:
-    """The flag and the scenario line of its values, each of which must stay a
-    single token there: a line break, space or '#' would start a directive or a comment."""
+def _directive(key: str, flag: str, values: list[str]) -> tuple[str, str, list[str]]:
+    """The (location, key, values) item of a flag's values, each of which must
+    be one token, as on a scenario line: no space, line break or '#'."""
+    where = f"argument {flag}"
     for value in values:
         if value.split() != [value] or "#" in value:
-            raise ValidationError(f"argument {flag}: expected one token without spaces or '#', got {value!r}")
-    return flag, " ".join([key, *values])
-
-
-def _run_flags(directives: list[tuple[str, str]], args: SimpleNamespace) -> int:
-    """Evaluate the scenario of the (flag, line) directives; a ParseError names the flag of its line."""
-    try:
-        spec = parse_scenario("\n".join([line for _, line in directives]) + "\n")
-    except ParseError as err:
-        flag = directives[err.line_no - 1][0]
-        raise ValidationError(f"argument {flag}: {str(err).partition(': ')[2]}") from None
-    return _run_spec(spec, args)
+            raise ValidationError(f"expected one token without spaces or '#', got {value!r}", where)
+    return where, key, values
 
 
 def cmd_scan(args: SimpleNamespace) -> int:
-    directives = [_directive("experiment", "--experiment", [args.experiment])]
-    if args.state is not None:
-        directives.append(_directive("state", "--state", [args.state]))
-    directives += [_directive("angle", "--angle", pair) for pair in args.angle or []]
-    if args.scan:
-        directives.append(_directive("scan", "--scan", args.scan))
-    directives += [_directive("beam", "--beam", beam) for beam in args.beam or []]
-    if args.geometry:
-        directives.append(_directive("geometry", "--geometry", args.geometry))
-    return _run_flags(directives, args)
+    items = []
+    for key, (nargs, _, _, _, repeats, *_) in _SCAN_DIRECTIVES.items():
+        given = getattr(args, key)
+        if given is not None:
+            for values in given if repeats else [given]:
+                items.append(_directive(key, f"--{key}", [values] if nargs == 1 else values))
+    return _run_spec(_read_items(items), args)
 
 
 def cmd_chsh(args: SimpleNamespace) -> int:
-    directives = [("chsh", "experiment chsh")]
+    items = [("chsh", "experiment", ["chsh"])]
     if args.state is not None:
-        directives.append(_directive("state", "--state", [args.state]))
+        items.append(_directive("state", "--state", [args.state]))
     for name in EXPERIMENTS["chsh"].angles:
         value = getattr(args, name)
         if value is not None:
-            directives.append(_directive("angle", f"--{name}", [name, value]))
-    return _run_flags(directives, args)
+            items.append(_directive("angle", f"--{name}", [name, value]))
+    return _run_spec(_read_items(items), args)
 
 
 def cmd_selfcheck(args: SimpleNamespace) -> int:
@@ -156,6 +146,9 @@ def cmd_selfcheck(args: SimpleNamespace) -> int:
 
     return _report([(row.observable, row) for row in selfcheck_rows()], args.format or "csv", args)
 
+
+#: The directives that `scan` takes as flags: all but output, which --format covers.
+_SCAN_DIRECTIVES = {key: entry for key, entry in _DIRECTIVES.items() if key != "output"}
 
 #: An option: its flag (or a positional's name) and its argparse add_argument keywords.
 _Option = tuple[str, dict]
@@ -171,15 +164,11 @@ _COMMON: tuple[_Option, ...] = (
 #: tables and, where argparse is needed, its parsers are both built from here.
 _COMMANDS: dict[str, tuple[str, Callable[[SimpleNamespace], int], tuple[_Option, ...]]] = {
     "run": ("evaluate a scenario file", cmd_run, (*_COMMON, ("file", {"help": "scenario file path"}))),
-    "scan": ("evaluate a scenario given as flags", cmd_scan, (
-        *_COMMON,
-        ("--experiment", {"required": True}),
-        ("--state", {}),
-        ("--angle", {"nargs": 2, "action": "append", "metavar": ("NAME", "DEG")}),
-        ("--scan", {"nargs": 4, "metavar": ("NAME", "FROM", "TO", "STEP")}),
-        ("--beam", {"nargs": "+", "action": "append", "metavar": "SPEC"}),
-        ("--geometry", {"nargs": 4, "metavar": ("G11", "G12", "G21", "G22")}),
-    )),
+    "scan": ("evaluate a scenario given as flags", cmd_scan, (*_COMMON, *(
+        (f"--{key}", {"required": key == "experiment", **({} if nargs == 1 else {"nargs": nargs, "metavar": metavar}),
+                      **({"action": "append"} if repeats else {})})
+        for key, (nargs, metavar, _, _, repeats, *_) in _SCAN_DIRECTIVES.items()
+    ))),
     "chsh": ("four-setting correlation sum", cmd_chsh, (
         *_COMMON, ("--state", {}), *((f"--{name}", {"metavar": "DEG"}) for name in EXPERIMENTS["chsh"].angles)
     )),

@@ -1,19 +1,15 @@
 """Text format for measurement scenarios.
 
-One directive per line, `#` starts a comment, keys are:
-
-    experiment <fig1|pdc|fig2|fig3|cascade|chsh|same-channel>
-    state      <circular_pair|psi_e|psi_u|psi_u_prime>
-    angle      <name> <degrees>
-    scan       <name> <from_deg> <to_deg> <step_deg>
-    beam       <1|2> plane_wave <tilt> [phase]
-    beam       <1|2> gaussian <tilt> <width> [phase]
-    geometry   <g11> <g12> <g21> <g22>        (complex, written re+imi)
-    output     <csv|json>
+One directive per line, `#` starts a comment.  The keys, their values and
+their messages are declared once, in `_DIRECTIVES`, which parsing,
+formatting and the `scan` command's flags all read.
 
 Angles are degrees in the file and converted to radians exactly once, at
 evaluation time.  Parsing fills every omitted field with its documented
 default, so formatting a parsed spec and re-parsing it is the identity.
+An error that one directive causes names its location, `line N` in a file
+or `argument --flag` for a command's flag; an error of the spec as a whole,
+such as a missing experiment, names none.
 """
 
 from __future__ import annotations
@@ -27,16 +23,25 @@ from .experiments import _DEFAULT_GEOMETRY, EXPERIMENTS, CascadeGeometry, Scenar
 OUTPUT_FORMATS = ("csv", "json")
 
 
-class ParseError(ValueError):
-    """Malformed directive; carries the 1-based line number."""
+def _place(where: int | str) -> str:
+    return f"line {where}" if isinstance(where, int) else where
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+
+class ParseError(ValueError):
+    """Malformed directive; carries its location, the 1-based line number
+    (or, for a command's flag, its 'argument --flag')."""
+
+    def __init__(self, line_no: int | str, message: str):
+        super().__init__(f"{_place(line_no)}: {message}")
         self.line_no = line_no
 
 
 class ValidationError(ValueError):
-    """Grammatically valid spec that violates a semantic rule."""
+    """Grammatically valid spec that violates a semantic rule; a rule that
+    one directive breaks names its location, as ParseError does."""
+
+    def __init__(self, message: str, where: int | str | None = None):
+        super().__init__(message if where is None else f"{_place(where)}: {message}")
 
 
 class Scan(NamedTuple):
@@ -59,139 +64,50 @@ class ScenarioSpec(NamedTuple):
     output: str = "csv"
 
 
-def _parse_float(token: str, line_no: int, what: str) -> float:
+def _parse_float(token: str, where: int | str, *what: str) -> float:
+    """The finite number of token; `what` names it, in words joined only for an error."""
     try:
         value = float(token)
     except ValueError:
-        raise ParseError(line_no, f"expected a number for {what}, got {token!r}") from None
+        raise ParseError(where, f"expected a number for {' '.join(what)}, got {token!r}") from None
     if not math.isfinite(value):
-        raise ParseError(line_no, f"{what} must be finite, got {token!r}")
+        raise ParseError(where, f"{' '.join(what)} must be finite, got {token!r}")
     return value
 
 
-def _parse_complex(token: str, line_no: int) -> complex:
+def _parse_complex(token: str, where: int | str) -> complex:
     try:
         value = complex(token.replace("i", "j"))
     except ValueError:
-        raise ParseError(line_no, f"expected a complex number like 1+0i, got {token!r}") from None
+        raise ParseError(where, f"expected a complex number like 1+0i, got {token!r}") from None
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise ParseError(line_no, f"complex coefficient must be finite, got {token!r}")
+        raise ParseError(where, f"complex coefficient must be finite, got {token!r}")
     return value
 
 
-def _parse_beam(tokens: list[str], line_no: int) -> tuple[int, BeamProfile]:
+def _parse_beam(tokens: list[str], where: int | str) -> BeamProfile | None:
     if len(tokens) < 3:
-        raise ParseError(line_no, "beam needs at least <index> <kind> <tilt>")
+        return None
     if tokens[0] not in ("1", "2"):
-        raise ParseError(line_no, f"beam index must be 1 or 2, got {tokens[0]!r}")
-    index = int(tokens[0])
+        raise ParseError(where, f"beam index must be 1 or 2, got {tokens[0]!r}")
     kind = {"plane": "plane_wave", "plane_wave": "plane_wave", "gaussian": "gaussian"}.get(tokens[1])
     if kind is None:
-        raise ParseError(line_no, f"beam kind must be plane_wave or gaussian, got {tokens[1]!r}")
-    tilt = _parse_float(tokens[2], line_no, "beam tilt")
+        raise ParseError(where, f"beam kind must be plane_wave or gaussian, got {tokens[1]!r}")
+    tilt = _parse_float(tokens[2], where, "beam tilt")
     rest = tokens[3:]
     width = None
     if kind == "gaussian":
         if not rest:
-            raise ParseError(line_no, "gaussian beam needs a width")
-        width = _parse_float(rest[0], line_no, "beam width")
+            raise ParseError(where, "gaussian beam needs a width")
+        width = _parse_float(rest[0], where, "beam width")
         rest = rest[1:]
-    phase = _parse_float(rest[0], line_no, "beam phase") if rest else 0.0
+    phase = _parse_float(rest[0], where, "beam phase") if rest else 0.0
     if len(rest) > 1:
-        raise ParseError(line_no, "too many values on beam directive")
+        raise ParseError(where, "too many values on beam directive")
     try:
-        return index, BeamProfile(kind=kind, tilt=tilt, width=width, phase_offset=phase)
+        return BeamProfile(kind=kind, tilt=tilt, width=width, phase_offset=phase)
     except ValueError as err:
-        raise ValidationError(str(err)) from None
-
-
-#: The directives given at most once, in ScenarioSpec order: value count, usage message, repeat message.
-_ONCE = {
-    "experiment": (1, "experiment takes exactly one value", "experiment given more than once"),
-    "state": (1, "state takes exactly one value", "state given more than once"),
-    "scan": (4, "scan needs <name> <from> <to> <step>", "only one scan variable is allowed"),
-    "geometry": (4, "geometry needs four complex coefficients", "geometry given more than once"),
-    "output": (1, f"output must be one of {OUTPUT_FORMATS}", "output given more than once"),
-}
-
-
-def parse_scenario(text: str) -> ScenarioSpec:
-    """Parse and validate one scenario description."""
-    angles: dict[str, float] = {}
-    beams: dict[int, BeamProfile] = {}
-    once: dict[str, object] = {}
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.partition("#")[0].strip()
-        if not line:
-            continue
-        key, *tokens = line.split()
-
-        if key == "angle":
-            if len(tokens) != 2:
-                raise ParseError(line_no, "angle needs <name> <degrees>")
-            name = tokens[0]
-            if name in angles:
-                raise ValidationError(f"angle {name} given more than once")
-            angles[name] = _parse_float(tokens[1], line_no, f"angle {name}")
-        elif key == "beam":
-            index, beam = _parse_beam(tokens, line_no)
-            if index in beams:
-                raise ValidationError(f"beam {index} given more than once")
-            beams[index] = beam
-        elif key in _ONCE:
-            count, usage, repeat = _ONCE[key]
-            if len(tokens) != count or key == "output" and tokens[0] not in OUTPUT_FORMATS:
-                raise ParseError(line_no, usage)
-            if key in once:
-                raise ValidationError(repeat)
-            if count == 1:
-                once[key] = tokens[0]
-            elif key == "scan":
-                start = _parse_float(tokens[1], line_no, "scan start")
-                stop = _parse_float(tokens[2], line_no, "scan stop")
-                once[key] = Scan(tokens[0], start, stop, _parse_float(tokens[3], line_no, "scan step"))
-            else:
-                once[key] = CascadeGeometry(*[_parse_complex(tok, line_no) for tok in tokens])
-        else:
-            raise ParseError(line_no, f"unknown key {key!r}")
-    experiment, state, scan, geometry, output = map(once.get, _ONCE)
-
-    if experiment is None:
-        raise ValidationError("missing required 'experiment' directive")
-    if experiment not in EXPERIMENTS:
-        raise ValidationError(f"unknown experiment {experiment!r}; expected one of {tuple(EXPERIMENTS)}")
-    record = EXPERIMENTS[experiment]
-
-    if state is None:
-        state = record.default_state
-    if state not in record.states:
-        raise ValidationError(f"state {state!r} is not valid for {experiment}; expected one of {record.states}")
-
-    for name in angles:
-        if name not in record.angles:
-            raise ValidationError(f"angle {name!r} is not a parameter of {experiment}")
-    if scan is not None:
-        if scan.name not in record.angles:
-            raise ValidationError(f"scan variable {scan.name!r} is not a parameter of {experiment}")
-        if scan.name in angles:
-            raise ValidationError(f"angle {scan.name} is both fixed and scanned")
-        try:
-            scan_count(scan.start, scan.stop, scan.step)
-        except ValueError as err:
-            raise ValidationError(str(err)) from None
-
-    if beams and experiment != "fig3":
-        raise ValidationError("beam directives only apply to the fig3 experiment")
-    if geometry is not None and experiment != "cascade":
-        raise ValidationError("geometry only applies to the cascade experiment")
-
-    full_angles = {**record.angles, **angles}
-    if scan is not None:
-        full_angles.pop(scan.name, None)
-
-    beam_pair = (beams.get(1, DEFAULT_BEAMS[0]), beams.get(2, DEFAULT_BEAMS[1]))
-    return ScenarioSpec(experiment, state, full_angles, scan, beam_pair, geometry or _DEFAULT_GEOMETRY, output or "csv")
+        raise ValidationError(str(err), where) from None
 
 
 def _fmt_number(value: float) -> str:
@@ -203,28 +119,124 @@ def _fmt_complex(value: complex) -> str:
     return f"{_fmt_number(value.real)}{'+' if value.imag >= 0 else '-'}{_fmt_number(abs(value.imag))}i"
 
 
+def _beam_values(index: int, beam: BeamProfile) -> list[str]:
+    width = [_fmt_number(beam.width)] if beam.kind == "gaussian" else []
+    return [str(index), beam.kind, _fmt_number(beam.tilt), *width, _fmt_number(beam.phase_offset)]
+
+
+#: The scenario grammar, one entry per directive in ScenarioSpec order: its value
+#: count ("+" for one or more) and the metavars of its `scan` flag; its usage
+#: message, for values that do not fit, and its repeat message; whether it may
+#: repeat, with another first value each time (the message names it, {});
+#: whether its values are read before the repeat check; its reader, (values,
+#: location) -> value, or None for values that do not fit (without a reader, the
+#: value is the one token); and its writer, spec -> the values of each line that
+#: format_scenario writes.
+_DIRECTIVES = {
+    "experiment": (1, None, "experiment takes exactly one value", "experiment given more than once", False, False,
+                   None, lambda spec: [[spec.experiment]]),
+    "state": (1, None, "state takes exactly one value", "state given more than once", False, False,
+              None, lambda spec: [[spec.state]]),
+    "angle": (2, ("NAME", "DEG"), "angle needs <name> <degrees>", "angle {} given more than once", True, False,
+              lambda tokens, where: _parse_float(tokens[1], where, "angle", tokens[0]),
+              lambda spec: [[name, _fmt_number(spec.angles[name])]
+                            for name in EXPERIMENTS[spec.experiment].angles if name in spec.angles]),
+    "scan": (4, ("NAME", "FROM", "TO", "STEP"), "scan needs <name> <from> <to> <step>",
+             "only one scan variable is allowed", False, False,
+             lambda tokens, where: Scan(tokens[0], _parse_float(tokens[1], where, "scan start"),
+                                        _parse_float(tokens[2], where, "scan stop"),
+                                        _parse_float(tokens[3], where, "scan step")),
+             lambda spec: [[spec.scan.name, *map(_fmt_number, spec.scan[1:])]] if spec.scan else []),
+    "beam": ("+", "SPEC", "beam needs at least <index> <kind> <tilt>", "beam {} given more than once", True, True,
+             _parse_beam, lambda spec: list(map(_beam_values, (1, 2), spec.beams)) if spec.experiment == "fig3" else []),
+    "geometry": (4, ("G11", "G12", "G21", "G22"), "geometry needs four complex coefficients",
+                 "geometry given more than once", False, False,
+                 lambda tokens, where: CascadeGeometry(*[_parse_complex(token, where) for token in tokens]),
+                 lambda spec: [list(map(_fmt_complex, spec.geometry))] if spec.experiment == "cascade" else []),
+    "output": (1, None, f"output must be one of {OUTPUT_FORMATS}", "output given more than once", False, True,
+               lambda tokens, where: tokens[0] if tokens[0] in OUTPUT_FORMATS else None, lambda spec: [[spec.output]]),
+}
+
+
+def _at(items: list[tuple[int | str, str, list[str]]], key: str, name: str | None = None) -> int | str:
+    """The location of the first `key` item (whose first value is `name`, when given)."""
+    return next(where for where, k, tokens in items if k == key and name in (None, tokens[0]))
+
+
+def _read_items(items: list[tuple[int | str, str, list[str]]]) -> ScenarioSpec:
+    """The validated spec of (location, key, values) items: a scenario's lines,
+    or the values of a command's flags."""
+    found: dict = {"angle": {}, "beam": {}}
+    for where, key, tokens in items:
+        try:
+            nargs, _, usage, repeat, repeats, first, read, _ = _DIRECTIVES[key]
+        except KeyError:
+            raise ParseError(where, f"unknown key {key!r}") from None
+        # A count of "+" is checked by the reader.
+        if len(tokens) != nargs != "+" or first and (value := read(tokens, where)) is None:
+            raise ParseError(where, usage)
+        store = found[key] if repeats else found
+        name = tokens[0] if repeats else key
+        if name in store:
+            raise ValidationError(repeat.format(name), where)
+        store[name] = value if first else read(tokens, where) if read else tokens[0]
+    angles, beams = found["angle"], found["beam"]
+
+    experiment = found.get("experiment")
+    if experiment is None:
+        raise ValidationError("missing required 'experiment' directive")
+    if experiment not in EXPERIMENTS:
+        raise ValidationError(f"unknown experiment {experiment!r}; expected one of {tuple(EXPERIMENTS)}",
+                              _at(items, "experiment"))
+    record = EXPERIMENTS[experiment]
+
+    state = found.get("state", record.default_state)
+    if state not in record.states:
+        raise ValidationError(f"state {state!r} is not valid for {experiment}; expected one of {record.states}",
+                              _at(items, "state"))
+
+    for name in angles:
+        if name not in record.angles:
+            raise ValidationError(f"angle {name!r} is not a parameter of {experiment}", _at(items, "angle", name))
+    scan = found.get("scan")
+    if scan is not None:
+        if scan.name not in record.angles:
+            raise ValidationError(f"scan variable {scan.name!r} is not a parameter of {experiment}", _at(items, "scan"))
+        if scan.name in angles:
+            raise ValidationError(f"angle {scan.name} is both fixed and scanned", _at(items, "scan"))
+        try:
+            scan_count(scan.start, scan.stop, scan.step)
+        except ValueError as err:
+            raise ValidationError(str(err), _at(items, "scan")) from None
+
+    if beams and experiment != "fig3":
+        raise ValidationError("beam directives only apply to the fig3 experiment", _at(items, "beam"))
+    geometry = found.get("geometry")
+    if geometry is not None and experiment != "cascade":
+        raise ValidationError("geometry only applies to the cascade experiment", _at(items, "geometry"))
+
+    full_angles = {**record.angles, **angles}
+    if scan is not None:
+        full_angles.pop(scan.name, None)
+
+    beam_pair = (beams.get("1", DEFAULT_BEAMS[0]), beams.get("2", DEFAULT_BEAMS[1]))
+    return ScenarioSpec(experiment, state, full_angles, scan, beam_pair, geometry or _DEFAULT_GEOMETRY,
+                        found.get("output", "csv"))
+
+
+def parse_scenario(text: str) -> ScenarioSpec:
+    """Parse and validate one scenario description."""
+    items = []
+    for line_no, raw in enumerate(text.splitlines(), 1):
+        words = raw.partition("#")[0].split()
+        if words:
+            items.append((line_no, words[0], words[1:]))
+    return _read_items(items)
+
+
 def format_scenario(spec: ScenarioSpec) -> str:
     """Canonical text for a spec; parse(format(spec)) == spec."""
-    lines = [f"experiment {spec.experiment}", f"state {spec.state}"]
-    for name in EXPERIMENTS[spec.experiment].angles:
-        if name in spec.angles:
-            lines.append(f"angle {name} {_fmt_number(spec.angles[name])}")
-    if spec.scan is not None:
-        scan = spec.scan
-        lines.append(f"scan {scan.name} {_fmt_number(scan.start)} {_fmt_number(scan.stop)} {_fmt_number(scan.step)}")
-    if spec.experiment == "fig3":
-        for index, beam in enumerate(spec.beams, start=1):
-            parts = [f"beam {index}", beam.kind, _fmt_number(beam.tilt)]
-            if beam.kind == "gaussian":
-                parts.append(_fmt_number(beam.width))
-            parts.append(_fmt_number(beam.phase_offset))
-            lines.append(" ".join(parts))
-    if spec.experiment == "cascade":
-        geom = spec.geometry
-        coeffs = " ".join(_fmt_complex(g) for g in (geom.g11, geom.g12, geom.g21, geom.g22))
-        lines.append(f"geometry {coeffs}")
-    lines.append(f"output {spec.output}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} {' '.join(values)}\n" for key, entry in _DIRECTIVES.items() for values in entry[-1](spec))
 
 
 def evaluate(spec: ScenarioSpec) -> list[tuple[object, ScenarioResult]]:

@@ -356,6 +356,17 @@ def test_bad_input_prints_one_line(capsys, argv):
         (["scan", "--experiment", "fig3", "--beam", "1", "plane_wave"], "--beam"),
         (["scan", "--experiment", "cascade", "--geometry", "1+0i", "nope", "0i", "1"], "--geometry"),
         (["scan", "--experiment", "fig1", "--scan", "theta2", "0", "x", "5"], "--scan"),
+        # Values that parse but break a rule of their directive.
+        (["scan", "--experiment", "pdc", "--scan", "theta2", "0", "10", "-1"], "--scan"),
+        (["scan", "--experiment", "pdc", "--angle", "theta1", "1", "--scan", "theta1", "0", "1", "1"], "--scan"),
+        (["scan", "--experiment", "pdc", "--angle", "theta9", "1"], "--angle"),
+        (["scan", "--experiment", "pdc", "--angle", "theta1", "1", "--angle", "theta1", "2"], "--angle"),
+        (["scan", "--experiment", "pdc", "--beam", "1", "plane_wave", "0"], "--beam"),
+        (["scan", "--experiment", "fig3", "--beam", "2", "gaussian", "0", "1e-300"], "--beam"),
+        (["scan", "--experiment", "fig1", "--geometry", "1+0i", "1+0i", "1+0i", "1+0i"], "--geometry"),
+        (["scan", "--experiment", "cascade", "--state", "psi_e"], "--state"),
+        (["scan", "--experiment", "fig9"], "--experiment"),
+        (["chsh", "--state", "psi_x"], "--state"),
     ],
 )
 def test_flag_errors_name_the_flag(capsys, argv, flag):
@@ -363,6 +374,33 @@ def test_flag_errors_name_the_flag(capsys, argv, flag):
     assert code == 1 and out == ""
     assert err.startswith(f"error: argument {flag}: ") and err.count("\n") == 1
     assert "line " not in err
+
+
+@pytest.mark.parametrize(
+    "argv, text, err",
+    [
+        (
+            ["scan", "--experiment", "fig3", "--beam", "1", "gaussian", "0", "-1", "--beam", "2", "gaussian", "0", "0"],
+            None,
+            "error: argument --beam: gaussian beams need width > 0\n",
+        ),
+        (
+            ["run"],
+            "experiment fig1\nangle theta1 0\nangle theta1 5\n",
+            "error: line 3: angle theta1 given more than once\n",
+        ),
+        (
+            ["run"],
+            "experiment pdc\ngeometry 1+0i 0+0i 0+0i 1+0i\n",
+            "error: line 2: geometry only applies to the cascade experiment\n",
+        ),
+    ],
+    ids=["two bad beams", "angle given twice", "geometry outside cascade"],
+)
+def test_a_validation_error_names_its_flag_or_line(tmp_path, capsys, argv, text, err):
+    if text is not None:
+        argv = [*argv, write_spec(tmp_path, text)]
+    assert run_cli(capsys, *argv) == (1, "", err)
 
 
 def test_well_formed_requests_skip_the_top_level_parser(monkeypatch, tmp_path, capsys):

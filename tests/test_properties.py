@@ -13,6 +13,7 @@ import contextlib
 import csv
 import io
 import json
+import re
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from biphoton.cli import _TABLES as TABLES
 from biphoton.cli import build_parser, main
 from biphoton.detection import DEFAULT_BEAMS, BeamProfile
 from biphoton.experiments import EXPERIMENTS, CascadeGeometry
+from biphoton.scenario import _DIRECTIVES
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150, database=None)
 
@@ -172,6 +174,42 @@ def test_cli_exit_code_contract(argv):
         # A passing row was checked: it carries its closed form and error.
         rows = json.loads(text) if "--format" in argv else list(csv.DictReader(io.StringIO(text)))
         assert rows and all(row[key] not in (None, "") for row in rows for key in ("closed_form", "abs_error")), argv
+
+
+#: Scan values: small grids, and bounds or steps that break a rule; a wide
+#: grid of random floats could hold up to a million points.
+SCAN_TOKENS = ("theta1", "theta2", "theta3", "a", "0", "1", "10", "-1", "45", "1e-9", "1e308", "nan", "x")
+
+
+@st.composite
+def scan_flag_argv(draw) -> list[str]:
+    """scan argv of an experiment and zero to two of each directive's flags,
+    each with as many values as its directive takes, drawn from tokens that
+    parse, tokens that break a rule and tokens that are not one word."""
+    argv = ["scan", "--experiment", draw(st.one_of(st.sampled_from(sorted(EXPERIMENTS)), token))]
+    for key, (nargs, *_) in _DIRECTIVES.items():
+        if key in ("experiment", "output"):
+            continue
+        values = st.sampled_from(SCAN_TOKENS) if key == "scan" else token
+        for _ in range(draw(st.integers(0, 2))):
+            count = draw(st.integers(1, 5)) if nargs == "+" else nargs
+            argv += [f"--{key}", *draw(st.lists(values, min_size=count, max_size=count))]
+    return argv
+
+
+@PROPERTY
+@given(scan_flag_argv())
+@example(["scan", "--experiment", "fig3", "--beam", "1", "gaussian", "0", "-1", "--beam", "2", "gaussian", "0", "0"])
+@example(["scan", "--experiment", "pdc", "--angle", "theta1", "1", "--scan", "theta1", "0", "1", "1"])
+def test_a_directive_error_names_one_flag_of_its_argv(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    # Usage errors are argparse's, and a dark fig3 map is an error of the whole spec.
+    if code == 1 and not err.startswith("biphoton scan: error: ") and "identically dark" not in err:
+        flag = re.match(r"error: argument (--\w+): ", err)
+        assert flag and flag.group(1) in argv and err.count("\n") == 1 and err.endswith("\n"), (argv, err)
 
 
 COMMANDS = next(action.choices for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction))

@@ -7,6 +7,7 @@ import shlex
 from pathlib import Path
 
 from biphoton.cli import main
+from biphoton.scenario import _DIRECTIVES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -41,3 +42,19 @@ def test_readme_cli_examples_print_their_output(capsys):
     for argv, stdout in examples:
         assert main(argv) == 0, argv
         assert capsys.readouterr().out == stdout, argv
+
+
+def test_readme_directives_block_is_the_grammar_table():
+    """Each line of the Directives block is a directive of scenario._DIRECTIVES
+    with as many values as its count ("+": at least one), and the block lists
+    every directive, in the table's order."""
+    block = re.search(r"Directives:\n\n```\n(.*?)```", README.read_text(encoding="utf-8"), flags=re.DOTALL)
+    assert block, "README has no Directives block"
+    keys = []
+    for line in block.group(1).splitlines():
+        key, *values = line.partition("#")[0].split()
+        nargs = _DIRECTIVES[key][0]
+        assert len(values) >= 1 if nargs == "+" else len(values) == nargs, line
+        if key not in keys[-1:]:
+            keys.append(key)
+    assert keys == list(_DIRECTIVES)

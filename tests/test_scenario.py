@@ -84,7 +84,45 @@ def test_once_directive_repeat_message(key):
     directive, _, repeat = ONCE_DIRECTIVES[key]
     with pytest.raises(sc.ValidationError) as err:
         sc.parse_scenario(f"experiment cascade\n{directive}\n{directive}\n")
-    assert str(err.value) == repeat
+    # The second experiment line is line 2; any other directive's is line 3.
+    assert str(err.value) == f"line {2 if key == 'experiment' else 3}: {repeat}"
+
+
+#: A text for each rule that one directive can break, and the message that names its line.
+LOCATED = [
+    ("experiment fig1\nangle theta1 0\nangle theta1 5\n", "line 3: angle theta1 given more than once"),
+    ("experiment fig3\nbeam 1 plane 0\n\nbeam 1 plane 1\n", "line 4: beam 1 given more than once"),
+    ("experiment fig3\nbeam 1 plane 0\nbeam 2 gaussian 0 -1\n", "line 3: gaussian beams need width > 0"),
+    (
+        "experiment fig3\nbeam 1 gaussian 0 1e-300\n",
+        "line 2: gaussian beam width 1e-300 is too small: its square underflows to 0",
+    ),
+    ("experiment pdc\n# step\nscan theta2 0 10 -1\n", "line 3: scan step must be > 0"),
+    ("experiment fig1\nscan theta2 0 180 1e-9\n", f"line 2: scan has more than {MAX_SCAN_POINTS} points"),
+    ("experiment fig1\nangle theta1 0\nangle theta3 10\n", "line 3: angle 'theta3' is not a parameter of fig1"),
+    ("scan theta3 0 1 1\nexperiment fig1\n", "line 1: scan variable 'theta3' is not a parameter of fig1"),
+    ("experiment fig1\nangle theta2 5\nscan theta2 0 10 1\n", "line 3: angle theta2 is both fixed and scanned"),
+    ("experiment fig1\nbeam 1 plane_wave 15.0\n", "line 2: beam directives only apply to the fig3 experiment"),
+    ("experiment pdc\ngeometry 1 1 1 1\n", "line 2: geometry only applies to the cascade experiment"),
+    (
+        "state psi_e\nexperiment cascade\n",
+        "line 1: state 'psi_e' is not valid for cascade; expected one of ('psi_u_prime',)",
+    ),
+    ("\nexperiment fig9\n", f"line 2: unknown experiment 'fig9'; expected one of {tuple(ex.EXPERIMENTS)}"),
+]
+
+
+@pytest.mark.parametrize("text, message", LOCATED, ids=[message for _, message in LOCATED])
+def test_an_error_of_one_directive_names_its_line(text, message):
+    with pytest.raises(sc.ValidationError) as err:
+        sc.parse_scenario(text)
+    assert str(err.value) == message
+
+
+def test_an_error_of_the_whole_spec_names_no_line():
+    with pytest.raises(sc.ValidationError) as err:
+        sc.parse_scenario("# no experiment\nstate psi_u\n")
+    assert str(err.value) == "missing required 'experiment' directive"
 
 
 def test_validation_unknown_experiment():
