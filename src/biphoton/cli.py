@@ -111,8 +111,7 @@ def cmd_run(args: SimpleNamespace) -> int:
 
 
 def _directive(key: str, flag: str, values: list[str]) -> tuple[str, str, list[str]]:
-    """The (location, key, values) item of a flag's values, each of which must
-    be one token, as on a scenario line: no space, line break or '#'."""
+    """The (location, key, values) item of a flag's values, each one token as on a scenario line."""
     where = f"argument {flag}"
     for value in values:
         if value.split() != [value] or "#" in value:

@@ -124,14 +124,11 @@ def _beam_values(index: int, beam: BeamProfile) -> list[str]:
     return [str(index), beam.kind, _fmt_number(beam.tilt), *width, _fmt_number(beam.phase_offset)]
 
 
-#: The scenario grammar, one entry per directive in ScenarioSpec order: its value
-#: count ("+" for one or more) and the metavars of its `scan` flag; its usage
-#: message, for values that do not fit, and its repeat message; whether it may
-#: repeat, with another first value each time (the message names it, {});
-#: whether its values are read before the repeat check; its reader, (values,
-#: location) -> value, or None for values that do not fit (without a reader, the
-#: value is the one token); and its writer, spec -> the values of each line that
-#: format_scenario writes.
+#: The scenario grammar, one entry per directive in ScenarioSpec order: value count ("+": one
+#: or more); the metavars of its `scan` flag; usage message; repeat message; whether it may
+#: repeat with another first value (which the message names, {}); whether its values are read
+#: before the repeat check; reader, (values, location) -> value, or None for values that do
+#: not fit (none: the value is the one token); writer, spec -> the values of each line.
 _DIRECTIVES = {
     "experiment": (1, None, "experiment takes exactly one value", "experiment given more than once", False, False,
                    None, lambda spec: [[spec.experiment]]),
