@@ -127,8 +127,9 @@ def _beam_values(index: int, beam: BeamProfile) -> list[str]:
 #: The scenario grammar, one entry per directive in ScenarioSpec order: value count ("+": one
 #: or more); the metavars of its `scan` flag; usage message; repeat message; whether it may
 #: repeat with another first value (which the message names, {}); whether its values are read
-#: before the repeat check; reader, (values, location) -> value, or None for values that do
-#: not fit (none: the value is the one token); writer, spec -> the values of each line.
+#: before the repeat check, as beam's reader checks their count and output's their format;
+#: reader, (values, location) -> value, or None for values that do not fit (none: the value
+#: is the one token); writer, spec -> the values of each line.
 _DIRECTIVES = {
     "experiment": (1, None, "experiment takes exactly one value", "experiment given more than once", False, False,
                    None, lambda spec: [[spec.experiment]]),
