@@ -25,9 +25,7 @@ from types import SimpleNamespace
 
 from .detection import AllDark
 from .experiments import EXPERIMENTS, ScenarioResult
-from .scenario import (
-    _DIRECTIVES, OUTPUT_FORMATS, ParseError, ScenarioSpec, ValidationError, _read_items, evaluate, parse_scenario,
-)
+from .scenario import _DIRECTIVES, OUTPUT_FORMATS, ParseError, ScenarioSpec, ValidationError, evaluate, parse_scenario
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -121,12 +119,12 @@ def _directive(key: str, flag: str, values: list[str]) -> tuple[str, str, list[s
 
 def cmd_scan(args: SimpleNamespace) -> int:
     items = []
-    for key, (nargs, _, _, _, repeats, *_) in _SCAN_DIRECTIVES.items():
+    for key, entry in _SCAN_DIRECTIVES.items():
         given = getattr(args, key)
         if given is not None:
-            for values in given if repeats else [given]:
-                items.append(_directive(key, f"--{key}", [values] if nargs == 1 else values))
-    return _run_spec(_read_items(items), args)
+            for values in given if entry.repeats else [given]:
+                items.append(_directive(key, f"--{key}", [values] if entry.nargs == 1 else values))
+    return _run_spec(parse_scenario(items), args)
 
 
 def cmd_chsh(args: SimpleNamespace) -> int:
@@ -137,7 +135,7 @@ def cmd_chsh(args: SimpleNamespace) -> int:
         value = getattr(args, name)
         if value is not None:
             items.append(_directive("angle", f"--{name}", [name, value]))
-    return _run_spec(_read_items(items), args)
+    return _run_spec(parse_scenario(items), args)
 
 
 def cmd_selfcheck(args: SimpleNamespace) -> int:
@@ -164,9 +162,9 @@ _COMMON: tuple[_Option, ...] = (
 _COMMANDS: dict[str, tuple[str, Callable[[SimpleNamespace], int], tuple[_Option, ...]]] = {
     "run": ("evaluate a scenario file", cmd_run, (*_COMMON, ("file", {"help": "scenario file path"}))),
     "scan": ("evaluate a scenario given as flags", cmd_scan, (*_COMMON, *(
-        (f"--{key}", {"required": key == "experiment", **({} if nargs == 1 else {"nargs": nargs, "metavar": metavar}),
-                      **({"action": "append"} if repeats else {})})
-        for key, (nargs, metavar, _, _, repeats, *_) in _SCAN_DIRECTIVES.items()
+        (f"--{key}", {"required": key == "experiment", "action": "append" if entry.repeats else "store",
+                      **({} if entry.nargs == 1 else {"nargs": entry.nargs, "metavar": entry.metavar})})
+        for key, entry in _SCAN_DIRECTIVES.items()
     ))),
     "chsh": ("four-setting correlation sum", cmd_chsh, (
         *_COMMON, ("--state", {}), *((f"--{name}", {"metavar": "DEG"}) for name in EXPERIMENTS["chsh"].angles)

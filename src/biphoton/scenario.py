@@ -88,26 +88,26 @@ def _parse_complex(token: str, where: int | str) -> complex:
 def _parse_beam(tokens: list[str], where: int | str) -> BeamProfile | None:
     if len(tokens) < 3:
         return None
-    if tokens[0] not in ("1", "2"):
-        raise ParseError(where, f"beam index must be 1 or 2, got {tokens[0]!r}")
+    if (index := tokens[0]) not in ("1", "2"):  # every later error names it: --beam flags share a location
+        raise ParseError(where, f"beam index must be 1 or 2, got {index!r}")
     kind = {"plane": "plane_wave", "plane_wave": "plane_wave", "gaussian": "gaussian"}.get(tokens[1])
     if kind is None:
-        raise ParseError(where, f"beam kind must be plane_wave or gaussian, got {tokens[1]!r}")
-    tilt = _parse_float(tokens[2], where, "beam tilt")
+        raise ParseError(where, f"beam {index} kind must be plane_wave or gaussian, got {tokens[1]!r}")
+    tilt = _parse_float(tokens[2], where, "beam", index, "tilt")
     rest = tokens[3:]
     width = None
     if kind == "gaussian":
         if not rest:
-            raise ParseError(where, "gaussian beam needs a width")
-        width = _parse_float(rest[0], where, "beam width")
+            raise ParseError(where, f"gaussian beam {index} needs a width")
+        width = _parse_float(rest[0], where, "beam", index, "width")
         rest = rest[1:]
-    phase = _parse_float(rest[0], where, "beam phase") if rest else 0.0
+    phase = _parse_float(rest[0], where, "beam", index, "phase") if rest else 0.0
     if len(rest) > 1:
-        raise ParseError(where, "too many values on beam directive")
+        raise ParseError(where, f"too many values on beam {index}")
     try:
         return BeamProfile(kind=kind, tilt=tilt, width=width, phase_offset=phase)
     except ValueError as err:
-        raise ValidationError(str(err), where) from None
+        raise ValidationError(f"beam {index}: {err}", where) from None
 
 
 def _fmt_number(value: float) -> str:
@@ -124,59 +124,72 @@ def _beam_values(index: int, beam: BeamProfile) -> list[str]:
     return [str(index), beam.kind, _fmt_number(beam.tilt), *width, _fmt_number(beam.phase_offset)]
 
 
-#: The scenario grammar, one entry per directive in ScenarioSpec order: value count ("+": one
-#: or more); the metavars of its `scan` flag; usage message; repeat message; whether it may
-#: repeat with another first value (which the message names, {}); whether its values are read
-#: before the repeat check, as beam's reader checks their count and output's their format;
-#: reader, (values, location) -> value, or None for values that do not fit (none: the value
-#: is the one token); writer, spec -> the values of each line.
+class _Directive:
+    """One directive of the grammar: value count ("+": one or more, checked by the reader), usage and
+    repeat messages ({} names the first value of one that may repeat), writer (spec -> each line's
+    values), `scan` flag metavars, whether it may repeat with another first value, whether its values
+    are read before the repeat check (beam's reader checks their count, output's their format), and
+    reader ((values, location) -> value, None if they do not fit; none: the value is the one token)."""
+
+    __slots__ = ("nargs", "usage", "repeat", "write", "metavar", "repeats", "first", "read")
+
+    def __init__(self, nargs, usage, repeat, write, metavar=None, repeats=False, first=False, read=None):
+        self.nargs, self.usage, self.repeat, self.write = nargs, usage, repeat, write
+        self.metavar, self.repeats, self.first, self.read = metavar, repeats, first, read
+
+
+#: The scenario grammar, one entry per directive in ScenarioSpec order.
 _DIRECTIVES = {
-    "experiment": (1, None, "experiment takes exactly one value", "experiment given more than once", False, False,
-                   None, lambda spec: [[spec.experiment]]),
-    "state": (1, None, "state takes exactly one value", "state given more than once", False, False,
-              None, lambda spec: [[spec.state]]),
-    "angle": (2, ("NAME", "DEG"), "angle needs <name> <degrees>", "angle {} given more than once", True, False,
-              lambda tokens, where: _parse_float(tokens[1], where, "angle", tokens[0]),
-              lambda spec: [[name, _fmt_number(spec.angles[name])]
-                            for name in EXPERIMENTS[spec.experiment].angles if name in spec.angles]),
-    "scan": (4, ("NAME", "FROM", "TO", "STEP"), "scan needs <name> <from> <to> <step>",
-             "only one scan variable is allowed", False, False,
-             lambda tokens, where: Scan(tokens[0], _parse_float(tokens[1], where, "scan start"),
-                                        _parse_float(tokens[2], where, "scan stop"),
-                                        _parse_float(tokens[3], where, "scan step")),
-             lambda spec: [[spec.scan.name, *map(_fmt_number, spec.scan[1:])]] if spec.scan else []),
-    "beam": ("+", "SPEC", "beam needs at least <index> <kind> <tilt>", "beam {} given more than once", True, True,
-             _parse_beam, lambda spec: list(map(_beam_values, (1, 2), spec.beams)) if spec.experiment == "fig3" else []),
-    "geometry": (4, ("G11", "G12", "G21", "G22"), "geometry needs four complex coefficients",
-                 "geometry given more than once", False, False,
-                 lambda tokens, where: CascadeGeometry(*[_parse_complex(token, where) for token in tokens]),
-                 lambda spec: [list(map(_fmt_complex, spec.geometry))] if spec.experiment == "cascade" else []),
-    "output": (1, None, f"output must be one of {OUTPUT_FORMATS}", "output given more than once", False, True,
-               lambda tokens, where: tokens[0] if tokens[0] in OUTPUT_FORMATS else None, lambda spec: [[spec.output]]),
+    "experiment": _Directive(1, "experiment takes exactly one value", "experiment given more than once",
+                             lambda spec: [[spec.experiment]]),
+    "state": _Directive(1, "state takes exactly one value", "state given more than once", lambda spec: [[spec.state]]),
+    "angle": _Directive(2, "angle needs <name> <degrees>", "angle {} given more than once",
+                        lambda spec: [[name, _fmt_number(spec.angles[name])]
+                                      for name in EXPERIMENTS[spec.experiment].angles if name in spec.angles],
+                        ("NAME", "DEG"), repeats=True,
+                        read=lambda tokens, where: _parse_float(tokens[1], where, "angle", tokens[0])),
+    "scan": _Directive(4, "scan needs <name> <from> <to> <step>", "only one scan variable is allowed",
+                       lambda spec: [[spec.scan.name, *map(_fmt_number, spec.scan[1:])]] if spec.scan else [],
+                       ("NAME", "FROM", "TO", "STEP"),
+                       read=lambda tokens, where: Scan(tokens[0], _parse_float(tokens[1], where, "scan start"),
+                                                       _parse_float(tokens[2], where, "scan stop"),
+                                                       _parse_float(tokens[3], where, "scan step"))),
+    "beam": _Directive("+", "beam needs at least <index> <kind> <tilt>", "beam {} given more than once",
+                       lambda spec: list(map(_beam_values, (1, 2), spec.beams)) if spec.experiment == "fig3" else [],
+                       "SPEC", repeats=True, first=True, read=_parse_beam),
+    "geometry": _Directive(4, "geometry needs four complex coefficients", "geometry given more than once",
+                           lambda spec: [list(map(_fmt_complex, spec.geometry))] if spec.experiment == "cascade"
+                           else [], ("G11", "G12", "G21", "G22"),
+                           read=lambda tokens, where: CascadeGeometry(*[_parse_complex(t, where) for t in tokens])),
+    "output": _Directive(1, f"output must be one of {OUTPUT_FORMATS}", "output given more than once",
+                         lambda spec: [[spec.output]], first=True,
+                         read=lambda tokens, where: tokens[0] if tokens[0] in OUTPUT_FORMATS else None),
 }
 
 
-def _at(items: list[tuple[int | str, str, list[str]]], key: str, name: str | None = None) -> int | str:
-    """The location of the first `key` item (whose first value is `name`, when given)."""
-    return next(where for where, k, tokens in items if k == key and name in (None, tokens[0]))
-
-
-def _read_items(items: list[tuple[int | str, str, list[str]]]) -> ScenarioSpec:
-    """The validated spec of (location, key, values) items: a scenario's lines,
-    or the values of a command's flags."""
+def parse_scenario(source: str | list[tuple[int | str, str, list[str]]]) -> ScenarioSpec:
+    """Parse and validate one scenario: a text, one directive a line, or the
+    (location, key, values) items of a command's flags."""
+    if isinstance(source, str):
+        text, source = source, []
+        for line_no, raw in enumerate(text.splitlines(), 1):
+            words = raw.partition("#")[0].split()
+            if words:
+                source.append((line_no, words[0], words[1:]))
     found: dict = {"angle": {}, "beam": {}}
-    for where, key, tokens in items:
+    at: dict = {}  # each directive's location, by key, or by (key, first value) if it may repeat
+    for where, key, tokens in source:
         try:
-            nargs, _, usage, repeat, repeats, first, read, _ = _DIRECTIVES[key]
+            directive = _DIRECTIVES[key]
         except KeyError:
             raise ParseError(where, f"unknown key {key!r}") from None
-        # A count of "+" is checked by the reader.
+        nargs, first, read, repeats = directive.nargs, directive.first, directive.read, directive.repeats
         if len(tokens) != nargs != "+" or first and (value := read(tokens, where)) is None:
-            raise ParseError(where, usage)
-        store = found[key] if repeats else found
-        name = tokens[0] if repeats else key
+            raise ParseError(where, directive.usage)
+        store, name = (found[key], tokens[0]) if repeats else (found, key)
+        at[(key, name) if repeats else key] = where
         if name in store:
-            raise ValidationError(repeat.format(name), where)
+            raise ValidationError(directive.repeat.format(name), where)
         store[name] = value if first else read(tokens, where) if read else tokens[0]
     angles, beams = found["angle"], found["beam"]
 
@@ -185,56 +198,47 @@ def _read_items(items: list[tuple[int | str, str, list[str]]]) -> ScenarioSpec:
         raise ValidationError("missing required 'experiment' directive")
     if experiment not in EXPERIMENTS:
         raise ValidationError(f"unknown experiment {experiment!r}; expected one of {tuple(EXPERIMENTS)}",
-                              _at(items, "experiment"))
+                              at["experiment"])
     record = EXPERIMENTS[experiment]
 
     state = found.get("state", record.default_state)
     if state not in record.states:
         raise ValidationError(f"state {state!r} is not valid for {experiment}; expected one of {record.states}",
-                              _at(items, "state"))
+                              at["state"])
 
     for name in angles:
         if name not in record.angles:
-            raise ValidationError(f"angle {name!r} is not a parameter of {experiment}", _at(items, "angle", name))
+            raise ValidationError(f"angle {name!r} is not a parameter of {experiment}", at["angle", name])
     scan = found.get("scan")
     if scan is not None:
         if scan.name not in record.angles:
-            raise ValidationError(f"scan variable {scan.name!r} is not a parameter of {experiment}", _at(items, "scan"))
+            raise ValidationError(f"scan variable {scan.name!r} is not a parameter of {experiment}", at["scan"])
         if scan.name in angles:
-            raise ValidationError(f"angle {scan.name} is both fixed and scanned", _at(items, "scan"))
+            raise ValidationError(f"angle {scan.name} is both fixed and scanned", at["scan"])
         try:
             scan_count(scan.start, scan.stop, scan.step)
         except ValueError as err:
-            raise ValidationError(str(err), _at(items, "scan")) from None
+            raise ValidationError(str(err), at["scan"]) from None
 
     if beams and experiment != "fig3":
-        raise ValidationError("beam directives only apply to the fig3 experiment", _at(items, "beam"))
+        raise ValidationError("beam directives only apply to the fig3 experiment", at["beam", next(iter(beams))])
     geometry = found.get("geometry")
     if geometry is not None and experiment != "cascade":
-        raise ValidationError("geometry only applies to the cascade experiment", _at(items, "geometry"))
+        raise ValidationError("geometry only applies to the cascade experiment", at["geometry"])
 
     full_angles = {**record.angles, **angles}
     if scan is not None:
         full_angles.pop(scan.name, None)
 
-    beam_pair = (beams.get("1", DEFAULT_BEAMS[0]), beams.get("2", DEFAULT_BEAMS[1]))
-    return ScenarioSpec(experiment, state, full_angles, scan, beam_pair, geometry or _DEFAULT_GEOMETRY,
-                        found.get("output", "csv"))
-
-
-def parse_scenario(text: str) -> ScenarioSpec:
-    """Parse and validate one scenario description."""
-    items = []
-    for line_no, raw in enumerate(text.splitlines(), 1):
-        words = raw.partition("#")[0].split()
-        if words:
-            items.append((line_no, words[0], words[1:]))
-    return _read_items(items)
+    beam_pair = (beams.get("1", DEFAULT_BEAMS[0]), beams.get("2", DEFAULT_BEAMS[1])) if beams else DEFAULT_BEAMS
+    # What ScenarioSpec(...) makes, without the Python frame of its __new__.
+    return tuple.__new__(ScenarioSpec, (experiment, state, full_angles, scan, beam_pair,
+                                        geometry or _DEFAULT_GEOMETRY, found.get("output", "csv")))
 
 
 def format_scenario(spec: ScenarioSpec) -> str:
     """Canonical text for a spec; parse(format(spec)) == spec."""
-    return "".join(f"{key} {' '.join(values)}\n" for key, entry in _DIRECTIVES.items() for values in entry[-1](spec))
+    return "".join(f"{key} {' '.join(values)}\n" for key, entry in _DIRECTIVES.items() for values in entry.write(spec))
 
 
 def evaluate(spec: ScenarioSpec) -> list[tuple[object, ScenarioResult]]:

@@ -1,9 +1,10 @@
 """Compare the package at a git revision with the working tree, input by input.
 
-    python tests/differ.py [REV] [--expect stderr] [--seed N] [--texts N]
+    python tests/differ.py [REV] [--expect stderr]
 
 REV defaults to HEAD; the working tree's src/biphoton is compared with REV's,
-which revision.py loads as `biphoton_parent`.  The inputs are seeded:
+which revision.py loads as `biphoton_parent`.  The inputs are seeded
+(SEED, TEXTS scenario texts):
 
     parse      scenario texts of every experiment and state (angles up to
                1e300 degrees, scans of 1-200 points, cascade geometries from
@@ -52,6 +53,9 @@ from revision import revision_package  # noqa: E402
 Outcome = tuple
 #: A difference: category, input, the revision's outcome, the tree's, and whether --expect admits it.
 Difference = tuple[str, object, Outcome, Outcome, bool]
+
+#: The corpus: its seed and its count of scenario texts, half of them malformed.
+SEED, TEXTS = 12, 4000
 
 JUNK = ("x", "nan", "inf", "-inf", "1e999", "-", "1+", "i", "3", "0", "-0.0", "1e-320", "plane", "psi_u", "theta1")
 
@@ -193,15 +197,15 @@ def cli_corpus(corpus: list[str], run_dir: Path) -> Iterator[list[str]]:
 # --- the comparison -------------------------------------------------------------
 
 
-def admitted(category: str, old: Outcome, new: Outcome, expect: set[str]) -> bool:
-    if "stderr" not in expect or old[0] != new[0]:
+def admitted(category: str, old: Outcome, new: Outcome, expect_stderr: bool) -> bool:
+    if not expect_stderr or old[0] != new[0]:
         return False
     if old[0] == "raise":
         return old[1] == new[1]
     return category == "cli" and old[1][:2] == new[1][:2]
 
 
-def compare(parent: ModuleType, change: ModuleType, corpus: list[str], expect: set[str]) -> tuple[dict, list]:
+def compare(parent: ModuleType, change: ModuleType, corpus: list[str], expect_stderr: bool) -> tuple[dict, list]:
     """The count of inputs per category and the differences of parent and change."""
     counts: dict[str, int] = {}
     differences: list[Difference] = []
@@ -209,7 +213,7 @@ def compare(parent: ModuleType, change: ModuleType, corpus: list[str], expect: s
     def check(category: str, given: object, old: Outcome, new: Outcome) -> None:
         counts[category] = counts.get(category, 0) + 1
         if old != new:
-            differences.append((category, given, old, new, admitted(category, old, new, expect)))
+            differences.append((category, given, old, new, admitted(category, old, new, expect_stderr)))
 
     def evaluated(package: ModuleType, spec: object) -> tuple[str, str, str]:
         rows = package.scenario.evaluate(spec)
@@ -232,13 +236,10 @@ def compare(parent: ModuleType, change: ModuleType, corpus: list[str], expect: s
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="Compare the package at REV with the working tree.")
     parser.add_argument("rev", nargs="?", default="HEAD")
-    parser.add_argument("--expect", action="append", choices=["stderr"], default=[], help="admit message-only changes")
-    parser.add_argument("--seed", type=int, default=12)
-    parser.add_argument("--texts", type=int, default=4000, help="scenario texts, half of them malformed")
+    parser.add_argument("--expect", choices=["stderr"], help="admit message-only changes")
     args = parser.parse_args(argv)
-    corpus = texts(args.seed, args.texts)
     with revision_package(args.rev) as parent:
-        counts, differences = compare(parent, biphoton, corpus, set(args.expect))
+        counts, differences = compare(parent, biphoton, texts(SEED, TEXTS), args.expect == "stderr")
     for category, given, old, new, ok in differences:
         print(f"[{category}{', expected' if ok else ''}] {given!r}\n  {args.rev}: {old!r}\n  tree: {new!r}")
     unexpected = sum(not ok for *_, ok in differences)

@@ -91,38 +91,42 @@ MUTANTS = [
     ),
     (
         "repeat_messages_swapped", "scenario.py",
-        '"experiment given more than once", False, False,\n                   None, lambda spec: [[spec.experiment]]),\n'
-        '    "state": (1, None, "state takes exactly one value", "state given more than once",',
-        '"state given more than once", False, False,\n                   None, lambda spec: [[spec.experiment]]),\n'
-        '    "state": (1, None, "state takes exactly one value", "experiment given more than once",',
+        '"experiment given more than once",\n'
+        '                             lambda spec: [[spec.experiment]]),\n'
+        '    "state": _Directive(1, "state takes exactly one value", "state given more than once",',
+        '"state given more than once",\n'
+        '                             lambda spec: [[spec.experiment]]),\n'
+        '    "state": _Directive(1, "state takes exactly one value", "experiment given more than once",',
         "a repeated experiment or state reports the other's message",
     ),
     (
         "output_format_unchecked", "scenario.py",
-        "lambda tokens, where: tokens[0] if tokens[0] in OUTPUT_FORMATS else None,",
-        "lambda tokens, where: tokens[0],",
+        "read=lambda tokens, where: tokens[0] if tokens[0] in OUTPUT_FORMATS else None),",
+        "read=lambda tokens, where: tokens[0]),",
         "any output format parses",
     ),
     (
         "value_counts_swapped", "scenario.py",
-        '    "angle": (2, ("NAME", "DEG"), "angle needs <name> <degrees>", '
-        '"angle {} given more than once", True, False,\n'
-        '              lambda tokens, where: _parse_float(tokens[1], where, "angle", tokens[0]),\n'
-        '              lambda spec: [[name, _fmt_number(spec.angles[name])]\n'
-        '                            for name in EXPERIMENTS[spec.experiment].angles if name in spec.angles]),\n'
-        '    "scan": (4,',
-        '    "angle": (4, ("NAME", "DEG"), "angle needs <name> <degrees>", '
-        '"angle {} given more than once", True, False,\n'
-        '              lambda tokens, where: _parse_float(tokens[1], where, "angle", tokens[0]),\n'
-        '              lambda spec: [[name, _fmt_number(spec.angles[name])]\n'
-        '                            for name in EXPERIMENTS[spec.experiment].angles if name in spec.angles]),\n'
-        '    "scan": (2,',
+        '    "angle": _Directive(2, "angle needs <name> <degrees>", "angle {} given more than once",\n'
+        '                        lambda spec: [[name, _fmt_number(spec.angles[name])]\n'
+        '                                      for name in EXPERIMENTS[spec.experiment].angles'
+        ' if name in spec.angles],\n'
+        '                        ("NAME", "DEG"), repeats=True,\n'
+        '                        read=lambda tokens, where: _parse_float(tokens[1], where, "angle", tokens[0])),\n'
+        '    "scan": _Directive(4,',
+        '    "angle": _Directive(4, "angle needs <name> <degrees>", "angle {} given more than once",\n'
+        '                        lambda spec: [[name, _fmt_number(spec.angles[name])]\n'
+        '                                      for name in EXPERIMENTS[spec.experiment].angles'
+        ' if name in spec.angles],\n'
+        '                        ("NAME", "DEG"), repeats=True,\n'
+        '                        read=lambda tokens, where: _parse_float(tokens[1], where, "angle", tokens[0])),\n'
+        '    "scan": _Directive(2,',
         "angle and scan swap their value counts (and --angle and --scan their nargs)",
     ),
     (
         "beam_error_location_dropped", "scenario.py",
-        "        raise ValidationError(str(err), where) from None",
-        "        raise ValidationError(str(err)) from None",
+        '        raise ValidationError(f"beam {index}: {err}", where) from None',
+        '        raise ValidationError(f"beam {index}: {err}") from None',
         "a beam that fails validation no longer names its line or flag",
     ),
     (

@@ -382,7 +382,7 @@ def test_flag_errors_name_the_flag(capsys, argv, flag):
         (
             ["scan", "--experiment", "fig3", "--beam", "1", "gaussian", "0", "-1", "--beam", "2", "gaussian", "0", "0"],
             None,
-            "error: argument --beam: gaussian beams need width > 0\n",
+            "error: argument --beam: beam 1: gaussian beams need width > 0\n",
         ),
         (
             ["run"],

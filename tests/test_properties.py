@@ -187,12 +187,12 @@ def scan_flag_argv(draw) -> list[str]:
     each with as many values as its directive takes, drawn from tokens that
     parse, tokens that break a rule and tokens that are not one word."""
     argv = ["scan", "--experiment", draw(st.one_of(st.sampled_from(sorted(EXPERIMENTS)), token))]
-    for key, (nargs, *_) in _DIRECTIVES.items():
+    for key, directive in _DIRECTIVES.items():
         if key in ("experiment", "output"):
             continue
         values = st.sampled_from(SCAN_TOKENS) if key == "scan" else token
         for _ in range(draw(st.integers(0, 2))):
-            count = draw(st.integers(1, 5)) if nargs == "+" else nargs
+            count = draw(st.integers(1, 5)) if directive.nargs == "+" else directive.nargs
             argv += [f"--{key}", *draw(st.lists(values, min_size=count, max_size=count))]
     return argv
 

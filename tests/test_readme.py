@@ -53,7 +53,7 @@ def test_readme_directives_block_is_the_grammar_table():
     keys = []
     for line in block.group(1).splitlines():
         key, *values = line.partition("#")[0].split()
-        nargs = _DIRECTIVES[key][0]
+        nargs = _DIRECTIVES[key].nargs
         assert len(values) >= 1 if nargs == "+" else len(values) == nargs, line
         if key not in keys[-1:]:
             keys.append(key)

@@ -92,10 +92,10 @@ def test_once_directive_repeat_message(key):
 LOCATED = [
     ("experiment fig1\nangle theta1 0\nangle theta1 5\n", "line 3: angle theta1 given more than once"),
     ("experiment fig3\nbeam 1 plane 0\n\nbeam 1 plane 1\n", "line 4: beam 1 given more than once"),
-    ("experiment fig3\nbeam 1 plane 0\nbeam 2 gaussian 0 -1\n", "line 3: gaussian beams need width > 0"),
+    ("experiment fig3\nbeam 1 plane 0\nbeam 2 gaussian 0 -1\n", "line 3: beam 2: gaussian beams need width > 0"),
     (
         "experiment fig3\nbeam 1 gaussian 0 1e-300\n",
-        "line 2: gaussian beam width 1e-300 is too small: its square underflows to 0",
+        "line 2: beam 1: gaussian beam width 1e-300 is too small: its square underflows to 0",
     ),
     ("experiment pdc\n# step\nscan theta2 0 10 -1\n", "line 3: scan step must be > 0"),
     ("experiment fig1\nscan theta2 0 180 1e-9\n", f"line 2: scan has more than {MAX_SCAN_POINTS} points"),
