@@ -233,6 +233,37 @@ def test_beam_validation():
         det.BeamProfile(kind="gaussian", width=math.nan)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"kind": "bessel"}, "unknown beam kind 'bessel'; expected one of ('plane_wave', 'gaussian')"),
+    ({"kind": "gaussian"}, "gaussian beams need width > 0"),
+    ({"kind": "gaussian", "width": -1.0}, "gaussian beams need width > 0"),
+    ({"kind": "gaussian", "width": 1e-200}, "gaussian beam width 1e-200 is too small: its square underflows to 0"),
+    ({"amplitude": -1.0}, "beam amplitude must be >= 0"),
+])
+def test_each_beam_validation_message(kwargs, message):
+    with pytest.raises(ValueError) as err:
+        det.BeamProfile(**kwargs)
+    assert str(err.value) == message
+
+
+def test_beam_repr_names_every_field():
+    assert repr(det.BeamProfile()) == (
+        "BeamProfile(kind='plane_wave', tilt=15.707963267948966, width=None, phase_offset=0.0, amplitude=1.0)"
+    )
+    assert repr(det.BeamProfile("gaussian", -1.5, 0.25, math.nan, 2.0)) == (
+        "BeamProfile(kind='gaussian', tilt=-1.5, width=0.25, phase_offset=nan, amplitude=2.0)"
+    )
+
+
+def test_beams_compare_by_value():
+    assert det.BeamProfile() == det.BeamProfile(tilt=det.DEFAULT_TILT) == det.DEFAULT_BEAMS[0]
+    assert det.BeamProfile("gaussian", 1.0, 0.5) == det.BeamProfile(kind="gaussian", tilt=1.0, width=0.5)
+    assert not det.BeamProfile() != det.BeamProfile()
+    for other in (det.BeamProfile(tilt=1.0), det.BeamProfile(phase_offset=0.5), det.BeamProfile(amplitude=2.0),
+                  det.BeamProfile("gaussian", width=1.0), det.BeamProfile(width=1.0)):
+        assert det.BeamProfile() != other and not det.BeamProfile() == other
+
+
 @pytest.mark.parametrize("kind", det.BEAM_KINDS)
 def test_beam_sample_is_value_on_the_grid(kind):
     rng = np.random.default_rng(12)

@@ -127,6 +127,17 @@ def test_inner_and_norm_match_oracle():
         assert fk.norm2(a) == pytest.approx(oracle.o_norm2(to_oracle(a)), abs=1e-12)
 
 
+def test_inner_of_kets_of_unequal_length():
+    rng = np.random.default_rng(78)
+    for _ in range(25):
+        a, b = random_ket(rng, n_terms=2), random_ket(rng, n_terms=8)
+        assert len(a) < len(b)
+        want = oracle.o_inner(to_oracle(a), to_oracle(b))
+        for value in (fk.inner(a, b), fk.inner(b, a).conjugate()):
+            assert value == pytest.approx(want, abs=1e-12)
+        assert fk.inner(a, b) == pytest.approx(fk.inner(b, a).conjugate(), abs=1e-14)
+
+
 def test_randomized_rate_equivalence_small():
     assert run_randomized_rate_equivalence(60, seed=7) <= 1e-12
 
