@@ -39,7 +39,15 @@ def singles_rate(ket: FockKet, form: LinearForm) -> float:
     return norm2(apply_form(ket, form))
 
 
-class BeamProfile:
+class _Beam(NamedTuple):
+    kind: str
+    tilt: float
+    width: float | None
+    phase_offset: float
+    amplitude: float
+
+
+class BeamProfile(_Beam):
     """Analytic transverse envelope of one overlapped beam.
 
     kind "plane_wave" ignores width; "gaussian" multiplies in a real
@@ -50,16 +58,16 @@ class BeamProfile:
     grid.  Beams compare by value.
     """
 
-    __slots__ = ("kind", "tilt", "width", "phase_offset", "amplitude")
+    __slots__ = ()
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         kind: str = "plane_wave",
         tilt: float = DEFAULT_TILT,
         width: float | None = None,
         phase_offset: float = 0.0,
         amplitude: float = 1.0,
-    ) -> None:
+    ) -> BeamProfile:
         if kind not in BEAM_KINDS:
             raise ValueError(f"unknown beam kind {kind!r}; expected one of {BEAM_KINDS}")
         # "not >" and "not >=" also reject NaN.
@@ -70,16 +78,7 @@ class BeamProfile:
             raise ValueError(f"gaussian beam width {width!r} is too small: its square underflows to 0")
         if not amplitude >= 0:
             raise ValueError("beam amplitude must be >= 0")
-        self.kind, self.tilt, self.width, self.phase_offset, self.amplitude = kind, tilt, width, phase_offset, amplitude
-
-    def _values(self) -> tuple[str, float, float | None, float, float]:
-        return self.kind, self.tilt, self.width, self.phase_offset, self.amplitude
-
-    def __eq__(self, other: object) -> bool:
-        return self._values() == other._values() if type(other) is BeamProfile else NotImplemented
-
-    def __repr__(self) -> str:
-        return f"BeamProfile({', '.join(f'{name}={value!r}' for name, value in zip(self.__slots__, self._values()))})"
+        return tuple.__new__(cls, (kind, tilt, width, phase_offset, amplitude))
 
     def sample(self, grid: ScanGrid) -> BeamSamples:
         """The beam on the grid as (ex, ey, phasors): one real factor per x,
@@ -89,14 +88,11 @@ class BeamProfile:
         pairs are a fig3 row's only trig: the map and its closed form both
         read them, so a wrong phase would not show as a mismatch between the
         two, and the tests pin each pair."""
-        kind, tilt, width, offset, amplitude = self._values()
+        kind, tilt, width, offset, amplitude = self
         xs, ys = grid
         phases = [tilt * x + offset for x in xs]
-        # A finite sum has no inf or NaN term, so neither C-level map can raise (math.cos raises on inf).
-        if math.isfinite(sum(phases)):
-            phasors = tuple(zip(map(math.cos, phases), map(math.sin, phases)))
-        else:
-            phasors = tuple((math.cos(p), math.sin(p)) if math.isfinite(p) else (math.nan, math.nan) for p in phases)
+        # math.cos raises on inf.
+        phasors = tuple((math.cos(p), math.sin(p)) if math.isfinite(p) else (math.nan, math.nan) for p in phases)
         if kind != "gaussian":
             return (amplitude,) * len(xs), (1.0,) * len(ys), phasors
         spread, exp = 2.0 * width * width, math.exp

@@ -200,7 +200,7 @@ def _pair_matrix(ket: FockKet, a: op.ChannelField, b: op.ChannelField) -> tuple[
 _DEFAULT_GEOMETRY = CascadeGeometry()
 
 
-def source(kind: str, geometry: CascadeGeometry = CascadeGeometry(), split: bool = False) -> Source:
+def source(kind: str, geometry: CascadeGeometry = _DEFAULT_GEOMETRY, split: bool = False) -> Source:
     """A named state and both analyzer arms of its coincidence measurement.
     The kind picks the channel fields: fig1 for circular_pair, pdc for psi_e
     and psi_u, and the cascade for psi_u_prime, whose analyzers see only the

@@ -153,8 +153,6 @@ def apply_form_dagger(ket: FockKet, form: LinearForm) -> FockKet:
 
 def inner(a: FockKet, b: FockKet) -> complex:
     """Inner product <a|b>, conjugate-linear in the first argument."""
-    if len(b) < len(a):
-        return inner(b, a).conjugate()
     return sum((a.amplitude(occ).conjugate() * amp for occ, amp in b.items()), 0j)
 
 
