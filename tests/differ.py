@@ -19,6 +19,13 @@ which revision.py loads as `biphoton_parent`.  The inputs are seeded
     cli        cli.main's exit code, stdout and stderr on scan and chsh argv
                made of the texts, run of a sample of them, the README
                examples, the golden cases and ODD_ARGV
+    api        CALLS seeded calls with values no scenario text gives, by the
+               result's repr, or the exception: BeamProfile (bad kinds,
+               widths, amplitudes, tilts and offsets up to +-1e308, inf and
+               NaN), ScanGrid (empty, one-point, +-0.0, +-inf and NaN
+               coordinates), fig3_visibility over such beams and grids, and
+               CascadeGeometry of _complex parts and inf and NaN ones, with
+               the cascade source's K at each valid geometry
 
 It prints the count of inputs and differences per category and each
 difference, and exits 1 on any difference that --expect does not admit.
@@ -44,6 +51,7 @@ from types import ModuleType
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import biphoton.cli  # noqa: E402  (after the path)
+import biphoton.detection  # noqa: E402
 import biphoton.scenario  # noqa: E402
 import biphoton.selfcheck  # noqa: E402
 from biphoton.experiments import EXPERIMENTS  # noqa: E402
@@ -54,8 +62,8 @@ Outcome = tuple
 #: A difference: category, input, the revision's outcome, the tree's, and whether --expect admits it.
 Difference = tuple[str, object, Outcome, Outcome, bool]
 
-#: The corpus: its seed and its count of scenario texts, half of them malformed.
-SEED, TEXTS = 12, 4000
+#: The corpus: its seed, its count of scenario texts, half of them malformed, and of api calls.
+SEED, TEXTS, CALLS = 12, 4000, 2000
 
 JUNK = ("x", "nan", "inf", "-inf", "1e999", "-", "1+", "i", "3", "0", "-0.0", "1e-320", "plane", "psi_u", "theta1")
 
@@ -84,9 +92,14 @@ def _degrees(rng: random.Random) -> str:
     ]))
 
 
-def _complex(rng: random.Random) -> str:
+def _complex_parts(rng: random.Random) -> tuple[float, float]:
     scale = rng.choice([1e-8, 1e-3, 0.5, 1.0, 3.0, 1e3, 1e76, 1.19e77, 1.3e77, 1e155, 1e200])
     re, im = (rng.choice([0.0, -0.0, scale, -scale, rng.uniform(-scale, scale)]) for _ in range(2))
+    return re, im
+
+
+def _complex(rng: random.Random) -> str:
+    re, im = _complex_parts(rng)
     return f"{re!r}{'+' if math.copysign(1.0, im) > 0 else '-'}{abs(im)!r}i"
 
 
@@ -179,6 +192,77 @@ def texts(seed: int, count: int) -> list[str]:
     return good + [malformed(rng, rng.choice(good)) for _ in range(count - len(good))]
 
 
+#: BeamProfile's arguments; a fig3 call draws only those from the bar on, which pass its checks.
+ANGLES = (0.0, -0.0, 15.707963267948966, -15.707963267948966, 1e10, 1e308, -1e308, math.inf, -math.inf, math.nan)
+WIDTHS = (None, 0, -1, 1e-200, math.nan, 1e-150, 0.5, math.inf)
+AMPLITUDES = (-1, math.nan, 0.0, -0.0, 1e-300, 2.5, math.inf)
+COORDINATES = (0.0, -0.0, 0.5, -1.0, math.inf, -math.inf, math.nan)
+
+
+def _beam_args(rng: random.Random, valid: bool) -> tuple:
+    kind = rng.choice(["plane_wave", "gaussian"] if valid else ["plane_wave", "gaussian", "plane", "bessel"])
+    angles = [rng.choice([*ANGLES, rng.uniform(-1e308, 1e308)]) if rng.random() < 0.4 else rng.uniform(-20.0, 20.0)
+              for _ in range(2)]
+    widths = WIDTHS[5:] if valid and kind == "gaussian" else WIDTHS
+    return kind, angles[0], rng.choice(widths), angles[1], rng.choice(AMPLITUDES[2:] if valid else AMPLITUDES)
+
+
+def _grid_args(rng: random.Random) -> tuple:
+    """ScanGrid's xs, or xs and ys: mostly finite, any axis empty, one point, or +-0.0, +-inf and NaN."""
+    def axis() -> tuple[float, ...]:
+        values = COORDINATES if rng.random() < 0.3 else (rng.uniform(-2.0, 2.0),)
+        return tuple(rng.choice([*values, rng.uniform(-2.0, 2.0)]) for _ in range(rng.choice([0, 1, 2, 3, 5, 8])))
+
+    return (axis(),) if rng.random() < 0.3 else (axis(), axis())
+
+
+def _geometry_args(rng: random.Random) -> tuple[complex, ...]:
+    parts = [complex(*_complex_parts(rng)) for _ in range(4)]
+    if rng.random() < 0.2:
+        parts[rng.randrange(4)] = complex(rng.choice([math.inf, -math.inf, math.nan]), rng.choice([0.0, math.nan]))
+    return tuple(parts)
+
+
+def api_calls(seed: int, count: int) -> list[tuple[str, tuple]]:
+    """Seeded (name, arguments) pairs of API."""
+    rng = random.Random(seed)
+    calls = []
+    for _ in range(count):
+        name = rng.choice(list(API))
+        if name == "BeamProfile":
+            args = _beam_args(rng, rng.random() < 0.3)
+        elif name == "ScanGrid":
+            args = _grid_args(rng)
+        elif name == "CascadeGeometry":
+            args = _geometry_args(rng)
+        else:
+            state = rng.choice(["psi_u", "psi_e"] * 4 + ["psi_u_prime"])
+            beams = None if rng.random() < 0.15 else [_beam_args(rng, True) for _ in range(rng.choice([2] * 8 + [1, 3]))]
+            args = state, beams, None if rng.random() < 0.15 else _grid_args(rng)
+        calls.append((name, args))
+    return calls
+
+
+def _fig3(package: ModuleType, state: str, beams: list[tuple] | None, grid: tuple | None) -> str:
+    beams = None if beams is None else [package.detection.BeamProfile(*args) for args in beams]
+    grid = None if grid is None else package.detection.ScanGrid(*grid)
+    return repr(package.experiments.fig3_visibility(state, beams, grid))
+
+
+def _cascade(package: ModuleType, parts: tuple[complex, ...]) -> str:
+    geometry = package.experiments.CascadeGeometry(*parts)
+    return repr((geometry, package.experiments.source("psi_u_prime", geometry).K))
+
+
+#: Each api call by name: the package and its arguments to the repr of its result.
+API: dict[str, Callable[[ModuleType, tuple], str]] = {
+    "BeamProfile": lambda package, args: repr(package.detection.BeamProfile(*args)),
+    "ScanGrid": lambda package, args: repr(package.detection.ScanGrid(*args)),
+    "fig3_visibility": lambda package, args: _fig3(package, *args),
+    "CascadeGeometry": _cascade,
+}
+
+
 def cli_corpus(corpus: list[str], run_dir: Path) -> Iterator[list[str]]:
     from test_cli import ODD_ARGV
     from test_golden import GOLDEN
@@ -230,6 +314,8 @@ def compare(parent: ModuleType, change: ModuleType, corpus: list[str], expect_st
     with tempfile.TemporaryDirectory(prefix="biphoton-differ-") as tmp:
         for argv in cli_corpus(corpus, Path(tmp)):
             check("cli", argv, cli_outcome(parent.cli.main, argv), cli_outcome(change.cli.main, argv))
+    for name, args in api_calls(SEED, CALLS):
+        check("api", (name, args), *(outcome(lambda p=p: API[name](p, args)) for p in (parent, change)))
     return counts, differences
 
 

@@ -25,7 +25,7 @@ from types import ModuleType
 ROOT = Path(__file__).resolve().parents[1]
 NAME = "biphoton_parent"
 #: The modules loaded with the package, as its attributes.
-SUBMODULES = ("cli", "experiments", "scenario", "selfcheck")
+SUBMODULES = ("cli", "detection", "experiments", "scenario", "selfcheck")
 
 
 @contextlib.contextmanager

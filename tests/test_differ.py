@@ -14,13 +14,14 @@ from biphoton import scenario as sc
 def test_a_tree_against_itself_shows_no_difference():
     counts, differences = differ.compare(biphoton, biphoton, differ.texts(5, 200), False)
     assert differences == []
-    assert set(counts) == {"parse", "evaluate", "selfcheck", "cli"} and counts["parse"] == 200
+    assert set(counts) == {"parse", "evaluate", "selfcheck", "cli", "api"} and counts["parse"] == 200
 
 
 def changed(parse):
     """biphoton with parse_scenario replaced, for both the API and the CLI's run command."""
     scenario = SimpleNamespace(parse_scenario=parse, evaluate=sc.evaluate)
-    return SimpleNamespace(scenario=scenario, cli=biphoton.cli, selfcheck=biphoton.selfcheck)
+    return SimpleNamespace(scenario=scenario, cli=biphoton.cli, selfcheck=biphoton.selfcheck,
+                           detection=biphoton.detection, experiments=biphoton.experiments)
 
 
 def reworded(text):
