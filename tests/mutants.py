@@ -135,6 +135,18 @@ MUTANTS = [
         "            super().error(message)",
         "a usage error prints the usage before its one-line message",
     ),
+    (
+        "sample_nonfinite_phase_unguarded", "detection.py",
+        "else (math.nan, math.nan) for p in phases",
+        "else (1.0, 0.0) for p in phases",
+        "a beam's non-finite phase samples as the phasor of phase 0, not (nan, nan)",
+    ),
+    (
+        "beam_width_square_unchecked", "detection.py",
+        '        if kind == "gaussian" and not width * width > 0.0:',
+        "        if False:",
+        "a gaussian width whose square underflows to 0 passes BeamProfile's checks",
+    ),
 ]
 
 #: The CLI probes: a column of the table each, by its exit code.
