@@ -91,8 +91,8 @@ class BeamProfile(_Beam):
         kind, tilt, width, offset, amplitude = self
         xs, ys = grid
         phases = [tilt * x + offset for x in xs]
-        # math.cos raises on inf.
-        phasors = tuple((math.cos(p), math.sin(p)) if math.isfinite(p) else (math.nan, math.nan) for p in phases)
+        # math.cos raises on inf.  A list, not a generator: tuple() would resume a frame per phase.
+        phasors = tuple([(math.cos(p), math.sin(p)) if math.isfinite(p) else (math.nan, math.nan) for p in phases])
         if kind != "gaussian":
             return (amplitude,) * len(xs), (1.0,) * len(ys), phasors
         spread, exp = 2.0 * width * width, math.exp
