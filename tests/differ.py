@@ -192,7 +192,7 @@ def texts(seed: int, count: int) -> list[str]:
     return good + [malformed(rng, rng.choice(good)) for _ in range(count - len(good))]
 
 
-#: BeamProfile's arguments; a fig3 call draws only those from the bar on, which pass its checks.
+#: BeamProfile's and ScanGrid's values; valid beams take only WIDTHS[5:] as a gaussian's width and AMPLITUDES[2:].
 ANGLES = (0.0, -0.0, 15.707963267948966, -15.707963267948966, 1e10, 1e308, -1e308, math.inf, -math.inf, math.nan)
 WIDTHS = (None, 0, -1, 1e-200, math.nan, 1e-150, 0.5, math.inf)
 AMPLITUDES = (-1, math.nan, 0.0, -0.0, 1e-300, 2.5, math.inf)
@@ -224,7 +224,7 @@ def _geometry_args(rng: random.Random) -> tuple[complex, ...]:
 
 
 def api_calls(seed: int, count: int) -> list[tuple[str, tuple]]:
-    """Seeded (name, arguments) pairs of API."""
+    """count seeded (name, arguments) calls of API; a fig3 call's beams are valid."""
     rng = random.Random(seed)
     calls = []
     for _ in range(count):
