@@ -21,6 +21,7 @@ import cmath
 import functools
 import itertools
 import math
+import random
 from collections import Counter
 from unittest import mock
 
@@ -46,6 +47,8 @@ from biphoton.fock import (
 )
 from biphoton.modes import H1, V1, V2
 from biphoton.scenario import evaluate, parse_scenario
+
+import differ  # after biphoton, as differ puts the checkout's src first on the path
 from support import (
     EIGHT_MODES,
     cascade_channel_fields_chain,
@@ -375,6 +378,30 @@ geometry_part = st.one_of(
 @given(st.lists(st.builds(complex, geometry_part, geometry_part), min_size=4, max_size=4))
 def test_cascade_fields_are_the_unit_form_chain_on_random_geometries(coefficients):
     assert_cascade_fields_are_the_chain(ex.CascadeGeometry(*coefficients))
+
+
+def cascade_view(geometry: ex.CascadeGeometry) -> list:
+    """K, T, same_channel and the coincidence rows of the cascade at geometry,
+    each by repr or the type of the exception it raises, or the type of the
+    exception that building the source raises."""
+    angles = [0.0, -0.0, 0.3, -1.2, 2.5, 1e300, -1e300]
+
+    def view():
+        src = ex.source("psi_u_prime", geometry)
+        return [outcome(lambda: src.K), outcome(lambda: src.T), outcome(lambda: src.same_channel),
+                outcome(lambda: ex.coincidence_rows(src, angles, angles))]
+
+    return outcome(view)
+
+
+def test_g12_and_g21_change_no_cascade_output():
+    # Each channel's color filter drops the other color, so only g11 and g22 reach a detector.
+    rng = random.Random(39)
+    for _ in range(300):
+        g11, g12, g21, g22, h12, h21 = (complex(*differ._complex_parts(rng)) for _ in range(6))
+        view = cascade_view(ex.CascadeGeometry(g11, g12, g21, g22))
+        for other in [(h12, h21), (0j, 0j), (complex(-0.0, -0.0), 1e200 + 1e200j), (1.3e77j, -1.19e77 + 0j)]:
+            assert cascade_view(ex.CascadeGeometry(g11, *other, g22)) == view, (g11, g12, g21, g22, other)
 
 
 @pytest.mark.parametrize("state", ex.NAMED_STATE_KINDS)
