@@ -80,7 +80,8 @@ class _Geometry(NamedTuple):
 
 class CascadeGeometry(_Geometry):
     """Complex routing coefficients of the two-color source into the two
-    channels; g[i][j] weights frequency j in channel i."""
+    channels; g[i][j] weights frequency j in channel i.  g12 and g21 route
+    the other color into a channel whose filter drops it: they change no rate."""
 
     __slots__ = ()
 
@@ -127,12 +128,12 @@ def pdc_channel_fields(kind: str) -> tuple[op.ChannelField, op.ChannelField]:
 
 
 def cascade_channel_fields(geom: CascadeGeometry) -> tuple[op.ChannelField, op.ChannelField]:
-    """Both frequencies reach both channels, weighted by the geometry: each
-    component of channel i is g[i][1] w1 + g[i][2] w2 of its two colors."""
-    g11, g12, g21, g22 = geom
+    """The cascade's channels behind their color filters: channel i carries
+    g[i][1] w1 + g[i][2] w2, and its filter passes color i alone, so g12 and
+    g21 reach no detector."""
     return (
-        op.ChannelField(LinearForm({W1V: g11, W2V: g12}), LinearForm({W1H: g11, W2H: g12})),
-        op.ChannelField(LinearForm({W1V: g21, W2V: g22}), LinearForm({W1H: g21, W2H: g22})),
+        op.ChannelField(LinearForm({W1V: geom.g11}), LinearForm({W1H: geom.g11})),
+        op.ChannelField(LinearForm({W2V: geom.g22}), LinearForm({W2H: geom.g22})),
     )
 
 
@@ -222,8 +223,7 @@ def _shared_source(kind: str, split: bool) -> Source:
 def _build_source(kind: str, geometry: CascadeGeometry, split: bool) -> Source:
     ket = named_state(kind)
     if kind == "psi_u_prime" and not split:
-        ch1, ch2 = cascade_channel_fields(geometry)
-        arm1, arm2 = op.frequency_component(ch1, "w1"), op.frequency_component(ch2, "w2")
+        arm1, arm2 = cascade_channel_fields(geometry)
         return Source(ket, arm1, arm2, 0.5 * abs(geometry.g11 * geometry.g22) ** 2, math.cos)
     ch1, ch2 = fig1_channel_fields() if kind == "circular_pair" else pdc_channel_fields(kind)
     if split:

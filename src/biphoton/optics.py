@@ -64,12 +64,3 @@ def polarizer(field: ChannelField, theta: float) -> LinearForm:
     cos(theta) * v + sin(theta) * h.  The orthogonal component is discarded."""
     return field.v.scale(math.cos(theta)).plus(field.h.scale(math.sin(theta)))
 
-
-def frequency_component(field: ChannelField, freq: str) -> ChannelField:
-    """Restriction of the field to modes carrying one frequency tag (a color
-    filter in front of the analyzer)."""
-
-    def pick(form: LinearForm) -> LinearForm:
-        return LinearForm({m: c for m, c in form.items() if m.freq == freq})
-
-    return ChannelField(pick(field.v), pick(field.h))

@@ -63,10 +63,11 @@ def gram_triple(ket: FockKet, forms) -> tuple[float, float, complex]:
 
 
 def cascade_channel_fields_chain(geom: CascadeGeometry) -> tuple[ChannelField, ChannelField]:
-    """The cascade's channel fields as a chain of unit forms, each scaled by
-    its geometry coefficient and summed: the reference that
-    experiments.cascade_channel_fields, which writes each form at once, must
-    match by repr in K and in every coincidence row."""
+    """The cascade's two-color channel fields as a chain of unit forms, each
+    scaled by its geometry coefficient and summed: channel i carries
+    g[i][1] w1 + g[i][2] w2.  Behind color_filtered, the reference that
+    experiments.cascade_channel_fields, which writes the filtered forms at
+    once, must match by repr in K and in every coincidence row."""
     w1_v, w1_h = unit_form(W1V), unit_form(W1H)
     w2_v, w2_h = unit_form(W2V), unit_form(W2H)
     ch1 = ChannelField(
@@ -78,6 +79,17 @@ def cascade_channel_fields_chain(geom: CascadeGeometry) -> tuple[ChannelField, C
         w1_h.scale(geom.g21).plus(w2_h.scale(geom.g22)),
     )
     return ch1, ch2
+
+
+def color_filtered(channels: tuple[ChannelField, ChannelField]) -> tuple[ChannelField, ChannelField]:
+    """The color filters in front of the cascade's analyzers: channel 1 keeps
+    its w1 modes alone and channel 2 its w2 modes, each form rebuilt through
+    LinearForm."""
+
+    def keep(field: ChannelField, freq: str) -> ChannelField:
+        return ChannelField(*(LinearForm({m: c for m, c in form.items() if m.freq == freq}) for form in field))
+
+    return keep(channels[0], "w1"), keep(channels[1], "w2")
 
 
 def coincidence_row(src: Source, t1: float, t2: float) -> ScenarioResult:

@@ -54,6 +54,7 @@ from support import (
     cascade_channel_fields_chain,
     coincidence_rate,
     coincidence_row,
+    color_filtered,
     form_dict,
     gram_triple,
     oracle_amplitudes,
@@ -349,14 +350,18 @@ def cascade_outcome(geometry: ex.CascadeGeometry):
     return outcome(build)
 
 
+def cascade_arms_chain(geometry: ex.CascadeGeometry) -> tuple[op.ChannelField, op.ChannelField]:
+    return color_filtered(cascade_channel_fields_chain(geometry))
+
+
 def assert_cascade_fields_are_the_chain(geometry: ex.CascadeGeometry) -> None:
-    # The package writes each field at once; tests/support.py chains unit forms.
-    with mock.patch.object(ex, "cascade_channel_fields", cascade_channel_fields_chain):
+    # The package writes the filtered forms at once; tests/support.py chains unit forms of both colors, then filters.
+    with mock.patch.object(ex, "cascade_channel_fields", cascade_arms_chain):
         want = cascade_outcome(geometry)
     assert cascade_outcome(geometry) == want, geometry
-    # Also the parts the color filters drop; == and not repr, as the chain's products may flip the sign of a zero.
+    # == and not repr, as the chain's products may flip the sign of a zero.
     fields, chain = ([[dict(form.items()) for form in ch] for ch in build(geometry)]
-                     for build in (ex.cascade_channel_fields, cascade_channel_fields_chain))
+                     for build in (ex.cascade_channel_fields, cascade_arms_chain))
     assert fields == chain, geometry
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from biphoton import fock as fk
 from biphoton import optics as op
-from biphoton.modes import BEAM_H, BEAM_V, W1H, W1V, W2H, W2V
+from biphoton.modes import BEAM_H, BEAM_V
 
 SQRT1_2 = math.sqrt(0.5)
 
@@ -148,12 +148,3 @@ def test_polarizer_idempotent_on_already_polarized_field():
     diff = max(abs(again.coeff(m) - base.coeff(m)) for m, _ in base.items())
     assert diff < 1e-14
 
-
-def test_frequency_component_filters_modes():
-    f = op.ChannelField(
-        fk.LinearForm({W1V: 1.0, W2V: 0.5}),
-        fk.LinearForm({W1H: 1.0, W2H: 0.5}),
-    )
-    only_first = op.frequency_component(f, "w1")
-    assert form_coeffs(only_first.v) == {W1V: 1.0}
-    assert form_coeffs(only_first.h) == {W1H: 1.0}
