@@ -25,7 +25,9 @@ which revision.py loads as `biphoton_parent`.  The inputs are seeded
                NaN), ScanGrid (empty, one-point, +-0.0, +-inf and NaN
                coordinates), fig3_visibility over such beams and grids, and
                CascadeGeometry of _complex parts and inf and NaN ones, with
-               the cascade source's K at each valid geometry
+               the cascade source's K, T, same_channel and coincidence rows
+               over CASCADE_ANGLES (0, +-1e300 among them) at each valid
+               geometry
 
 It prints the count of inputs and differences per category and each
 difference, and exits 1 on any difference that --expect does not admit.
@@ -249,9 +251,17 @@ def _fig3(package: ModuleType, state: str, beams: list[tuple] | None, grid: tupl
     return repr(package.experiments.fig3_visibility(state, beams, grid))
 
 
+#: The analyzer angles, in radians, of each cascade's coincidence rows in the api category.
+CASCADE_ANGLES = (0.0, -0.0, 0.3, -1.2, 2.5, 1e300, -1e300)
+
+
 def _cascade(package: ModuleType, parts: tuple[complex, ...]) -> str:
-    geometry = package.experiments.CascadeGeometry(*parts)
-    return repr((geometry, package.experiments.source("psi_u_prime", geometry).K))
+    experiments = package.experiments
+    geometry = experiments.CascadeGeometry(*parts)
+    src = experiments.source("psi_u_prime", geometry)
+    reads = (lambda: src.K, lambda: src.T, lambda: src.same_channel,
+             lambda: experiments.coincidence_rows(src, CASCADE_ANGLES, CASCADE_ANGLES))
+    return repr((geometry, *(outcome(read) for read in reads)))
 
 
 #: Each api call by name: the package and its arguments to the repr of its result.

@@ -69,6 +69,18 @@ MUTANTS = [
         "a relative defect of 1e-12 in the fig3 Gram triple's cross term <u|w>",
     ),
     (
+        "cascade_arm2_reads_g21", "experiments.py",
+        "        op.ChannelField(LinearForm({W2V: geom.g22}), LinearForm({W2H: geom.g22})),",
+        "        op.ChannelField(LinearForm({W2V: geom.g21}), LinearForm({W2H: geom.g21})),",
+        "the cascade's arm 2 is weighted by g21, which its color filter drops, not by g22",
+    ),
+    (
+        "cascade_arm1_h_reads_w2", "experiments.py",
+        "LinearForm({W1H: geom.g11})",
+        "LinearForm({W2H: geom.g11})",
+        "the cascade's arm 1 reads the other color's mode in its h component",
+    ),
+    (
         "sin_cos_laws_swapped", "experiments.py",
         "    sine = src.law is math.sin",
         "    sine = src.law is math.cos",
