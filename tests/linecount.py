@@ -1,8 +1,10 @@
 """Line counts of Python modules, per module and in total.
 
-    python tests/linecount.py [FILE ...]
+    python tests/linecount.py [REV]
 
-FILE defaults to src/biphoton/*.py.  For each file it prints three counts:
+It counts src/biphoton/*.py in the working tree, or at the git revision REV
+(read with `git show`, so uncommitted changes do not count).  For each file
+it prints three counts:
 
     wc -l      newline characters, as `wc -l` counts them
     code       lines that are not blank, not inside a docstring and hold a
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import ast
 import io
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
@@ -52,9 +55,26 @@ def count(source: str) -> tuple[int, int, int]:
     return source.count("\n"), len(code), len(docstrings)
 
 
-def main(argv: list[str]) -> int:
-    paths = [Path(arg) for arg in argv] or sorted((ROOT / "src" / "biphoton").glob("*.py"))
-    rows = [(path.name, *count(path.read_text(encoding="utf-8"))) for path in paths]
+def sources(rev: str | None, root: Path = ROOT) -> list[tuple[str, str]]:
+    """(file name, source) of each src/biphoton/*.py, in the working tree
+    under root or at rev in root's git repository, sorted by name."""
+    if rev is None:
+        paths = sorted((root / "src" / "biphoton").glob("*.py"))
+        return [(path.name, path.read_text(encoding="utf-8")) for path in paths]
+
+    def git(*args: str) -> str:
+        return subprocess.run(["git", "-C", str(root), *args], capture_output=True, check=True,
+                              encoding="utf-8").stdout
+
+    paths = sorted(p for p in git("ls-tree", "--name-only", rev, "src/biphoton/").splitlines() if p.endswith(".py"))
+    return [(Path(path).name, git("show", f"{rev}:{path}")) for path in paths]
+
+
+def main(argv: list[str], root: Path = ROOT) -> int:
+    if len(argv) > 1:
+        print("usage: python tests/linecount.py [REV]", file=sys.stderr)
+        return 2
+    rows = [(name, *count(source)) for name, source in sources(argv[0] if argv else None, root)]
     rows.append(("total", *(sum(column) for column in zip(*(row[1:] for row in rows)))))
     width = max(len(row[0]) for row in rows)
     print(f"{'module':<{width}}  {'wc -l':>6}  {'code':>6}  {'docstring':>9}")
