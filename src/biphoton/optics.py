@@ -63,4 +63,3 @@ def polarizer(field: ChannelField, theta: float) -> LinearForm:
     """Absorbing analyzer at angle theta: the transmitted detector operator
     cos(theta) * v + sin(theta) * h.  The orthogonal component is discarded."""
     return field.v.scale(math.cos(theta)).plus(field.h.scale(math.sin(theta)))
-

@@ -147,4 +147,3 @@ def test_polarizer_idempotent_on_already_polarized_field():
     again = op.polarizer(f, theta)
     diff = max(abs(again.coeff(m) - base.coeff(m)) for m, _ in base.items())
     assert diff < 1e-14
-
