@@ -124,16 +124,23 @@ class ScanGrid(_Grid):
 DEFAULT_GRID = ScanGrid(xs=tuple(k * 0.01 for k in range(101)))
 
 
-def intensity_map(gram: tuple[float, float, complex], samples: Sequence[BeamSamples]) -> tuple[tuple[float, ...], ...]:
-    """Overlapped-beam rate over a grid, as len(ys) rows of len(xs) cells.
+#: A map by its factors (intensity_map): cell (j, i) is r1 p + r2 q (+ r12 c), left to right, of
+#: rows[j] = (r1, r2, r12) and columns[i] = (p, q, c), two or three factors each.
+FactoredMap = tuple[Sequence[tuple[float, ...]], Sequence[tuple[float, ...]]]
+
+
+def intensity_map(gram: tuple[float, float, complex], samples: Sequence[BeamSamples]) -> FactoredMap:
+    """Overlapped-beam rate over a grid, as the factors of its len(ys) rows
+    of len(xs) cells (FactoredMap).
 
     gram is (<u|u>, <w|w>, <u|w>) of u = f|ket> and w = g|ket>, f and g being
     the detector operators the two beams reach, and samples are the two
     beams on the grid (BeamProfile.sample).  A cell is the singles rate of
     the summed field a f + b g, a and b being the beams' envelopes ex ey
     times exp(i p), as the Gram form |a|^2 <u|u> + |b|^2 <w|w> +
-    2 Re(conj(a) b <u|w>).  This holds for any ket, and agrees with
-    singles_rate cell by cell to rounding."""
+    2 Re(conj(a) b <u|w>): the row factors are ey1^2 <u|u>, ey2^2 <w|w> and
+    ey1 ey2, the column factors ex1^2, ex2^2 and the cross term.  This holds
+    for any ket, and agrees with singles_rate cell by cell to rounding."""
     if len(samples) != 2:
         raise ValueError("intensity maps overlap exactly two beams")
     uu, ww, uw = gram
@@ -146,19 +153,73 @@ def intensity_map(gram: tuple[float, float, complex], samples: Sequence[BeamSamp
         (e1 * e1, e2 * e2, 2.0 * e1 * e2 * ((c1 * c2 + s1 * s2) * ur - (c1 * s2 - s1 * c2) * ui))
         for e1, e2, (c1, s1), (c2, s2) in zip(ex1, ex2, z1, z2)
     ]
-    return tuple(tuple([r1 * p + r2 * q + r12 * c for p, q, c in columns]) for r1, r2, r12 in rows)
+    return rows, columns
 
 
-def visibility(values: Sequence[Sequence[float]]) -> float:
-    """Fringe visibility (max - min) / (max + min) of a sampled map; NaN if any cell is NaN."""
-    cells = list(itertools.chain.from_iterable(values))
-    if len(cells) < 2:
+def _cells(row: tuple[float, ...], columns: Sequence[tuple[float, ...]]) -> list[float]:
+    """One row's cells, r1 p + r2 q (+ r12 c), left to right."""
+    if len(row) == 2:
+        r1, r2 = row
+        return [r1 * p + r2 * q for p, q in columns]
+    r1, r2, r12 = row
+    return [r1 * p + r2 * q + r12 * c for p, q, c in columns]
+
+
+def _row_bounds(rows: Sequence[tuple[float, ...]], columns: Sequence[tuple[float, ...]]) -> tuple[list, list] | None:
+    """Each row's upper and lower bound on its cells, as two lists, or None
+    where no bound holds.
+
+    A row's bound is its cell at the column-wise maxima (minima) of the
+    column factors, in the cells' own operation order.  Where every row
+    factor is >= 0, rounding to nearest is monotone in each product and sum,
+    so these bound every cell of the row in floating point; where all the
+    column factors and bounds are also finite, no cell overflows or is NaN."""
+    if not all(map(math.isfinite, itertools.chain.from_iterable(columns))):
+        return None
+    if not all(r >= 0.0 for row in rows for r in row):
+        return None
+    axes = list(zip(*columns))
+    # A product is the same float in either order, so the extremes as a row times the rows as columns
+    # are each row's cells at the extremes.
+    uppers, lowers = _cells(tuple(map(max, axes)), rows), _cells(tuple(map(min, axes)), rows)
+    return (uppers, lowers) if all(map(math.isfinite, uppers + lowers)) else None
+
+
+def visibility(factored: FactoredMap) -> float:
+    """Fringe visibility (max - min) / (max + min) of a factored map
+    (intensity_map); NaN if any cell is NaN.
+
+    Each row is evaluated at most once, and only while its bound
+    (_row_bounds) can still hold a larger maximum or a smaller minimum: the
+    rows are walked by descending upper bound for the maximum and by
+    ascending lower bound for the minimum.  A map of one row, or one whose
+    rows have no bound, is walked in full."""
+    rows, columns = factored
+    if len(rows) * len(columns) < 2:
         raise ValueError("visibility needs a grid of at least 2 points")
-    # Python's max/min skip a NaN unless it comes first.  A NaN cell makes the
-    # sum NaN, so only a NaN sum (a NaN, or +inf with -inf) walks the cells.
-    if math.isnan(sum(cells)) and any(map(math.isnan, cells)):
-        return math.nan
-    top, bottom = max(cells), min(cells)
+    bounds = _row_bounds(rows, columns) if len(rows) > 1 else None
+    if bounds is None:
+        cells = [cell for row in rows for cell in _cells(row, columns)]
+        # Python's max/min skip a NaN unless it comes first.  A NaN cell makes the
+        # sum NaN, so only a NaN sum (a NaN, or +inf with -inf) walks the cells.
+        if math.isnan(sum(cells)) and any(map(math.isnan, cells)):
+            return math.nan
+        top, bottom = max(cells), min(cells)
+    else:
+        # No cell is NaN or infinite here, so max and min are exact and order-free.
+        uppers, lowers = bounds
+        minima: dict[int, float] = {}
+        top = -math.inf
+        for j in sorted(range(len(rows)), key=uppers.__getitem__, reverse=True):
+            if uppers[j] <= top:
+                break
+            cells = _cells(rows[j], columns)
+            top, minima[j] = max(top, *cells), min(cells)
+        bottom = math.inf
+        for j in sorted(range(len(rows)), key=lowers.__getitem__):
+            if lowers[j] >= bottom:
+                break
+            bottom = min(bottom, minima[j] if j in minima else min(_cells(rows[j], columns)))
     if top + bottom <= EPS_ZERO:
         raise AllDark("intensity map is identically dark")
     return (top - bottom) / (top + bottom)

@@ -296,14 +296,13 @@ def _fig3_closed_form(kind: str, samples: Sequence[det.BeamSamples]) -> float:
     incoherently, occupation 1/2 each).  It takes no trig of its own."""
     (ex1, ey1, z1), (ex2, ey2, z2) = samples
     occupation = 0.5 if kind == "psi_e" else 1.0
-    rows = zip([e * e * occupation for e in ey1], [e * e * occupation for e in ey2], map(operator.mul, ey1, ey2))
+    squares = [e * e * occupation for e in ey1], [e * e * occupation for e in ey2]
     if kind == "psi_e":
-        columns = [(e1 * e1, e2 * e2) for e1, e2 in zip(ex1, ex2)]
-        return det.visibility([[r1 * p + r2 * q for p, q in columns] for r1, r2, _ in rows])
+        return det.visibility((list(zip(*squares)), [(e1 * e1, e2 * e2) for e1, e2 in zip(ex1, ex2)]))
     # cos(p1 - p2) by angle addition, as the map takes one phasor per beam: p1 - p2 would round first.
     phasors = zip(ex1, ex2, z1, z2)
     columns = [(e1 * e1, e2 * e2, 2.0 * e1 * e2 * (c1 * c2 + s1 * s2)) for e1, e2, (c1, s1), (c2, s2) in phasors]
-    return det.visibility([[r1 * p + r2 * q + r12 * c for p, q, c in columns] for r1, r2, r12 in rows])
+    return det.visibility((list(zip(*squares, map(operator.mul, ey1, ey2))), columns))
 
 
 @functools.cache
@@ -333,10 +332,9 @@ def fig3_visibility(
     grid = grid or det.DEFAULT_GRID
     beams = tuple(beams) if beams is not None else det.DEFAULT_BEAMS
     samples = [beam.sample(grid) for beam in beams]
-    fringe_map = det.intensity_map(gram, samples)
     return ScenarioResult(
         observable="visibility",
-        value=det.visibility(fringe_map),
+        value=det.visibility(det.intensity_map(gram, samples)),
         closed_form=_fig3_closed_form(kind, samples),
     )
 

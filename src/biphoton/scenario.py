@@ -237,7 +237,19 @@ def parse_scenario(source: str | list[tuple[int | str, str, list[str]]]) -> Scen
 
 
 def format_scenario(spec: ScenarioSpec) -> str:
-    """Canonical text for a spec; parse(format(spec)) == spec."""
+    """Canonical text for a spec; parse(format(spec)) == spec.  ValueError for
+    a spec the grammar cannot write: beams other than the defaults outside
+    fig3, a geometry other than the default outside cascade, a beam amplitude
+    other than 1, or a plane wave with a width."""
+    if spec.experiment != "fig3" and spec.beams != DEFAULT_BEAMS:
+        raise ValueError("beams other than the defaults cannot be written outside the fig3 experiment")
+    if spec.experiment != "cascade" and spec.geometry != _DEFAULT_GEOMETRY:
+        raise ValueError("a geometry other than the default cannot be written outside the cascade experiment")
+    for index, beam in enumerate(spec.beams, 1):
+        if beam.amplitude != 1.0:
+            raise ValueError(f"beam {index} amplitude {beam.amplitude!r} cannot be written: the beam directive has none")
+        if beam.kind == "plane_wave" and beam.width is not None:
+            raise ValueError(f"beam {index} is a plane wave with a width, which the beam directive cannot write")
     return "".join(f"{key} {' '.join(values)}\n" for key, entry in _DIRECTIVES.items() for values in entry.write(spec))
 
 

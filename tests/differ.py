@@ -23,7 +23,8 @@ which revision.py loads as `biphoton_parent`.  The inputs are seeded
                result's repr, or the exception: BeamProfile (bad kinds,
                widths, amplitudes, tilts and offsets up to +-1e308, inf and
                NaN), ScanGrid (empty, one-point, +-0.0, +-inf and NaN
-               coordinates), fig3_visibility over such beams and grids, and
+               coordinates, and axes of 13-64 points), fig3_visibility over
+               such beams and grids, gaussian ones included, and
                CascadeGeometry of _complex parts and inf and NaN ones, with
                the cascade source's K, T, same_channel and coincidence rows
                over CASCADE_ANGLES (0, +-1e300 among them) at each valid
@@ -210,8 +211,14 @@ def _beam_args(rng: random.Random, valid: bool) -> tuple:
 
 
 def _grid_args(rng: random.Random) -> tuple:
-    """ScanGrid's xs, or xs and ys: mostly finite, any axis empty, one point, or +-0.0, +-inf and NaN."""
+    """ScanGrid's xs, or xs and ys: mostly finite, any axis empty, one point, or +-0.0, +-inf and NaN; a
+    fifth of the axes have 13-64 points, evenly spaced or not, so that a map has rows for visibility to skip."""
     def axis() -> tuple[float, ...]:
+        if rng.random() < 0.2:
+            count, span = rng.randint(13, 64), rng.uniform(0.1, 2.0)
+            if rng.random() < 0.5:
+                return tuple(-span + 2.0 * span * i / (count - 1) for i in range(count))
+            return tuple(rng.uniform(-span, span) for _ in range(count))
         values = COORDINATES if rng.random() < 0.3 else (rng.uniform(-2.0, 2.0),)
         return tuple(rng.choice([*values, rng.uniform(-2.0, 2.0)]) for _ in range(rng.choice([0, 1, 2, 3, 5, 8])))
 

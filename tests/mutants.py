@@ -154,6 +154,12 @@ MUTANTS = [
         "a beam's non-finite phase samples as the phasor of phase 0, not (nan, nan)",
     ),
     (
+        "visibility_upper_bound_drops_last_term", "detection.py",
+        "_cells(tuple(map(max, axes)), rows)",
+        "_cells((*map(max, axes[:-1]), 0.0), rows)",
+        "a row's upper bound drops its last term, so a row holding the map's maximum can be skipped",
+    ),
+    (
         "beam_width_square_unchecked", "detection.py",
         '        if kind == "gaussian" and not width * width > 0.0:',
         "        if False:",

@@ -3,6 +3,7 @@ the environment of a child interpreter."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from collections import Counter
@@ -12,9 +13,9 @@ import numpy as np
 
 import oracle
 import biphoton
-from biphoton.detection import singles_rate
+from biphoton.detection import AllDark, singles_rate
 from biphoton.experiments import CascadeGeometry, ScenarioResult, Source
-from biphoton.fock import EPS_PRUNE, FockKet, LinearForm, apply_form, inner, norm2, occupation, unit_form
+from biphoton.fock import EPS_PRUNE, EPS_ZERO, FockKet, LinearForm, apply_form, inner, norm2, occupation, unit_form
 from biphoton.modes import W1H, W1V, W2H, W2V, ModeId
 from biphoton.optics import ChannelField
 from biphoton.selfcheck import selfcheck_rows
@@ -60,6 +61,34 @@ def gram_triple(ket: FockKet, forms) -> tuple[float, float, complex]:
     detection.intensity_map reads, which fig3 keeps once per state."""
     u, w = (apply_form(ket, form) for form in forms)
     return norm2(u), norm2(w), inner(u, w)
+
+
+def map_cells(factored) -> tuple[tuple[float, ...], ...]:
+    """Every cell of a factored map (detection.intensity_map), row by row:
+    r1 p + r2 q (+ r12 c) of each row's and each column's factors, left to
+    right, as the package evaluated every cell before its visibility skipped
+    rows."""
+    rows, columns = factored
+    if rows and len(rows[0]) == 2:
+        return tuple(tuple([r1 * p + r2 * q for p, q in columns]) for r1, r2 in rows)
+    return tuple(tuple([r1 * p + r2 * q + r12 * c for p, q, c in columns]) for r1, r2, r12 in rows)
+
+
+def reference_visibility(values) -> float:
+    """Fringe visibility (max - min) / (max + min) of a map of cells, every
+    cell walked; NaN if any cell is NaN: the reference that
+    detection.visibility of the factored map must match by repr, or by
+    exception type and message."""
+    cells = list(itertools.chain.from_iterable(values))
+    if len(cells) < 2:
+        raise ValueError("visibility needs a grid of at least 2 points")
+    # Python's max/min skip a NaN unless it comes first.
+    if any(map(math.isnan, cells)):
+        return math.nan
+    top, bottom = max(cells), min(cells)
+    if top + bottom <= EPS_ZERO:
+        raise AllDark("intensity map is identically dark")
+    return (top - bottom) / (top + bottom)
 
 
 def cascade_channel_fields_chain(geom: CascadeGeometry) -> tuple[ChannelField, ChannelField]:

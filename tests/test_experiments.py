@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 import sys
 from collections import Counter
 
@@ -17,7 +18,7 @@ from biphoton import fock as fk
 from biphoton import optics as op
 from biphoton import scenario as sc
 from biphoton.modes import BEAM_H, BEAM_V, H1, V2
-from support import gram_triple, normalized
+from support import gram_triple, map_cells, normalized, reference_visibility
 
 SQRT2 = math.sqrt(2.0)
 
@@ -296,18 +297,23 @@ def test_a_fig3_row_takes_one_phasor_per_column_and_beam_and_each_exponential_on
 
 def test_a_fig3_row_calls_detection_intensity_map_once(monkeypatch):
     # Through the module attribute, where a wrapper set on detection sees it.
-    calls = []
+    calls, maps = [], []
     real = det.intensity_map
 
     def counted(*args):
         calls.append(args)
-        return real(*args)
+        maps.append(real(*args))
+        return maps[-1]
 
     monkeypatch.setattr(det, "intensity_map", counted)
     for kind in ("psi_u", "psi_e"):
         calls.clear()
-        assert ex.fig3_visibility(kind).value == pytest.approx(1.0 if kind == "psi_u" else 0.0, abs=1e-9)
+        maps.clear()
+        value = ex.fig3_visibility(kind).value
+        assert value == pytest.approx(1.0 if kind == "psi_u" else 0.0, abs=1e-9)
         assert len(calls) == 1, kind
+        # The row's value is the visibility of every cell of that map.
+        assert repr(value) == repr(reference_visibility(map_cells(maps[0])))
         # The map reads the state's Gram triple and the beams' samples on the grid.
         gram, samples = calls[0]
         assert gram is ex._fig3_gram(kind)
@@ -315,6 +321,56 @@ def test_a_fig3_row_calls_detection_intensity_map_once(monkeypatch):
         calls.clear()
         rows = sc.evaluate(sc.parse_scenario(f"experiment fig3\nstate {kind}\n"))
         assert len(calls) == len(rows) == 1, kind
+
+
+def screen_pair(rng: random.Random) -> tuple[det.BeamProfile, det.BeamProfile]:
+    """A seeded pair of gaussian beams with opposite tilts, as a 2-D screen map takes them."""
+    return tuple(
+        det.BeamProfile("gaussian", sign * rng.uniform(4.0, 12.0), rng.uniform(0.4, 1.2),
+                        rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.5, 1.5))
+        for sign in (1.0, -1.0)
+    )
+
+
+def test_a_51_by_51_psi_e_map_evaluates_under_a_quarter_of_its_rows(monkeypatch):
+    # detection.visibility evaluates a row only while its bound can hold the max or the min, each row at
+    # most once; its bounds are one _cells call each for all rows, with the rows as the columns.
+    maps, calls = [], []
+    real_visibility, real_cells = det.visibility, det._cells
+
+    def visibility(factored):
+        maps.append(factored)
+        return real_visibility(factored)
+
+    def cells(row, columns):
+        calls.append((row, columns))
+        return real_cells(row, columns)
+
+    monkeypatch.setattr(det, "visibility", visibility)
+    monkeypatch.setattr(det, "_cells", cells)
+    rng = random.Random(40)
+    axis = tuple(-1.0 + 2.0 * i / 50 for i in range(51))
+    cases = [(kind, screen_pair(rng), det.ScanGrid(axis, axis)) for kind in ("psi_e", "psi_u") * 3]
+    for kind, beams, grid in [*cases, ("psi_e", det.DEFAULT_BEAMS, None), ("psi_u", det.DEFAULT_BEAMS, None)]:
+        maps.clear()
+        calls.clear()
+        result = ex.fig3_visibility(kind, beams, grid)
+        # The engine's map, then the closed form's: each by the visibility of all its cells.
+        assert len(maps) == 2
+        assert [repr(result.value), repr(result.closed_form)] == [
+            repr(reference_visibility(map_cells(factored))) for factored in maps
+        ]
+        for rows, columns in maps:
+            evaluated = [id(row) for row, of in calls if of is columns]
+            bounds = [row for row, of in calls if of is rows]
+            assert len(set(evaluated)) == len(evaluated), kind
+            if grid is None:
+                # One row: nothing to skip and no bound.
+                assert (len(rows), len(evaluated), bounds) == (1, 1, [])
+            else:
+                assert len(bounds) == 2
+                if kind == "psi_e":
+                    assert len(evaluated) < len(rows) / 4
 
 
 @pytest.mark.parametrize("kind", ["psi_u", "psi_e"])

@@ -57,7 +57,9 @@ from support import (
     color_filtered,
     form_dict,
     gram_triple,
+    map_cells,
     oracle_amplitudes,
+    reference_visibility,
     to_oracle,
 )
 
@@ -520,7 +522,8 @@ def test_coincidence_rows_are_nonnegative_complete_and_no_signalling(ket, v1, h1
 def test_gram_form_agrees_with_engine_and_oracle_on_random_kets_and_forms(ket, f, g, a, b):
     # A one-point grid: beam 1 gives a and beam 2 gives b there.
     beams = [det.BeamProfile(tilt=0.0, phase_offset=math.atan2(z.imag, z.real), amplitude=abs(z)) for z in (a, b)]
-    [[cell]] = det.intensity_map(gram_triple(ket, [f, g]), [beam.sample(det.ScanGrid(xs=(0.0,))) for beam in beams])
+    samples = [beam.sample(det.ScanGrid(xs=(0.0,))) for beam in beams]
+    [[cell]] = map_cells(det.intensity_map(gram_triple(ket, [f, g]), samples))
     a, b = (oracle.beam_value(beam, 0.0, 0.0) for beam in beams)
     assert_agree(cell, ket, [f.scale(a).plus(g.scale(b))], [abs_form((a, f), (b, g))])
 
@@ -566,7 +569,7 @@ def test_intensity_map_matches_per_cell_singles_rate(kind):
 
     nan_cells = 0
     for beam1, beam2, grid in cases():
-        fringe_map = det.intensity_map(gram_triple(ket, forms_), [beam1.sample(grid), beam2.sample(grid)])
+        fringe_map = map_cells(det.intensity_map(gram_triple(ket, forms_), [beam1.sample(grid), beam2.sample(grid)]))
         assert [len(row) for row in fringe_map] == [len(grid.xs)] * len(grid.ys)
         for y, row in zip(grid.ys, fringe_map):
             for x, cell in zip(grid.xs, row):
@@ -581,3 +584,36 @@ def test_intensity_map_matches_per_cell_singles_rate(kind):
                 form = forms_[0].scale(a).plus(forms_[1].scale(b))
                 assert_agree(cell, ket, [form], [abs_form((a, forms_[0]), (b, forms_[1]))])
     assert nan_cells == 1
+
+
+# --- visibility of factored maps against every cell -------------------------------------------
+
+
+@st.composite
+def factored_maps(draw):
+    """(rows, columns) of 1-60 rows and columns of 2 or 3 factors each: row factors in [0, m] and column
+    factors in [-m, m] for a magnitude m up to 1e308, with a few factors replaced by a negative value,
+    +-0.0, +-inf or NaN."""
+    terms = draw(st.sampled_from([2, 3]))
+    magnitude = draw(st.sampled_from([0.0, 1.0, 1e154, 1e200, 1e300, 1e308]))
+    row = st.tuples(*[st.floats(0.0, magnitude)] * terms)
+    column = st.tuples(*[st.floats(-magnitude, magnitude)] * terms)
+    rows = draw(st.lists(row, min_size=1, max_size=60))
+    columns = draw(st.lists(column, min_size=1, max_size=60))
+    special = st.sampled_from([-1.0, -magnitude, -1e-300, 0.0, -0.0, math.inf, -math.inf, math.nan])
+    spoils = st.tuples(st.booleans(), st.integers(0, 59), st.integers(0, terms - 1), special)
+    for in_rows, index, term, value in draw(st.lists(spoils, max_size=3)):
+        factors = rows if in_rows else columns
+        spoiled = list(factors[index % len(factors)])
+        spoiled[term] = value
+        factors[index % len(factors)] = tuple(spoiled)
+    return rows, columns
+
+
+@PROPERTY
+@given(factored_maps())
+def test_visibility_of_a_factored_map_is_the_reference_on_every_cell(factored):
+    # The bounded walk evaluates a row only while its bound can hold the max or the min; the reference
+    # evaluates every cell.  They agree by repr, or by exception type and message (AllDark, too few cells).
+    want = differ.outcome(lambda: repr(reference_visibility(map_cells(factored))))
+    assert differ.outcome(lambda: repr(det.visibility(factored))) == want

@@ -9,8 +9,8 @@ import pytest
 from biphoton import experiments as ex
 from biphoton import scenario as sc
 from biphoton import selfcheck
-from biphoton.detection import DEFAULT_TILT
-from biphoton.experiments import MAX_SCAN_POINTS, coincidence, scan_count, source
+from biphoton.detection import DEFAULT_BEAMS, DEFAULT_TILT, BeamProfile
+from biphoton.experiments import MAX_SCAN_POINTS, CascadeGeometry, coincidence, scan_count, source
 from biphoton.fock import named_state
 from biphoton.selfcheck import selfcheck_rows
 
@@ -239,6 +239,40 @@ def test_chsh_defaults_are_canonical_degrees():
 def test_format_parse_round_trip(text):
     spec = sc.parse_scenario(text)
     assert sc.parse_scenario(sc.format_scenario(spec)) == spec
+
+
+FIG3 = "experiment fig3\nbeam 1 gaussian 3 0.5\n"
+PDC = "experiment pdc\nangle theta1 10\n"
+
+
+@pytest.mark.parametrize(
+    "text, change, message",
+    [
+        (FIG3, {"beams": (BeamProfile(amplitude=2.0), DEFAULT_BEAMS[1])},
+         "beam 1 amplitude 2.0 cannot be written: the beam directive has none"),
+        (FIG3, {"beams": (DEFAULT_BEAMS[0], BeamProfile(tilt=-1.0, amplitude=0.0))},
+         "beam 2 amplitude 0.0 cannot be written: the beam directive has none"),
+        (FIG3, {"beams": (BeamProfile(width=0.5), DEFAULT_BEAMS[1])},
+         "beam 1 is a plane wave with a width, which the beam directive cannot write"),
+        (PDC, {"geometry": CascadeGeometry(2 + 0j)},
+         "a geometry other than the default cannot be written outside the cascade experiment"),
+        (FIG3, {"geometry": CascadeGeometry(g22=0.5 + 0j)},
+         "a geometry other than the default cannot be written outside the cascade experiment"),
+        (PDC, {"beams": (BeamProfile("gaussian", 1.0, 0.5), BeamProfile("gaussian", -1.0, 0.5))},
+         "beams other than the defaults cannot be written outside the fig3 experiment"),
+        ("experiment cascade\n", {"beams": (DEFAULT_BEAMS[1], DEFAULT_BEAMS[0])},
+         "beams other than the defaults cannot be written outside the fig3 experiment"),
+    ],
+)
+def test_format_refuses_a_spec_its_grammar_cannot_write(text, change, message):
+    # Each of these would format to the text of another spec: the grammar has no beam amplitude and no plane
+    # wave width, and writes beams only for fig3 and a geometry only for cascade.
+    spec = sc.parse_scenario(text)._replace(**change)
+    with pytest.raises(ValueError) as raised:
+        sc.format_scenario(spec)
+    assert str(raised.value) == message
+    # The spec it was made from formats, and parses back to itself.
+    assert sc.parse_scenario(sc.format_scenario(sc.parse_scenario(text))) == sc.parse_scenario(text)
 
 
 def test_round_trip_preserves_awkward_floats():
