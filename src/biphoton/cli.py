@@ -108,34 +108,34 @@ def cmd_run(args: SimpleNamespace) -> int:
     return _run_spec(parse_scenario(path.read_text(encoding="utf-8")), args)
 
 
-def _directive(key: str, flag: str, values: list[str]) -> tuple[str, str, list[str]]:
-    """The (location, key, values) item of a flag's values, each one token as on a scenario line."""
-    where = f"argument {flag}"
-    for value in values:
-        if value.split() != [value] or "#" in value:
-            raise ValidationError(f"expected one token without spaces or '#', got {value!r}", where)
-    return where, key, values
+#: Each command's directive flags: a flag's dest, and the location, directive key and leading values of its
+#: items; scan's are the directives but output, which --format covers, and chsh's its state and angles.
+_SCAN_FLAGS = {key: (f"argument --{key}", key, ()) for key in _DIRECTIVES if key != "output"}
+_CHSH_FLAGS = {"state": ("argument --state", "state", ()),
+               **{name: (f"argument --{name}", "angle", (name,)) for name in EXPERIMENTS["chsh"].angles}}
+
+
+def _run_flags(args: SimpleNamespace, flags: dict[str, tuple[str, str, tuple[str, ...]]], items: list) -> int:
+    """Run the scenario of the items and then each value of each flag, as (location, key, values) items
+    of one-token values, as on a scenario line, so a repeated flag meets the grammar's repeat rule."""
+    for dest in flags:
+        if (given := getattr(args, dest)) is not None:  # not "or ()": empty loops cost the chsh request ~3 %
+            where, key, lead = flags[dest]
+            for each in given:
+                values = [*lead, each] if isinstance(each, str) else [*lead, *each]
+                for value in values:
+                    if value.split() != [value] or "#" in value:
+                        raise ValidationError(f"expected one token without spaces or '#', got {value!r}", where)
+                items.append((where, key, values))
+    return _run_spec(parse_scenario(items), args)
 
 
 def cmd_scan(args: SimpleNamespace) -> int:
-    items = []
-    for key, entry in _SCAN_DIRECTIVES.items():
-        given = getattr(args, key)
-        if given is not None:
-            for values in given if entry.repeats else [given]:
-                items.append(_directive(key, f"--{key}", [values] if entry.nargs == 1 else values))
-    return _run_spec(parse_scenario(items), args)
+    return _run_flags(args, _SCAN_FLAGS, [])
 
 
 def cmd_chsh(args: SimpleNamespace) -> int:
-    items = [("chsh", "experiment", ["chsh"])]
-    if args.state is not None:
-        items.append(_directive("state", "--state", [args.state]))
-    for name in EXPERIMENTS["chsh"].angles:
-        value = getattr(args, name)
-        if value is not None:
-            items.append(_directive("angle", f"--{name}", [name, value]))
-    return _run_spec(parse_scenario(items), args)
+    return _run_flags(args, _CHSH_FLAGS, [("chsh", "experiment", ["chsh"])])
 
 
 def cmd_selfcheck(args: SimpleNamespace) -> int:
@@ -143,9 +143,6 @@ def cmd_selfcheck(args: SimpleNamespace) -> int:
 
     return _report([(row.observable, row) for row in selfcheck_rows()], args.format or "csv", args)
 
-
-#: The directives that `scan` takes as flags: all but output, which --format covers.
-_SCAN_DIRECTIVES = {key: entry for key, entry in _DIRECTIVES.items() if key != "output"}
 
 #: An option: its flag (or a positional's name) and its argparse add_argument keywords.
 _Option = tuple[str, dict]
@@ -162,13 +159,14 @@ _COMMON: tuple[_Option, ...] = (
 _COMMANDS: dict[str, tuple[str, Callable[[SimpleNamespace], int], tuple[_Option, ...]]] = {
     "run": ("evaluate a scenario file", cmd_run, (*_COMMON, ("file", {"help": "scenario file path"}))),
     "scan": ("evaluate a scenario given as flags", cmd_scan, (*_COMMON, *(
-        (f"--{key}", {"required": key == "experiment", "action": "append" if entry.repeats else "store",
+        (f"--{key}", {"required": key == "experiment", "action": "append",
                       **({} if entry.nargs == 1 else {"nargs": entry.nargs, "metavar": entry.metavar})})
-        for key, entry in _SCAN_DIRECTIVES.items()
+        for key, entry in _DIRECTIVES.items() if key in _SCAN_FLAGS
     ))),
-    "chsh": ("four-setting correlation sum", cmd_chsh, (
-        *_COMMON, ("--state", {}), *((f"--{name}", {"metavar": "DEG"}) for name in EXPERIMENTS["chsh"].angles)
-    )),
+    "chsh": ("four-setting correlation sum", cmd_chsh, (*_COMMON, *(
+        (f"--{dest}", {"action": "append", **({"metavar": "DEG"} if lead else {})})
+        for dest, (_, _, lead) in _CHSH_FLAGS.items()
+    ))),
     "selfcheck": ("recompute the verification table", cmd_selfcheck, _COMMON),
 }
 

@@ -236,11 +236,29 @@ def parse_scenario(source: str | list[tuple[int | str, str, list[str]]]) -> Scen
                                         geometry or _DEFAULT_GEOMETRY, found.get("output", "csv")))
 
 
+def _check_angles(spec: ScenarioSpec) -> None:
+    """ValueError unless the spec's angles are exactly its experiment's
+    unscanned parameters, and its scan variable is one of them, as in every parsed spec."""
+    record, scanned = EXPERIMENTS[spec.experiment], spec.scan.name if spec.scan else None
+    if scanned is not None and scanned not in record.angles:
+        raise ValueError(f"scan variable {scanned!r} is not a parameter of {spec.experiment}")
+    for name in spec.angles:
+        if name not in record.angles:
+            raise ValueError(f"angle {name!r} is not a parameter of {spec.experiment}")
+        if name == scanned:
+            raise ValueError(f"angle {name} is both fixed and scanned")
+    for name in record.angles:
+        if name not in spec.angles and name != scanned:
+            raise ValueError(f"angle {name} of {spec.experiment} is neither fixed nor scanned")
+
+
 def format_scenario(spec: ScenarioSpec) -> str:
     """Canonical text for a spec; parse(format(spec)) == spec.  ValueError for
-    a spec the grammar cannot write: beams other than the defaults outside
-    fig3, a geometry other than the default outside cascade, a beam amplitude
-    other than 1, or a plane wave with a width."""
+    a spec the grammar cannot write: angles other than the experiment's
+    unscanned parameters, beams other than the defaults outside fig3, a
+    geometry other than the default outside cascade, a beam amplitude other
+    than 1, or a plane wave with a width."""
+    _check_angles(spec)
     if spec.experiment != "fig3" and spec.beams != DEFAULT_BEAMS:
         raise ValueError("beams other than the defaults cannot be written outside the fig3 experiment")
     if spec.experiment != "cascade" and spec.geometry != _DEFAULT_GEOMETRY:
@@ -255,15 +273,21 @@ def format_scenario(spec: ScenarioSpec) -> str:
 
 def evaluate(spec: ScenarioSpec) -> list[tuple[object, ScenarioResult]]:
     """Run the scenario; rows are (param, result) with param the scanned
-    angle in degrees, or the observable name for single-point runs."""
-    record = EXPERIMENTS[spec.experiment]
-    scan = spec.scan
+    angle in degrees, or the observable name for single-point runs.
+    ValueError for angles or a scan variable that no parse gives (see _check_angles)."""
+    record, scan, angles = EXPERIMENTS[spec.experiment], spec.scan, spec.angles
+    # Other angles give a count that differs, or a KeyError below: no silent default, and O(1) when valid.
+    if len(angles) + (scan is not None) != len(record.angles):
+        _check_angles(spec)
     degrees = scan_values(scan.start, scan.stop, scan.step) if scan else []
-    # A missing angle that is not scanned raises KeyError: no silent default.
-    columns = [
-        list(map(math.radians, degrees)) if scan and name == scan.name else [math.radians(spec.angles[name])]
-        for name in record.angles
-    ]
+    try:
+        columns = [
+            list(map(math.radians, degrees)) if scan and name == scan.name else [math.radians(angles[name])]
+            for name in record.angles
+        ]
+    except KeyError:
+        _check_angles(spec)
+        raise
     rows = record.rows(spec.state, spec.geometry, spec.beams, columns)
     if scan is None:
         return [(result.observable, result) for result in rows]

@@ -142,6 +142,12 @@ MUTANTS = [
         "a beam that fails validation no longer names its line or flag",
     ),
     (
+        "flag_repeats_last_wins", "cli.py",
+        "            for each in given:",
+        "            for each in given[-1:]:",
+        "the flag handler reads only each flag's last value: a repeated flag keeps it, as argparse's store did",
+    ),
+    (
         "usage_errors_print_usage", "cli.py",
         '            self.exit(2, f"{self.prog}: error: {message}\\n")',
         "            super().error(message)",

@@ -348,9 +348,28 @@ def test_bad_input_prints_one_line(capsys, argv):
         assert err.count("\n") == 1 and err.endswith("\n"), err
 
 
+#: Argv that repeat a directive flag, each with the run file that repeats the same directive on its last line,
+#: and the message that both get, located by the flag or the line.
+REPEATED_FLAGS = [
+    (["scan", "--experiment", "pdc", "--experiment", "fig1"], "--experiment", "experiment pdc\nexperiment fig1\n",
+     "experiment given more than once"),
+    (["scan", "--experiment", "pdc", "--state", "psi_e", "--state", "psi_u"], "--state",
+     "experiment pdc\nstate psi_e\nstate psi_u\n", "state given more than once"),
+    (["scan", "--experiment", "pdc", "--scan", "theta2", "0", "10", "5", "--scan", "theta2", "0", "20", "5"], "--scan",
+     "experiment pdc\nscan theta2 0 10 5\nscan theta2 0 20 5\n", "only one scan variable is allowed"),
+    (["scan", "--experiment", "cascade", "--geometry", "1", "1", "1", "1", "--geometry", "2", "2", "2", "2"],
+     "--geometry", "experiment cascade\ngeometry 1 1 1 1\ngeometry 2 2 2 2\n", "geometry given more than once"),
+    (["chsh", "--state", "psi_u", "--state", "psi_e"], "--state", "experiment chsh\nstate psi_u\nstate psi_e\n",
+     "state given more than once"),
+    (["chsh", "--a", "10", "--a", "20"], "--a", "experiment chsh\nangle a 10\nangle a 20\n",
+     "angle a given more than once"),
+]
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
+        *((argv, flag) for argv, flag, _, _ in REPEATED_FLAGS),
         (["chsh", "--a", "-1+0i"], "--a"),
         (["scan", "--experiment", "pdc", "--angle", "theta1", "abc"], "--angle"),
         (["scan", "--experiment", "fig3", "--beam", "1", "plane_wave"], "--beam"),
@@ -374,6 +393,13 @@ def test_flag_errors_name_the_flag(capsys, argv, flag):
     assert code == 1 and out == ""
     assert err.startswith(f"error: argument {flag}: ") and err.count("\n") == 1
     assert "line " not in err
+
+
+@pytest.mark.parametrize("argv, flag, text, message", REPEATED_FLAGS, ids=[" ".join(c[0]) for c in REPEATED_FLAGS])
+def test_a_repeated_flag_gets_the_message_of_a_repeated_line(tmp_path, capsys, argv, flag, text, message):
+    assert run_cli(capsys, *argv) == (1, "", f"error: argument {flag}: {message}\n")
+    line = text.count("\n")
+    assert run_cli(capsys, "run", write_spec(tmp_path, text)) == (1, "", f"error: line {line}: {message}\n")
 
 
 @pytest.mark.parametrize(

@@ -243,6 +243,14 @@ def test_format_parse_round_trip(text):
 
 FIG3 = "experiment fig3\nbeam 1 gaussian 3 0.5\n"
 PDC = "experiment pdc\nangle theta1 10\n"
+#: Hand-made specs whose angles are not their experiment's unscanned parameters: a parse gives none of them.
+ANGLE_CHANGES = [
+    (PDC, {"angles": {}}, "angle theta1 of pdc is neither fixed nor scanned"),
+    (PDC, {"angles": {"theta1": 10.0, "theta2": 0.0, "bogus": 2.0}}, "angle 'bogus' is not a parameter of pdc"),
+    (PDC, {"angles": {"theta1": 10.0, "bogus": 2.0}}, "angle 'bogus' is not a parameter of pdc"),
+    (PDC, {"scan": sc.Scan("theta2", 0.0, 10.0, 5.0)}, "angle theta2 is both fixed and scanned"),
+    (PDC, {"scan": sc.Scan("theta9", 0.0, 10.0, 5.0)}, "scan variable 'theta9' is not a parameter of pdc"),
+]
 
 
 @pytest.mark.parametrize(
@@ -262,6 +270,7 @@ PDC = "experiment pdc\nangle theta1 10\n"
          "beams other than the defaults cannot be written outside the fig3 experiment"),
         ("experiment cascade\n", {"beams": (DEFAULT_BEAMS[1], DEFAULT_BEAMS[0])},
          "beams other than the defaults cannot be written outside the fig3 experiment"),
+        *ANGLE_CHANGES,
     ],
 )
 def test_format_refuses_a_spec_its_grammar_cannot_write(text, change, message):
@@ -321,8 +330,15 @@ def test_evaluate_scan_rewrites_only_the_scanned_angle():
 @pytest.mark.parametrize("scan", [None, sc.Scan("theta2", 0.0, 10.0, 5.0)])
 def test_evaluate_has_no_default_for_a_missing_angle(scan):
     # parse_scenario fills in every angle; a spec built by hand may lack one.
-    with pytest.raises(KeyError, match="theta1"):
+    with pytest.raises(ValueError, match="theta1"):
         sc.evaluate(sc.ScenarioSpec("pdc", "psi_u", angles={"theta2": 0.0} if scan is None else {}, scan=scan))
+
+
+@pytest.mark.parametrize("text, change, message", ANGLE_CHANGES)
+def test_evaluate_refuses_angles_other_than_the_unscanned_parameters(text, change, message):
+    with pytest.raises(ValueError) as raised:
+        sc.evaluate(sc.parse_scenario(text)._replace(**change))
+    assert str(raised.value) == message
 
 
 @pytest.mark.parametrize(
