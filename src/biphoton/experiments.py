@@ -99,11 +99,13 @@ class CascadeGeometry(_Geometry):
 
 
 def fig1_channel_fields() -> tuple[op.ChannelField, op.ChannelField]:
-    """Split the single beam on a balanced mirror, then apply the component
-    phase-flip plate in channel 1 and the component-swap plate in channel 2."""
-    source = op.ChannelField(unit_form(BEAM_V), unit_form(BEAM_H))
-    ch1, ch2 = op.beamsplitter_5050(source, op.empty_field())
-    return op.apply_jones(ch1, op.hwp(0.0)), op.apply_jones(ch2, op.hwp(math.pi / 4))
+    """The single beam (v, h) split on a balanced mirror whose other port is
+    vacuum, behind channel 1's plate, which flips the sign of h, and channel
+    2's, which swaps v and h: (v, -h)/sqrt2 and (h, v)/sqrt2."""
+    return (
+        op.ChannelField(LinearForm({BEAM_V: _SQRT1_2}), LinearForm({BEAM_H: -_SQRT1_2})),
+        op.ChannelField(LinearForm({BEAM_H: _SQRT1_2}), LinearForm({BEAM_V: _SQRT1_2})),
+    )
 
 
 def pdc_channel_fields(kind: str) -> tuple[op.ChannelField, op.ChannelField]:
@@ -227,8 +229,8 @@ def _build_source(kind: str, geometry: CascadeGeometry, split: bool) -> Source:
         return Source(ket, arm1, arm2, 0.5 * abs(geometry.g11 * geometry.g22) ** 2, math.cos)
     ch1, ch2 = fig1_channel_fields() if kind == "circular_pair" else pdc_channel_fields(kind)
     if split:
-        ch3, ch4 = op.beamsplitter_5050(ch2, op.empty_field())
-        return Source(ket, ch3, ch4, 0.0 if kind == "psi_e" else 0.0625, math.cos)
+        half = op.vacuum_split(ch2)  # both output ports carry it
+        return Source(ket, half, half, 0.0 if kind == "psi_e" else 0.0625, math.cos)
     return Source(ket, ch1, ch2, 0.5 if kind == "psi_e" else 0.25, math.sin)
 
 

@@ -28,7 +28,10 @@ which revision.py loads as `biphoton_parent`.  The inputs are seeded
                CascadeGeometry of _complex parts and inf and NaN ones, with
                the cascade source's K, T, same_channel and coincidence rows
                over CASCADE_ANGLES (0, +-1e300 among them) at each valid
-               geometry
+               geometry; then, unseeded, each named state with split False
+               and True through source(), by its arms' items, K, T,
+               same_channel, those rows and, for circular_pair,
+               fig1_conditional_check at each of CASCADE_ANGLES
 
 It prints the count of inputs and differences per category and each
 difference, and exits 1 on any difference that --expect does not admit.
@@ -43,6 +46,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import itertools
 import math
 import random
 import sys
@@ -271,6 +275,19 @@ def _cascade(package: ModuleType, parts: tuple[complex, ...]) -> str:
     return repr((geometry, *(outcome(read) for read in reads)))
 
 
+def _source(package: ModuleType, kind: str, split: bool) -> str:
+    """A shared source's arms, K, T, same_channel and coincidence rows over
+    CASCADE_ANGLES, and for circular_pair fig1_conditional_check at each angle."""
+    experiments = package.experiments
+    src = experiments.source(kind, split=split)
+    reads = [lambda: [list(form.items()) for arm in (src.arm1, src.arm2) for form in arm],
+             lambda: src.K, lambda: src.T, lambda: src.same_channel,
+             lambda: experiments.coincidence_rows(src, CASCADE_ANGLES, CASCADE_ANGLES)]
+    if kind == "circular_pair":
+        reads.append(lambda: [experiments.fig1_conditional_check(src, t) for t in CASCADE_ANGLES])
+    return repr([outcome(read) for read in reads])
+
+
 #: Each api call by name: the package and its arguments to the repr of its result.
 API: dict[str, Callable[[ModuleType, tuple], str]] = {
     "BeamProfile": lambda package, args: repr(package.detection.BeamProfile(*args)),
@@ -333,6 +350,9 @@ def compare(parent: ModuleType, change: ModuleType, corpus: list[str], expect_st
             check("cli", argv, cli_outcome(parent.cli.main, argv), cli_outcome(change.cli.main, argv))
     for name, args in api_calls(SEED, CALLS):
         check("api", (name, args), *(outcome(lambda p=p: API[name](p, args)) for p in (parent, change)))
+    for kind, split in itertools.product(change.experiments.NAMED_STATE_KINDS, (False, True)):
+        given = ("source", kind, split)
+        check("api", given, *(outcome(lambda p=p: _source(p, kind, split)) for p in (parent, change)))
     return counts, differences
 
 

@@ -81,6 +81,18 @@ MUTANTS = [
         "the cascade's arm 1 reads the other color's mode in its h component",
     ),
     (
+        "fig1_channel1_unflipped", "experiments.py",
+        "LinearForm({BEAM_H: -_SQRT1_2})",
+        "LinearForm({BEAM_H: _SQRT1_2})",
+        "fig1's channel 1 without its plate's sign flip of h: the rows become sin^2(t1 + t2)",
+    ),
+    (
+        "vacuum_split_unscaled", "optics.py",
+        "    return ChannelField(field.v.scale(_SQRT1_2), field.h.scale(_SQRT1_2))",
+        "    return ChannelField(field.v, field.h)",
+        "a splitter output with vacuum in the other port keeps the whole field, not 1/sqrt2 of it",
+    ),
+    (
         "sin_cos_laws_swapped", "experiments.py",
         "    sine = src.law is math.sin",
         "    sine = src.law is math.cos",

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -194,6 +194,14 @@ EDGE_AMPLITUDES = (
 )
 
 
+def modulus_overflows(a: complex) -> bool:
+    try:
+        abs(a)
+    except OverflowError:
+        return True
+    return False
+
+
 @settings(derandomize=True, deadline=None, max_examples=300, database=None)
 @given(
     st.dictionaries(
@@ -202,7 +210,15 @@ EDGE_AMPLITUDES = (
         max_size=8,
     )
 )
+@example({(): complex(1.2711610061536462e308, 1.2711610061536464e308)})
 def test_constructor_keeps_input_order_and_prunes_at_EPS_PRUNE(amplitudes):
+    """The ket keeps each amplitude above EPS_PRUNE or NaN, in input order;
+    an amplitude whose modulus overflows the float range raises OverflowError,
+    which the CLI reports as an overflow (exit 2)."""
+    if any(map(modulus_overflows, amplitudes.values())):
+        with pytest.raises(OverflowError):
+            fk.FockKet(amplitudes)
+        return
     ket = fk.FockKet(amplitudes)
     kept = [(occ, 0j + a) for occ, a in amplitudes.items() if math.isnan(abs(a)) or abs(a) > fk.EPS_PRUNE]
     # repr of the items shows a -0.0 part and the item order.
