@@ -1,6 +1,6 @@
 """Compare the package at a git revision with the working tree, input by input.
 
-    python tests/differ.py [REV] [--expect stderr]
+    python tests/differ.py [REV] [--expect stderr] [--declared FILE]
 
 REV defaults to HEAD; the working tree's src/biphoton is compared with REV's,
 which revision.py loads as `biphoton_parent`.  The inputs are seeded
@@ -30,13 +30,20 @@ which revision.py loads as `biphoton_parent`.  The inputs are seeded
                over CASCADE_ANGLES (0, +-1e300 among them) at each valid
                geometry; then, unseeded, each named state with split False
                and True through source(), by its arms' items, K, T,
-               same_channel, those rows and, for circular_pair,
-               fig1_conditional_check at each of CASCADE_ANGLES
+               same_channel and those rows, and fig1_conditional_check of
+               circular_pair, split and not, at each of CASCADE_ANGLES
 
 It prints the count of inputs and differences per category and each
-difference, and exits 1 on any difference that --expect does not admit.
-`--expect stderr` admits a difference in stderr alone (same exit code and
-stdout) and in an exception's message alone (same type).  It writes nothing
+difference, and exits 1 on any difference that neither --expect nor a
+declaration admits.  `--expect stderr` admits a difference in stderr alone
+(same exit code and stdout) and in an exception's message alone (same
+type).  `--declared FILE` loads the Python file's DECLARED, a list of
+(name, one-line reason, predicate) entries (Declaration), each predicate
+taking a difference's category, input, parent outcome and tree outcome: a
+difference that a predicate holds for is admitted, and counted to the
+first such declaration.  The run prints each declaration's count and exits
+1 if one admits nothing, so a declaration cannot outlive the difference it
+was written for.  The file may `import differ`.  The differ writes nothing
 under src/ or tests/ and removes its temporary trees.  Pytest does not
 collect this file.
 """
@@ -44,7 +51,9 @@ collect this file.
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
+import importlib.util
 import io
 import itertools
 import math
@@ -54,6 +63,7 @@ import tempfile
 from collections.abc import Callable, Iterator
 from pathlib import Path
 from types import ModuleType
+from typing import NamedTuple
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -276,16 +286,19 @@ def _cascade(package: ModuleType, parts: tuple[complex, ...]) -> str:
 
 
 def _source(package: ModuleType, kind: str, split: bool) -> str:
-    """A shared source's arms, K, T, same_channel and coincidence rows over
-    CASCADE_ANGLES, and for circular_pair fig1_conditional_check at each angle."""
+    """A shared source's arms, K, T, same_channel and coincidence rows over CASCADE_ANGLES."""
     experiments = package.experiments
     src = experiments.source(kind, split=split)
     reads = [lambda: [list(form.items()) for arm in (src.arm1, src.arm2) for form in arm],
              lambda: src.K, lambda: src.T, lambda: src.same_channel,
              lambda: experiments.coincidence_rows(src, CASCADE_ANGLES, CASCADE_ANGLES)]
-    if kind == "circular_pair":
-        reads.append(lambda: [experiments.fig1_conditional_check(src, t) for t in CASCADE_ANGLES])
     return repr([outcome(read) for read in reads])
+
+
+def _fig1_conditional(package: ModuleType, split: bool) -> str:
+    """fig1_conditional_check of the circular_pair source at each of CASCADE_ANGLES."""
+    src = package.experiments.source("circular_pair", split=split)
+    return repr([package.experiments.fig1_conditional_check(src, t) for t in CASCADE_ANGLES])
 
 
 #: Each api call by name: the package and its arguments to the repr of its result.
@@ -353,23 +366,85 @@ def compare(parent: ModuleType, change: ModuleType, corpus: list[str], expect_st
     for kind, split in itertools.product(change.experiments.NAMED_STATE_KINDS, (False, True)):
         given = ("source", kind, split)
         check("api", given, *(outcome(lambda p=p: _source(p, kind, split)) for p in (parent, change)))
+    for split in (False, True):
+        given = ("fig1_conditional_check", "circular_pair", split)
+        check("api", given, *(outcome(lambda p=p: _fig1_conditional(p, split)) for p in (parent, change)))
     return counts, differences
+
+
+# --- declared differences ---------------------------------------------------------
+
+
+class Declaration(NamedTuple):
+    """A difference made on purpose: its name, a one-line reason, and whether
+    it claims (category, input, parent outcome, tree outcome)."""
+
+    name: str
+    reason: str
+    admits: Callable[[str, object, Outcome, Outcome], bool]
+
+
+def load_declarations(path: str) -> list[Declaration]:
+    """DECLARED of the Python file at path, as Declarations."""
+    sys.modules.setdefault("differ", sys.modules[__name__])  # run as a script, this module is __main__
+    spec = importlib.util.spec_from_file_location("declared", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [Declaration(*entry) for entry in module.DECLARED]
+
+
+def within_ulps(old: Outcome, new: Outcome, ulps: int) -> bool:
+    """Whether old and new both return a list of numbers, by repr, of one
+    length, each new value of its old value's type and within ulps units in
+    the last place of it."""
+    if old[0] != "ok" or new[0] != "ok":
+        return False
+    try:
+        olds, news = ast.literal_eval(old[1]), ast.literal_eval(new[1])
+    except (ValueError, SyntaxError):  # not a literal: a nan, an inf or an object
+        return False
+    return isinstance(olds, list) and isinstance(news, list) and len(olds) == len(news) and all(
+        type(a) is type(b) and (a == b or abs(b - a) <= ulps * math.ulp(a)) for a, b in zip(olds, news)
+    )
+
+
+def declared(differences: list[Difference], declarations: list[Declaration]) -> tuple[list[Difference], dict]:
+    """The differences with each one that a declaration claims admitted, and
+    the count of differences each declaration claims, by name; a difference
+    is counted to the first declaration that claims it."""
+    claims = dict.fromkeys([d.name for d in declarations], 0)
+    admitted = []
+    for category, given, old, new, ok in differences:
+        name = next((d.name for d in declarations if d.admits(category, given, old, new)), None)
+        if name is not None:
+            claims[name] += 1
+        admitted.append((category, given, old, new, ok or name is not None))
+    return admitted, claims
+
+
+def verdict(differences: list[Difference], claims: dict) -> int:
+    """1 if a difference is not admitted or a declaration claims none, else 0."""
+    return 1 if any(not ok for *_, ok in differences) or 0 in claims.values() else 0
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="Compare the package at REV with the working tree.")
     parser.add_argument("rev", nargs="?", default="HEAD")
     parser.add_argument("--expect", choices=["stderr"], help="admit message-only changes")
+    parser.add_argument("--declared", metavar="FILE", help="admit the differences that FILE's DECLARED claim")
     args = parser.parse_args(argv)
+    declarations = load_declarations(args.declared) if args.declared else []
     with revision_package(args.rev) as parent:
         counts, differences = compare(parent, biphoton, texts(SEED, TEXTS), args.expect == "stderr")
+    differences, claims = declared(differences, declarations)
     for category, given, old, new, ok in differences:
         print(f"[{category}{', expected' if ok else ''}] {given!r}\n  {args.rev}: {old!r}\n  tree: {new!r}")
-    unexpected = sum(not ok for *_, ok in differences)
     for category, count in counts.items():
         found = [ok for c, *_, ok in differences if c == category]
         print(f"{category}: {count} inputs, {len(found)} differences, {sum(found)} of them expected")
-    return 1 if unexpected else 0
+    for d in declarations:
+        print(f"declared {d.name}: admitted {claims[d.name]} differences ({d.reason})")
+    return verdict(differences, claims)
 
 
 if __name__ == "__main__":

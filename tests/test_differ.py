@@ -1,9 +1,11 @@
 """The parent-versus-change differ (tests/differ.py) on a small corpus: a tree
-against itself shows no difference, and --expect stderr admits a changed
-message but not a changed result."""
+against itself shows no difference, --expect stderr admits a changed
+message but not a changed result, and a declaration admits only the
+differences it claims and fails the run where it claims none."""
 
 from __future__ import annotations
 
+import math
 from types import SimpleNamespace
 
 import biphoton
@@ -45,3 +47,52 @@ def test_expect_stderr_does_not_admit_a_changed_spec():
     _, differences = differ.compare(biphoton, changed(lambda text: sc.parse_scenario(text)._replace(
         state="psi_e")), corpus, True)
     assert [(category, ok) for category, _, _, _, ok in differences] == [("parse", False), ("evaluate", False)]
+
+
+def claims_reworded(category, given, old, new):
+    return category == "parse" and new[0] == "raise" and new[2].startswith("reworded: ")
+
+
+def test_a_declaration_admits_the_differences_it_claims_and_no_other():
+    corpus = ["experiment pdc\nangle theta1 1\nangle theta1 2\n", "experiment pdc\nstate psi_u\n"]
+    with_spec = changed(lambda text: reworded(text)._replace(state="psi_e"))
+    _, differences = differ.compare(biphoton, with_spec, corpus, False)
+    assert [(category, ok) for category, _, _, _, ok in differences] == [("parse", False), ("parse", False),
+                                                                          ("evaluate", False)]
+    reason = "parse errors are reworded"
+    admitted, claims = differ.declared(differences, [differ.Declaration("reworded", reason, claims_reworded)])
+    assert [(category, ok) for category, _, _, _, ok in admitted] == [("parse", True), ("parse", False),
+                                                                       ("evaluate", False)]
+    assert claims == {"reworded": 1} and differ.verdict(admitted, claims) == 1
+    admitted, claims = differ.declared(differences[:1], [differ.Declaration("reworded", reason, claims_reworded)])
+    assert claims == {"reworded": 1} and differ.verdict(admitted, claims) == 0
+
+
+def test_a_declaration_that_admits_nothing_fails_the_run():
+    _, differences = differ.compare(biphoton, changed(reworded), ["experiment pdc\nangle theta1 1\nangle theta1 2\n"],
+                                    False)
+    stale = differ.Declaration("stale", "claims an input the corpus lacks", lambda category, given, *_: given == "")
+    admitted, claims = differ.declared(differences, [differ.Declaration("reworded", "", claims_reworded), stale])
+    assert all(ok for *_, ok in admitted) and claims == {"reworded": 1, "stale": 0}
+    assert differ.verdict(admitted, claims) == 1
+    assert differ.verdict(*differ.declared([], [stale])) == 1
+    assert differ.verdict(*differ.declared([], [])) == 0
+
+
+def test_within_ulps_admits_a_last_bit_and_no_more():
+    ok = lambda value: ("ok", repr(value))  # noqa: E731
+    half, up = [0.5, 0, 0.25], [0.5 + math.ulp(0.5), 0, 0.25]
+    assert differ.within_ulps(ok(half), ok(up), 1) and differ.within_ulps(ok(half), ok(half), 1)
+    assert not differ.within_ulps(ok(half), ok([0.5 + 2 * math.ulp(0.5), 0, 0.25]), 1)
+    assert not differ.within_ulps(ok(half), ok([0.5, 0.0, 0.25]), 1)  # 0 became 0.0
+    assert not differ.within_ulps(ok(half), ok(half[:2]), 1)
+    assert not differ.within_ulps(ok(half), ("raise", "OverflowError", "x"), 1)
+    assert not differ.within_ulps(ok([math.nan]), ok([math.nan]), 1)
+
+
+def test_a_declarations_file_may_import_the_differ(tmp_path):
+    path = tmp_path / "declared.py"
+    path.write_text("from differ import within_ulps\n"
+                    "DECLARED = [('last_bit', 'one ulp', lambda c, g, old, new: within_ulps(old, new, 1))]\n")
+    [declaration] = differ.load_declarations(str(path))
+    assert declaration.name == "last_bit" and declaration.admits("api", None, ("ok", "[1.0]"), ("ok", "[1.0]"))
