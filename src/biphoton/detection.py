@@ -1,10 +1,11 @@
-"""Observable quantities: counting rates and intensity maps.
+"""Observable quantities on a screen: beams, grids, intensity maps and
+their visibility.
 
 Every rate is a normally ordered expectation value of detector operators,
-computed exactly on the sparse state: singles_rate is Glauber's G1 (one
-detector, or one point of a screen); his G2 (two detectors) is read off the
-pair matrices of experiments.  Rates are dimensionless (overall field
-constant 1).
+computed exactly on the sparse state.  A screen cell is Glauber's G1 of the
+summed field of two beams, a Gram form of the state (intensity_map); every
+two-photon count, his G2, is read off the pair matrices of experiments.
+Rates are dimensionless (overall field constant 1).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import operator
 from collections.abc import Sequence
 from typing import NamedTuple
 
-from .fock import EPS_ZERO, FockKet, LinearForm, apply_form, norm2
+from .fock import EPS_ZERO
 
 BEAM_KINDS = ("plane_wave", "gaussian")
 
@@ -32,11 +33,6 @@ class AllDark(ValueError):
     """Raised when a ratio of rates that all vanish is requested: a fringe
     visibility on an identically dark map, or a correlation coefficient
     (experiments.correlation_E) from four dark coincidence rates."""
-
-
-def singles_rate(ket: FockKet, form: LinearForm) -> float:
-    """Single-detector rate <L^dag L>."""
-    return norm2(apply_form(ket, form))
 
 
 class _Beam(NamedTuple):
@@ -140,7 +136,8 @@ def intensity_map(gram: tuple[float, float, complex], samples: Sequence[BeamSamp
     times exp(i p), as the Gram form |a|^2 <u|u> + |b|^2 <w|w> +
     2 Re(conj(a) b <u|w>): the row factors are ey1^2 <u|u>, ey2^2 <w|w> and
     ey1 ey2, the column factors ex1^2, ex2^2 and the cross term.  This holds
-    for any ket, and agrees with singles_rate cell by cell to rounding."""
+    for any ket, and agrees with the engine's <L^dag L> of L = a f + b g
+    cell by cell to rounding."""
     if len(samples) != 2:
         raise ValueError("intensity maps overlap exactly two beams")
     uu, ww, uw = gram

@@ -37,7 +37,6 @@ from collections.abc import Callable, Iterable, Sequence
 from typing import NamedTuple
 
 from . import detection as det
-from . import optics as op
 from .fock import (
     _SQRT1_2,
     EPS_PRUNE,
@@ -98,17 +97,31 @@ class CascadeGeometry(_Geometry):
 # --- field chains ------------------------------------------------------------
 
 
-def fig1_channel_fields() -> tuple[op.ChannelField, op.ChannelField]:
+class ChannelField(NamedTuple):
+    """Positive-frequency field of one channel in the Heisenberg picture,
+    v e_v + h e_h, each component a combination of annihilators."""
+
+    v: LinearForm
+    h: LinearForm
+
+
+def vacuum_split(field: ChannelField) -> ChannelField:
+    """Either output of a balanced splitter with vacuum in its other input
+    port: the field times 1/sqrt2 (both ports carry the same field)."""
+    return ChannelField(field.v.scale(_SQRT1_2), field.h.scale(_SQRT1_2))
+
+
+def fig1_channel_fields() -> tuple[ChannelField, ChannelField]:
     """The single beam (v, h) split on a balanced mirror whose other port is
     vacuum, behind channel 1's plate, which flips the sign of h, and channel
     2's, which swaps v and h: (v, -h)/sqrt2 and (h, v)/sqrt2."""
     return (
-        op.ChannelField(LinearForm({BEAM_V: _SQRT1_2}), LinearForm({BEAM_H: -_SQRT1_2})),
-        op.ChannelField(LinearForm({BEAM_H: _SQRT1_2}), LinearForm({BEAM_V: _SQRT1_2})),
+        ChannelField(LinearForm({BEAM_V: _SQRT1_2}), LinearForm({BEAM_H: -_SQRT1_2})),
+        ChannelField(LinearForm({BEAM_H: _SQRT1_2}), LinearForm({BEAM_V: _SQRT1_2})),
     )
 
 
-def pdc_channel_fields(kind: str) -> tuple[op.ChannelField, op.ChannelField]:
+def pdc_channel_fields(kind: str) -> tuple[ChannelField, ChannelField]:
     """Detector-plane fields of the two-channel pair source.
 
     For psi_e each channel carries its own polarization modes at unit
@@ -117,25 +130,25 @@ def pdc_channel_fields(kind: str) -> tuple[op.ChannelField, op.ChannelField]:
     """
     if kind == "psi_e":
         return (
-            op.ChannelField(unit_form(V1), unit_form(H1)),
-            op.ChannelField(unit_form(V2), unit_form(H2)),
+            ChannelField(unit_form(V1), unit_form(H1)),
+            ChannelField(unit_form(V2), unit_form(H2)),
         )
     if kind == "psi_u":
         first, second = combination_forms()
         return (
-            op.ChannelField(first.scale(_SQRT1_2), second.scale(-_SQRT1_2)),
-            op.ChannelField(second.scale(_SQRT1_2), first.scale(_SQRT1_2)),
+            ChannelField(first.scale(_SQRT1_2), second.scale(-_SQRT1_2)),
+            ChannelField(second.scale(_SQRT1_2), first.scale(_SQRT1_2)),
         )
     raise ValueError(f"no two-channel pair fields for state {kind!r}")
 
 
-def cascade_channel_fields(geom: CascadeGeometry) -> tuple[op.ChannelField, op.ChannelField]:
+def cascade_channel_fields(geom: CascadeGeometry) -> tuple[ChannelField, ChannelField]:
     """The cascade's channels behind their color filters: channel i carries
     g[i][1] w1 + g[i][2] w2, and its filter passes color i alone, so g12 and
     g21 reach no detector."""
     return (
-        op.ChannelField(LinearForm({W1V: geom.g11}), LinearForm({W1H: geom.g11})),
-        op.ChannelField(LinearForm({W2V: geom.g22}), LinearForm({W2H: geom.g22})),
+        ChannelField(LinearForm({W1V: geom.g11}), LinearForm({W1H: geom.g11})),
+        ChannelField(LinearForm({W2V: geom.g22}), LinearForm({W2H: geom.g22})),
     )
 
 
@@ -150,7 +163,7 @@ class Source:
     """
 
     def __init__(
-        self, ket: FockKet, arm1: op.ChannelField, arm2: op.ChannelField, peak: float, law: Callable[[float], float]
+        self, ket: FockKet, arm1: ChannelField, arm2: ChannelField, peak: float, law: Callable[[float], float]
     ) -> None:
         self.ket, self.arm1, self.arm2, self.peak, self.law = ket, arm1, arm2, peak, law
 
@@ -189,7 +202,7 @@ class Source:
         )
 
 
-def _pair_matrix(ket: FockKet, a: op.ChannelField, b: op.ChannelField) -> tuple[tuple[complex, ...], ...]:
+def _pair_matrix(ket: FockKet, a: ChannelField, b: ChannelField) -> tuple[tuple[complex, ...], ...]:
     """M[i][j] = <0| b[j] a[i] |ket>, i and j over the (v, h) components of
     the arms a and b; ValueError where a term of the ket is not two-photon.
     The (v, h) x (v, h) detector pairs of a and b count ||M||_F^2 in all, and
@@ -229,7 +242,7 @@ def _build_source(kind: str, geometry: CascadeGeometry, split: bool) -> Source:
         return Source(ket, arm1, arm2, 0.5 * abs(geometry.g11 * geometry.g22) ** 2, math.cos)
     ch1, ch2 = fig1_channel_fields() if kind == "circular_pair" else pdc_channel_fields(kind)
     if split:
-        half = op.vacuum_split(ch2)  # both output ports carry it
+        half = vacuum_split(ch2)  # both output ports carry it
         return Source(ket, half, half, 0.0 if kind == "psi_e" else 0.0625, math.cos)
     return Source(ket, ch1, ch2, 0.5 if kind == "psi_e" else 0.25, math.sin)
 
@@ -276,17 +289,22 @@ def _results(rows: Iterable[tuple[str, float, float, float]]) -> list[ScenarioRe
 # --- single-point scenarios -----------------------------------------------------
 
 
-def fig1_conditional_check(src: Source, theta1: float) -> float:
-    """Detection rate of the photon left behind by the first analyzer of the
-    fig1 source (source("circular_pair")).
+#: The single beam of fig1 before its mirror and plates, as the bare analyzer reads it.
+_BARE_BEAM = ChannelField(unit_form(BEAM_V), unit_form(BEAM_H))
 
-    The leftover state is kept unnormalized (detection probability folded
-    in), so the bare analyzer operator sees it with rate one half for every
-    angle.
-    """
-    leftover = apply_form(src.ket, op.polarizer(src.arm1, theta1))
-    bare_analyzer = LinearForm({BEAM_V: math.cos(theta1), BEAM_H: -math.sin(theta1)})
-    return det.singles_rate(leftover, bare_analyzer)
+
+def fig1_conditional_check(src: Source, theta1: float) -> float:
+    """Detection rate of the photon that the first analyzer of the fig1
+    source (source("circular_pair")) leaves behind, seen by a bare analyzer
+    at the same angle: |c1^T M b|^2 of M = _pair_matrix(ket, arm1, the bare
+    beam), c1 = (cos t, sin t) and b = (cos t, -sin t), or 0 where that
+    modulus is <= EPS_PRUNE, as in coincidence.  The leftover is kept
+    unnormalized (the first detection's probability folded in), so the rate
+    is one half at every angle."""
+    (mvv, mvh), (mhv, mhh) = _pair_matrix(src.ket, src.arm1, _BARE_BEAM)
+    c, s = math.cos(theta1), math.sin(theta1)
+    amp = abs((c * mvv + s * mhv) * c + (c * mvh + s * mhh) * -s)
+    return 0 if amp <= EPS_PRUNE else amp ** 2
 
 
 def _fig3_closed_form(kind: str, samples: Sequence[det.BeamSamples]) -> float:

@@ -20,7 +20,8 @@ apply_form, norm2 and inner are the reference engine.  A two-photon ket
 turns two detector forms into one complex number, so each two-photon count
 is read off a 2x2 pair matrix <0| b[j] a[i] |psi> of two arms: a
 coincidence off K (experiments.Source.K), a same-channel count off one
-arm's with itself.  A screen cell, the singles rate of a f + b g, is the
+arm's with itself, and fig1's conditional count off its first arm's with
+the bare beam.  A screen cell, the singles rate of a f + b g, is the
 Gram form of u = f|psi> and w = g|psi> (detection.intensity_map).
 """
 

@@ -52,8 +52,8 @@ MUTANTS = [
     ),
     (
         "coincidence_value_relative_1e-11", "experiments.py",
-        "else amp ** 2",
-        "else amp ** 2 * (1 + 1e-11)",
+        "s2)) <= EPS_PRUNE else amp ** 2",
+        "s2)) <= EPS_PRUNE else amp ** 2 * (1 + 1e-11)",
         "a relative defect of 1e-11 in every coincidence value",
     ),
     (
@@ -70,8 +70,8 @@ MUTANTS = [
     ),
     (
         "cascade_arm2_reads_g21", "experiments.py",
-        "        op.ChannelField(LinearForm({W2V: geom.g22}), LinearForm({W2H: geom.g22})),",
-        "        op.ChannelField(LinearForm({W2V: geom.g21}), LinearForm({W2H: geom.g21})),",
+        "        ChannelField(LinearForm({W2V: geom.g22}), LinearForm({W2H: geom.g22})),",
+        "        ChannelField(LinearForm({W2V: geom.g21}), LinearForm({W2H: geom.g21})),",
         "the cascade's arm 2 is weighted by g21, which its color filter drops, not by g22",
     ),
     (
@@ -87,10 +87,16 @@ MUTANTS = [
         "fig1's channel 1 without its plate's sign flip of h: the rows become sin^2(t1 + t2)",
     ),
     (
-        "vacuum_split_unscaled", "optics.py",
+        "vacuum_split_unscaled", "experiments.py",
         "    return ChannelField(field.v.scale(_SQRT1_2), field.h.scale(_SQRT1_2))",
         "    return ChannelField(field.v, field.h)",
         "a splitter output with vacuum in the other port keeps the whole field, not 1/sqrt2 of it",
+    ),
+    (
+        "fig1_conditional_bare_unflipped", "experiments.py",
+        "(c * mvh + s * mhh) * -s)",
+        "(c * mvh + s * mhh) * s)",
+        "fig1's bare analyzer reads the beam as (cos t, +sin t): the conditional rate becomes cos^2(2t) / 2, not 1/2",
     ),
     (
         "sin_cos_laws_swapped", "experiments.py",

@@ -13,11 +13,10 @@ import numpy as np
 
 import oracle
 import biphoton
-from biphoton.detection import AllDark, singles_rate
-from biphoton.experiments import CascadeGeometry, ScenarioResult, Source
+from biphoton.detection import AllDark
+from biphoton.experiments import CascadeGeometry, ChannelField, ScenarioResult, Source
 from biphoton.fock import EPS_PRUNE, EPS_ZERO, FockKet, LinearForm, apply_form, inner, norm2, occupation, unit_form
 from biphoton.modes import W1H, W1V, W2H, W2V, ModeId
-from biphoton.optics import ChannelField
 from biphoton.selfcheck import selfcheck_rows
 
 EIGHT_MODES = tuple(ModeId(ch, pol) for ch in (1, 2, 3, 4) for pol in ("V", "H"))
@@ -47,6 +46,18 @@ def normalized(ket: FockKet) -> FockKet:
     """The ket divided by its norm, as a multiplication by 1 / sqrt(norm2)."""
     factor = 1.0 / math.sqrt(norm2(ket))
     return FockKet({occ: a * factor for occ, a in ket.items()})
+
+
+def polarizer(field: ChannelField, theta: float) -> LinearForm:
+    """Absorbing analyzer at angle theta as one engine form: the transmitted
+    detector operator cos(theta) v + sin(theta) h, each product and their sum
+    pruned by LinearForm.  The orthogonal component is discarded."""
+    return field.v.scale(math.cos(theta)).plus(field.h.scale(math.sin(theta)))
+
+
+def singles_rate(ket: FockKet, form: LinearForm) -> float:
+    """Single-detector rate <L^dag L> by the engine (Glauber's G1)."""
+    return norm2(apply_form(ket, form))
 
 
 def coincidence_rate(ket: FockKet, form1: LinearForm, form2: LinearForm) -> float:

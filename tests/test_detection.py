@@ -11,9 +11,9 @@ import pytest
 import oracle
 from biphoton import detection as det
 from biphoton import fock as fk
+from biphoton.experiments import ChannelField
 from biphoton.modes import BEAM_H, BEAM_V, H1, H2, V1, V2
-from biphoton.optics import ChannelField
-from support import coincidence_rate, gram_triple, map_cells, normalized, reference_visibility
+from support import coincidence_rate, gram_triple, map_cells, normalized, reference_visibility, singles_rate
 
 SQRT1_2 = math.sqrt(0.5)
 
@@ -50,7 +50,7 @@ def screen_rate(ket: fk.FockKet, contributions) -> float:
     total = fk.LinearForm()
     for form, amp in contributions:
         total = total.plus(form.scale(amp))
-    return det.singles_rate(ket, total)
+    return singles_rate(ket, total)
 
 
 # --- singles ----------------------------------------------------------------
@@ -62,16 +62,16 @@ def test_singles_rate_on_conditional_state_is_half():
     pair = fk.named_state("circular_pair")
     for theta in (0.0, math.pi / 3, 1.234):
         leftover = fk.apply_form(pair, beam_analyzer(theta))
-        assert det.singles_rate(leftover, beam_analyzer(theta, scaled=False)) == pytest.approx(0.5, abs=1e-14)
+        assert singles_rate(leftover, beam_analyzer(theta, scaled=False)) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_singles_rate_vacuum_is_zero():
-    assert det.singles_rate(fk.vacuum(), beam_analyzer(0.3)) == 0.0
+    assert singles_rate(fk.vacuum(), beam_analyzer(0.3)) == 0.0
 
 
 def test_singles_rate_single_photon_unit_form():
     ket = fk.FockKet({fk.occupation({V1: 1}): 1.0})
-    assert det.singles_rate(ket, fk.unit_form(V1)) == pytest.approx(1.0)
+    assert singles_rate(ket, fk.unit_form(V1)) == pytest.approx(1.0)
 
 
 # --- coincidences -------------------------------------------------------------
@@ -111,7 +111,7 @@ def test_rates_are_nonnegative_on_random_inputs():
 
     for _ in range(50):
         ket = random_ket(rng)
-        assert det.singles_rate(ket, random_form(rng)) >= -1e-14
+        assert singles_rate(ket, random_form(rng)) >= -1e-14
         assert coincidence_rate(ket, random_form(rng), random_form(rng)) >= -1e-14
 
 

@@ -15,10 +15,9 @@ import oracle
 from biphoton import detection as det
 from biphoton import experiments as ex
 from biphoton import fock as fk
-from biphoton import optics as op
 from biphoton import scenario as sc
 from biphoton.modes import BEAM_H, BEAM_V, H1, V2
-from support import gram_triple, map_cells, normalized, reference_visibility
+from support import gram_triple, map_cells, normalized, polarizer, reference_visibility, singles_rate
 
 SQRT2 = math.sqrt(2.0)
 
@@ -88,9 +87,26 @@ def test_fig1_conditional_rate_is_half_for_all_angles():
 def test_fig1_conditional_rate_normalized_is_one():
     theta = 0.7
     ch1, _ = ex.fig1_channel_fields()
-    leftover = normalized(fk.apply_form(fk.named_state("circular_pair"), op.polarizer(ch1, theta)))
+    leftover = normalized(fk.apply_form(fk.named_state("circular_pair"), polarizer(ch1, theta)))
     bare_analyzer = fk.LinearForm({BEAM_V: math.cos(theta), BEAM_H: -math.sin(theta)})
-    assert det.singles_rate(leftover, bare_analyzer) == pytest.approx(1.0, abs=1e-13)
+    assert singles_rate(leftover, bare_analyzer) == pytest.approx(1.0, abs=1e-13)
+
+
+def test_fig1_conditional_rate_is_the_engine_singles_rate_of_the_leftover():
+    # The engine's path: the leftover photon of the first analyzer, then the bare analyzer's G1.
+    src = ex.source("circular_pair")
+    angles = [0.0, -0.0, math.pi / 2, math.pi, 1e300, -1e300, *np.random.default_rng(46).uniform(-7.0, 7.0, 2000)]
+    for theta in map(float, angles):
+        leftover = fk.apply_form(src.ket, polarizer(src.arm1, theta))
+        bare_analyzer = fk.LinearForm({BEAM_V: math.cos(theta), BEAM_H: -math.sin(theta)})
+        assert abs(ex.fig1_conditional_check(src, theta) - singles_rate(leftover, bare_analyzer)) <= 1e-15, theta
+
+
+def test_fig1_conditional_rate_of_the_split_pair_is_zero():
+    # Arm 1 is channel 2's (h, v) / 2: its analyzer at t leaves cos t h + sin t v, orthogonal to the bare one.
+    src = ex.source("circular_pair", split=True)
+    for theta in (0.0, -0.0, 0.3, math.pi / 4, -2.5, 1e300):
+        assert repr(ex.fig1_conditional_check(src, theta)) == "0", theta
 
 
 # --- pdc ----------------------------------------------------------------------

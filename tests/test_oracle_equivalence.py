@@ -10,7 +10,6 @@ import pytest
 
 import oracle
 from biphoton import fock as fk
-from biphoton.detection import singles_rate
 from biphoton.modes import H1, H2, V1, V2, ModeId
 from support import (
     EIGHT_MODES,
@@ -20,6 +19,7 @@ from support import (
     random_form,
     random_ket,
     run_randomized_rate_equivalence,
+    singles_rate,
     to_oracle,
 )
 
