@@ -296,15 +296,12 @@ _BARE_BEAM = ChannelField(unit_form(BEAM_V), unit_form(BEAM_H))
 def fig1_conditional_check(src: Source, theta1: float) -> float:
     """Detection rate of the photon that the first analyzer of the fig1
     source (source("circular_pair")) leaves behind, seen by a bare analyzer
-    at the same angle: |c1^T M b|^2 of M = _pair_matrix(ket, arm1, the bare
-    beam), c1 = (cos t, sin t) and b = (cos t, -sin t), or 0 where that
-    modulus is <= EPS_PRUNE, as in coincidence.  The leftover is kept
-    unnormalized (the first detection's probability folded in), so the rate
-    is one half at every angle."""
-    (mvv, mvh), (mhv, mhh) = _pair_matrix(src.ket, src.arm1, _BARE_BEAM)
-    c, s = math.cos(theta1), math.sin(theta1)
-    amp = abs((c * mvv + s * mhv) * c + (c * mvh + s * mhh) * -s)
-    return 0 if amp <= EPS_PRUNE else amp ** 2
+    at the same angle: the coincidence of arm1 at t and the bare beam at -t,
+    that is |c1^T M b|^2 of M = _pair_matrix(ket, arm1, the bare beam),
+    c1 = (cos t, sin t) and b = (cos t, -sin t), or 0 where that modulus is
+    <= EPS_PRUNE.  The leftover is kept unnormalized (the first detection's
+    probability folded in), so the rate is one half at every angle."""
+    return coincidence(Source(src.ket, src.arm1, _BARE_BEAM, 0.5, math.cos), theta1, -theta1).value
 
 
 def _fig3_closed_form(kind: str, samples: Sequence[det.BeamSamples]) -> float:

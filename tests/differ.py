@@ -37,15 +37,17 @@ It prints the count of inputs and differences per category and each
 difference, and exits 1 on any difference that neither --expect nor a
 declaration admits.  `--expect stderr` admits a difference in stderr alone
 (same exit code and stdout) and in an exception's message alone (same
-type).  `--declared FILE` loads the Python file's DECLARED, a list of
+type).  `--declared FILE` loads the Python file's BASE, the full hash of
+the commit its declarations were written against, and DECLARED, a list of
 (name, one-line reason, predicate) entries (Declaration), each predicate
 taking a difference's category, input, parent outcome and tree outcome: a
 difference that a predicate holds for is admitted, and counted to the
 first such declaration.  The run prints each declaration's count and exits
-1 if one admits nothing, so a declaration cannot outlive the difference it
-was written for.  The file may `import differ`.  The differ writes nothing
-under src/ or tests/ and removes its temporary trees.  Pytest does not
-collect this file.
+1 if one admits nothing.  Where REV is not the commit BASE names, the file
+is stale: the run says so and ignores its declarations, so they hold only
+for the change that wrote them.  The file may `import differ`.  The differ
+writes nothing under src/ or tests/ and removes its temporary trees.
+Pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ import io
 import itertools
 import math
 import random
+import subprocess
 import sys
 import tempfile
 from collections.abc import Callable, Iterator
@@ -72,7 +75,7 @@ import biphoton.detection  # noqa: E402
 import biphoton.scenario  # noqa: E402
 import biphoton.selfcheck  # noqa: E402
 from biphoton.experiments import EXPERIMENTS  # noqa: E402
-from revision import revision_package  # noqa: E402
+from revision import ROOT, revision_package  # noqa: E402
 
 #: An input's outcome: ("ok", value) or ("raise", exception type name, message).
 Outcome = tuple
@@ -384,13 +387,24 @@ class Declaration(NamedTuple):
     admits: Callable[[str, object, Outcome, Outcome], bool]
 
 
-def load_declarations(path: str) -> list[Declaration]:
-    """DECLARED of the Python file at path, as Declarations."""
+def load_declarations(path: str, commit: str) -> list[Declaration]:
+    """DECLARED of the Python file at path, as Declarations, where its BASE
+    is commit, the full hash of the revision compared with; else none, and a
+    line saying that the file is stale."""
     sys.modules.setdefault("differ", sys.modules[__name__])  # run as a script, this module is __main__
     spec = importlib.util.spec_from_file_location("declared", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    if module.BASE != commit:
+        print(f"{path} is stale: its declarations were written against {module.BASE}, not {commit}; ignored")
+        return []
     return [Declaration(*entry) for entry in module.DECLARED]
+
+
+def commit_of(rev: str) -> str:
+    """The full hash of the commit rev names."""
+    return subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", f"{rev}^{{commit}}"],
+                          capture_output=True, check=True, text=True).stdout.strip()
 
 
 def within_ulps(old: Outcome, new: Outcome, ulps: int) -> bool:
@@ -433,7 +447,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--expect", choices=["stderr"], help="admit message-only changes")
     parser.add_argument("--declared", metavar="FILE", help="admit the differences that FILE's DECLARED claim")
     args = parser.parse_args(argv)
-    declarations = load_declarations(args.declared) if args.declared else []
+    declarations = load_declarations(args.declared, commit_of(args.rev)) if args.declared else []
     with revision_package(args.rev) as parent:
         counts, differences = compare(parent, biphoton, texts(SEED, TEXTS), args.expect == "stderr")
     differences, claims = declared(differences, declarations)

@@ -52,8 +52,8 @@ MUTANTS = [
     ),
     (
         "coincidence_value_relative_1e-11", "experiments.py",
-        "s2)) <= EPS_PRUNE else amp ** 2",
-        "s2)) <= EPS_PRUNE else amp ** 2 * (1 + 1e-11)",
+        "else amp ** 2",
+        "else amp ** 2 * (1 + 1e-11)",
         "a relative defect of 1e-11 in every coincidence value",
     ),
     (
@@ -94,8 +94,8 @@ MUTANTS = [
     ),
     (
         "fig1_conditional_bare_unflipped", "experiments.py",
-        "(c * mvh + s * mhh) * -s)",
-        "(c * mvh + s * mhh) * s)",
+        "src.arm1, _BARE_BEAM, 0.5, math.cos), theta1, -theta1)",
+        "src.arm1, _BARE_BEAM, 0.5, math.cos), theta1, theta1)",
         "fig1's bare analyzer reads the beam as (cos t, +sin t): the conditional rate becomes cos^2(2t) / 2, not 1/2",
     ),
     (

@@ -1,7 +1,8 @@
 """The parent-versus-change differ (tests/differ.py) on a small corpus: a tree
 against itself shows no difference, --expect stderr admits a changed
 message but not a changed result, and a declaration admits only the
-differences it claims and fails the run where it claims none."""
+differences it claims, fails the run where it claims none, and is ignored
+where its file was written against another base."""
 
 from __future__ import annotations
 
@@ -90,9 +91,24 @@ def test_within_ulps_admits_a_last_bit_and_no_more():
     assert not differ.within_ulps(ok([math.nan]), ok([math.nan]), 1)
 
 
-def test_a_declarations_file_may_import_the_differ(tmp_path):
+BASE = "0123456789abcdef0123456789abcdef01234567"
+
+
+def declarations_file(tmp_path):
     path = tmp_path / "declared.py"
-    path.write_text("from differ import within_ulps\n"
+    path.write_text(f"from differ import within_ulps\nBASE = {BASE!r}\n"
                     "DECLARED = [('last_bit', 'one ulp', lambda c, g, old, new: within_ulps(old, new, 1))]\n")
-    [declaration] = differ.load_declarations(str(path))
+    return str(path)
+
+
+def test_a_declarations_file_may_import_the_differ(tmp_path):
+    [declaration] = differ.load_declarations(declarations_file(tmp_path), BASE)
     assert declaration.name == "last_bit" and declaration.admits("api", None, ("ok", "[1.0]"), ("ok", "[1.0]"))
+
+
+def test_a_declarations_file_of_another_base_is_stale_and_ignored(tmp_path, capsys):
+    path, other = declarations_file(tmp_path), "f" * 40
+    assert differ.load_declarations(path, other) == []
+    stale = f"{path} is stale: its declarations were written against {BASE}, not {other}; ignored\n"
+    assert capsys.readouterr().out == stale
+    assert differ.verdict(*differ.declared([], differ.load_declarations(path, other))) == 0
